@@ -1,11 +1,11 @@
 """Noisy B-spline fitting by randomized block iteration with Tikhonov smoothing.
 
 The package splits into: basis evaluation and parametrization (`basis`),
-problem assembly (`assembly`), the randomized solvers (`curve`, `surface`),
-the smoothing-weight machinery (`regparam`), deterministic reference solvers
-(`oracle`), example geometries and the noise model (`datasets`), and the
-experiment harness behind the CLI (`config`, `experiment`, `pointsio`,
-`cli`).
+problem assembly (`assembly`), the randomized solvers (`curve`, `surface`)
+and the iteration driver they share (`driver`), the smoothing-weight
+machinery (`regparam`), deterministic reference solvers (`oracle`), example
+geometries and the noise model (`datasets`), and the experiment harness
+behind the CLI (`config`, `experiment`, `pointsio`, `cli`).
 """
 
 from .assembly import (
@@ -28,7 +28,7 @@ from .basis import (
     eval_surface_point,
     surface_params,
 )
-from .curve import CurveFitResult, StoppingRule
+from .curve import CurveFitResult
 from .datasets import (
     NoiseSpec,
     SampledCurve,
@@ -40,6 +40,7 @@ from .datasets import (
     fit_error_surface,
     rose_curve,
 )
+from .driver import StoppingRule
 from .oracle import (
     DirectSolution,
     contraction_check,

@@ -130,7 +130,6 @@ _SHARED_OPTIONS = [
     click.option("--head-count", type=int, default=None),
     click.option("--eps-lambda", type=float, default=None),
     click.option("--inner-solver", type=click.Choice(["direct", "rpia"]), default=None),
-    click.option("--workers", type=int, default=None),
 ]
 
 

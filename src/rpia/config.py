@@ -60,7 +60,6 @@ class ExperimentConfig:
     eps_lambda: float = 0.01
     inner_solver: str = "direct"             # direct | rpia
     trajectory_stride: int = 10
-    workers: int = 1
 
     def __post_init__(self):
         if self.problem not in ("curve", "surface"):
@@ -104,8 +103,8 @@ class ExperimentConfig:
             raise InvalidConfig("eps_lambda must be positive")
         if self.inner_solver not in ("direct", "rpia"):
             raise InvalidConfig("inner_solver must be 'direct' or 'rpia'")
-        if self.trajectory_stride < 0 or self.workers < 1:
-            raise InvalidConfig("trajectory_stride >= 0 and workers >= 1 required")
+        if self.trajectory_stride < 0:
+            raise InvalidConfig("trajectory_stride must be nonnegative")
         if not self.seeds:
             default = (
                 _SURFACE_DEFAULT_SEEDS if self.problem == "surface" else _CURVE_DEFAULT_SEEDS

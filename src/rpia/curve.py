@@ -3,10 +3,8 @@
 Each iteration draws one column block with probability proportional to its
 squared Frobenius norm, moves the corresponding control points along the
 block correlation with the residual, and patches the residual incrementally.
-All point coordinates share the same block draw.
-
-Randomness comes from the Philox counter-based generator seeded per fit, so
-a fit is a pure function of ``(system, partition, p0, stop, seed)``.
+All point coordinates share the same block draw. The loop around the steps
+lives in :mod:`rpia.driver`.
 """
 
 from __future__ import annotations
@@ -16,34 +14,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .assembly import AugmentedCurveSystem, BlockPartition
+from .driver import StoppingRule, TrajectorySample, iterate, make_rng
 from .errors import DimensionMismatch
-
-
-@dataclass(frozen=True)
-class StoppingRule:
-    """Relative-change tolerance on the fitted points plus an iteration cap.
-
-    The change is measured on the unpenalized fitted points (design times
-    controls), not on the stacked residual. When the previous fitted points
-    have zero norm the criterion falls back to the absolute change.
-
-    ``patience`` is the number of consecutive iterations the criterion must
-    hold before stopping. A single block update can land exactly on its own
-    block's stationary point (a one-column block drawn twice with no
-    overlapping update in between has exactly zero move), so a single-hit
-    rule stops far from convergence; a few consecutive hits filter that out.
-    """
-
-    tol: float = 1e-8
-    max_iter: int = 8000
-    patience: int = 3
-
-
-@dataclass(frozen=True)
-class TrajectorySample:
-    iteration: int
-    rel_change: float
-    residual_norm: float
 
 
 @dataclass
@@ -68,12 +40,6 @@ class CurveFitResult:
     trajectory: tuple[TrajectorySample, ...] = field(default_factory=tuple)
 
 
-def _make_rng(seed) -> np.random.Generator:
-    if isinstance(seed, np.random.Generator):
-        return seed
-    return np.random.Generator(np.random.Philox(seed))
-
-
 def init_state(system: AugmentedCurveSystem, p0, seed) -> CurveFitState:
     """Fresh state at iterate 0 with the residual computed from scratch."""
     controls = np.array(p0, dtype=float)
@@ -84,9 +50,9 @@ def init_state(system: AugmentedCurveSystem, p0, seed) -> CurveFitState:
         raise DimensionMismatch(
             f"initial controls have shape {controls.shape}, expected {expected}"
         )
-    residual = system.targets - system.stacked @ controls
-    fitted = system.design @ controls
-    return CurveFitState(system, controls, residual, fitted, 0, _make_rng(seed))
+    state = CurveFitState(system, controls, None, None, 0, make_rng(seed))
+    _refresh(state)
+    return state
 
 
 def select_block(state: CurveFitState, partition: BlockPartition) -> int:
@@ -118,7 +84,8 @@ def step(state: CurveFitState, partition: BlockPartition) -> CurveFitState:
 
 
 def _refresh(state: CurveFitState) -> None:
-    # Recompute the incrementally maintained quantities to shed float drift.
+    # Recompute the incrementally maintained quantities from the controls:
+    # at the start, and periodically to shed float drift.
     state.residual = state.system.targets - state.system.stacked @ state.control_points
     state.fitted_points = state.system.design @ state.control_points
 
@@ -130,7 +97,6 @@ def run(
     stop: StoppingRule,
     seed,
     trajectory_stride: int = 10,
-    refresh_every: int = 500,
 ) -> CurveFitResult:
     """Iterate until the fitted points settle or the iteration cap is hit.
 
@@ -144,38 +110,11 @@ def run(
         Philox key for the block draws.
     trajectory_stride : int
         Record a trajectory sample every this many iterations (0 disables).
-    refresh_every : int
-        Recompute the residual from scratch at this period (0 disables).
     """
     state = init_state(system, p0, seed)
-    trajectory: list[TrajectorySample] = []
-    converged = False
-    reason = "max_iter"
-    quiet_steps = 0
-    for _ in range(stop.max_iter):
-        previous_norm = float(np.linalg.norm(state.fitted_points))
-        step(state, partition)
-        if previous_norm > 0.0:
-            rel = state.last_move_norm / previous_norm
-        else:
-            rel = state.last_move_norm
-        if trajectory_stride and state.iteration % trajectory_stride == 0:
-            trajectory.append(
-                TrajectorySample(
-                    state.iteration, rel, float(np.linalg.norm(state.residual))
-                )
-            )
-        quiet_steps = quiet_steps + 1 if rel < stop.tol else 0
-        if quiet_steps >= stop.patience:
-            converged = True
-            reason = "tol"
-            break
-        if refresh_every and state.iteration % refresh_every == 0:
-            _refresh(state)
+    converged, reason, trajectory = iterate(
+        state, step, (partition,), _refresh, stop, trajectory_stride
+    )
     return CurveFitResult(
-        state.control_points,
-        state.iteration,
-        converged,
-        reason,
-        tuple(trajectory),
+        state.control_points, state.iteration, converged, reason, trajectory
     )

@@ -15,8 +15,7 @@ from __future__ import annotations
 
 import json
 import time
-from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from pathlib import Path
 from typing import Optional, Union
 
@@ -33,7 +32,6 @@ from .assembly import (
 )
 from .basis import KnotVector, build_knots, chord_length_params, surface_params
 from .config import ExperimentConfig, SweepGrid
-from .curve import StoppingRule
 from .datasets import (
     NoiseSpec,
     add_noise,
@@ -43,6 +41,7 @@ from .datasets import (
     fit_error_surface,
     rose_curve,
 )
+from .driver import StoppingRule
 from .errors import InvalidConfig
 from .oracle import solve_curve_direct, solve_surface_direct
 from .pointsio import load_grid, load_points, write_csv
@@ -55,6 +54,7 @@ from .regparam import (
     self_consistent_surface,
     spectral_decay,
     spectral_decay_from_eigenvalues,
+    surface_penalty_norm2,
     surface_whitened_eigenvalues,
 )
 
@@ -80,6 +80,24 @@ def initial_controls_surface(grid: np.ndarray, n_u: int, n_v: int) -> np.ndarray
     return grid[np.ix_(rows, cols)].copy()
 
 
+def _stop_rule(cfg: ExperimentConfig) -> StoppingRule:
+    return StoppingRule(cfg.tolerance, cfg.max_iter)
+
+
+def _apply_tensor(a: np.ndarray, grid: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """``a @ grid[:, :, f] @ b.T`` for every coordinate ``f`` of a control grid."""
+    out = np.empty((a.shape[0], b.shape[0], grid.shape[2]))
+    for f in range(grid.shape[2]):
+        out[:, :, f] = a @ grid[:, :, f] @ b.T
+    return out
+
+
+# The two problem kinds answer the same questions, so the experiment code
+# below never asks which kind it holds. Their methods reach library functions
+# through this module's globals at call time, so replacing a module attribute
+# (to trace or to stub a layer) reaches every call.
+
+
 @dataclass(frozen=True)
 class CurveProblem:
     clean: np.ndarray
@@ -88,6 +106,56 @@ class CurveProblem:
     design: np.ndarray
     penalty: np.ndarray
     reference_controls: np.ndarray
+
+    @property
+    def n_controls(self) -> int:
+        return self.design.shape[1]
+
+    def augment(self, data, lam: float):
+        return augment_curve(self.design, self.penalty, data, lam)
+
+    def initial_controls(self, data, cfg: ExperimentConfig) -> np.ndarray:
+        return initial_controls_curve(data, cfg.n_ctrl)
+
+    def solve_randomized(self, system, start, cfg: ExperimentConfig, seed: int, stride: int):
+        """Partition the system and run the randomized solver: (controls, result)."""
+        partition = make_partition(system.stacked, cfg.block_size)
+        result = curve_solver.run(
+            system, partition, start, _stop_rule(cfg), solver_rng(seed),
+            trajectory_stride=stride,
+        )
+        return result.control_points, result
+
+    def solve_direct(self, system) -> np.ndarray:
+        return solve_curve_direct(system).control_points
+
+    def fitted(self, controls) -> np.ndarray:
+        return self.design @ controls
+
+    def relative_error(self, controls) -> float:
+        return fit_error(self.design, controls, self.reference_controls)
+
+    def penalty_norm2(self, controls) -> float:
+        return float(np.sum((self.penalty @ controls) ** 2)) / self.n_controls
+
+    def spectrum(self, head_count: int):
+        whitened = build_whitened_design(self.design, self.penalty)
+        return spectral_decay(whitened, head_count)
+
+    def self_consistent(self, data, solve, alpha: float, eps_lambda: float):
+        return self_consistent_curve(
+            self.design, self.penalty, data, solve, alpha, eps_lambda
+        )
+
+    def write_fitted(self, out: Path, controls) -> str:
+        dense, points = sample_fitted_curve(self, controls)
+        header = ["param"] + ["x", "y", "z"][: points.shape[1]]
+        write_csv(
+            out / "fitted_curve.csv",
+            header,
+            [(float(t), *map(float, pt)) for t, pt in zip(dense, points)],
+        )
+        return "fitted_curve.csv"
 
 
 @dataclass(frozen=True)
@@ -102,6 +170,65 @@ class SurfaceProblem:
     penalty_u: np.ndarray
     penalty_v: np.ndarray
     reference_controls: np.ndarray
+
+    @property
+    def n_controls(self) -> int:
+        return self.design_u.shape[1] * self.design_v.shape[1]
+
+    def augment(self, data, lam: float):
+        return augment_surface(
+            self.design_u, self.design_v, self.penalty_u, self.penalty_v, data, lam
+        )
+
+    def initial_controls(self, data, cfg: ExperimentConfig) -> np.ndarray:
+        return initial_controls_surface(data, cfg.n_ctrl, cfg.n_ctrl_v)
+
+    def solve_randomized(self, system, start, cfg: ExperimentConfig, seed: int, stride: int):
+        """Partition both factors and run the randomized solver: (controls, result)."""
+        part_u = make_partition(system.row_stacked, cfg.block_size)
+        part_v = make_partition(system.col_stacked, cfg.block_size_v or cfg.block_size)
+        result = surface_solver.run(
+            system, part_u, part_v, start, _stop_rule(cfg), solver_rng(seed),
+            trajectory_stride=stride,
+        )
+        return result.control_grid, result
+
+    def solve_direct(self, system) -> np.ndarray:
+        return solve_surface_direct(system).control_points
+
+    def fitted(self, controls) -> np.ndarray:
+        return _apply_tensor(self.design_u, controls, self.design_v)
+
+    def relative_error(self, controls) -> float:
+        return fit_error_surface(
+            self.design_u, self.design_v, controls, self.reference_controls
+        )
+
+    def penalty_norm2(self, controls) -> float:
+        return surface_penalty_norm2(
+            self.design_u, self.design_v, self.penalty_u, self.penalty_v, controls
+        )
+
+    def spectrum(self, head_count: int):
+        eigs = surface_whitened_eigenvalues(
+            self.design_u, self.design_v, self.penalty_u, self.penalty_v
+        )
+        return spectral_decay_from_eigenvalues(eigs, head_count)
+
+    def self_consistent(self, data, solve, alpha: float, eps_lambda: float):
+        return self_consistent_surface(
+            self.design_u, self.design_v, self.penalty_u, self.penalty_v,
+            data, solve, alpha, eps_lambda,
+        )
+
+    def write_fitted(self, out: Path, controls) -> str:
+        _, _, sampled = sample_fitted_surface(self, controls)
+        grid_rows = []
+        for h in range(sampled.shape[0]):
+            for l in range(sampled.shape[1]):
+                grid_rows.append((h, l, *map(float, sampled[h, l])))
+        write_csv(out / "fitted_surface.csv", ["row", "col", "x", "y", "z"], grid_rows)
+        return "fitted_surface.csv"
 
 
 def load_dataset(cfg: ExperimentConfig) -> np.ndarray:
@@ -129,49 +256,26 @@ def build_problem(cfg: ExperimentConfig) -> Union[CurveProblem, SurfaceProblem]:
         knots = build_knots(params, cfg.n_ctrl)
         design = assemble_collocation(knots, params)
         penalty = difference_matrix(cfg.n_ctrl + 1, cfg.penalty_scale)
-        reference = solve_curve_direct(
-            augment_curve(design, penalty, clean, 0.0)
-        ).control_points
-        return CurveProblem(clean, params, knots, design, penalty, reference)
-    params_u, params_v = surface_params(clean)
-    knots_u = build_knots(params_u, cfg.n_ctrl)
-    knots_v = build_knots(params_v, cfg.n_ctrl_v)
-    design_u = assemble_collocation(knots_u, params_u)
-    design_v = assemble_collocation(knots_v, params_v)
-    penalty_u = difference_matrix(cfg.n_ctrl + 1, cfg.penalty_scale)
-    penalty_v = difference_matrix(cfg.n_ctrl_v + 1, cfg.penalty_scale)
-    reference = solve_surface_direct(
-        augment_surface(design_u, design_v, penalty_u, penalty_v, clean, 0.0)
-    ).control_points
-    return SurfaceProblem(
-        clean, params_u, params_v, knots_u, knots_v,
-        design_u, design_v, penalty_u, penalty_v, reference,
-    )
+        problem = CurveProblem(clean, params, knots, design, penalty, reference_controls=None)
+    else:
+        params_u, params_v = surface_params(clean)
+        knots_u = build_knots(params_u, cfg.n_ctrl)
+        knots_v = build_knots(params_v, cfg.n_ctrl_v)
+        problem = SurfaceProblem(
+            clean, params_u, params_v, knots_u, knots_v,
+            design_u=assemble_collocation(knots_u, params_u),
+            design_v=assemble_collocation(knots_v, params_v),
+            penalty_u=difference_matrix(cfg.n_ctrl + 1, cfg.penalty_scale),
+            penalty_v=difference_matrix(cfg.n_ctrl_v + 1, cfg.penalty_scale),
+            reference_controls=None,
+        )
+    reference = problem.solve_direct(problem.augment(clean, 0.0))
+    return replace(problem, reference_controls=reference)
 
 
 def problem_spectrum(problem, head_count: int):
     """Decay-rate fit of the whitened design spectrum for either problem kind."""
-    if isinstance(problem, CurveProblem):
-        whitened = build_whitened_design(problem.design, problem.penalty)
-        return spectral_decay(whitened, head_count)
-    eigs = surface_whitened_eigenvalues(
-        problem.design_u, problem.design_v, problem.penalty_u, problem.penalty_v
-    )
-    return spectral_decay_from_eigenvalues(eigs, head_count)
-
-
-def reference_penalty_norm2(problem) -> float:
-    """Count-normalized squared penalty norm of the reference controls."""
-    if isinstance(problem, CurveProblem):
-        n_count = problem.design.shape[1]
-        return float(np.sum((problem.penalty @ problem.reference_controls) ** 2)) / n_count
-    n_count = problem.design_u.shape[1] * problem.design_v.shape[1]
-    total = 0.0
-    ref = problem.reference_controls
-    for f in range(ref.shape[2]):
-        total += float(np.sum((problem.design_u @ ref[:, :, f] @ problem.penalty_v.T) ** 2))
-        total += float(np.sum((problem.penalty_u @ ref[:, :, f] @ problem.design_v.T) ** 2))
-    return total / n_count
+    return problem.spectrum(head_count)
 
 
 def estimate_lambda(problem, cfg: ExperimentConfig) -> tuple[float, dict]:
@@ -179,19 +283,10 @@ def estimate_lambda(problem, cfg: ExperimentConfig) -> tuple[float, dict]:
     decay = problem_spectrum(problem, cfg.head_count)
     clean = problem.clean
     sigma2 = NoiseSpec(cfg.noise_amplitude, 0).per_entry_variance(clean.size)
-    if isinstance(problem, CurveProblem):
-        residual = problem.design @ problem.reference_controls - clean
-        n_count = problem.design.shape[1]
-    else:
-        residual = np.empty_like(clean)
-        for f in range(clean.shape[2]):
-            residual[:, :, f] = (
-                problem.design_u @ problem.reference_controls[:, :, f] @ problem.design_v.T
-                - clean[:, :, f]
-            )
-        n_count = problem.design_u.shape[1] * problem.design_v.shape[1]
+    residual = problem.fitted(problem.reference_controls) - clean
+    n_count = problem.n_controls
     noise = NoiseModel(sigma2, float(np.sum(residual**2)))
-    pen_n = reference_penalty_norm2(problem)
+    pen_n = problem.penalty_norm2(problem.reference_controls)
     lam = optimal_lambda(decay, noise, n_count, pen_n)
     info = {
         "alpha": decay.alpha,
@@ -219,115 +314,39 @@ class SeedOutcome:
     lambda_iterates: Optional[tuple] = None
 
 
-def _stop_rule(cfg: ExperimentConfig) -> StoppingRule:
-    return StoppingRule(cfg.tolerance, cfg.max_iter)
-
-
-def _fit_curve_fixed(problem: CurveProblem, cfg, lam: float, seed: int, noisy) -> SeedOutcome:
+def _fit_fixed(problem, cfg, lam: float, seed: int, noisy) -> SeedOutcome:
     start = time.perf_counter()
-    system = augment_curve(problem.design, problem.penalty, noisy, lam)
-    partition = make_partition(system.stacked, cfg.block_size)
-    p0 = initial_controls_curve(noisy, cfg.n_ctrl)
-    result = curve_solver.run(
-        system, partition, p0, _stop_rule(cfg), solver_rng(seed),
-        trajectory_stride=cfg.trajectory_stride,
-    )
-    err = fit_error(problem.design, result.control_points, problem.reference_controls)
-    return SeedOutcome(
-        seed, lam, system.lam, err, result.iterations, result.converged,
-        time.perf_counter() - start, result.control_points, result.trajectory,
-    )
-
-
-def _fit_surface_fixed(problem: SurfaceProblem, cfg, lam: float, seed: int, noisy) -> SeedOutcome:
-    start = time.perf_counter()
-    system = augment_surface(
-        problem.design_u, problem.design_v, problem.penalty_u, problem.penalty_v,
-        noisy, lam,
-    )
-    part_u = make_partition(system.row_stacked, cfg.block_size)
-    part_v = make_partition(system.col_stacked, cfg.block_size_v or cfg.block_size)
-    grid0 = initial_controls_surface(noisy, cfg.n_ctrl, cfg.n_ctrl_v)
-    result = surface_solver.run(
-        system, part_u, part_v, grid0, _stop_rule(cfg), solver_rng(seed),
-        trajectory_stride=cfg.trajectory_stride,
-    )
-    err = fit_error_surface(
-        problem.design_u, problem.design_v, result.control_grid, problem.reference_controls
+    system = problem.augment(noisy, lam)
+    controls, result = problem.solve_randomized(
+        system, problem.initial_controls(noisy, cfg), cfg, seed, cfg.trajectory_stride
     )
     return SeedOutcome(
-        seed, lam, system.lam, err, result.iterations, result.converged,
-        time.perf_counter() - start, result.control_grid, result.trajectory,
+        seed, lam, system.lam, problem.relative_error(controls), result.iterations,
+        result.converged, time.perf_counter() - start, controls, result.trajectory,
     )
 
 
-def _curve_inner_solver(problem: CurveProblem, cfg, seed: int, noisy):
+def _inner_solver(problem, cfg, seed: int, noisy):
+    """The weight-to-controls map the self-consistent loop solves with."""
     if cfg.inner_solver == "direct":
         def solve(lam: float) -> np.ndarray:
-            system = augment_curve(problem.design, problem.penalty, noisy, lam)
-            return solve_curve_direct(system).control_points
+            return problem.solve_direct(problem.augment(noisy, lam))
     else:
-        p0 = initial_controls_curve(noisy, cfg.n_ctrl)
+        start = problem.initial_controls(noisy, cfg)
 
         def solve(lam: float) -> np.ndarray:
-            system = augment_curve(problem.design, problem.penalty, noisy, lam)
-            partition = make_partition(system.stacked, cfg.block_size)
-            result = curve_solver.run(
-                system, partition, p0, _stop_rule(cfg), solver_rng(seed),
-                trajectory_stride=0,
-            )
-            return result.control_points
-    return solve
-
-
-def _surface_inner_solver(problem: SurfaceProblem, cfg, seed: int, noisy):
-    if cfg.inner_solver == "direct":
-        def solve(lam: float) -> np.ndarray:
-            system = augment_surface(
-                problem.design_u, problem.design_v,
-                problem.penalty_u, problem.penalty_v, noisy, lam,
-            )
-            return solve_surface_direct(system).control_points
-    else:
-        grid0 = initial_controls_surface(noisy, cfg.n_ctrl, cfg.n_ctrl_v)
-
-        def solve(lam: float) -> np.ndarray:
-            system = augment_surface(
-                problem.design_u, problem.design_v,
-                problem.penalty_u, problem.penalty_v, noisy, lam,
-            )
-            part_u = make_partition(system.row_stacked, cfg.block_size)
-            part_v = make_partition(system.col_stacked, cfg.block_size_v or cfg.block_size)
-            result = surface_solver.run(
-                system, part_u, part_v, grid0, _stop_rule(cfg), solver_rng(seed),
-                trajectory_stride=0,
-            )
-            return result.control_grid
+            system = problem.augment(noisy, lam)
+            return problem.solve_randomized(system, start, cfg, seed, 0)[0]
     return solve
 
 
 def _fit_self_consistent(problem, cfg, seed: int, noisy, alpha: float) -> SeedOutcome:
     start = time.perf_counter()
-    if isinstance(problem, CurveProblem):
-        solve = _curve_inner_solver(problem, cfg, seed, noisy)
-        sc: SelfConsistentResult = self_consistent_curve(
-            problem.design, problem.penalty, noisy, solve, alpha, cfg.eps_lambda
-        )
-        err = fit_error(problem.design, sc.control_points, problem.reference_controls)
-    else:
-        solve = _surface_inner_solver(problem, cfg, seed, noisy)
-        sc = self_consistent_surface(
-            problem.design_u, problem.design_v,
-            problem.penalty_u, problem.penalty_v,
-            noisy, solve, alpha, cfg.eps_lambda,
-        )
-        err = fit_error_surface(
-            problem.design_u, problem.design_v, sc.control_points,
-            problem.reference_controls,
-        )
+    solve = _inner_solver(problem, cfg, seed, noisy)
+    sc: SelfConsistentResult = problem.self_consistent(noisy, solve, alpha, cfg.eps_lambda)
     return SeedOutcome(
-        seed, sc.lam, sc.lam, err, sc.outer_iterations, True,
-        time.perf_counter() - start, sc.control_points,
+        seed, sc.lam, sc.lam, problem.relative_error(sc.control_points),
+        sc.outer_iterations, True, time.perf_counter() - start, sc.control_points,
         lambda_iterates=sc.iterates,
     )
 
@@ -337,23 +356,11 @@ def run_seed(problem, cfg: ExperimentConfig, lam_choice, seed: int, alpha=None) 
     noisy = add_noise(problem.clean, NoiseSpec(cfg.noise_amplitude, seed))
     if lam_choice == "self-consistent":
         return _fit_self_consistent(problem, cfg, seed, noisy, alpha)
-    lam = float(lam_choice)
-    if isinstance(problem, CurveProblem):
-        return _fit_curve_fixed(problem, cfg, lam, seed, noisy)
-    return _fit_surface_fixed(problem, cfg, lam, seed, noisy)
+    return _fit_fixed(problem, cfg, float(lam_choice), seed, noisy)
 
 
 def _run_seeds(problem, cfg, lam_choice, alpha=None) -> list[SeedOutcome]:
-    if cfg.workers > 1:
-        with ThreadPoolExecutor(max_workers=cfg.workers) as pool:
-            futures = [
-                pool.submit(run_seed, problem, cfg, lam_choice, seed, alpha)
-                for seed in cfg.seeds
-            ]
-            outcomes = [f.result() for f in futures]
-    else:
-        outcomes = [run_seed(problem, cfg, lam_choice, seed, alpha) for seed in cfg.seeds]
-    return outcomes
+    return [run_seed(problem, cfg, lam_choice, seed, alpha) for seed in cfg.seeds]
 
 
 def _aggregate(outcomes: list[SeedOutcome]) -> tuple[float, float]:
@@ -528,10 +535,7 @@ def sample_fitted_surface(problem: SurfaceProblem, control_grid: np.ndarray, den
     dense_v = np.linspace(0.0, 1.0, density * p + 1)
     a_dense = assemble_collocation(problem.knots_u, dense_u)
     b_dense = assemble_collocation(problem.knots_v, dense_v)
-    sampled = np.empty((dense_u.size, dense_v.size, control_grid.shape[2]))
-    for f in range(control_grid.shape[2]):
-        sampled[:, :, f] = a_dense @ control_grid[:, :, f] @ b_dense.T
-    return dense_u, dense_v, sampled
+    return dense_u, dense_v, _apply_tensor(a_dense, control_grid, b_dense)
 
 
 def _summary_text(result: ExperimentResult) -> str:
@@ -578,23 +582,7 @@ def write_outputs(result: ExperimentResult, out_dir) -> list[str]:
     written.append("trajectory.csv")
 
     first = min(result.outcomes, key=lambda o: o.seed)
-    if isinstance(result.problem, CurveProblem):
-        dense, points = sample_fitted_curve(result.problem, first.control_points)
-        header = ["param"] + ["x", "y", "z"][: points.shape[1]]
-        write_csv(
-            out / "fitted_curve.csv",
-            header,
-            [(float(t), *map(float, pt)) for t, pt in zip(dense, points)],
-        )
-        written.append("fitted_curve.csv")
-    else:
-        _, _, sampled = sample_fitted_surface(result.problem, first.control_points)
-        grid_rows = []
-        for h in range(sampled.shape[0]):
-            for l in range(sampled.shape[1]):
-                grid_rows.append((h, l, *map(float, sampled[h, l])))
-        write_csv(out / "fitted_surface.csv", ["row", "col", "x", "y", "z"], grid_rows)
-        written.append("fitted_surface.csv")
+    written.append(result.problem.write_fitted(out, first.control_points))
     return written
 
 

@@ -8,6 +8,7 @@ with 17 significant digits so a save/load round trip is bit-exact.
 from __future__ import annotations
 
 import csv
+import math
 from pathlib import Path
 
 import numpy as np
@@ -15,6 +16,13 @@ import numpy as np
 from .errors import IncompleteGrid, ParseError
 
 _FLOAT_FMT = "%.17g"
+
+
+def _require_finite(path, lineno: int, values) -> None:
+    # float() accepts "nan" and "inf"; such a value would otherwise surface
+    # only deep inside parametrization, without a line number.
+    if not all(map(math.isfinite, values)):
+        raise ParseError(f"{path}: line {lineno}: non-finite value")
 
 
 def save_points(path, points) -> None:
@@ -46,9 +54,11 @@ def load_points(path) -> np.ndarray:
             if len(row) != width:
                 raise ParseError(f"{path}: line {lineno}: expected {width} fields")
             try:
-                rows.append([float(v) for v in row])
+                values = [float(v) for v in row]
             except ValueError:
                 raise ParseError(f"{path}: line {lineno}: non-numeric field") from None
+            _require_finite(path, lineno, values)
+            rows.append(values)
     return np.asarray(rows, dtype=float)
 
 
@@ -92,6 +102,7 @@ def load_grid(path) -> np.ndarray:
                 values = [float(v) for v in row[2:]]
             except ValueError:
                 raise ParseError(f"{path}: line {lineno}: bad field") from None
+            _require_finite(path, lineno, values)
             if (h, l) in cells:
                 raise IncompleteGrid(f"{path}: duplicate cell ({h}, {l})")
             cells[(h, l)] = values

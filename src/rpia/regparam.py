@@ -198,6 +198,44 @@ def _lambda_from_balance(misfit: float, penalty: float, n_controls: int, alpha: 
     return float((misfit / (penalty * n_controls)) ** (alpha / (alpha + 1.0)))
 
 
+def _fixed_point(
+    solve: Callable[[float], np.ndarray],
+    measure: Callable[[np.ndarray], tuple[float, float]],
+    n_count: int,
+    alpha: float,
+    eps_lambda: float,
+    max_outer: int,
+) -> SelfConsistentResult:
+    # The weight loop both self-consistent forms share; ``measure`` maps a
+    # fit's controls to its count-normalized (misfit, penalty) pair.
+    if eps_lambda <= 0.0:
+        raise InvalidConfig("eps_lambda must be positive")
+    lam = float(n_count ** (-alpha / (alpha + 1.0)))
+    controls = solve(lam)
+    iterates = [LambdaIterate(1, lam)]
+    for k in range(2, max_outer + 1):
+        misfit, pen = measure(controls)
+        lam_next = _lambda_from_balance(misfit, pen, n_count, alpha)
+        iterates.append(LambdaIterate(k, lam_next, misfit, pen))
+        converged = abs(lam_next - lam) <= eps_lambda * lam
+        lam = lam_next
+        controls = solve(lam)
+        if converged:
+            return SelfConsistentResult(lam, controls, tuple(iterates))
+    raise NonConvergence(
+        f"weight iteration did not settle within {max_outer} outer iterations"
+    )
+
+
+def surface_penalty_norm2(design_u, design_v, penalty_u, penalty_v, controls) -> float:
+    """Count-normalized ``|A P Lv^T|^2 + |Lu P B^T|^2`` summed over coordinates."""
+    total = 0.0
+    for f in range(controls.shape[2]):
+        total += float(np.sum((design_u @ controls[:, :, f] @ penalty_v.T) ** 2))
+        total += float(np.sum((penalty_u @ controls[:, :, f] @ design_v.T) ** 2))
+    return total / (design_u.shape[1] * design_v.shape[1])
+
+
 def self_consistent_curve(
     design,
     penalty,
@@ -221,31 +259,17 @@ def self_consistent_curve(
     ``solve`` maps a weight to the fitted control points (any solver whose
     output approximates the penalized minimizer works).
     """
-    if eps_lambda <= 0.0:
-        raise InvalidConfig("eps_lambda must be positive")
     a = np.asarray(design, dtype=float)
     g = np.asarray(penalty, dtype=float)
     q = np.asarray(data, dtype=float)
     if q.ndim == 1:
         q = q[:, None]
-    m_count = a.shape[0]
-    n_count = a.shape[1]
-    lam = float(n_count ** (-alpha / (alpha + 1.0)))
-    controls = solve(lam)
-    iterates = [LambdaIterate(1, lam)]
-    for k in range(2, max_outer + 1):
-        misfit = float(np.sum((a @ controls - q) ** 2)) / m_count
-        pen = float(np.sum((g @ controls) ** 2)) / n_count
-        lam_next = _lambda_from_balance(misfit, pen, n_count, alpha)
-        iterates.append(LambdaIterate(k, lam_next, misfit, pen))
-        converged = abs(lam_next - lam) <= eps_lambda * lam
-        lam = lam_next
-        controls = solve(lam)
-        if converged:
-            return SelfConsistentResult(lam, controls, tuple(iterates))
-    raise NonConvergence(
-        f"weight iteration did not settle within {max_outer} outer iterations"
-    )
+
+    def measure(controls):
+        misfit = float(np.sum((a @ controls - q) ** 2)) / a.shape[0]
+        return misfit, float(np.sum((g @ controls) ** 2)) / a.shape[1]
+
+    return _fixed_point(solve, measure, a.shape[1], alpha, eps_lambda, max_outer)
 
 
 def self_consistent_surface(
@@ -270,8 +294,6 @@ def self_consistent_surface(
 
     with m the total data count, n the total control count.
     """
-    if eps_lambda <= 0.0:
-        raise InvalidConfig("eps_lambda must be positive")
     a = np.asarray(design_u, dtype=float)
     b = np.asarray(design_v, dtype=float)
     lu = np.asarray(penalty_u, dtype=float)
@@ -279,30 +301,16 @@ def self_consistent_surface(
     grid = np.asarray(data, dtype=float)
     if grid.ndim == 2:
         grid = grid[:, :, None]
-    m_count = a.shape[0] * b.shape[0]
-    n_count = a.shape[1] * b.shape[1]
-    lam = float(n_count ** (-alpha / (alpha + 1.0)))
-    controls = solve(lam)
-    iterates = [LambdaIterate(1, lam)]
-    for k in range(2, max_outer + 1):
+
+    def measure(controls):
         misfit = 0.0
-        pen = 0.0
         for f in range(grid.shape[2]):
-            p_f = controls[:, :, f]
-            misfit += float(np.sum((a @ p_f @ b.T - grid[:, :, f]) ** 2))
-            pen += float(np.sum((a @ p_f @ lv.T) ** 2))
-            pen += float(np.sum((lu @ p_f @ b.T) ** 2))
-        misfit /= m_count
-        pen /= n_count
-        lam_next = _lambda_from_balance(misfit, pen, n_count, alpha)
-        iterates.append(LambdaIterate(k, lam_next, misfit, pen))
-        converged = abs(lam_next - lam) <= eps_lambda * lam
-        lam = lam_next
-        controls = solve(lam)
-        if converged:
-            return SelfConsistentResult(lam, controls, tuple(iterates))
-    raise NonConvergence(
-        f"weight iteration did not settle within {max_outer} outer iterations"
+            misfit += float(np.sum((a @ controls[:, :, f] @ b.T - grid[:, :, f]) ** 2))
+        misfit /= a.shape[0] * b.shape[0]
+        return misfit, surface_penalty_norm2(a, b, lu, lv, controls)
+
+    return _fixed_point(
+        solve, measure, a.shape[1] * b.shape[1], alpha, eps_lambda, max_outer
     )
 
 

@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .assembly import AugmentedSurfaceSystem, BlockPartition
-from .curve import StoppingRule, TrajectorySample
+from .driver import StoppingRule, TrajectorySample, iterate, make_rng
 from .errors import DimensionMismatch
 
 
@@ -43,12 +43,6 @@ class SurfaceFitResult:
     trajectory: tuple[TrajectorySample, ...] = field(default_factory=tuple)
 
 
-def _make_rng(seed) -> np.random.Generator:
-    if isinstance(seed, np.random.Generator):
-        return seed
-    return np.random.Generator(np.random.Philox(seed))
-
-
 def init_state(system: AugmentedSurfaceSystem, grid0, seed) -> SurfaceFitState:
     """Fresh state at iterate 0 with residual and fitted points from scratch."""
     grid = np.asarray(grid0, dtype=float)
@@ -59,16 +53,11 @@ def init_state(system: AugmentedSurfaceSystem, grid0, seed) -> SurfaceFitState:
             f"initial control grid has shape {grid.shape}, expected {(n_u, n_v, ncoord)}"
         )
     controls = np.ascontiguousarray(np.moveaxis(grid, -1, 0))
-    a_hat = system.row_stacked
-    b_hat = system.col_stacked
-    residual = np.empty((ncoord, a_hat.shape[0], b_hat.shape[0]))
+    residual = np.empty((ncoord, system.row_stacked.shape[0], system.col_stacked.shape[0]))
     fitted = np.empty((ncoord, system.data_rows, system.data_cols))
-    design_u = system.design_u
-    design_v = system.design_v
-    for f in range(ncoord):
-        residual[f] = system.targets[:, :, f] - a_hat @ controls[f] @ b_hat.T
-        fitted[f] = design_u @ controls[f] @ design_v.T
-    return SurfaceFitState(system, controls, residual, fitted, 0, _make_rng(seed))
+    state = SurfaceFitState(system, controls, residual, fitted, 0, make_rng(seed))
+    _refresh(state)
+    return state
 
 
 def select_blocks(
@@ -119,7 +108,8 @@ def step(
 
 
 def _refresh(state: SurfaceFitState) -> None:
-    # Recompute the incrementally maintained quantities to shed float drift.
+    # Recompute the incrementally maintained quantities from the controls:
+    # at the start, and periodically to shed float drift.
     system = state.system
     for f in range(state.control_grid.shape[0]):
         state.residual[f] = (
@@ -139,43 +129,21 @@ def run(
     stop: StoppingRule,
     seed,
     trajectory_stride: int = 10,
-    refresh_every: int = 500,
 ) -> SurfaceFitResult:
     """Iterate until the fitted surface points settle or the cap is hit.
 
-    Mirrors the curve runner: the change criterion uses the unpenalized
-    fitted points (design_u @ P @ design_v^T over all coordinates), with an
-    absolute fallback when the previous fitted points have zero norm.
+    The change criterion uses the unpenalized fitted points
+    (design_u @ P @ design_v^T over all coordinates); see
+    :func:`rpia.driver.iterate`.
     """
     state = init_state(system, grid0, seed)
-    trajectory: list[TrajectorySample] = []
-    converged = False
-    reason = "max_iter"
-    quiet_steps = 0
-    for _ in range(stop.max_iter):
-        previous_norm = float(np.linalg.norm(state.fitted_points))
-        step(state, row_partition, col_partition)
-        if previous_norm > 0.0:
-            rel = state.last_move_norm / previous_norm
-        else:
-            rel = state.last_move_norm
-        if trajectory_stride and state.iteration % trajectory_stride == 0:
-            trajectory.append(
-                TrajectorySample(
-                    state.iteration, rel, float(np.linalg.norm(state.residual))
-                )
-            )
-        quiet_steps = quiet_steps + 1 if rel < stop.tol else 0
-        if quiet_steps >= stop.patience:
-            converged = True
-            reason = "tol"
-            break
-        if refresh_every and state.iteration % refresh_every == 0:
-            _refresh(state)
+    converged, reason, trajectory = iterate(
+        state, step, (row_partition, col_partition), _refresh, stop, trajectory_stride
+    )
     return SurfaceFitResult(
         np.moveaxis(state.control_grid, 0, -1).copy(),
         state.iteration,
         converged,
         reason,
-        tuple(trajectory),
+        trajectory,
     )

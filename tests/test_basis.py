@@ -8,8 +8,10 @@ from rpia.basis import (
     chord_length_params,
     eval_basis,
     eval_curve_point,
+    eval_surface_point,
     surface_params,
 )
+from rpia.assembly import assemble_collocation
 from rpia.errors import (
     DegenerateData,
     DuplicatePointWarning,
@@ -198,6 +200,17 @@ class TestEvalBasis:
         for x in rng.random(20):
             direct = naive_all_basis(knots.knots, 3, float(x)) @ controls
             npt.assert_allclose(eval_curve_point(knots, controls, float(x)), direct, atol=1e-12)
+
+    def test_surface_point_evaluation(self, knots, rng):
+        knots_v = build_knots(np.linspace(0.0, 1.0, 21), 6)
+        grid = rng.standard_normal((knots.n_basis, knots_v.n_basis, 3))
+        for x, y in rng.random((20, 2)):
+            row_u = assemble_collocation(knots, [x])
+            row_v = assemble_collocation(knots_v, [y])
+            direct = [(row_u @ grid[:, :, f] @ row_v.T).item() for f in range(3)]
+            npt.assert_allclose(
+                eval_surface_point(knots, knots_v, grid, float(x), float(y)), direct, atol=1e-12
+            )
 
 
 class TestKnotVectorValidation:

@@ -5,7 +5,8 @@ import pytest
 from click.testing import CliRunner
 
 from rpia.cli import main
-from rpia.pointsio import load_points
+from rpia.datasets import boy_surface, rose_curve
+from rpia.pointsio import load_points, save_grid, save_points
 
 
 @pytest.fixture
@@ -108,6 +109,26 @@ class TestFit:
         )
         result = runner.invoke(main, ["fit", "--config", str(cfg)])
         assert result.exit_code == 4
+
+    @pytest.mark.parametrize("kind", ["curve", "surface"])
+    def test_non_finite_input_exit_code(self, runner, tmp_path, kind):
+        data = tmp_path / "data.csv"
+        if kind == "curve":
+            save_points(data, rose_curve(11).points)
+            sizes = "m: 11\nn_ctrl: 4\n"
+        else:
+            save_grid(data, boy_surface(6, 5).grid)
+            sizes = "m: 6\np: 5\nn_ctrl: 3\nn_ctrl_v: 3\n"
+        lines = data.read_text().splitlines()
+        lines[3] = ",".join(lines[3].split(",")[:-1] + ["nan" if kind == "curve" else "inf"])
+        data.write_text("\n".join(lines) + "\n")
+        cfg = tmp_path / "cfg.yaml"
+        cfg.write_text(
+            f"problem: {kind}\ngenerator: file\ninput: {data}\n{sizes}lambda: 0.0\nseeds: [0]\n"
+        )
+        result = runner.invoke(main, ["fit", "--config", str(cfg), "--out", str(tmp_path / "out")])
+        assert result.exit_code == 4
+        assert "line 4: non-finite value" in result.output
 
 
 class TestOtherCommands:

@@ -37,6 +37,16 @@ class TestPointsRoundTrip:
         with pytest.raises(ParseError, match="line 1"):
             load_points(path)
 
+    @pytest.mark.parametrize("text, load", [
+        ("x,y\n1.0,2.0\n-inf,2.0\n", load_points),
+        ("row,col,x,y,z\n0,0,1,1,1\n0,1,1,nan,1\n", load_grid),
+    ], ids=["points", "grid"])
+    def test_non_finite_value_names_line(self, tmp_path, text, load):
+        path = tmp_path / "bad.csv"
+        path.write_text(text)
+        with pytest.raises(ParseError, match="line 3: non-finite value"):
+            load(path)
+
     def test_grid_round_trip_is_bit_exact(self, tmp_path):
         grid = boy_surface(6, 5).grid
         path = tmp_path / "grid.csv"
