@@ -10,12 +10,13 @@ is what lets one randomized solver cover both.
 from __future__ import annotations
 
 import math
+from bisect import bisect_right
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .basis import KnotVector, eval_basis
-from .errors import DimensionMismatch, InvalidConfig, ZeroColumnBlock
+from .errors import DegenerateData, DimensionMismatch, InvalidConfig, ZeroColumnBlock
 
 
 def assemble_collocation(knots: KnotVector, params) -> np.ndarray:
@@ -30,6 +31,12 @@ def assemble_collocation(knots: KnotVector, params) -> np.ndarray:
         span = eval_basis(knots, xj)
         matrix[row, span.start: span.start + width] = span.values
     return matrix
+
+
+def require_finite(values: np.ndarray, name: str) -> None:
+    """Raise :class:`DegenerateData` naming ``name`` if ``values`` holds nan or inf."""
+    if not np.isfinite(values).all():
+        raise DegenerateData(f"{name} holds non-finite values (nan or inf)")
 
 
 def difference_matrix(size: int, scale: float) -> np.ndarray:
@@ -116,6 +123,7 @@ def augment_curve(design, penalty, data, lam: float) -> AugmentedCurveSystem:
     a = np.asarray(design, dtype=float)
     g = np.asarray(penalty, dtype=float)
     q = np.asarray(data, dtype=float)
+    require_finite(q, "data")
     if q.ndim == 1:
         q = q[:, None]
     if lam < 0.0:
@@ -147,6 +155,7 @@ def augment_surface(design_u, design_v, penalty_u, penalty_v, data, lam: float) 
     lu = np.asarray(penalty_u, dtype=float)
     lv = np.asarray(penalty_v, dtype=float)
     grid = np.asarray(data, dtype=float)
+    require_finite(grid, "data")
     if grid.ndim == 2:
         grid = grid[:, :, None]
     if lam < 0.0:
@@ -171,18 +180,23 @@ def augment_surface(design_u, design_v, penalty_u, penalty_v, data, lam: float) 
 
 @dataclass(frozen=True)
 class BlockPartition:
-    """Disjoint column blocks with selection weights.
+    """Disjoint column blocks with selection weights and row windows.
 
     ``blocks`` are sorted index arrays covering every column exactly once;
     ``probabilities`` are the squared Frobenius norms of the corresponding
-    column blocks normalized to sum to one.
+    column blocks normalized to sum to one. ``rows[t]`` is the smallest
+    contiguous row slice holding every nonzero of block ``t``'s columns in the
+    matrix the partition was built from, so a block update needs to touch
+    only those rows.
     """
 
     blocks: tuple[np.ndarray, ...]
     norms_sq: np.ndarray
     probabilities: np.ndarray
+    rows: tuple[slice, ...]
     spans: tuple = field(init=False, repr=False)
     cumulative: np.ndarray = field(init=False, repr=False)
+    _bounds: list = field(init=False, repr=False)
 
     def __post_init__(self):
         spans = []
@@ -195,9 +209,25 @@ class BlockPartition:
         cumulative[-1] = 1.0
         object.__setattr__(self, "spans", tuple(spans))
         object.__setattr__(self, "cumulative", cumulative)
+        object.__setattr__(self, "_bounds", cumulative.tolist())
 
     def __len__(self) -> int:
         return len(self.blocks)
+
+    def block_at(self, u: float) -> int:
+        """The block whose cumulative-probability interval holds ``u`` in [0, 1).
+
+        Same answer as ``np.searchsorted(cumulative, u, side="right")``; a
+        bisection on a Python list is an order of magnitude cheaper per call.
+        """
+        return bisect_right(self._bounds, u)
+
+
+def _row_window(matrix: np.ndarray, block: np.ndarray) -> slice:
+    # Hull of the rows where the block's columns have a nonzero; the block's
+    # norm is positive, so there is at least one.
+    hits = np.flatnonzero(np.any(matrix[:, block] != 0.0, axis=1))
+    return slice(int(hits[0]), int(hits[-1]) + 1)
 
 
 def make_partition(matrix, block_size: int) -> BlockPartition:
@@ -226,7 +256,8 @@ def make_partition(matrix, block_size: int) -> BlockPartition:
     if np.any(norms == 0.0):
         bad = int(np.flatnonzero(norms == 0.0)[0])
         raise ZeroColumnBlock(f"column block {bad} has zero norm")
-    return BlockPartition(tuple(blocks), norms, norms / norms.sum())
+    rows = tuple(_row_window(mat, b) for b in blocks)
+    return BlockPartition(tuple(blocks), norms, norms / norms.sum(), rows)
 
 
 def partition_from_blocks(matrix, blocks) -> BlockPartition:
@@ -241,4 +272,5 @@ def partition_from_blocks(matrix, blocks) -> BlockPartition:
     )
     if np.any(norms == 0.0):
         raise ZeroColumnBlock("a column block has zero norm")
-    return BlockPartition(index_sets, norms, norms / norms.sum())
+    rows = tuple(_row_window(mat, b) for b in index_sets)
+    return BlockPartition(index_sets, norms, norms / norms.sum(), rows)

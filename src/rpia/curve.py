@@ -57,27 +57,29 @@ def init_state(system: AugmentedCurveSystem, p0, seed) -> CurveFitState:
 
 def select_block(state: CurveFitState, partition: BlockPartition) -> int:
     """Draw a block index from the partition's norm-weighted distribution."""
-    u = state.rng.random()
-    return int(np.searchsorted(partition.cumulative, u, side="right"))
+    return partition.block_at(state.rng.random())
 
 
 def step(state: CurveFitState, partition: BlockPartition) -> CurveFitState:
     """One randomized block update, applied in place.
 
     Only the drawn block of control points changes; the residual and the
-    cached fitted points are patched with the same column-block product.
+    cached fitted points are patched with the same column-block product,
+    restricted to the block's row window ``rows[t]``.
     """
     t = select_block(state, partition)
     span = partition.spans[t]
     index = span if span is not None else partition.blocks[t]
-    cols = state.system.stacked[:, index]
-    delta = cols.T @ state.residual
+    rows = partition.rows[t]
+    cols = state.system.stacked[rows, index]
+    window = state.residual[rows]
+    delta = cols.T @ window
     delta /= partition.norms_sq[t]
     state.control_points[index] += delta
     move = cols @ delta
-    state.residual -= move
-    top = move[: state.system.data_rows]
-    state.fitted_points += top
+    window -= move
+    top = move[: max(state.system.data_rows - rows.start, 0)]
+    state.fitted_points[rows.start: rows.start + top.shape[0]] += top
     state.last_move_norm = float(np.linalg.norm(top))
     state.iteration += 1
     return state

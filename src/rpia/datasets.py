@@ -12,6 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .assembly import require_finite
 from .errors import InvalidConfig, SingularSample, ZeroReference
 
 _ROOT2 = np.sqrt(2.0)
@@ -100,6 +101,7 @@ def add_noise(data, spec: NoiseSpec) -> np.ndarray:
     its Frobenius norm equals ``spec.amplitude`` exactly.
     """
     clean = np.asarray(data, dtype=float)
+    require_finite(clean, "data")
     rng = np.random.Generator(np.random.Philox(spec.seed))
     draw = rng.standard_normal(clean.shape)
     return clean + spec.amplitude * draw / np.linalg.norm(draw)

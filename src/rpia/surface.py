@@ -12,6 +12,7 @@ on the small factors directly.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -52,7 +53,9 @@ def init_state(system: AugmentedSurfaceSystem, grid0, seed) -> SurfaceFitState:
         raise DimensionMismatch(
             f"initial control grid has shape {grid.shape}, expected {(n_u, n_v, ncoord)}"
         )
-    controls = np.ascontiguousarray(np.moveaxis(grid, -1, 0))
+    # Always a copy: with one coordinate the moved view is already contiguous,
+    # and the iteration must not write into the caller's grid.
+    controls = np.moveaxis(grid, -1, 0).copy()
     residual = np.empty((ncoord, system.row_stacked.shape[0], system.col_stacked.shape[0]))
     fitted = np.empty((ncoord, system.data_rows, system.data_cols))
     state = SurfaceFitState(system, controls, residual, fitted, 0, make_rng(seed))
@@ -66,10 +69,8 @@ def select_blocks(
     col_partition: BlockPartition,
 ) -> tuple[int, int]:
     """Two independent categorical draws: row block first, then column block."""
-    u = state.rng.random()
-    v = state.rng.random()
-    t = int(np.searchsorted(row_partition.cumulative, u, side="right"))
-    s = int(np.searchsorted(col_partition.cumulative, v, side="right"))
+    t = row_partition.block_at(state.rng.random())
+    s = col_partition.block_at(state.rng.random())
     return t, s
 
 
@@ -78,31 +79,37 @@ def step(
     row_partition: BlockPartition,
     col_partition: BlockPartition,
 ) -> SurfaceFitState:
-    """One randomized subgrid update, applied in place."""
+    """One randomized subgrid update, applied in place.
+
+    Only the residual window ``rows[t] x rows[s]`` can change, so the update
+    works on that window for all coordinates in one batched product.
+    """
     t, s = select_blocks(state, row_partition, col_partition)
     row_span = row_partition.spans[t]
     col_span = col_partition.spans[s]
     row_index = row_span if row_span is not None else row_partition.blocks[t]
     col_index = col_span if col_span is not None else col_partition.blocks[s]
-    a_cols = state.system.row_stacked[:, row_index]
-    b_cols = state.system.col_stacked[:, col_index]
-    scale = row_partition.norms_sq[t] * col_partition.norms_sq[s]
-    m_rows = state.system.data_rows
-    p_cols = state.system.data_cols
-    move_sq = 0.0
-    for f in range(state.control_grid.shape[0]):
-        delta = a_cols.T @ state.residual[f] @ b_cols
-        delta /= scale
-        if row_span is not None and col_span is not None:
-            state.control_grid[f, row_span, col_span] += delta
-        else:
-            state.control_grid[f][np.ix_(np.atleast_1d(row_index), np.atleast_1d(col_index))] += delta
-        move = (a_cols @ delta) @ b_cols.T
-        state.residual[f] -= move
-        top = move[:m_rows, :p_cols]
-        state.fitted_points[f] += top
-        move_sq += float(np.sum(top * top))
-    state.last_move_norm = float(np.sqrt(move_sq))
+    row_window = row_partition.rows[t]
+    col_window = col_partition.rows[s]
+    system = state.system
+    a = system.row_stacked[row_window, row_index]
+    b = system.col_stacked[col_window, col_index]
+    window = state.residual[:, row_window, col_window]
+    delta = a.T @ window @ b
+    delta /= row_partition.norms_sq[t] * col_partition.norms_sq[s]
+    if row_span is not None and col_span is not None:
+        state.control_grid[:, row_span, col_span] += delta
+    else:
+        rows, cols = np.ix_(row_partition.blocks[t], col_partition.blocks[s])
+        state.control_grid[:, rows, cols] += delta
+    move = a @ delta @ b.T
+    window -= move
+    # The part of the window inside the data grid moves the fitted points.
+    r0 = row_window.start
+    c0 = col_window.start
+    top = move[:, : max(system.data_rows - r0, 0), : max(system.data_cols - c0, 0)]
+    state.fitted_points[:, r0: r0 + top.shape[1], c0: c0 + top.shape[2]] += top
+    state.last_move_norm = math.sqrt(np.einsum("fij,fij->", top, top))
     state.iteration += 1
     return state
 

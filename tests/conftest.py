@@ -1,9 +1,18 @@
 """Shared helpers: independent basis recursion and small random systems."""
 
 import numpy as np
+import numpy.testing as npt
 import pytest
+from hypothesis import strategies as st
 
-from rpia.assembly import augment_curve, augment_surface, difference_matrix
+from rpia.assembly import (
+    assemble_collocation,
+    augment_curve,
+    augment_surface,
+    difference_matrix,
+    partition_from_blocks,
+)
+from rpia.basis import build_knots
 
 
 def naive_basis_value(knots, degree, i, x):
@@ -56,6 +65,90 @@ def random_surface_system(rng, rows=(3, 3), cols=(2, 3), lam=0.2):
     penalty_v = difference_matrix(n_v, 2.5)
     grid = rng.standard_normal((m_data, p_data, 3))
     return augment_surface(design_u, design_v, penalty_u, penalty_v, grid, lam)
+
+
+def collocation_design(n_points, n_ctrl_minus1):
+    """Cubic B-spline collocation at evenly spaced parameters: banded like a fit's."""
+    params = np.linspace(0.0, 1.0, n_points)
+    return assemble_collocation(build_knots(params, n_ctrl_minus1), params)
+
+
+def sparse_design(rng, n_rows, n_cols, density=0.3):
+    """Random design with scattered zeros; a column may be zero throughout."""
+    mask = rng.random((n_rows, n_cols)) < density
+    return rng.standard_normal((n_rows, n_cols)) * mask
+
+
+@st.composite
+def designs(draw):
+    """A banded collocation or a scattered sparse design, (rows, columns) >= (4, 4)."""
+    n_ctrl_minus1 = draw(st.integers(3, 10))
+    n_points = draw(st.integers(n_ctrl_minus1 + 1, 30))
+    if draw(st.booleans()):
+        return collocation_design(n_points, n_ctrl_minus1)
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    design = sparse_design(rng, n_points, n_ctrl_minus1 + 1)
+    blank = draw(st.lists(st.integers(0, n_ctrl_minus1), max_size=3))
+    design[:, blank] = 0.0
+    return design
+
+
+@st.composite
+def penalty_weights(draw, *designs):
+    """0 when every design column has a nonzero, else a positive weight.
+
+    A design column with no nonzero then still has its penalty rows, so its
+    block's row window can lie wholly below the data rows.
+    """
+    if all(np.any(design, axis=0).all() for design in designs):
+        return draw(st.sampled_from([0.0, 1e-6, 0.3]))
+    return draw(st.sampled_from([1e-6, 0.3]))
+
+
+@st.composite
+def curve_systems(draw):
+    """Stacked curve system over a drawn design, two coordinates of random data."""
+    design = draw(designs())
+    n_cols = design.shape[1]
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    data = rng.standard_normal((design.shape[0], 2))
+    lam = draw(penalty_weights(design))
+    return augment_curve(design, difference_matrix(n_cols, 2.0), data, lam)
+
+
+@st.composite
+def surface_systems(draw):
+    """Stacked surface system over two drawn designs, one or three coordinates."""
+    design_u = draw(designs())
+    design_v = draw(designs())
+    ncoord = draw(st.sampled_from([1, 3]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    grid = rng.standard_normal((design_u.shape[0], design_v.shape[0], ncoord))
+    return augment_surface(
+        design_u,
+        design_v,
+        difference_matrix(design_u.shape[1], 1.5),
+        difference_matrix(design_v.shape[1], 2.5),
+        grid,
+        draw(penalty_weights(design_u, design_v)),
+    )
+
+
+@st.composite
+def scattered_partitions(draw, matrix):
+    """``partition_from_blocks`` over a shuffled split of the columns into 1-4 sets."""
+    n_cols = matrix.shape[1]
+    order = draw(st.permutations(range(n_cols)))
+    n_sets = draw(st.integers(1, min(4, n_cols)))
+    cuts = draw(st.lists(st.integers(1, n_cols - 1), min_size=n_sets - 1,
+                         max_size=n_sets - 1, unique=True))
+    sets = [sorted(part) for part in np.split(np.asarray(order), sorted(cuts))]
+    return partition_from_blocks(matrix, sets)
+
+
+def assert_close_to_scale(actual, expected):
+    """Agreement to 1e-13 of the larger of 1 and the expected array's largest entry."""
+    npt.assert_allclose(actual, expected, rtol=0, atol=1e-13 * max(1.0, np.max(np.abs(expected))))
 
 
 @pytest.fixture

@@ -1,6 +1,8 @@
 import numpy as np
 import numpy.testing as npt
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from rpia.assembly import (
     assemble_collocation,
@@ -12,7 +14,9 @@ from rpia.assembly import (
 )
 from rpia.basis import build_knots, chord_length_params, eval_basis
 from rpia.datasets import rose_curve
-from rpia.errors import DimensionMismatch, InvalidConfig, ZeroColumnBlock
+from rpia.errors import DegenerateData, DimensionMismatch, InvalidConfig, ZeroColumnBlock
+
+from conftest import curve_systems, scattered_partitions, surface_systems
 
 
 @pytest.fixture(scope="module")
@@ -133,6 +137,12 @@ class TestAugmentCurve:
         with pytest.raises(InvalidConfig):
             augment_curve(design, difference_matrix(4, 1.0), np.zeros((9, 2)), -1.0)
 
+    def test_non_finite_data_rejected(self, rng):
+        data = rng.standard_normal((9, 2))
+        data[4, 1] = np.nan
+        with pytest.raises(DegenerateData, match="data"):
+            augment_curve(rng.standard_normal((9, 4)), difference_matrix(4, 1.0), data, 0.1)
+
 
 class TestAugmentSurface:
     def test_zero_weight_reduces_to_plain_tensor(self, rng):
@@ -173,6 +183,13 @@ class TestAugmentSurface:
         with pytest.raises(DimensionMismatch):
             augment_surface(a, b, difference_matrix(4, 1.0), difference_matrix(3, 1.0),
                             np.zeros((6, 7, 3)), 0.1)
+
+    def test_non_finite_data_rejected(self, rng):
+        grid = rng.standard_normal((7, 6, 3))
+        grid[2, 3, 0] = -np.inf
+        with pytest.raises(DegenerateData, match="data"):
+            augment_surface(rng.standard_normal((7, 4)), rng.standard_normal((6, 3)),
+                            difference_matrix(4, 1.0), difference_matrix(3, 1.0), grid, 0.1)
 
 
 class TestPartition:
@@ -220,6 +237,59 @@ class TestPartition:
         assert len(part) == 2
         with pytest.raises(InvalidConfig):
             partition_from_blocks(matrix, [[0, 1], [2, 3]])
+
+
+def assert_windows_tight(matrix, partition):
+    """Each block's nonzero rows lie in its window, and both window ends hold one."""
+    for block, rows in zip(partition.blocks, partition.rows):
+        cols = matrix[:, block]
+        assert not np.any(cols[: rows.start]) and not np.any(cols[rows.stop:])
+        assert np.any(cols[rows.start]) and np.any(cols[rows.stop - 1])
+
+
+class TestRowWindows:
+    def test_collocation_windows_by_hand(self):
+        # 3 collocation rows of a 4-column cubic basis, then 4 penalty rows
+        design = np.array([[1.0, 0, 0, 0], [0.1, 0.6, 0.3, 0.0], [0, 0, 0, 1.0]])
+        system = augment_curve(design, difference_matrix(4, 1.0), np.zeros((3, 1)), 1.0)
+        part = make_partition(system.stacked, 2)
+        assert part.rows == (slice(0, 6), slice(1, 7))
+        unpenalized = augment_curve(design, difference_matrix(4, 1.0), np.zeros((3, 1)), 0.0)
+        assert make_partition(unpenalized.stacked, 2).rows == (slice(0, 2), slice(1, 3))
+
+    @settings(max_examples=60, deadline=None)
+    @given(system=curve_systems(), block_size=st.integers(1, 6))
+    def test_curve_windows_hold_every_nonzero(self, system, block_size):
+        assert_windows_tight(system.stacked, make_partition(system.stacked, block_size))
+
+    @settings(max_examples=40, deadline=None)
+    @given(system=surface_systems(), block_size=st.integers(1, 6))
+    def test_surface_windows_hold_every_nonzero(self, system, block_size):
+        for factor in (system.row_stacked, system.col_stacked):
+            assert_windows_tight(factor, make_partition(factor, block_size))
+
+    @settings(max_examples=60, deadline=None)
+    @given(data=st.data())
+    def test_scattered_block_windows_hold_every_nonzero(self, data):
+        system = data.draw(curve_systems())
+        partition = data.draw(scattered_partitions(system.stacked))
+        assert_windows_tight(system.stacked, partition)
+
+
+class TestBlockAt:
+    @settings(max_examples=100, deadline=None)
+    @given(
+        weights=st.lists(st.floats(1e-6, 1e3), min_size=1, max_size=30),
+        block_size=st.integers(1, 4),
+        data=st.data(),
+    )
+    def test_matches_searchsorted_on_and_off_boundaries(self, weights, block_size, data):
+        part = make_partition(np.diag(np.sqrt(weights)), block_size)
+        boundary = data.draw(st.sampled_from([0.0, *part.cumulative[:-1].tolist()]))
+        interior = data.draw(st.floats(0.0, 1.0, exclude_max=True))
+        for u in (boundary, np.nextafter(boundary, 0.0), np.nextafter(boundary, 1.0), interior):
+            expected = int(np.searchsorted(part.cumulative, u, side="right"))
+            assert part.block_at(float(u)) == expected
 
 
 class TestFullColumnRank:

@@ -1,6 +1,8 @@
 import numpy as np
 import numpy.testing as npt
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from rpia.assembly import augment_curve, difference_matrix, make_partition
 from rpia.basis import build_knots, chord_length_params
@@ -10,7 +12,12 @@ from rpia.datasets import rose_curve
 from rpia.errors import DimensionMismatch
 from rpia.oracle import solve_curve_direct
 
-from conftest import random_curve_system
+from conftest import (
+    assert_close_to_scale,
+    curve_systems,
+    random_curve_system,
+    scattered_partitions,
+)
 
 
 def philox_stream(seed):
@@ -164,6 +171,42 @@ class TestStep:
             chosen = int(np.searchsorted(partition.cumulative, replay.random(), side="right"))
             untouched = np.setdiff1d(np.arange(6), partition.blocks[chosen])
             npt.assert_array_equal(state.control_points[untouched], before[untouched])
+
+
+class TestWindowedStep:
+    @settings(max_examples=60, deadline=None)
+    @given(system=curve_systems(), seed=st.integers(0, 2**32 - 1), data=st.data())
+    def test_matches_dense_reference_update(self, system, seed, data):
+        if data.draw(st.booleans(), label="contiguous blocks"):
+            partition = make_partition(system.stacked, data.draw(st.integers(1, 6)))
+        else:
+            partition = data.draw(scattered_partitions(system.stacked))
+        p0 = np.random.default_rng(seed).standard_normal((system.n_controls, 2))
+        state = init_state(system, p0, seed)
+        for _ in range(8):
+            controls = state.control_points.copy()
+            residual = state.residual.copy()
+            fitted = state.fitted_points.copy()
+            replay = philox_stream(0)
+            replay.bit_generator.state = state.rng.bit_generator.state
+            step(state, partition)
+
+            # dense update over every row of the stacked matrix
+            t = int(np.searchsorted(partition.cumulative, replay.random(), side="right"))
+            block = partition.blocks[t]
+            cols = system.stacked[:, block]
+            delta = cols.T @ residual / np.sum(cols**2)
+            controls[block] += delta
+            move = cols @ delta
+            residual -= move
+            top = move[: system.data_rows]
+            fitted += top
+            assert_close_to_scale(state.control_points, controls)
+            assert_close_to_scale(state.residual, residual)
+            assert_close_to_scale(state.fitted_points, fitted)
+            # a move can be pure round-off; compare it at the fitted points' scale
+            npt.assert_allclose(state.last_move_norm, np.linalg.norm(top), rtol=1e-13,
+                                atol=1e-13 * max(1.0, np.max(np.abs(fitted))))
 
 
 class TestRun:

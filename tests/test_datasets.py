@@ -11,7 +11,7 @@ from rpia.datasets import (
     fit_error_surface,
     rose_curve,
 )
-from rpia.errors import InvalidConfig, ZeroReference
+from rpia.errors import DegenerateData, InvalidConfig, ZeroReference
 
 
 class TestRoseCurve:
@@ -92,6 +92,12 @@ class TestAddNoise:
     def test_per_entry_variance(self):
         spec = NoiseSpec(10.0, 0)
         npt.assert_allclose(spec.per_entry_variance(2002), 100.0 / 2002.0)
+
+    def test_non_finite_data_rejected(self, rng):
+        data = rng.standard_normal((20, 2))
+        data[7, 0] = np.inf
+        with pytest.raises(DegenerateData, match="data"):
+            add_noise(data, NoiseSpec(1.0, 0))
 
 
 class TestFitError:

@@ -1,6 +1,8 @@
 import numpy as np
 import numpy.testing as npt
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from rpia.assembly import (
     AugmentedSurfaceSystem,
@@ -16,7 +18,12 @@ from rpia.errors import DimensionMismatch
 from rpia.oracle import solve_surface_direct
 from rpia.surface import init_state, run, select_blocks, step
 
-from conftest import random_surface_system
+from conftest import (
+    assert_close_to_scale,
+    random_surface_system,
+    scattered_partitions,
+    surface_systems,
+)
 
 
 def philox_stream(seed):
@@ -172,6 +179,52 @@ class TestStep:
                 npt.assert_array_equal(state.control_grid[f][mask], before[f][mask])
 
 
+class TestWindowedStep:
+    @settings(max_examples=60, deadline=None)
+    @given(system=surface_systems(), seed=st.integers(0, 2**32 - 1), data=st.data())
+    def test_matches_dense_per_coordinate_reference(self, system, seed, data):
+        partitions = []
+        for factor in (system.row_stacked, system.col_stacked):
+            if data.draw(st.booleans(), label="contiguous blocks"):
+                partitions.append(make_partition(factor, data.draw(st.integers(1, 6))))
+            else:
+                partitions.append(data.draw(scattered_partitions(factor)))
+        part_u, part_v = partitions
+        ncoord = system.targets.shape[2]
+        grid0 = np.random.default_rng(seed).standard_normal((*system.n_controls, ncoord))
+        state = init_state(system, grid0, seed)
+        for _ in range(8):
+            controls = state.control_grid.copy()
+            residual = state.residual.copy()
+            fitted = state.fitted_points.copy()
+            replay = philox_stream(0)
+            replay.bit_generator.state = state.rng.bit_generator.state
+            step(state, part_u, part_v)
+
+            # the per-coordinate update over the full stacked factors
+            t = int(np.searchsorted(part_u.cumulative, replay.random(), side="right"))
+            s = int(np.searchsorted(part_v.cumulative, replay.random(), side="right"))
+            rows, cols = part_u.blocks[t], part_v.blocks[s]
+            a_cols = system.row_stacked[:, rows]
+            b_cols = system.col_stacked[:, cols]
+            scale = np.sum(a_cols**2) * np.sum(b_cols**2)
+            move_sq = 0.0
+            for f in range(ncoord):
+                delta = a_cols.T @ residual[f] @ b_cols / scale
+                controls[f][np.ix_(rows, cols)] += delta
+                move = a_cols @ delta @ b_cols.T
+                residual[f] -= move
+                top = move[: system.data_rows, : system.data_cols]
+                fitted[f] += top
+                move_sq += np.sum(top**2)
+            assert_close_to_scale(state.control_grid, controls)
+            assert_close_to_scale(state.residual, residual)
+            assert_close_to_scale(state.fitted_points, fitted)
+            # a move can be pure round-off; compare it at the fitted points' scale
+            npt.assert_allclose(state.last_move_norm, np.sqrt(move_sq), rtol=1e-13,
+                                atol=1e-13 * max(1.0, np.max(np.abs(fitted))))
+
+
 @pytest.fixture(scope="module")
 def small_problem():
     grid = boy_surface(16, 14).grid
@@ -233,6 +286,20 @@ class TestRun:
         result = run(system, part_u, part_v, grid0, StoppingRule(1e-8, 0), 4)
         npt.assert_array_equal(result.control_grid, grid0)
         assert result.iterations == 0
+
+    def test_one_coordinate_start_grid_left_unchanged(self, rng):
+        system = augment_surface(
+            rng.standard_normal((6, 5)), rng.standard_normal((6, 5)),
+            difference_matrix(5, 1.0), difference_matrix(5, 1.0),
+            rng.standard_normal((6, 6)), 0.1,
+        )
+        part_u = make_partition(system.row_stacked, 2)
+        part_v = make_partition(system.col_stacked, 2)
+        g0 = rng.standard_normal((5, 5, 1))
+        before = g0.copy()
+        result = run(system, part_u, part_v, g0, StoppingRule(1e-12, 50), 6)
+        assert result.iterations > 0
+        npt.assert_array_equal(g0, before)
 
     def test_deterministic_given_seed(self, rng):
         system = random_surface_system(rng, rows=(5, 4), cols=(4, 3), lam=0.2)
