@@ -54,14 +54,13 @@ from .regparam import (
     NoiseModel,
     SelfConsistentResult,
     SpectralDecayFit,
-    build_whitened_design,
     optimal_lambda,
     self_consistent_curve,
     self_consistent_surface,
-    spectral_decay,
     spectral_decay_from_eigenvalues,
     surface_whitened_eigenvalues,
     two_step_denoise,
+    whitened_spectrum,
 )
 from .surface import SurfaceFitResult
 
@@ -91,7 +90,6 @@ __all__ = [
     "blob_curve",
     "boy_surface",
     "build_knots",
-    "build_whitened_design",
     "chord_length_params",
     "contraction_check",
     "difference_matrix",
@@ -109,9 +107,9 @@ __all__ = [
     "self_consistent_surface",
     "solve_curve_direct",
     "solve_surface_direct",
-    "spectral_decay",
     "spectral_decay_from_eigenvalues",
     "surface_params",
     "surface_whitened_eigenvalues",
     "two_step_denoise",
+    "whitened_spectrum",
 ]

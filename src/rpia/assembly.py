@@ -39,6 +39,14 @@ def require_finite(values: np.ndarray, name: str) -> None:
         raise DegenerateData(f"{name} holds non-finite values (nan or inf)")
 
 
+def require_weight(lam) -> float:
+    """The penalty weight as a float; :class:`InvalidConfig` unless finite and >= 0."""
+    lam = float(lam)
+    if not (math.isfinite(lam) and lam >= 0.0):
+        raise InvalidConfig(f"penalty weight lam must be finite and nonnegative, got {lam!r}")
+    return lam
+
+
 def difference_matrix(size: int, scale: float) -> np.ndarray:
     """Scaled second-order difference matrix with Dirichlet boundaries.
 
@@ -126,8 +134,7 @@ def augment_curve(design, penalty, data, lam: float) -> AugmentedCurveSystem:
     require_finite(q, "data")
     if q.ndim == 1:
         q = q[:, None]
-    if lam < 0.0:
-        raise InvalidConfig("penalty weight must be nonnegative")
+    lam = require_weight(lam)
     if g.ndim != 2 or g.shape[0] != g.shape[1]:
         raise DimensionMismatch("penalty matrix must be square")
     if g.shape[1] != a.shape[1]:
@@ -140,7 +147,7 @@ def augment_curve(design, penalty, data, lam: float) -> AugmentedCurveSystem:
         )
     stacked = np.asfortranarray(np.vstack([a, math.sqrt(lam) * g]))
     targets = np.vstack([q, np.zeros((g.shape[0], q.shape[1]))])
-    return AugmentedCurveSystem(stacked, targets, float(lam), a.shape[0])
+    return AugmentedCurveSystem(stacked, targets, lam, a.shape[0])
 
 
 def augment_surface(design_u, design_v, penalty_u, penalty_v, data, lam: float) -> AugmentedSurfaceSystem:
@@ -158,8 +165,7 @@ def augment_surface(design_u, design_v, penalty_u, penalty_v, data, lam: float) 
     require_finite(grid, "data")
     if grid.ndim == 2:
         grid = grid[:, :, None]
-    if lam < 0.0:
-        raise InvalidConfig("penalty weight must be nonnegative")
+    lam = require_weight(lam)
     for mat, cols, name in ((lu, a.shape[1], "row penalty"), (lv, b.shape[1], "column penalty")):
         if mat.ndim != 2 or mat.shape[0] != mat.shape[1] or mat.shape[1] != cols:
             raise DimensionMismatch(f"{name} must be square of size {cols}")
@@ -174,7 +180,7 @@ def augment_surface(design_u, design_v, penalty_u, penalty_v, data, lam: float) 
     targets = np.zeros((row_stacked.shape[0], col_stacked.shape[0], grid.shape[2]))
     targets[: grid.shape[0], : grid.shape[1]] = grid
     return AugmentedSurfaceSystem(
-        row_stacked, col_stacked, targets, float(lam), a.shape[0], b.shape[0]
+        row_stacked, col_stacked, targets, lam, a.shape[0], b.shape[0]
     )
 
 

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, fields, replace
 from typing import Optional, Union
 
@@ -9,6 +10,13 @@ import numpy as np
 import yaml
 
 from .errors import InvalidConfig
+
+
+def _require_positive(name: str, value: float) -> None:
+    # ``not value > 0`` also catches nan, which every ordered comparison fails.
+    if not (value > 0.0 and math.isfinite(value)):
+        raise InvalidConfig(f"{name} must be positive and finite, got {value!r}")
+
 
 _CURVE_DEFAULT_SEEDS = tuple(range(10))
 _SURFACE_DEFAULT_SEEDS = tuple(range(3))
@@ -23,7 +31,9 @@ class SweepGrid:
     points: int
 
     def __post_init__(self):
-        if self.lo <= 0.0 or self.hi < self.lo:
+        _require_positive("sweep grid lo", self.lo)
+        _require_positive("sweep grid hi", self.hi)
+        if self.hi < self.lo:
             raise InvalidConfig("sweep grid needs 0 < lo <= hi")
         if self.points < 1:
             raise InvalidConfig("sweep grid needs at least 1 point")
@@ -87,20 +97,16 @@ class ExperimentConfig:
             )
         if isinstance(self.lam, SweepGrid) and self.lam.points < 2:
             raise InvalidConfig("configured sweep grids need at least 2 points")
-        if isinstance(self.lam, float) and self.lam < 0.0:
-            raise InvalidConfig("lambda must be nonnegative")
-        if self.noise_amplitude <= 0.0:
-            raise InvalidConfig("noise_amplitude must be positive")
-        if self.penalty_scale <= 0.0:
-            raise InvalidConfig("penalty_scale must be positive")
-        if self.tolerance <= 0.0:
-            raise InvalidConfig("tolerance must be positive")
+        if isinstance(self.lam, float) and not (math.isfinite(self.lam) and self.lam >= 0.0):
+            raise InvalidConfig(f"lambda must be finite and nonnegative, got {self.lam!r}")
+        _require_positive("noise_amplitude", self.noise_amplitude)
+        _require_positive("penalty_scale", self.penalty_scale)
+        _require_positive("tolerance", self.tolerance)
         if self.max_iter < 0:
             raise InvalidConfig("max_iter must be nonnegative")
         if self.head_count < 3:
             raise InvalidConfig("head_count must be at least 3")
-        if self.eps_lambda <= 0.0:
-            raise InvalidConfig("eps_lambda must be positive")
+        _require_positive("eps_lambda", self.eps_lambda)
         if self.inner_solver not in ("direct", "rpia"):
             raise InvalidConfig("inner_solver must be 'direct' or 'rpia'")
         if self.trajectory_stride < 0:

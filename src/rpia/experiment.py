@@ -20,6 +20,7 @@ from pathlib import Path
 from typing import Optional, Union
 
 import numpy as np
+import scipy.linalg
 
 from . import curve as curve_solver
 from . import surface as surface_solver
@@ -29,6 +30,8 @@ from .assembly import (
     augment_surface,
     difference_matrix,
     make_partition,
+    require_finite,
+    require_weight,
 )
 from .basis import KnotVector, build_knots, chord_length_params, surface_params
 from .config import ExperimentConfig, SweepGrid
@@ -43,19 +46,18 @@ from .datasets import (
 )
 from .driver import StoppingRule
 from .errors import InvalidConfig
-from .oracle import solve_curve_direct, solve_surface_direct
+from .oracle import gram_factor, solve_curve_direct, solve_tensor_normal
 from .pointsio import load_grid, load_points, write_csv
 from .regparam import (
     NoiseModel,
     SelfConsistentResult,
-    build_whitened_design,
     optimal_lambda,
     self_consistent_curve,
     self_consistent_surface,
-    spectral_decay,
     spectral_decay_from_eigenvalues,
     surface_penalty_norm2,
     surface_whitened_eigenvalues,
+    whitened_spectrum,
 )
 
 
@@ -96,6 +98,11 @@ def _apply_tensor(a: np.ndarray, grid: np.ndarray, b: np.ndarray) -> np.ndarray:
 # below never asks which kind it holds. Their methods reach library functions
 # through this module's globals at call time, so replacing a module attribute
 # (to trace or to stub a layer) reaches every call.
+#
+# Each problem carries the control-space grams of its design and penalty,
+# built once in ``build_problem``: the spectrum (from the Cholesky factors of
+# the design grams) and every direct solve work on n x n matrices, never on a
+# data-space whitened or stacked matrix.
 
 
 @dataclass(frozen=True)
@@ -105,6 +112,8 @@ class CurveProblem:
     knots: KnotVector
     design: np.ndarray
     penalty: np.ndarray
+    design_gram: np.ndarray                  # A^T A
+    penalty_gram: np.ndarray                 # G^T G
     reference_controls: np.ndarray
 
     @property
@@ -126,8 +135,20 @@ class CurveProblem:
         )
         return result.control_points, result
 
-    def solve_direct(self, system) -> np.ndarray:
-        return solve_curve_direct(system).control_points
+    def solve_direct(self, data, lam: float) -> np.ndarray:
+        """Penalized minimizer: a Cholesky solve of ``(A^T A + lam G^T G) P = A^T q``.
+
+        A normal matrix that fails the condition gate takes the stacked
+        least-squares route of :func:`solve_curve_direct` instead.
+        """
+        q = np.asarray(data, dtype=float)
+        require_finite(q, "data")
+        lam = require_weight(lam)
+        factor, _ = gram_factor(self.design_gram + lam * self.penalty_gram)
+        if factor is None:
+            system = augment_curve(self.design, self.penalty, q, lam)
+            return solve_curve_direct(system).control_points
+        return scipy.linalg.cho_solve(factor, self.design.T @ q)
 
     def fitted(self, controls) -> np.ndarray:
         return self.design @ controls
@@ -139,8 +160,8 @@ class CurveProblem:
         return float(np.sum((self.penalty @ controls) ** 2)) / self.n_controls
 
     def spectrum(self, head_count: int):
-        whitened = build_whitened_design(self.design, self.penalty)
-        return spectral_decay(whitened, head_count)
+        eigs = whitened_spectrum(scipy.linalg.cholesky(self.design_gram), self.penalty)
+        return spectral_decay_from_eigenvalues(eigs, head_count)
 
     def self_consistent(self, data, solve, alpha: float, eps_lambda: float):
         return self_consistent_curve(
@@ -169,6 +190,10 @@ class SurfaceProblem:
     design_v: np.ndarray
     penalty_u: np.ndarray
     penalty_v: np.ndarray
+    design_gram_u: np.ndarray                # A^T A
+    design_gram_v: np.ndarray                # B^T B
+    penalty_gram_u: np.ndarray               # Lu^T Lu
+    penalty_gram_v: np.ndarray               # Lv^T Lv
     reference_controls: np.ndarray
 
     @property
@@ -193,8 +218,19 @@ class SurfaceProblem:
         )
         return result.control_grid, result
 
-    def solve_direct(self, system) -> np.ndarray:
-        return solve_surface_direct(system).control_points
+    def solve_direct(self, data, lam: float) -> np.ndarray:
+        """Penalized minimizer: two factor Cholesky solves against ``A^T Q B``."""
+        grid = np.asarray(data, dtype=float)
+        require_finite(grid, "data")
+        lam = require_weight(lam)
+        if grid.ndim == 2:
+            grid = grid[:, :, None]
+        rhs = _apply_tensor(self.design_u.T, grid, self.design_v.T)
+        return solve_tensor_normal(
+            self.design_gram_u + lam * self.penalty_gram_u,
+            self.design_gram_v + lam * self.penalty_gram_v,
+            rhs,
+        )[0]
 
     def fitted(self, controls) -> np.ndarray:
         return _apply_tensor(self.design_u, controls, self.design_v)
@@ -211,7 +247,9 @@ class SurfaceProblem:
 
     def spectrum(self, head_count: int):
         eigs = surface_whitened_eigenvalues(
-            self.design_u, self.design_v, self.penalty_u, self.penalty_v
+            scipy.linalg.cholesky(self.design_gram_u),
+            scipy.linalg.cholesky(self.design_gram_v),
+            self.penalty_u, self.penalty_v,
         )
         return spectral_decay_from_eigenvalues(eigs, head_count)
 
@@ -256,25 +294,34 @@ def build_problem(cfg: ExperimentConfig) -> Union[CurveProblem, SurfaceProblem]:
         knots = build_knots(params, cfg.n_ctrl)
         design = assemble_collocation(knots, params)
         penalty = difference_matrix(cfg.n_ctrl + 1, cfg.penalty_scale)
-        problem = CurveProblem(clean, params, knots, design, penalty, reference_controls=None)
+        problem = CurveProblem(
+            clean, params, knots, design, penalty,
+            design.T @ design, penalty.T @ penalty, reference_controls=None,
+        )
     else:
         params_u, params_v = surface_params(clean)
         knots_u = build_knots(params_u, cfg.n_ctrl)
         knots_v = build_knots(params_v, cfg.n_ctrl_v)
+        design_u = assemble_collocation(knots_u, params_u)
+        design_v = assemble_collocation(knots_v, params_v)
+        penalty_u = difference_matrix(cfg.n_ctrl + 1, cfg.penalty_scale)
+        penalty_v = difference_matrix(cfg.n_ctrl_v + 1, cfg.penalty_scale)
         problem = SurfaceProblem(
             clean, params_u, params_v, knots_u, knots_v,
-            design_u=assemble_collocation(knots_u, params_u),
-            design_v=assemble_collocation(knots_v, params_v),
-            penalty_u=difference_matrix(cfg.n_ctrl + 1, cfg.penalty_scale),
-            penalty_v=difference_matrix(cfg.n_ctrl_v + 1, cfg.penalty_scale),
+            design_u, design_v, penalty_u, penalty_v,
+            design_u.T @ design_u, design_v.T @ design_v,
+            penalty_u.T @ penalty_u, penalty_v.T @ penalty_v,
             reference_controls=None,
         )
-    reference = problem.solve_direct(problem.augment(clean, 0.0))
-    return replace(problem, reference_controls=reference)
+    return replace(problem, reference_controls=problem.solve_direct(clean, 0.0))
 
 
 def problem_spectrum(problem, head_count: int):
-    """Decay-rate fit of the whitened design spectrum for either problem kind."""
+    """Decay-rate fit of the whitened design spectrum for either problem kind.
+
+    Computed in control space, from the Cholesky factors of the problem's
+    design grams and its penalty matrices.
+    """
     return problem.spectrum(head_count)
 
 
@@ -330,7 +377,7 @@ def _inner_solver(problem, cfg, seed: int, noisy):
     """The weight-to-controls map the self-consistent loop solves with."""
     if cfg.inner_solver == "direct":
         def solve(lam: float) -> np.ndarray:
-            return problem.solve_direct(problem.augment(noisy, lam))
+            return problem.solve_direct(noisy, lam)
     else:
         start = problem.initial_controls(noisy, cfg)
 
@@ -456,12 +503,17 @@ def run_experiment(cfg: ExperimentConfig) -> ExperimentResult:
         mode = "fixed"
     outcomes = _run_seeds(problem, cfg, lam_choice, alpha)
     mean_err, std_err = _aggregate(outcomes)
-    lambdas = np.asarray([o.lam for o in sorted(outcomes, key=lambda o: o.seed)])
+    # One weight serves every seed unless each seed found its own; the mean
+    # of equal floats can be an ulp off the weight itself.
+    if mode == "self-consistent":
+        lambda_used = float(np.mean([o.lam for o in sorted(outcomes, key=lambda o: o.seed)]))
+    else:
+        lambda_used = float(lam_choice)
     report = FitReport(
         problem=cfg.problem,
         generator=cfg.generator,
         lambda_mode=mode,
-        lambda_used=float(lambdas.mean()),
+        lambda_used=lambda_used,
         mean_fit_error=mean_err,
         std_fit_error=std_err,
         seeds=list(cfg.seeds),

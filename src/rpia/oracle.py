@@ -1,8 +1,11 @@
 """Deterministic reference computations backing the stochastic solver tests.
 
 Everything here is a slow-but-sure alternative path: dense normal-equation
-solves, exhaustive expectations of one randomized step, and spectral-radius
-checks. The solvers are tested against these, never the other way round.
+solves of the stacked systems, exhaustive expectations of one randomized
+step, and spectral-radius checks. The solvers are tested against these,
+never the other way round. The Cholesky condition gate (``gram_factor``) and
+the two-factor tensor solve (``solve_tensor_normal``) also serve the
+experiment's control-space direct solves.
 """
 
 from __future__ import annotations
@@ -11,12 +14,14 @@ from dataclasses import dataclass
 
 import numpy as np
 import scipy.linalg
+import scipy.linalg.lapack
 
 from .assembly import AugmentedCurveSystem, AugmentedSurfaceSystem, BlockPartition
 from .errors import RankDeficient, TooLarge
 
-# Beyond this condition estimate the Cholesky route is abandoned for a
-# rank-revealing least-squares solve.
+# Beyond this condition estimate the Cholesky route is abandoned: for a
+# rank-revealing least-squares solve (curves) or a RankDeficient error
+# (surfaces).
 _COND_LIMIT = 1e12
 
 # Size caps for the exhaustive reference computations.
@@ -26,20 +31,36 @@ _KRONECKER_CAP = 400
 
 @dataclass(frozen=True)
 class DirectSolution:
-    """Minimizer of a penalized least-squares objective plus diagnostics."""
+    """Minimizer of a penalized least-squares objective plus diagnostics.
+
+    ``condition_estimate`` is LAPACK's 1-norm condition estimate ``1/rcond``
+    of the normal matrix (the larger of the two factors' for surfaces).
+    """
 
     control_points: np.ndarray
     objective: float
     condition_estimate: float
 
 
-def _gram_condition(gram: np.ndarray) -> tuple[np.ndarray, float]:
-    eigs = scipy.linalg.eigvalsh(gram)
-    smallest = eigs[0]
-    largest = eigs[-1]
-    if smallest <= 0.0:
-        return eigs, np.inf
-    return eigs, float(largest / smallest)
+def gram_factor(gram: np.ndarray):
+    """Cholesky factor of a symmetric normal matrix and its condition estimate.
+
+    Returns ``(factor, cond)``: ``factor`` is a ``cho_factor`` pair for
+    ``cho_solve``, and ``cond`` is ``1/rcond`` in the 1-norm from LAPACK's
+    ``dpocon``. ``factor`` is None when the Cholesky factorization fails or
+    ``cond`` exceeds the limit; the caller then takes its fallback route.
+    """
+    try:
+        factor = scipy.linalg.cho_factor(gram)
+    except scipy.linalg.LinAlgError:
+        return None, np.inf
+    rcond, _ = scipy.linalg.lapack.dpocon(
+        factor[0], np.linalg.norm(gram, 1), uplo="L" if factor[1] else "U"
+    )
+    cond = 1.0 / rcond if rcond > 0.0 else np.inf
+    if not cond <= _COND_LIMIT:
+        return None, cond
+    return factor, cond
 
 
 def _solve_normal(stacked: np.ndarray, rhs_matrix: np.ndarray) -> tuple[np.ndarray, float]:
@@ -49,10 +70,8 @@ def _solve_normal(stacked: np.ndarray, rhs_matrix: np.ndarray) -> tuple[np.ndarr
     positive definite, otherwise falls back to a rank-revealing least-squares
     factorization of the stacked matrix itself.
     """
-    gram = stacked.T @ stacked
-    _, cond = _gram_condition(gram)
-    if np.isfinite(cond) and cond <= _COND_LIMIT:
-        factor = scipy.linalg.cho_factor(gram)
+    factor, cond = gram_factor(stacked.T @ stacked)
+    if factor is not None:
         return scipy.linalg.cho_solve(factor, stacked.T @ rhs_matrix), cond
     solution, _, rank, _ = np.linalg.lstsq(stacked, rhs_matrix, rcond=None)
     if rank < stacked.shape[1]:
@@ -60,6 +79,28 @@ def _solve_normal(stacked: np.ndarray, rhs_matrix: np.ndarray) -> tuple[np.ndarr
             f"stacked matrix has rank {rank} < {stacked.shape[1]} columns"
         )
     return solution, cond
+
+
+def solve_tensor_normal(gram_u: np.ndarray, gram_v: np.ndarray, rhs: np.ndarray) -> tuple[np.ndarray, float]:
+    """Solve ``gram_u P[:, :, f] gram_v = rhs[:, :, f]`` for every coordinate ``f``.
+
+    Two Cholesky solves per coordinate; no Kronecker product is ever formed.
+    Returns the solution and the larger condition estimate of the two grams.
+
+    Raises
+    ------
+    RankDeficient
+        If either gram fails the Cholesky condition gate.
+    """
+    factor_u, cond_u = gram_factor(gram_u)
+    factor_v, cond_v = gram_factor(gram_v)
+    if factor_u is None or factor_v is None:
+        raise RankDeficient("a stacked factor is numerically rank deficient")
+    solution = np.empty_like(rhs, dtype=float)
+    for f in range(rhs.shape[2]):
+        half = scipy.linalg.cho_solve(factor_u, rhs[:, :, f])
+        solution[:, :, f] = scipy.linalg.cho_solve(factor_v, half.T).T
+    return solution, max(cond_u, cond_v)
 
 
 def solve_curve_direct(system: AugmentedCurveSystem) -> DirectSolution:
@@ -73,29 +114,19 @@ def solve_surface_direct(system: AugmentedSurfaceSystem) -> DirectSolution:
     """Exact minimizer of the stacked tensor system, one coordinate at a time.
 
     Each coordinate slice solves
-    ``gram_u P gram_v = row_stacked^T targets col_stacked`` by two dense
-    symmetric solves; no Kronecker product is ever formed.
+    ``gram_u P gram_v = row_stacked^T targets col_stacked`` by
+    :func:`solve_tensor_normal`.
     """
     a_hat = system.row_stacked
     b_hat = system.col_stacked
-    gram_u = a_hat.T @ a_hat
-    gram_v = b_hat.T @ b_hat
-    _, cond_u = _gram_condition(gram_u)
-    _, cond_v = _gram_condition(gram_v)
-    cond = max(cond_u, cond_v)
-    if not np.isfinite(cond) or cond > _COND_LIMIT:
-        raise RankDeficient("a stacked factor is numerically rank deficient")
-    factor_u = scipy.linalg.cho_factor(gram_u)
-    factor_v = scipy.linalg.cho_factor(gram_v)
-    ncoord = system.targets.shape[2]
-    n_u, n_v = system.n_controls
-    solution = np.empty((n_u, n_v, ncoord))
+    targets = system.targets
+    rhs = np.stack(
+        [a_hat.T @ targets[:, :, f] @ b_hat for f in range(targets.shape[2])], axis=-1
+    )
+    solution, cond = solve_tensor_normal(a_hat.T @ a_hat, b_hat.T @ b_hat, rhs)
     objective = 0.0
-    for f in range(ncoord):
-        rhs = a_hat.T @ system.targets[:, :, f] @ b_hat
-        half = scipy.linalg.cho_solve(factor_u, rhs)
-        solution[:, :, f] = scipy.linalg.cho_solve(factor_v, half.T).T
-        residual = a_hat @ solution[:, :, f] @ b_hat.T - system.targets[:, :, f]
+    for f in range(targets.shape[2]):
+        residual = a_hat @ solution[:, :, f] @ b_hat.T - targets[:, :, f]
         objective += float(np.sum(residual**2))
     return DirectSolution(solution, objective, cond)
 

@@ -1,7 +1,11 @@
 """Choosing the smoothing weight from spectral decay, plus the prior-free loop.
 
 The estimate rests on the whitened operator ``Q = A G^{-1}`` (design matrix
-times inverse penalty): when the eigenvalues of ``Q^T Q`` decay like
+times inverse penalty). The spectrum of ``Q^T Q`` is that of the generalized
+control-space problem ``A^T A v = rho G^T G v``, and it is computed there:
+from the n x n Cholesky factor ``R`` of ``A^T A`` (``Q`` and ``R G^{-1}`` share
+their singular values), so nothing of data-space size is formed. When the
+eigenvalues decay like
 ``k**(-alpha)``, balancing the bias and variance terms of the mean squared
 error gives
 
@@ -20,6 +24,7 @@ from typing import Callable, Optional
 
 import numpy as np
 import scipy.linalg
+import scipy.linalg.lapack
 
 from .errors import (
     InsufficientSpectrum,
@@ -33,6 +38,10 @@ from .errors import (
 # Relative eigenvalue floor: anything below this multiple of the largest
 # eigenvalue is numerical zero and would corrupt the log-log regression.
 _EIG_FLOOR = 1e-14
+
+# A penalty factor less well conditioned than this has a numerically
+# singular gram: its condition would pass 1/eps, where Cholesky breaks down.
+_PENALTY_RCOND = 1e-8
 
 
 @dataclass(frozen=True)
@@ -78,59 +87,56 @@ class SelfConsistentResult:
         return len(self.iterates)
 
 
-def build_whitened_design(design, penalty) -> np.ndarray:
-    """``Q = design @ penalty^{-1}`` via a linear solve (no explicit inverse).
+def whitened_spectrum(design_factor, penalty_factor) -> np.ndarray:
+    """Descending spectrum of ``Q^T Q`` for the whitened design ``Q = A G^{-1}``.
 
-    Verified by multiplying back: ``|Q penalty - design| / |design|`` must be
-    below 1e-10, else the penalty is reported as numerically singular.
+    Takes factors of the two grams: any ``F`` with ``F^T F = A^T A`` (the
+    design itself, or its n x n Cholesky factor) and any full-column-rank
+    ``H`` with ``H^T H = G^T G`` (the penalty itself, or a stacked one). The
+    eigenvalues solve ``A^T A v = rho G^T G v``; they are the squared singular
+    values of ``F R^{-1}``, with ``R`` the triangular factor of ``H``. Taking
+    singular values of a factor rather than eigenvalues of a Gram matrix
+    keeps twice the relative digits in the small eigenvalues of the head.
+
+    Raises
+    ------
+    SingularPenalty
+        If ``H`` is numerically rank deficient (reciprocal condition below
+        ``1e-8``, i.e. a penalty gram beyond condition ``1e16``).
     """
-    a = np.asarray(design, dtype=float)
-    g = np.asarray(penalty, dtype=float)
-    try:
-        q = scipy.linalg.solve(g, a.T, assume_a="sym").T
-    except (scipy.linalg.LinAlgError, ValueError) as exc:
-        raise SingularPenalty(f"penalty matrix could not be inverted: {exc}") from exc
-    defect = np.linalg.norm(q @ g - a) / np.linalg.norm(a)
-    if not np.isfinite(defect) or defect > 1e-10:
+    f = np.asarray(design_factor, dtype=float)
+    r = np.linalg.qr(np.asarray(penalty_factor, dtype=float), mode="r")
+    rcond, _ = scipy.linalg.lapack.dtrcon(r, norm="1")
+    if not rcond >= _PENALTY_RCOND:
         raise SingularPenalty(
-            f"penalty inversion defect {defect:.3e} exceeds 1e-10"
+            f"penalty is numerically singular (reciprocal condition {rcond:.3e})"
         )
-    return q
-
-
-def gram_eigenvalues(matrix) -> np.ndarray:
-    """Eigenvalues of ``matrix^T matrix`` in descending order, clipped at 0."""
-    m = np.asarray(matrix, dtype=float)
-    eigs = scipy.linalg.eigvalsh(m.T @ m)
-    return np.clip(eigs[::-1], 0.0, None)
+    whitened = scipy.linalg.solve_triangular(r, f.T, trans="T").T
+    return np.sort(scipy.linalg.svdvals(whitened) ** 2)[::-1]
 
 
 def surface_whitened_eigenvalues(design_u, design_v, penalty_u, penalty_v) -> np.ndarray:
     """Descending spectrum of the tensor design whitened by the net penalty.
 
     The surface analogue of ``Q^T Q`` for the whitened curve design: the
-    tensor design Gram is measured against the two-direction difference
-    penalty of the control net, via the generalized symmetric eigenproblem
+    generalized symmetric eigenproblem
 
         (Bg (x) Ag) v = rho (I (x) Lu^T Lu + Lv^T Lv (x) I) v
 
-    with ``Ag = design_u^T design_u`` and ``Bg = design_v^T design_v``. All
-    matrices live in control space (side ``(n1+1)(n2+1)``); nothing of
-    data-space size is ever formed.
+    with ``Ag = design_u^T design_u`` and ``Bg = design_v^T design_v``, solved
+    by :func:`whitened_spectrum` on the factors ``design_v (x) design_u`` and
+    ``[I (x) Lu; Lv (x) I]``. Pass the Cholesky factors of ``Ag`` and ``Bg``
+    as the designs (same grams, same spectrum) and every matrix stays in
+    control space, of side ``(n1+1)(n2+1)``.
     """
     a = np.asarray(design_u, dtype=float)
     b = np.asarray(design_v, dtype=float)
     lu = np.asarray(penalty_u, dtype=float)
     lv = np.asarray(penalty_v, dtype=float)
-    design_gram = np.kron(b.T @ b, a.T @ a)
-    penalty_gram = np.kron(np.eye(lv.shape[0]), lu.T @ lu) + np.kron(
-        lv.T @ lv, np.eye(lu.shape[0])
+    net_penalty = np.vstack(
+        [np.kron(np.eye(lv.shape[0]), lu), np.kron(lv, np.eye(lu.shape[0]))]
     )
-    try:
-        eigs = scipy.linalg.eigh(design_gram, penalty_gram, eigvals_only=True)
-    except scipy.linalg.LinAlgError as exc:
-        raise SingularPenalty(f"net penalty is numerically singular: {exc}") from exc
-    return np.clip(np.sort(eigs)[::-1], 0.0, None)
+    return whitened_spectrum(np.kron(b, a), net_penalty)
 
 
 def spectral_decay_from_eigenvalues(eigenvalues, head_count: int) -> SpectralDecayFit:
@@ -162,11 +168,6 @@ def spectral_decay_from_eigenvalues(eigenvalues, head_count: int) -> SpectralDec
         fitted = coeffs[0] * log_k + coeffs[1]
         rms = float(np.sqrt(np.mean((log_rho - fitted) ** 2)))
     return SpectralDecayFit(eigs, alpha, head_count, rms)
-
-
-def spectral_decay(whitened_design, head_count: int) -> SpectralDecayFit:
-    """Decay-rate fit on the spectrum of ``Q^T Q`` for a whitened design ``Q``."""
-    return spectral_decay_from_eigenvalues(gram_eigenvalues(whitened_design), head_count)
 
 
 def optimal_lambda(

@@ -13,6 +13,7 @@ from rpia.assembly import (
     partition_from_blocks,
 )
 from rpia.basis import build_knots
+from rpia.experiment import CurveProblem, SurfaceProblem
 
 
 def naive_basis_value(knots, degree, i, x):
@@ -67,6 +68,22 @@ def random_surface_system(rng, rows=(3, 3), cols=(2, 3), lam=0.2):
     return augment_surface(design_u, design_v, penalty_u, penalty_v, grid, lam)
 
 
+def curve_problem(design, penalty):
+    """A curve problem around bare matrices: only its solve and spectrum work."""
+    return CurveProblem(
+        None, None, None, design, penalty, design.T @ design, penalty.T @ penalty, None
+    )
+
+
+def surface_problem(design_u, design_v, penalty_u, penalty_v):
+    """A surface problem around bare matrices: only its solve and spectrum work."""
+    return SurfaceProblem(
+        None, None, None, None, None, design_u, design_v, penalty_u, penalty_v,
+        design_u.T @ design_u, design_v.T @ design_v,
+        penalty_u.T @ penalty_u, penalty_v.T @ penalty_v, None,
+    )
+
+
 def collocation_design(n_points, n_ctrl_minus1):
     """Cubic B-spline collocation at evenly spaced parameters: banded like a fit's."""
     params = np.linspace(0.0, 1.0, n_points)
@@ -91,6 +108,17 @@ def designs(draw):
     blank = draw(st.lists(st.integers(0, n_ctrl_minus1), max_size=3))
     design[:, blank] = 0.0
     return design
+
+
+@st.composite
+def banded_designs(draw):
+    """A cubic collocation design sampled at least twice per control, like a fit's.
+
+    Its gram is well conditioned (below ~35 over the drawn sizes).
+    """
+    n_ctrl_minus1 = draw(st.integers(3, 12))
+    n_points = draw(st.integers(2 * (n_ctrl_minus1 + 1), 48))
+    return collocation_design(n_points, n_ctrl_minus1)
 
 
 @st.composite

@@ -137,6 +137,12 @@ class TestAugmentCurve:
         with pytest.raises(InvalidConfig):
             augment_curve(design, difference_matrix(4, 1.0), np.zeros((9, 2)), -1.0)
 
+    @pytest.mark.parametrize("lam", [np.nan, np.inf])
+    def test_non_finite_weight_rejected(self, rng, lam):
+        with pytest.raises(InvalidConfig, match="lam"):
+            augment_curve(rng.standard_normal((9, 4)), difference_matrix(4, 1.0),
+                          rng.standard_normal((9, 2)), lam)
+
     def test_non_finite_data_rejected(self, rng):
         data = rng.standard_normal((9, 2))
         data[4, 1] = np.nan
@@ -183,6 +189,13 @@ class TestAugmentSurface:
         with pytest.raises(DimensionMismatch):
             augment_surface(a, b, difference_matrix(4, 1.0), difference_matrix(3, 1.0),
                             np.zeros((6, 7, 3)), 0.1)
+
+    @pytest.mark.parametrize("lam", [np.nan, np.inf])
+    def test_non_finite_weight_rejected(self, rng, lam):
+        with pytest.raises(InvalidConfig, match="lam"):
+            augment_surface(rng.standard_normal((7, 4)), rng.standard_normal((6, 3)),
+                            difference_matrix(4, 1.0), difference_matrix(3, 1.0),
+                            rng.standard_normal((7, 6, 3)), lam)
 
     def test_non_finite_data_rejected(self, rng):
         grid = rng.standard_normal((7, 6, 3))

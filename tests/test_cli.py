@@ -89,6 +89,12 @@ class TestFit:
         result = runner.invoke(main, ["fit", "--config", str(cfg)])
         assert result.exit_code == 2
 
+    def test_non_finite_config_float_exit_code(self, runner, tmp_path):
+        cfg = write_desk_config(tmp_path / "cfg.yaml", tolerance=".nan")
+        result = runner.invoke(main, ["fit", "--config", str(cfg)])
+        assert result.exit_code == 2
+        assert "tolerance" in result.output
+
     def test_numerical_error_exit_code(self, runner, tmp_path):
         data = tmp_path / "degenerate.csv"
         data.write_text("x,y\n" + "1.0,1.0\n" * 12)

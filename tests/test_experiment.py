@@ -4,9 +4,14 @@ from pathlib import Path
 import numpy as np
 import numpy.testing as npt
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from rpia.config import ExperimentConfig, SweepGrid
+from rpia import experiment
+from rpia.assembly import augment_curve, augment_surface, difference_matrix
+from rpia.config import ExperimentConfig, SweepGrid, load_config
 from rpia.datasets import NoiseSpec, add_noise, fit_error
+from rpia.errors import InvalidConfig, RankDeficient
 from rpia.experiment import (
     build_problem,
     estimate_lambda,
@@ -18,7 +23,10 @@ from rpia.experiment import (
     write_outputs,
     write_sweep_outputs,
 )
+from rpia.oracle import solve_curve_direct, solve_surface_direct
 from rpia.pointsio import load_grid
+
+from conftest import banded_designs, curve_problem, surface_problem
 
 
 def desk_curve_config(**overrides):
@@ -92,6 +100,123 @@ def test_pinned_iterations_and_controls(name):
             np.ravel(outcome.control_points), pinned["control_points"][seed],
             rtol=1e-12, atol=0,
         )
+
+
+CONFIG_DIR = Path(__file__).resolve().parents[1] / "configs"
+
+
+@pytest.mark.parametrize("name", sorted(PINS["estimate"]))
+def test_pinned_estimate(name):
+    # Alpha and the rule weight of a shipped config, recorded before the
+    # spectrum moved from the data-space whitened design to control space.
+    cfg = load_config(CONFIG_DIR / f"{name}.yaml")
+    lam, info = estimate_lambda(build_problem(cfg), cfg)
+    pinned = PINS["estimate"][name]
+    npt.assert_allclose(info["alpha"], pinned["alpha"], rtol=1e-9)
+    npt.assert_allclose(lam, pinned["lambda"], rtol=1e-9)
+
+
+@pytest.mark.parametrize("name", sorted(PINS["self_consistent"]))
+def test_pinned_weight_loop(name):
+    # Per-seed outer iterations and final weights of a shipped self-consistent
+    # config (direct inner solver), recorded before the control-space solves.
+    result = run_experiment(load_config(CONFIG_DIR / f"{name}.yaml"))
+    pinned = PINS["self_consistent"][name]
+    npt.assert_allclose(result.report.spectral_alpha, pinned["alpha"], rtol=1e-9)
+    for outcome in result.outcomes:
+        seed = str(outcome.seed)
+        assert outcome.iterations == pinned["outer_iterations"][seed]
+        npt.assert_allclose(outcome.lam, pinned["lambda"][seed], rtol=1e-9)
+
+
+def test_estimate_and_direct_paths_form_no_data_space_matrix(monkeypatch):
+    # The estimate, the reference solve and the direct inner solver work on
+    # control-space matrices only: no stacked system, no m x n whitening.
+    def refuse(*args, **kwargs):
+        raise AssertionError("a stacked (m+n) x n system was built")
+
+    def square_factors_only(spectrum):
+        def checked(*args):
+            for matrix in args:
+                assert matrix.shape[0] == matrix.shape[1], "data-space factor"
+            return spectrum(*args)
+        return checked
+
+    monkeypatch.setattr(experiment, "augment_curve", refuse)
+    monkeypatch.setattr(experiment, "augment_surface", refuse)
+    monkeypatch.setattr(
+        experiment, "whitened_spectrum", square_factors_only(experiment.whitened_spectrum)
+    )
+    monkeypatch.setattr(
+        experiment, "surface_whitened_eigenvalues",
+        square_factors_only(experiment.surface_whitened_eigenvalues),
+    )
+    cfg = load_config(CONFIG_DIR / "rose.yaml")
+    lam, _ = estimate_lambda(build_problem(cfg), cfg)
+    assert lam > 0.0
+    for name in ("rose_adaptive", "boy_a40_adaptive"):
+        cfg = load_config(CONFIG_DIR / f"{name}.yaml").with_overrides(seeds=(0, 1))
+        result = run_experiment(cfg)
+        assert [o.seed for o in result.outcomes] == [0, 1]
+
+
+def _relative_gap(actual, expected):
+    return float(np.linalg.norm(actual - expected) / np.linalg.norm(expected))
+
+
+class TestControlSpaceDirect:
+    @settings(max_examples=60, deadline=None)
+    @given(design=banded_designs(), lam=st.floats(0.0, 1e3),
+           scale=st.floats(0.5, 50.0), seed=st.integers(0, 2**32 - 1))
+    def test_curve_matches_stacked_oracle(self, design, lam, scale, seed):
+        penalty = difference_matrix(design.shape[1], scale)
+        data = np.random.default_rng(seed).standard_normal((design.shape[0], 2))
+        got = curve_problem(design, penalty).solve_direct(data, lam)
+        want = solve_curve_direct(augment_curve(design, penalty, data, lam)).control_points
+        assert _relative_gap(got, want) <= 1e-10
+
+    @settings(max_examples=40, deadline=None)
+    @given(design_u=banded_designs(), design_v=banded_designs(), lam=st.floats(0.0, 1e3),
+           ncoord=st.sampled_from([1, 3]), seed=st.integers(0, 2**32 - 1))
+    def test_surface_matches_stacked_oracle(self, design_u, design_v, lam, ncoord, seed):
+        lu = difference_matrix(design_u.shape[1], 1.5)
+        lv = difference_matrix(design_v.shape[1], 2.5)
+        grid = np.random.default_rng(seed).standard_normal(
+            (design_u.shape[0], design_v.shape[0], ncoord)
+        )
+        got = surface_problem(design_u, design_v, lu, lv).solve_direct(grid, lam)
+        want = solve_surface_direct(
+            augment_surface(design_u, design_v, lu, lv, grid, lam)
+        ).control_points
+        assert _relative_gap(got, want) <= 1e-10
+
+    def test_ill_conditioned_curve_takes_the_stacked_route(self, rng):
+        # a gram condition near 1e14 fails the Cholesky gate; the stacked
+        # least-squares fallback still solves the well-posed problem
+        u, _ = np.linalg.qr(rng.standard_normal((12, 4)))
+        design = u @ np.diag([1.0, 1e-2, 1e-4, 1e-7])
+        penalty = difference_matrix(4, 1.0)
+        data = rng.standard_normal((12, 2))
+        got = curve_problem(design, penalty).solve_direct(data, 0.0)
+        want, *_ = np.linalg.lstsq(design, data, rcond=None)
+        assert _relative_gap(got, want) <= 1e-6
+
+    def test_ill_conditioned_surface_is_rank_deficient(self, rng):
+        u, _ = np.linalg.qr(rng.standard_normal((12, 4)))
+        design_u = u @ np.diag([1.0, 1e-2, 1e-4, 1e-7])
+        design_v = rng.standard_normal((6, 3))
+        problem = surface_problem(
+            design_u, design_v, difference_matrix(4, 1.0), difference_matrix(3, 1.0)
+        )
+        with pytest.raises(RankDeficient):
+            problem.solve_direct(rng.standard_normal((12, 6, 3)), 0.0)
+
+    @pytest.mark.parametrize("lam", [np.nan, np.inf, -1.0])
+    @pytest.mark.parametrize("make", [desk_curve_config, desk_surface_config])
+    def test_rejects_bad_weight(self, make, lam):
+        problem = build_problem(make())
+        with pytest.raises(InvalidConfig, match="lam"):
+            problem.solve_direct(problem.clean, lam)
 
 
 class TestInitialControls:

@@ -111,6 +111,21 @@ class TestConfig:
         with pytest.raises(InvalidConfig):
             config_from_mapping({"lambda": {"sweep": {"lo": 1e-9, "hi": 1e-3, "points": 1}}})
 
+    @pytest.mark.parametrize("value", [float("nan"), float("inf")])
+    @pytest.mark.parametrize(
+        "field", ["lambda", "noise_amplitude", "penalty_scale", "tolerance", "eps_lambda"]
+    )
+    def test_rejects_non_finite_floats(self, field, value):
+        with pytest.raises(InvalidConfig, match=field):
+            config_from_mapping({field: value})
+
+    @pytest.mark.parametrize(
+        "lo, hi", [(float("nan"), 1e-3), (1e-9, float("nan")), (1e-9, float("inf"))]
+    )
+    def test_sweep_grid_rejects_non_finite_bounds(self, lo, hi):
+        with pytest.raises(InvalidConfig, match="sweep grid"):
+            SweepGrid(lo, hi, 5)
+
     def test_sweep_grid_values(self):
         grid = SweepGrid(1e-9, 1e-3, 25)
         values = grid.values()

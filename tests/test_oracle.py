@@ -1,6 +1,7 @@
 import numpy as np
 import numpy.testing as npt
 import pytest
+import scipy.linalg
 
 from rpia.assembly import (
     augment_curve,
@@ -12,6 +13,7 @@ from rpia.assembly import (
 from rpia.errors import TooLarge
 from rpia.oracle import (
     contraction_check,
+    gram_factor,
     expectation_map_curve,
     expectation_map_curve_closed,
     expectation_map_curve_enumerated,
@@ -23,6 +25,24 @@ from rpia.oracle import (
 )
 
 from conftest import random_curve_system, random_surface_system
+
+
+class TestGramFactor:
+    def test_condition_estimate_tracks_one_norm_condition(self, rng):
+        u, _ = np.linalg.qr(rng.standard_normal((8, 8)))
+        gram = u @ np.diag(np.logspace(0, 6, 8)) @ u.T
+        factor, cond = gram_factor(gram)
+        exact = np.linalg.cond(gram, 1)
+        assert exact / 10.0 <= cond <= exact * (1.0 + 1e-8)
+        npt.assert_allclose(
+            scipy.linalg.cho_solve(factor, gram), np.eye(8), atol=1e-8
+        )
+
+    def test_refuses_singular_and_ill_conditioned(self, rng):
+        assert gram_factor(np.ones((4, 4)))[0] is None
+        u, _ = np.linalg.qr(rng.standard_normal((6, 6)))
+        factor, cond = gram_factor(u @ np.diag(np.logspace(0, 13, 6)) @ u.T)
+        assert factor is None and cond > 1e12
 
 
 class TestSolveCurveDirect:

@@ -2,6 +2,8 @@ import numpy as np
 import numpy.testing as npt
 import pytest
 import scipy.linalg
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from rpia.assembly import (
     assemble_collocation,
@@ -18,38 +20,96 @@ from rpia.errors import (
     ZeroPenalty,
 )
 from rpia.oracle import solve_curve_direct
+
+from conftest import banded_designs, designs
 from rpia.regparam import (
     NoiseModel,
-    build_whitened_design,
-    gram_eigenvalues,
     optimal_lambda,
     self_consistent_curve,
     self_consistent_surface,
-    spectral_decay,
     spectral_decay_from_eigenvalues,
     surface_whitened_eigenvalues,
     two_step_denoise,
+    whitened_spectrum,
 )
 
 
-class TestBuildWhitenedDesign:
+def dense_whitened(design, penalty):
+    """Reference whitening ``Q = design penalty^{-1}``, checked by multiplying back."""
+    q = scipy.linalg.solve(penalty, design.T).T
+    defect = np.linalg.norm(q @ penalty - design) / np.linalg.norm(design)
+    assert defect < 1e-10
+    return q
+
+
+def spectrum_decay(design, penalty, head_count):
+    """Decay fit of the whitened spectrum, from the design's Cholesky factor."""
+    factor = scipy.linalg.cholesky(design.T @ design)
+    return spectral_decay_from_eigenvalues(whitened_spectrum(factor, penalty), head_count)
+
+
+class TestWhitenedSpectrum:
     def test_scaled_identity_penalty(self, rng):
         design = rng.standard_normal((8, 5))
-        whitened = build_whitened_design(design, 4.0 * np.eye(5))
-        npt.assert_allclose(whitened, design / 4.0, atol=1e-14)
+        eigs = whitened_spectrum(design, 4.0 * np.eye(5))
+        expected = scipy.linalg.eigvalsh(design.T @ design)[::-1] / 16.0
+        npt.assert_allclose(eigs, expected, rtol=1e-13)
 
-    def test_multiply_back(self, rng):
+    def test_matches_dense_whitening(self, rng):
         design = rng.standard_normal((8, 5))
         penalty = difference_matrix(5, 3.0)
-        whitened = build_whitened_design(design, penalty)
-        defect = np.linalg.norm(whitened @ penalty - design) / np.linalg.norm(design)
-        assert defect < 1e-10
+        q = dense_whitened(design, penalty)
+        expected = scipy.linalg.eigvalsh(q.T @ q)[::-1]
+        factor = scipy.linalg.cholesky(design.T @ design)
+        npt.assert_allclose(whitened_spectrum(design, penalty), expected, rtol=1e-12)
+        npt.assert_allclose(whitened_spectrum(factor, penalty), expected, rtol=1e-12)
 
     def test_singular_penalty(self, rng):
         design = rng.standard_normal((6, 4))
         singular = np.ones((4, 4))
         with pytest.raises(SingularPenalty):
-            build_whitened_design(design, singular)
+            whitened_spectrum(design, singular)
+
+    @settings(max_examples=60, deadline=None)
+    @given(design=designs(), scale=st.floats(0.1, 2000.0))
+    def test_head_matches_dense_whitening(self, design, scale):
+        # eigenvalues within 1e-3 of the largest: the head the decay fit reads
+        assume(np.any(design))
+        penalty = difference_matrix(design.shape[1], scale)
+        q = dense_whitened(design, penalty)
+        expected = scipy.linalg.eigvalsh(q.T @ q)[::-1]
+        head = expected >= 1e-3 * expected[0]
+        eigs = whitened_spectrum(design, penalty)
+        npt.assert_allclose(eigs[: head.sum()], expected[head], rtol=1e-9)
+        gram = design.T @ design
+        if np.linalg.cond(gram) < 1e8:
+            factor = scipy.linalg.cholesky(gram)
+            npt.assert_allclose(whitened_spectrum(factor, penalty)[head], expected[head],
+                                rtol=1e-9)
+
+    @settings(max_examples=30, deadline=None)
+    @given(design_u=banded_designs(), design_v=banded_designs())
+    def test_surface_control_space_factors_match_designs(self, design_u, design_v):
+        lu = difference_matrix(design_u.shape[1], 1.5)
+        lv = difference_matrix(design_v.shape[1], 2.5)
+        expected = surface_whitened_eigenvalues(design_u, design_v, lu, lv)
+        head = expected >= 1e-3 * expected[0]
+        got = surface_whitened_eigenvalues(
+            scipy.linalg.cholesky(design_u.T @ design_u),
+            scipy.linalg.cholesky(design_v.T @ design_v), lu, lv,
+        )
+        npt.assert_allclose(got[head], expected[head], rtol=1e-9)
+
+    @settings(max_examples=40, deadline=None)
+    @given(design=designs(), data=st.data())
+    def test_singular_penalty_property(self, design, data):
+        n = design.shape[1]
+        penalty = difference_matrix(n, data.draw(st.floats(0.1, 2000.0)))
+        penalty[:, data.draw(st.integers(0, n - 1))] = 0.0
+        with pytest.raises(SingularPenalty):
+            whitened_spectrum(design, penalty)
+        with pytest.raises(SingularPenalty):
+            surface_whitened_eigenvalues(design, design, penalty, penalty)
 
 
 class TestSpectralDecay:
@@ -65,12 +125,12 @@ class TestSpectralDecay:
             u, _ = np.linalg.qr(rng.standard_normal((40, 20)))
             v, _ = np.linalg.qr(rng.standard_normal((20, 20)))
             matrix = u @ np.diag(singular_values) @ v.T
-            fit = spectral_decay_from_eigenvalues(gram_eigenvalues(matrix), 20)
+            fit = spectral_decay_from_eigenvalues(whitened_spectrum(matrix, np.eye(20)), 20)
             npt.assert_allclose(fit.alpha, alpha, atol=1e-6)
 
     def test_descending_nonnegative(self, rng):
         matrix = rng.standard_normal((15, 10))
-        eigs = gram_eigenvalues(matrix)
+        eigs = whitened_spectrum(matrix, np.eye(10))
         assert np.all(eigs >= 0.0)
         assert np.all(np.diff(eigs) <= 0.0)
 
@@ -78,7 +138,7 @@ class TestSpectralDecay:
         matrix = rng.standard_normal((10, 8))
         matrix[:, 4:] = matrix[:, :4]  # rank 4
         with pytest.raises(InsufficientSpectrum):
-            spectral_decay(matrix, 6)
+            spectral_decay_from_eigenvalues(whitened_spectrum(matrix, np.eye(8)), 6)
 
     def test_head_count_validation(self):
         with pytest.raises(InvalidConfig):
@@ -132,7 +192,7 @@ class TestFullScaleEstimate:
         knots = build_knots(params, 100)
         design = assemble_collocation(knots, params)
         penalty = difference_matrix(101, 1600.0)
-        alpha = spectral_decay(build_whitened_design(design, penalty), 50).alpha
+        alpha = spectrum_decay(design, penalty, 50).alpha
         reference = solve_curve_direct(
             augment_curve(design, penalty, points, 0.0)
         ).control_points
@@ -191,8 +251,7 @@ class TestSelfConsistentCurve:
         design = assemble_collocation(knots, params)
         penalty = difference_matrix(41, 91.0)
         noisy = add_noise(points, NoiseSpec(4.0, 3))
-        whitened = build_whitened_design(design, penalty)
-        alpha = spectral_decay(whitened, 30).alpha
+        alpha = spectrum_decay(design, penalty, 30).alpha
 
         def solve(lam):
             return solve_curve_direct(augment_curve(design, penalty, noisy, lam)).control_points
