@@ -17,6 +17,7 @@ from .assembly import (
     augment_surface,
     difference_matrix,
     make_partition,
+    tensor_apply,
 )
 from .basis import (
     BasisSpan,
@@ -37,7 +38,6 @@ from .datasets import (
     blob_curve,
     boy_surface,
     fit_error,
-    fit_error_surface,
     rose_curve,
 )
 from .driver import StoppingRule
@@ -55,8 +55,7 @@ from .regparam import (
     SelfConsistentResult,
     SpectralDecayFit,
     optimal_lambda,
-    self_consistent_curve,
-    self_consistent_surface,
+    self_consistent,
     spectral_decay_from_eigenvalues,
     surface_whitened_eigenvalues,
     two_step_denoise,
@@ -99,17 +98,16 @@ __all__ = [
     "expectation_map_curve",
     "expectation_map_surface",
     "fit_error",
-    "fit_error_surface",
     "make_partition",
     "optimal_lambda",
     "rose_curve",
-    "self_consistent_curve",
-    "self_consistent_surface",
+    "self_consistent",
     "solve_curve_direct",
     "solve_surface_direct",
     "spectral_decay_from_eigenvalues",
     "surface_params",
     "surface_whitened_eigenvalues",
+    "tensor_apply",
     "two_step_denoise",
     "whitened_spectrum",
 ]

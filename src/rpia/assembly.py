@@ -33,6 +33,18 @@ def assemble_collocation(knots: KnotVector, params) -> np.ndarray:
     return matrix
 
 
+def tensor_apply(a: np.ndarray, grid: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """``a @ grid[:, :, f] @ b.T`` for every coordinate ``f`` of a grid.
+
+    The tensor product ``A P B^T`` of a surface, one coordinate at a time:
+    the one place its per-coordinate loop lives.
+    """
+    out = np.empty((a.shape[0], b.shape[0], grid.shape[2]))
+    for f in range(grid.shape[2]):
+        out[:, :, f] = a @ grid[:, :, f] @ b.T
+    return out
+
+
 def require_finite(values: np.ndarray, name: str) -> None:
     """Raise :class:`DegenerateData` naming ``name`` if ``values`` holds nan or inf."""
     if not np.isfinite(values).all():
@@ -236,6 +248,18 @@ def _row_window(matrix: np.ndarray, block: np.ndarray) -> slice:
     return slice(int(hits[0]), int(hits[-1]) + 1)
 
 
+def _partition(mat: np.ndarray, blocks: tuple[np.ndarray, ...]) -> BlockPartition:
+    # A block norm sums its columns' squared norms, so a contiguous block gets
+    # the same bits from either builder.
+    col_norms = np.einsum("ij,ij->j", mat, mat)
+    norms = np.asarray([float(col_norms[b].sum()) for b in blocks])
+    if np.any(norms == 0.0):
+        bad = int(np.flatnonzero(norms == 0.0)[0])
+        raise ZeroColumnBlock(f"column block {bad} has zero norm")
+    rows = tuple(_row_window(mat, b) for b in blocks)
+    return BlockPartition(blocks, norms, norms / norms.sum(), rows)
+
+
 def make_partition(matrix, block_size: int) -> BlockPartition:
     """Contiguous column blocks of ``block_size`` (ragged tail allowed).
 
@@ -251,19 +275,10 @@ def make_partition(matrix, block_size: int) -> BlockPartition:
     if block_size < 1:
         raise InvalidConfig("block size must be >= 1")
     n_cols = mat.shape[1]
-    col_norms = np.einsum("ij,ij->j", mat, mat)
-    blocks = []
-    norms = []
-    for start in range(0, n_cols, block_size):
-        stop = min(start + block_size, n_cols)
-        blocks.append(np.arange(start, stop))
-        norms.append(float(col_norms[start:stop].sum()))
-    norms = np.asarray(norms)
-    if np.any(norms == 0.0):
-        bad = int(np.flatnonzero(norms == 0.0)[0])
-        raise ZeroColumnBlock(f"column block {bad} has zero norm")
-    rows = tuple(_row_window(mat, b) for b in blocks)
-    return BlockPartition(tuple(blocks), norms, norms / norms.sum(), rows)
+    return _partition(mat, tuple(
+        np.arange(start, min(start + block_size, n_cols))
+        for start in range(0, n_cols, block_size)
+    ))
 
 
 def partition_from_blocks(matrix, blocks) -> BlockPartition:
@@ -273,10 +288,4 @@ def partition_from_blocks(matrix, blocks) -> BlockPartition:
     covered = np.sort(np.concatenate(index_sets))
     if not np.array_equal(covered, np.arange(mat.shape[1])):
         raise InvalidConfig("blocks must cover every column exactly once")
-    norms = np.asarray(
-        [float(np.sum(mat[:, b] ** 2)) for b in index_sets]
-    )
-    if np.any(norms == 0.0):
-        raise ZeroColumnBlock("a column block has zero norm")
-    rows = tuple(_row_window(mat, b) for b in index_sets)
-    return BlockPartition(index_sets, norms, norms / norms.sum(), rows)
+    return _partition(mat, index_sets)

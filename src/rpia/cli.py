@@ -20,24 +20,7 @@ import numpy as np
 
 from .config import ExperimentConfig, SweepGrid, config_from_mapping, load_config
 from .datasets import NoiseSpec, add_noise, blob_curve, boy_surface, rose_curve
-from .errors import (
-    DegenerateData,
-    DimensionMismatch,
-    FittingError,
-    IncompleteGrid,
-    InsufficientSpectrum,
-    InvalidConfig,
-    NonConvergence,
-    OutOfDomain,
-    ParseError,
-    RankDeficient,
-    SingularNormalMatrix,
-    SingularPenalty,
-    TooLarge,
-    ZeroColumnBlock,
-    ZeroPenalty,
-    ZeroReference,
-)
+from .errors import FittingError, IncompleteGrid, InvalidConfig, ParseError
 from .experiment import (
     build_problem,
     estimate_lambda,
@@ -50,20 +33,6 @@ from .experiment import (
 from .pointsio import save_grid, save_points, write_csv
 
 _CONFIG_ERRORS = (InvalidConfig,)
-_NUMERICAL_ERRORS = (
-    DegenerateData,
-    DimensionMismatch,
-    InsufficientSpectrum,
-    NonConvergence,
-    OutOfDomain,
-    RankDeficient,
-    SingularNormalMatrix,
-    SingularPenalty,
-    TooLarge,
-    ZeroColumnBlock,
-    ZeroPenalty,
-    ZeroReference,
-)
 _IO_ERRORS = (ParseError, IncompleteGrid, OSError)
 
 EXIT_CONFIG = 2
@@ -77,15 +46,17 @@ def _fail(code: int, message: str):
 
 
 def _guarded(fn):
-    """Map library errors onto the documented exit codes."""
+    """Map library errors onto the documented exit codes.
+
+    Every library error that is neither a config nor an I/O error is a
+    numerical failure.
+    """
 
     def wrapper(*args, **kwargs):
         try:
             return fn(*args, **kwargs)
         except _CONFIG_ERRORS as exc:
             _fail(EXIT_CONFIG, str(exc))
-        except _NUMERICAL_ERRORS as exc:
-            _fail(EXIT_NUMERICAL, str(exc))
         except _IO_ERRORS as exc:
             _fail(EXIT_IO, str(exc))
         except FittingError as exc:

@@ -88,6 +88,8 @@ class ExperimentConfig:
             raise InvalidConfig("n_ctrl must be at least 3")
         if self.block_size < 1:
             raise InvalidConfig("block_size must be positive")
+        if self.block_size_v is not None and self.block_size_v < 1:
+            raise InvalidConfig("block_size_v must be positive")
         if self.problem == "surface":
             if (self.p or 0) < 1 or (self.n_ctrl_v or 0) < 3:
                 raise InvalidConfig("surface runs need positive p and n_ctrl_v >= 3")

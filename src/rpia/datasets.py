@@ -107,34 +107,16 @@ def add_noise(data, spec: NoiseSpec) -> np.ndarray:
     return clean + spec.amplitude * draw / np.linalg.norm(draw)
 
 
-def fit_error(design, fitted_controls, reference_controls) -> float:
-    """Relative distance between two fits, measured through the design matrix.
+def fit_error(fitted, reference) -> float:
+    """Relative distance ``|F - F_ref|_F / |F_ref|_F`` between two fitted geometries.
 
-    Returns ``|A (p - p_ref)|_F / |A p_ref|_F``; the all-coordinate Frobenius
-    norm makes the value comparable across planar and spatial data.
+    ``fitted`` and ``reference`` are the fitted points of two fits (a curve's
+    ``A p``, a surface's ``A P B^T``); the all-coordinate Frobenius norm makes
+    the value comparable across planar and spatial data.
     """
-    a = np.asarray(design, dtype=float)
-    diff = a @ (np.asarray(fitted_controls) - np.asarray(reference_controls))
-    ref = a @ np.asarray(reference_controls)
-    ref_norm = np.linalg.norm(ref)
+    fitted = np.asarray(fitted, dtype=float)
+    reference = np.asarray(reference, dtype=float)
+    ref_norm = np.linalg.norm(reference)
     if ref_norm == 0.0:
         raise ZeroReference("reference geometry has zero norm")
-    return float(np.linalg.norm(diff) / ref_norm)
-
-
-def fit_error_surface(design_u, design_v, fitted_grid, reference_grid) -> float:
-    """Surface analogue of :func:`fit_error` with the tensor products ``A P B^T``."""
-    a = np.asarray(design_u, dtype=float)
-    b = np.asarray(design_v, dtype=float)
-    fitted = np.asarray(fitted_grid, dtype=float)
-    reference = np.asarray(reference_grid, dtype=float)
-    diff_sq = 0.0
-    ref_sq = 0.0
-    for f in range(reference.shape[2]):
-        ref_f = a @ reference[:, :, f] @ b.T
-        fit_f = a @ fitted[:, :, f] @ b.T
-        diff_sq += float(np.sum((fit_f - ref_f) ** 2))
-        ref_sq += float(np.sum(ref_f**2))
-    if ref_sq == 0.0:
-        raise ZeroReference("reference geometry has zero norm")
-    return float(np.sqrt(diff_sq / ref_sq))
+    return float(np.linalg.norm(fitted - reference) / ref_norm)

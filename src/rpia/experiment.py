@@ -32,6 +32,7 @@ from .assembly import (
     make_partition,
     require_finite,
     require_weight,
+    tensor_apply,
 )
 from .basis import KnotVector, build_knots, chord_length_params, surface_params
 from .config import ExperimentConfig, SweepGrid
@@ -41,7 +42,6 @@ from .datasets import (
     blob_curve,
     boy_surface,
     fit_error,
-    fit_error_surface,
     rose_curve,
 )
 from .driver import StoppingRule
@@ -52,10 +52,8 @@ from .regparam import (
     NoiseModel,
     SelfConsistentResult,
     optimal_lambda,
-    self_consistent_curve,
-    self_consistent_surface,
+    self_consistent,
     spectral_decay_from_eigenvalues,
-    surface_penalty_norm2,
     surface_whitened_eigenvalues,
     whitened_spectrum,
 )
@@ -84,14 +82,6 @@ def initial_controls_surface(grid: np.ndarray, n_u: int, n_v: int) -> np.ndarray
 
 def _stop_rule(cfg: ExperimentConfig) -> StoppingRule:
     return StoppingRule(cfg.tolerance, cfg.max_iter)
-
-
-def _apply_tensor(a: np.ndarray, grid: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """``a @ grid[:, :, f] @ b.T`` for every coordinate ``f`` of a control grid."""
-    out = np.empty((a.shape[0], b.shape[0], grid.shape[2]))
-    for f in range(grid.shape[2]):
-        out[:, :, f] = a @ grid[:, :, f] @ b.T
-    return out
 
 
 # The two problem kinds answer the same questions, so the experiment code
@@ -153,20 +143,12 @@ class CurveProblem:
     def fitted(self, controls) -> np.ndarray:
         return self.design @ controls
 
-    def relative_error(self, controls) -> float:
-        return fit_error(self.design, controls, self.reference_controls)
-
     def penalty_norm2(self, controls) -> float:
         return float(np.sum((self.penalty @ controls) ** 2)) / self.n_controls
 
     def spectrum(self, head_count: int):
         eigs = whitened_spectrum(scipy.linalg.cholesky(self.design_gram), self.penalty)
         return spectral_decay_from_eigenvalues(eigs, head_count)
-
-    def self_consistent(self, data, solve, alpha: float, eps_lambda: float):
-        return self_consistent_curve(
-            self.design, self.penalty, data, solve, alpha, eps_lambda
-        )
 
     def write_fitted(self, out: Path, controls) -> str:
         dense, points = sample_fitted_curve(self, controls)
@@ -225,7 +207,7 @@ class SurfaceProblem:
         lam = require_weight(lam)
         if grid.ndim == 2:
             grid = grid[:, :, None]
-        rhs = _apply_tensor(self.design_u.T, grid, self.design_v.T)
+        rhs = tensor_apply(self.design_u.T, grid, self.design_v.T)
         return solve_tensor_normal(
             self.design_gram_u + lam * self.penalty_gram_u,
             self.design_gram_v + lam * self.penalty_gram_v,
@@ -233,17 +215,18 @@ class SurfaceProblem:
         )[0]
 
     def fitted(self, controls) -> np.ndarray:
-        return _apply_tensor(self.design_u, controls, self.design_v)
-
-    def relative_error(self, controls) -> float:
-        return fit_error_surface(
-            self.design_u, self.design_v, controls, self.reference_controls
-        )
+        return tensor_apply(self.design_u, controls, self.design_v)
 
     def penalty_norm2(self, controls) -> float:
-        return surface_penalty_norm2(
-            self.design_u, self.design_v, self.penalty_u, self.penalty_v, controls
-        )
+        """Count-normalized ``|A P Lv^T|^2 + |Lu P B^T|^2`` over all coordinates.
+
+        Only the two singly weighted penalty terms of the stacked objective
+        count: the doubly weighted ``lam**2`` term ``|Lu P Lv^T|^2`` is dropped,
+        so the self-consistent balance has no weight on its right-hand side.
+        """
+        cross_u = tensor_apply(self.design_u, controls, self.penalty_v)
+        cross_v = tensor_apply(self.penalty_u, controls, self.design_v)
+        return (float(np.sum(cross_u**2)) + float(np.sum(cross_v**2))) / self.n_controls
 
     def spectrum(self, head_count: int):
         eigs = surface_whitened_eigenvalues(
@@ -252,12 +235,6 @@ class SurfaceProblem:
             self.penalty_u, self.penalty_v,
         )
         return spectral_decay_from_eigenvalues(eigs, head_count)
-
-    def self_consistent(self, data, solve, alpha: float, eps_lambda: float):
-        return self_consistent_surface(
-            self.design_u, self.design_v, self.penalty_u, self.penalty_v,
-            data, solve, alpha, eps_lambda,
-        )
 
     def write_fitted(self, out: Path, controls) -> str:
         _, _, sampled = sample_fitted_surface(self, controls)
@@ -361,6 +338,26 @@ class SeedOutcome:
     lambda_iterates: Optional[tuple] = None
 
 
+def _relative_error(problem, controls) -> float:
+    """Fit error of ``controls`` against the clean reference fit, in geometry space."""
+    return fit_error(problem.fitted(controls), problem.fitted(problem.reference_controls))
+
+
+def self_consistent_measure(problem, data):
+    """The weight loop's measure: controls to their (misfit, penalty) pair.
+
+    The misfit is ``|fitted(c) - data|^2`` over the data point count (m+1
+    for curves, (m+1)(p+1) for surfaces), the penalty is the problem's
+    count-normalized ``penalty_norm2(c)``.
+    """
+    n_points = data.size // data.shape[-1]
+
+    def measure(controls):
+        misfit = float(np.sum((problem.fitted(controls) - data) ** 2)) / n_points
+        return misfit, problem.penalty_norm2(controls)
+    return measure
+
+
 def _fit_fixed(problem, cfg, lam: float, seed: int, noisy) -> SeedOutcome:
     start = time.perf_counter()
     system = problem.augment(noisy, lam)
@@ -368,7 +365,7 @@ def _fit_fixed(problem, cfg, lam: float, seed: int, noisy) -> SeedOutcome:
         system, problem.initial_controls(noisy, cfg), cfg, seed, cfg.trajectory_stride
     )
     return SeedOutcome(
-        seed, lam, system.lam, problem.relative_error(controls), result.iterations,
+        seed, lam, system.lam, _relative_error(problem, controls), result.iterations,
         result.converged, time.perf_counter() - start, controls, result.trajectory,
     )
 
@@ -390,9 +387,12 @@ def _inner_solver(problem, cfg, seed: int, noisy):
 def _fit_self_consistent(problem, cfg, seed: int, noisy, alpha: float) -> SeedOutcome:
     start = time.perf_counter()
     solve = _inner_solver(problem, cfg, seed, noisy)
-    sc: SelfConsistentResult = problem.self_consistent(noisy, solve, alpha, cfg.eps_lambda)
+    sc: SelfConsistentResult = self_consistent(
+        solve, self_consistent_measure(problem, noisy), problem.n_controls,
+        alpha, cfg.eps_lambda,
+    )
     return SeedOutcome(
-        seed, sc.lam, sc.lam, problem.relative_error(sc.control_points),
+        seed, sc.lam, sc.lam, _relative_error(problem, sc.control_points),
         sc.outer_iterations, True, time.perf_counter() - start, sc.control_points,
         lambda_iterates=sc.iterates,
     )
@@ -587,7 +587,7 @@ def sample_fitted_surface(problem: SurfaceProblem, control_grid: np.ndarray, den
     dense_v = np.linspace(0.0, 1.0, density * p + 1)
     a_dense = assemble_collocation(problem.knots_u, dense_u)
     b_dense = assemble_collocation(problem.knots_v, dense_v)
-    return dense_u, dense_v, _apply_tensor(a_dense, control_grid, b_dense)
+    return dense_u, dense_v, tensor_apply(a_dense, control_grid, b_dense)
 
 
 def _summary_text(result: ExperimentResult) -> str:

@@ -16,7 +16,12 @@ import numpy as np
 import scipy.linalg
 import scipy.linalg.lapack
 
-from .assembly import AugmentedCurveSystem, AugmentedSurfaceSystem, BlockPartition
+from .assembly import (
+    AugmentedCurveSystem,
+    AugmentedSurfaceSystem,
+    BlockPartition,
+    tensor_apply,
+)
 from .errors import RankDeficient, TooLarge
 
 # Beyond this condition estimate the Cholesky route is abandoned: for a
@@ -119,16 +124,10 @@ def solve_surface_direct(system: AugmentedSurfaceSystem) -> DirectSolution:
     """
     a_hat = system.row_stacked
     b_hat = system.col_stacked
-    targets = system.targets
-    rhs = np.stack(
-        [a_hat.T @ targets[:, :, f] @ b_hat for f in range(targets.shape[2])], axis=-1
-    )
+    rhs = tensor_apply(a_hat.T, system.targets, b_hat.T)
     solution, cond = solve_tensor_normal(a_hat.T @ a_hat, b_hat.T @ b_hat, rhs)
-    objective = 0.0
-    for f in range(targets.shape[2]):
-        residual = a_hat @ solution[:, :, f] @ b_hat.T - targets[:, :, f]
-        objective += float(np.sum(residual**2))
-    return DirectSolution(solution, objective, cond)
+    residual = tensor_apply(a_hat, solution, b_hat) - system.targets
+    return DirectSolution(solution, float(np.sum(residual**2)), cond)
 
 
 def _check_expectation_cap(n_blocks: int, dimension: int) -> None:

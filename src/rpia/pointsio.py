@@ -103,6 +103,8 @@ def load_grid(path) -> np.ndarray:
             except ValueError:
                 raise ParseError(f"{path}: line {lineno}: bad field") from None
             _require_finite(path, lineno, values)
+            if h < 0 or l < 0:
+                raise ParseError(f"{path}: line {lineno}: negative grid index")
             if (h, l) in cells:
                 raise IncompleteGrid(f"{path}: duplicate cell ({h}, {l})")
             cells[(h, l)] = values

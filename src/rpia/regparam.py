@@ -12,9 +12,11 @@ error gives
     lam ** (1 + 1/alpha) = sigma^2 * n^{-1} * |G p_ref|_n^{-2}
 
 with the count-normalized norm ``|v|_d^2 = |v|^2 / d``. The self-consistent
-loop replaces the unknown noise level and reference penalty norm by the
-current fit's misfit and penalty, iterating the same balance to a fixed
-point.
+loop (:func:`self_consistent`) replaces the unknown noise level and reference
+penalty norm by the current fit's misfit and penalty, iterating the same
+balance to a fixed point. It is the same loop for curves and surfaces: the
+caller supplies the fit's (misfit, penalty) measure, which the problem types
+of :mod:`rpia.experiment` derive from their fitted points and penalty norm.
 """
 
 from __future__ import annotations
@@ -199,16 +201,36 @@ def _lambda_from_balance(misfit: float, penalty: float, n_controls: int, alpha: 
     return float((misfit / (penalty * n_controls)) ** (alpha / (alpha + 1.0)))
 
 
-def _fixed_point(
+def self_consistent(
     solve: Callable[[float], np.ndarray],
     measure: Callable[[np.ndarray], tuple[float, float]],
     n_count: int,
     alpha: float,
-    eps_lambda: float,
-    max_outer: int,
+    eps_lambda: float = 0.01,
+    max_outer: int = 50,
 ) -> SelfConsistentResult:
-    # The weight loop both self-consistent forms share; ``measure`` maps a
-    # fit's controls to its count-normalized (misfit, penalty) pair.
+    """Prior-free fixed-point iteration for the smoothing weight.
+
+    Starts from ``lam_1 ** (1 + 1/alpha) = 1/n`` (no data knowledge at all),
+    then repeatedly solves the penalized fit at the current weight and
+    rebalances from the fit's own misfit and penalty:
+
+        lam_{k+1} ** (1 + 1/alpha) = (misfit / penalty) / n
+
+    with ``n = n_count`` controls. Stops when successive weights agree to
+    ``eps_lambda`` relatively, and returns the fit at the last weight.
+
+    ``solve`` maps a weight to the fitted control points (any solver whose
+    output approximates the penalized minimizer works); ``measure`` maps
+    controls to their count-normalized ``(misfit, penalty)`` pair.
+
+    Raises
+    ------
+    ZeroPenalty
+        If a fit's penalty vanishes (the update is undefined).
+    NonConvergence
+        If the weights have not settled after ``max_outer`` fits.
+    """
     if eps_lambda <= 0.0:
         raise InvalidConfig("eps_lambda must be positive")
     lam = float(n_count ** (-alpha / (alpha + 1.0)))
@@ -225,93 +247,6 @@ def _fixed_point(
             return SelfConsistentResult(lam, controls, tuple(iterates))
     raise NonConvergence(
         f"weight iteration did not settle within {max_outer} outer iterations"
-    )
-
-
-def surface_penalty_norm2(design_u, design_v, penalty_u, penalty_v, controls) -> float:
-    """Count-normalized ``|A P Lv^T|^2 + |Lu P B^T|^2`` summed over coordinates."""
-    total = 0.0
-    for f in range(controls.shape[2]):
-        total += float(np.sum((design_u @ controls[:, :, f] @ penalty_v.T) ** 2))
-        total += float(np.sum((penalty_u @ controls[:, :, f] @ design_v.T) ** 2))
-    return total / (design_u.shape[1] * design_v.shape[1])
-
-
-def self_consistent_curve(
-    design,
-    penalty,
-    data,
-    solve: Callable[[float], np.ndarray],
-    alpha: float,
-    eps_lambda: float = 0.01,
-    max_outer: int = 50,
-) -> SelfConsistentResult:
-    """Prior-free fixed-point iteration for the curve smoothing weight.
-
-    Starts from ``lam_1 ** (1 + 1/alpha) = 1/n`` (no data knowledge at all),
-    then repeatedly solves the penalized fit at the current weight and
-    rebalances from the fit's own misfit and penalty norms:
-
-        lam_{k+1} ** (1 + 1/alpha) = (misfit_m / penalty_n) / n
-
-    with count-normalized norms over the m+1 data rows and n controls.
-    Stops when successive weights agree to ``eps_lambda`` relatively.
-
-    ``solve`` maps a weight to the fitted control points (any solver whose
-    output approximates the penalized minimizer works).
-    """
-    a = np.asarray(design, dtype=float)
-    g = np.asarray(penalty, dtype=float)
-    q = np.asarray(data, dtype=float)
-    if q.ndim == 1:
-        q = q[:, None]
-
-    def measure(controls):
-        misfit = float(np.sum((a @ controls - q) ** 2)) / a.shape[0]
-        return misfit, float(np.sum((g @ controls) ** 2)) / a.shape[1]
-
-    return _fixed_point(solve, measure, a.shape[1], alpha, eps_lambda, max_outer)
-
-
-def self_consistent_surface(
-    design_u,
-    design_v,
-    penalty_u,
-    penalty_v,
-    data,
-    solve: Callable[[float], np.ndarray],
-    alpha: float,
-    eps_lambda: float = 0.01,
-    max_outer: int = 50,
-) -> SelfConsistentResult:
-    """Prior-free fixed-point iteration for the surface smoothing weight.
-
-    The rebalancing denominator keeps only the two singly weighted penalty
-    terms (the doubly weighted ``lam**2`` term is dropped so the balance has
-    no weight on its right-hand side):
-
-        lam_{k+1} ** (1 + 1/alpha)
-            = misfit_m / (|A P Lv^T|_n^2 + |Lu P B^T|_n^2) / n
-
-    with m the total data count, n the total control count.
-    """
-    a = np.asarray(design_u, dtype=float)
-    b = np.asarray(design_v, dtype=float)
-    lu = np.asarray(penalty_u, dtype=float)
-    lv = np.asarray(penalty_v, dtype=float)
-    grid = np.asarray(data, dtype=float)
-    if grid.ndim == 2:
-        grid = grid[:, :, None]
-
-    def measure(controls):
-        misfit = 0.0
-        for f in range(grid.shape[2]):
-            misfit += float(np.sum((a @ controls[:, :, f] @ b.T - grid[:, :, f]) ** 2))
-        misfit /= a.shape[0] * b.shape[0]
-        return misfit, surface_penalty_norm2(a, b, lu, lv, controls)
-
-    return _fixed_point(
-        solve, measure, a.shape[1] * b.shape[1], alpha, eps_lambda, max_outer
     )
 
 

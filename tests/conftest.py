@@ -69,14 +69,14 @@ def random_surface_system(rng, rows=(3, 3), cols=(2, 3), lam=0.2):
 
 
 def curve_problem(design, penalty):
-    """A curve problem around bare matrices: only its solve and spectrum work."""
+    """A curve problem around bare matrices: no data, parameters or reference fit."""
     return CurveProblem(
         None, None, None, design, penalty, design.T @ design, penalty.T @ penalty, None
     )
 
 
 def surface_problem(design_u, design_v, penalty_u, penalty_v):
-    """A surface problem around bare matrices: only its solve and spectrum work."""
+    """A surface problem around bare matrices: no data, parameters or reference fit."""
     return SurfaceProblem(
         None, None, None, None, None, design_u, design_v, penalty_u, penalty_v,
         design_u.T @ design_u, design_v.T @ design_v,

@@ -11,6 +11,7 @@ from rpia.assembly import (
     difference_matrix,
     make_partition,
     partition_from_blocks,
+    tensor_apply,
 )
 from rpia.basis import build_knots, chord_length_params, eval_basis
 from rpia.datasets import rose_curve
@@ -150,6 +151,18 @@ class TestAugmentCurve:
             augment_curve(rng.standard_normal((9, 4)), difference_matrix(4, 1.0), data, 0.1)
 
 
+class TestTensorApply:
+    @pytest.mark.parametrize("ncoord", [1, 3])
+    def test_matches_einsum(self, rng, ncoord):
+        a = rng.standard_normal((7, 4))
+        b = rng.standard_normal((6, 3))
+        grid = rng.standard_normal((4, 3, ncoord))
+        npt.assert_allclose(
+            tensor_apply(a, grid, b), np.einsum("ij,jkf,lk->ilf", a, grid, b),
+            rtol=1e-12, atol=1e-12,
+        )
+
+
 class TestAugmentSurface:
     def test_zero_weight_reduces_to_plain_tensor(self, rng):
         a = rng.standard_normal((7, 4))
@@ -241,8 +254,10 @@ class TestPartition:
     def test_zero_column_block(self, rng):
         matrix = rng.standard_normal((6, 4))
         matrix[:, 2:] = 0.0
-        with pytest.raises(ZeroColumnBlock):
+        with pytest.raises(ZeroColumnBlock, match="column block 1 "):
             make_partition(matrix, 2)
+        with pytest.raises(ZeroColumnBlock, match="column block 2 "):
+            partition_from_blocks(matrix, [[0], [1], [2, 3]])
 
     def test_custom_blocks(self, rng):
         matrix = rng.standard_normal((6, 5))
@@ -250,6 +265,12 @@ class TestPartition:
         assert len(part) == 2
         with pytest.raises(InvalidConfig):
             partition_from_blocks(matrix, [[0, 1], [2, 3]])
+        # contiguous index sets give make_partition's partition, bit for bit
+        same = partition_from_blocks(matrix, [[0, 1], [2, 3], [4]])
+        made = make_partition(matrix, 2)
+        npt.assert_array_equal(same.norms_sq, made.norms_sq)
+        npt.assert_array_equal(same.probabilities, made.probabilities)
+        assert same.rows == made.rows
 
 
 def assert_windows_tight(matrix, partition):

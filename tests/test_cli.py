@@ -4,9 +4,17 @@ import numpy as np
 import pytest
 from click.testing import CliRunner
 
+from rpia import cli, errors
 from rpia.cli import main
 from rpia.datasets import boy_surface, rose_curve
 from rpia.pointsio import load_points, save_grid, save_points
+
+
+LIBRARY_ERRORS = sorted(
+    (cls for cls in vars(errors).values()
+     if isinstance(cls, type) and issubclass(cls, errors.FittingError)),
+    key=lambda cls: cls.__name__,
+)
 
 
 @pytest.fixture
@@ -115,6 +123,26 @@ class TestFit:
         )
         result = runner.invoke(main, ["fit", "--config", str(cfg)])
         assert result.exit_code == 4
+
+    def test_zero_block_size_v_exit_code(self, runner, tmp_path):
+        result = runner.invoke(main, [
+            "fit", "--problem", "surface", "--generator", "boy", "--m", "6", "--p", "5",
+            "--n-ctrl", "3", "--n-ctrl-v", "3", "--block-size-v", "0",
+            "--out", str(tmp_path / "out"),
+        ])
+        assert result.exit_code == 2
+        assert "block_size_v" in result.output
+
+    @pytest.mark.parametrize("error", LIBRARY_ERRORS, ids=lambda cls: cls.__name__)
+    def test_every_library_error_maps_to_its_exit_code(self, runner, monkeypatch, error):
+        def failing_build(cfg):
+            raise error("stubbed failure")
+
+        monkeypatch.setattr(cli, "build_problem", failing_build)
+        result = runner.invoke(main, ["estimate-lambda"])
+        expected = {errors.InvalidConfig: 2, errors.ParseError: 4, errors.IncompleteGrid: 4}
+        assert result.exit_code == expected.get(error, 3)
+        assert "error: stubbed failure" in result.output
 
     @pytest.mark.parametrize("kind", ["curve", "surface"])
     def test_non_finite_input_exit_code(self, runner, tmp_path, kind):

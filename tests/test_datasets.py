@@ -2,13 +2,13 @@ import numpy as np
 import numpy.testing as npt
 import pytest
 
+from rpia.assembly import tensor_apply
 from rpia.datasets import (
     NoiseSpec,
     add_noise,
     blob_curve,
     boy_surface,
     fit_error,
-    fit_error_surface,
     rose_curve,
 )
 from rpia.errors import DegenerateData, InvalidConfig, ZeroReference
@@ -102,27 +102,29 @@ class TestAddNoise:
 
 class TestFitError:
     def test_zero_at_reference(self, rng):
-        design = rng.standard_normal((10, 4))
-        controls = rng.standard_normal((4, 2))
-        assert fit_error(design, controls, controls) == 0.0
+        fitted = rng.standard_normal((10, 2))
+        assert fit_error(fitted, fitted) == 0.0
 
     def test_doubling_gives_one(self, rng):
-        design = rng.standard_normal((10, 4))
-        controls = rng.standard_normal((4, 2))
-        npt.assert_allclose(fit_error(design, 2.0 * controls, controls), 1.0, atol=1e-12)
+        reference = rng.standard_normal((10, 2))
+        npt.assert_allclose(fit_error(2.0 * reference, reference), 1.0, atol=1e-12)
 
     def test_zero_reference(self, rng):
-        design = rng.standard_normal((10, 4))
         with pytest.raises(ZeroReference):
-            fit_error(design, rng.standard_normal((4, 2)), np.zeros((4, 2)))
+            fit_error(rng.standard_normal((10, 2)), np.zeros((10, 2)))
 
     def test_surface_variant(self, rng):
+        # fitted surfaces A P B^T: the norm runs over every grid point and coordinate
         a = rng.standard_normal((6, 3))
         b = rng.standard_normal((5, 3))
-        reference = rng.standard_normal((3, 3, 3))
-        assert fit_error_surface(a, b, reference, reference) == 0.0
+        controls = rng.standard_normal((3, 3, 3))
+        reference = tensor_apply(a, controls, b)
+        assert fit_error(reference, reference) == 0.0
         npt.assert_allclose(
-            fit_error_surface(a, b, 2.0 * reference, reference), 1.0, atol=1e-12
+            fit_error(tensor_apply(a, 2.0 * controls, b), reference), 1.0, atol=1e-12
         )
+        shifted = reference.copy()
+        shifted[4, 1, 2] += np.linalg.norm(reference)
+        npt.assert_allclose(fit_error(shifted, reference), 1.0, rtol=1e-12)
         with pytest.raises(ZeroReference):
-            fit_error_surface(a, b, reference, np.zeros_like(reference))
+            fit_error(reference, np.zeros_like(reference))

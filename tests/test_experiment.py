@@ -219,6 +219,61 @@ class TestControlSpaceDirect:
             problem.solve_direct(problem.clean, lam)
 
 
+class TestProblemMeasures:
+    def test_curve_weight_measure_by_hand(self):
+        # fitted points A c = (1, 2, 1) against data (1, 2, 3): misfit 4 over
+        # 3 points; G c = (-1, -1): penalty 2 over 2 controls
+        design = np.array([[1.0, 0.0], [1.0, 1.0], [0.0, 1.0]])
+        problem = curve_problem(design, difference_matrix(2, 1.0))
+        measure = experiment.self_consistent_measure(problem, np.array([[1.0], [2.0], [3.0]]))
+        misfit, penalty = measure(np.array([[1.0], [1.0]]))
+        npt.assert_allclose([misfit, penalty], [4.0 / 3.0, 1.0], rtol=1e-15)
+
+    def test_surface_weight_measure_by_hand(self):
+        # identity factors on a 2 x 2 grid: misfit (1 - 2)^2 over 4 points,
+        # each singly weighted penalty term 1 over n = 4 controls
+        eye = np.eye(2)
+        problem = surface_problem(eye, eye, eye, eye)
+        data = np.zeros((2, 2, 1))
+        data[0, 0, 0] = 2.0
+        controls = np.zeros((2, 2, 1))
+        controls[0, 0, 0] = 1.0
+        measure = experiment.self_consistent_measure(problem, data)
+        assert measure(controls) == (0.25, 0.5)
+
+    def test_surface_penalty_drops_the_doubly_weighted_term(self, rng):
+        a = rng.standard_normal((6, 3))
+        b = rng.standard_normal((5, 4))
+        lu = difference_matrix(3, 1.5)
+        lv = difference_matrix(4, 2.5)
+        controls = rng.standard_normal((3, 4, 3))
+        expected = sum(
+            np.sum((a @ controls[:, :, f] @ lv.T) ** 2)
+            + np.sum((lu @ controls[:, :, f] @ b.T) ** 2)
+            for f in range(3)
+        ) / 12
+        got = surface_problem(a, b, lu, lv).penalty_norm2(controls)
+        npt.assert_allclose(got, expected, rtol=1e-13)
+
+    @pytest.mark.parametrize("make", [desk_curve_config, desk_surface_config])
+    def test_relative_error_measures_fitted_geometry(self, make, rng):
+        problem = build_problem(make())
+        reference = problem.reference_controls
+        controls = reference + 0.01 * rng.standard_normal(reference.shape)
+        if reference.ndim == 2:
+            delta = problem.design @ (controls - reference)
+            ref_geometry = problem.design @ reference
+        else:
+            delta = np.einsum("ij,jkf,lk->ilf", problem.design_u, controls - reference,
+                              problem.design_v)
+            ref_geometry = np.einsum("ij,jkf,lk->ilf", problem.design_u, reference,
+                                     problem.design_v)
+        expected = np.linalg.norm(delta) / np.linalg.norm(ref_geometry)
+        got = experiment._relative_error(problem, controls)
+        npt.assert_allclose(got, expected, rtol=1e-9)
+        assert experiment._relative_error(problem, reference) == 0.0
+
+
 class TestInitialControls:
     def test_curve_rule_indices(self):
         data = np.arange(22).reshape(11, 2).astype(float)
@@ -269,7 +324,7 @@ class TestRunExperiment:
         problem = result.problem
         noisy = add_noise(problem.clean, NoiseSpec(cfg.noise_amplitude, 5))
         p0 = initial_controls_curve(noisy, cfg.n_ctrl)
-        expected = fit_error(problem.design, p0, problem.reference_controls)
+        expected = fit_error(problem.design @ p0, problem.design @ problem.reference_controls)
         npt.assert_allclose(result.report.mean_fit_error, expected, rtol=1e-12)
 
     def test_estimate_mode_records_ingredients(self):

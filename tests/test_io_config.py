@@ -70,6 +70,13 @@ class TestPointsRoundTrip:
         with pytest.raises(IncompleteGrid, match="duplicate"):
             load_grid(path)
 
+    def test_negative_index(self, tmp_path):
+        # two cells whose bounding grid 2 x 1 the count check alone would pass
+        path = tmp_path / "grid.csv"
+        path.write_text("row,col,x,y,z\n-1,0,1,1,1\n1,0,2,2,2\n")
+        with pytest.raises(ParseError, match="line 2: negative grid index"):
+            load_grid(path)
+
 
 class TestConfig:
     def test_defaults_and_seed_fallbacks(self):
@@ -110,6 +117,12 @@ class TestConfig:
                                  "p": 10, "n_ctrl_v": 4})
         with pytest.raises(InvalidConfig):
             config_from_mapping({"lambda": {"sweep": {"lo": 1e-9, "hi": 1e-3, "points": 1}}})
+
+    @pytest.mark.parametrize("value", [0, -3])
+    def test_rejects_non_positive_block_size_v(self, value):
+        with pytest.raises(InvalidConfig, match="block_size_v"):
+            config_from_mapping({"problem": "surface", "generator": "boy", "p": 8,
+                                 "n_ctrl_v": 4, "block_size_v": value})
 
     @pytest.mark.parametrize("value", [float("nan"), float("inf")])
     @pytest.mark.parametrize(

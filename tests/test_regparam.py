@@ -8,7 +8,9 @@ from hypothesis import strategies as st
 from rpia.assembly import (
     assemble_collocation,
     augment_curve,
+    augment_surface,
     difference_matrix,
+    tensor_apply,
 )
 from rpia.basis import build_knots, chord_length_params
 from rpia.datasets import NoiseSpec, add_noise, rose_curve
@@ -19,14 +21,14 @@ from rpia.errors import (
     SingularPenalty,
     ZeroPenalty,
 )
-from rpia.oracle import solve_curve_direct
+from rpia.experiment import self_consistent_measure
+from rpia.oracle import solve_curve_direct, solve_surface_direct
 
-from conftest import banded_designs, designs
+from conftest import banded_designs, curve_problem, designs, surface_problem
 from rpia.regparam import (
     NoiseModel,
     optimal_lambda,
-    self_consistent_curve,
-    self_consistent_surface,
+    self_consistent,
     spectral_decay_from_eigenvalues,
     surface_whitened_eigenvalues,
     two_step_denoise,
@@ -202,32 +204,49 @@ class TestFullScaleEstimate:
         assert 1.646e-6 / 3.0 <= lam <= 1.646e-6 * 3.0
 
 
+def weight_loop(problem, data, solve, alpha, eps_lambda=0.01, max_outer=50):
+    """The experiment's weight loop: the problem's measure and control count."""
+    return self_consistent(
+        solve, self_consistent_measure(problem, data), problem.n_controls,
+        alpha, eps_lambda, max_outer,
+    )
+
+
+def rose_desk_problem(penalty_scale):
+    """Rose at m = 200 with 41 controls, plus its seed-3 noisy draw."""
+    points = rose_curve(200).points
+    params = chord_length_params(points)
+    design = assemble_collocation(build_knots(params, 40), params)
+    problem = curve_problem(design, difference_matrix(41, penalty_scale))
+    return problem, add_noise(points, NoiseSpec(4.0, 3))
+
+
+def oracle_solve(problem, noisy):
+    def solve(lam):
+        system = augment_curve(problem.design, problem.penalty, noisy, lam)
+        return solve_curve_direct(system).control_points
+    return solve
+
+
 class TestSelfConsistentCurve:
     def test_fixed_point_terminates_at_first_check(self):
         # misfit equals penalty, so the first update reproduces the start value
-        design = np.eye(2)
-        penalty = np.eye(2)
+        problem = curve_problem(np.eye(2), np.eye(2))
         data = np.array([[2.0], [0.0]])
         fixed = np.array([[1.0], [0.0]])
-        result = self_consistent_curve(
-            design, penalty, data, lambda lam: fixed, alpha=2.0, eps_lambda=0.01
-        )
+        result = weight_loop(problem, data, lambda lam: fixed, alpha=2.0, eps_lambda=0.01)
         assert result.outer_iterations == 2
         npt.assert_allclose(result.lam, 2.0 ** (-2.0 / 3.0), rtol=1e-12)
         npt.assert_array_equal(result.control_points, fixed)
 
     def test_zero_penalty(self):
-        design = np.eye(2)
-        penalty = np.eye(2)
+        problem = curve_problem(np.eye(2), np.eye(2))
         data = np.array([[2.0], [0.0]])
         with pytest.raises(ZeroPenalty):
-            self_consistent_curve(
-                design, penalty, data, lambda lam: np.zeros((2, 1)), alpha=2.0
-            )
+            weight_loop(problem, data, lambda lam: np.zeros((2, 1)), alpha=2.0)
 
     def test_non_convergence(self):
-        design = np.eye(2)
-        penalty = np.eye(2)
+        problem = curve_problem(np.eye(2), np.eye(2))
         data = np.array([[2.0], [0.0]])
         flip = [0]
 
@@ -240,23 +259,16 @@ class TestSelfConsistentCurve:
             return np.array([[1.0], [0.0]])
 
         with pytest.raises(NonConvergence):
-            self_consistent_curve(
-                design, penalty, data, oscillating, alpha=2.0, max_outer=6
-            )
+            weight_loop(problem, data, oscillating, alpha=2.0, max_outer=6)
+
+    def test_non_positive_eps_lambda(self):
+        with pytest.raises(InvalidConfig, match="eps_lambda"):
+            self_consistent(lambda lam: None, None, 4, 2.0, eps_lambda=0.0)
 
     def test_desk_scale_convergence(self):
-        points = rose_curve(200).points
-        params = chord_length_params(points)
-        knots = build_knots(params, 40)
-        design = assemble_collocation(knots, params)
-        penalty = difference_matrix(41, 91.0)
-        noisy = add_noise(points, NoiseSpec(4.0, 3))
-        alpha = spectrum_decay(design, penalty, 30).alpha
-
-        def solve(lam):
-            return solve_curve_direct(augment_curve(design, penalty, noisy, lam)).control_points
-
-        result = self_consistent_curve(design, penalty, noisy, solve, alpha, 0.01)
+        problem, noisy = rose_desk_problem(91.0)
+        alpha = spectrum_decay(problem.design, problem.penalty, 30).alpha
+        result = weight_loop(problem, noisy, oracle_solve(problem, noisy), alpha, 0.01)
         assert result.lam > 0.0
         assert result.outer_iterations <= 15
         lams = [it.lam for it in result.iterates]
@@ -267,37 +279,26 @@ class TestSelfConsistentCurve:
         # with a strong penalty scale the prior-free start lies outside the
         # fixed point's basin: the weight blows up until the penalized fit
         # flattens completely
-        points = rose_curve(200).points
-        params = chord_length_params(points)
-        knots = build_knots(params, 40)
-        design = assemble_collocation(knots, params)
-        penalty = difference_matrix(41, 1600.0)
-        noisy = add_noise(points, NoiseSpec(4.0, 3))
-
-        def solve(lam):
-            return solve_curve_direct(augment_curve(design, penalty, noisy, lam)).control_points
-
+        problem, noisy = rose_desk_problem(1600.0)
         with pytest.raises((ZeroPenalty, NonConvergence)):
-            self_consistent_curve(design, penalty, noisy, solve, 4.28, 0.01)
+            weight_loop(problem, noisy, oracle_solve(problem, noisy), 4.28, 0.01)
 
 
 class TestSelfConsistentSurface:
     def test_fixed_point_terminates_at_first_check(self):
-        design_u = np.eye(2)
-        design_v = np.eye(2)
-        penalty_u = np.eye(2)
-        penalty_v = np.eye(2)
+        eye = np.eye(2)
+        problem = surface_problem(eye, eye, eye, eye)
         data = np.zeros((2, 2, 1))
         data[0, 0, 0] = 2.0
         fixed = np.zeros((2, 2, 1))
         fixed[0, 0, 0] = 1.0
         # misfit 1/4; penalty terms each 1/4, so the ratio is 1/2 and the
         # update gives (1/2 / 4)^(alpha/(alpha+1)) with n = 4
-        result = self_consistent_surface(
-            design_u, design_v, penalty_u, penalty_v, data,
-            lambda lam: fixed, alpha=1.0, eps_lambda=1.0,
-        )
+        result = weight_loop(problem, data, lambda lam: fixed, alpha=1.0, eps_lambda=1.0)
         assert result.outer_iterations == 2
+        second = result.iterates[1]
+        assert (second.misfit, second.penalty) == (0.25, 0.5)
+        npt.assert_allclose(result.lam, (0.5 / 4.0) ** 0.5, rtol=1e-12)
 
     def test_noiseless_weight_decays(self, rng):
         a = rng.standard_normal((8, 4))
@@ -305,10 +306,7 @@ class TestSelfConsistentSurface:
         lu = difference_matrix(4, 1.0)
         lv = difference_matrix(3, 1.0)
         exact = rng.standard_normal((4, 3, 3))
-        data = np.stack([a @ exact[:, :, f] @ b.T for f in range(3)], axis=-1)
-
-        from rpia.assembly import augment_surface
-        from rpia.oracle import solve_surface_direct
+        data = tensor_apply(a, exact, b)
 
         def solve(lam):
             return solve_surface_direct(
@@ -318,7 +316,7 @@ class TestSelfConsistentSurface:
         with pytest.raises(NonConvergence):
             # exact data: the misfit collapses every round, so the weight
             # keeps shrinking instead of settling
-            self_consistent_surface(a, b, lu, lv, data, solve, 2.0, 1e-6, max_outer=8)
+            weight_loop(surface_problem(a, b, lu, lv), data, solve, 2.0, 1e-6, max_outer=8)
 
 
 class TestTwoStepDenoise:
