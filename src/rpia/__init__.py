@@ -25,8 +25,6 @@ from .basis import (
     build_knots,
     chord_length_params,
     eval_basis,
-    eval_curve_point,
-    eval_surface_point,
     surface_params,
 )
 from .curve import CurveFitResult
@@ -58,7 +56,6 @@ from .regparam import (
     self_consistent,
     spectral_decay_from_eigenvalues,
     surface_whitened_eigenvalues,
-    two_step_denoise,
     whitened_spectrum,
 )
 from .surface import SurfaceFitResult
@@ -93,8 +90,6 @@ __all__ = [
     "contraction_check",
     "difference_matrix",
     "eval_basis",
-    "eval_curve_point",
-    "eval_surface_point",
     "expectation_map_curve",
     "expectation_map_surface",
     "fit_error",
@@ -108,6 +103,5 @@ __all__ = [
     "surface_params",
     "surface_whitened_eigenvalues",
     "tensor_apply",
-    "two_step_denoise",
     "whitened_spectrum",
 ]

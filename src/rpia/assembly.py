@@ -24,12 +24,11 @@ def assemble_collocation(knots: KnotVector, params) -> np.ndarray:
 
     Rows sum to 1 and carry at most ``degree + 1`` nonzeros each.
     """
-    x = np.asarray(params, dtype=float)
-    matrix = np.zeros((x.size, knots.n_basis))
-    width = knots.degree + 1
-    for row, xj in enumerate(x):
-        span = eval_basis(knots, xj)
-        matrix[row, span.start: span.start + width] = span.values
+    span = eval_basis(knots, params)
+    rows = np.arange(span.start.size)[:, None]
+    cols = span.start[:, None] + np.arange(knots.degree + 1)
+    matrix = np.zeros((span.start.size, knots.n_basis))
+    matrix[rows, cols] = span.values
     return matrix
 
 
@@ -67,8 +66,10 @@ def difference_matrix(size: int, scale: float) -> np.ndarray:
     """
     if size < 2:
         raise InvalidConfig("difference matrix needs size >= 2")
-    if scale <= 0.0:
-        raise InvalidConfig("difference matrix scale must be positive")
+    if not (math.isfinite(scale) and scale > 0.0):
+        raise InvalidConfig(
+            f"difference matrix scale must be finite and positive, got {float(scale)!r}"
+        )
     matrix = -2.0 * np.eye(size) + np.eye(size, k=1) + np.eye(size, k=-1)
     return scale * matrix
 

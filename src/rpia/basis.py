@@ -2,9 +2,10 @@
 
 The basis is clamped on [0, 1]: the first and last ``degree + 1`` knots are
 pinned to 0 and 1, interior knots are placed by floor-interpolation into the
-data parameter sequence. Evaluation uses the standard triangular recurrence,
-which returns only the ``degree + 1`` basis values that can be nonzero at a
-given parameter.
+data parameter sequence. Evaluation is vectorized over an array of
+parameters: one ``searchsorted`` finds every knot span, and the standard
+triangular recurrence (de Boor / Cox) runs on columns, returning for each
+parameter only the ``degree + 1`` basis values that can be nonzero there.
 
 All functions here are pure; none hold state.
 """
@@ -38,6 +39,11 @@ class KnotVector:
         d = self.degree
         if knots.ndim != 1 or knots.size < 2 * (d + 1):
             raise InvalidConfig(f"knot vector needs at least {2 * (d + 1)} entries")
+        if not np.isfinite(knots).all():
+            bad = int(np.flatnonzero(~np.isfinite(knots))[0])
+            raise InvalidConfig(
+                f"knot vector must be finite, knot {bad} is {float(knots[bad])!r}"
+            )
         if np.any(np.diff(knots) < 0.0):
             raise InvalidConfig("knot vector must be nondecreasing")
         if np.any(knots[: d + 1] != 0.0) or np.any(knots[-(d + 1):] != 1.0):
@@ -54,17 +60,15 @@ class KnotVector:
 
 @dataclass(frozen=True)
 class BasisSpan:
-    """The contiguous run of basis values that are nonzero at one parameter.
+    """The contiguous runs of basis values that are nonzero at each parameter.
 
-    ``values[j]`` is the value of basis function ``start + j``; the run has
-    ``degree + 1`` entries, some of which may be zero at clamped ends.
+    ``start`` has shape (k,) and ``values`` shape (k, degree + 1):
+    ``values[i, j]`` is the value of basis function ``start[i] + j`` at
+    parameter ``i``. Some entries of a run may be zero at clamped ends.
     """
 
-    start: int
+    start: np.ndarray
     values: np.ndarray
-
-    def items(self):
-        return [(self.start + j, float(v)) for j, v in enumerate(self.values)]
 
 
 def chord_length_params(points) -> np.ndarray:
@@ -192,84 +196,49 @@ def build_knots(params, n_ctrl_minus1: int, degree: int = DEGREE) -> KnotVector:
     return KnotVector(knots, degree)
 
 
-def _find_span(knots: np.ndarray, degree: int, x: float) -> int:
-    """Index of the knot span containing ``x`` (right-continuous convention).
+def eval_basis(knots: KnotVector, params) -> BasisSpan:
+    """Evaluate, at every parameter, the basis functions that are nonzero there.
 
-    Returns the largest index ``s`` with ``knots[s] <= x < knots[s + 1]``;
-    ``x`` at the right end of the domain falls into the last nontrivial span.
-    """
-    last = knots.size - degree - 2
-    if x >= knots[last + 1]:
-        return last
-    span = int(np.searchsorted(knots, x, side="right")) - 1
-    return max(span, degree)
-
-
-def _basis_values(knots: np.ndarray, degree: int, span: int, x: float) -> np.ndarray:
-    """Nonzero basis values at ``x`` via the triangular recurrence."""
-    values = np.empty(degree + 1)
-    left = np.empty(degree + 1)
-    right = np.empty(degree + 1)
-    values[0] = 1.0
-    for j in range(1, degree + 1):
-        left[j] = x - knots[span + 1 - j]
-        right[j] = knots[span + j] - x
-        saved = 0.0
-        for r in range(j):
-            temp = values[r] / (right[r + 1] + left[j - r])
-            values[r] = saved + right[r + 1] * temp
-            saved = left[j - r] * temp
-        values[j] = saved
-    return values
-
-
-def eval_basis(knots: KnotVector, x: float) -> BasisSpan:
-    """Evaluate all basis functions that are nonzero at ``x``.
+    Each parameter's span is the largest ``s`` with ``knots[s] <= x <
+    knots[s + 1]`` (right-continuous); ``x = 1`` falls into the last
+    nontrivial span. The values come from the triangular recurrence, run on
+    all parameters at once.
 
     Parameters
     ----------
     knots : KnotVector
-    x : float
-        Parameter in [0, 1].
+    params : float or array_like, shape (k,)
+        Parameters in [0, 1]; a scalar counts as one parameter.
 
     Returns
     -------
     BasisSpan
-        At most ``degree + 1`` contiguous values, nonnegative and summing to 1.
+        ``degree + 1`` contiguous values per parameter, nonnegative and
+        summing to 1.
 
     Raises
     ------
     OutOfDomain
-        If ``x`` lies outside [0, 1].
+        If any parameter lies outside [0, 1] or is nan.
     """
-    if not 0.0 <= x <= 1.0:
-        raise OutOfDomain(f"parameter {x!r} outside [0, 1]")
-    span = _find_span(knots.knots, knots.degree, float(x))
-    values = _basis_values(knots.knots, knots.degree, span, float(x))
-    return BasisSpan(span - knots.degree, values)
-
-
-def eval_curve_point(knots: KnotVector, control_points: np.ndarray, x: float) -> np.ndarray:
-    """Point on the spline curve defined by ``control_points`` at parameter ``x``."""
-    s = eval_basis(knots, x)
-    return s.values @ control_points[s.start: s.start + s.values.size]
-
-
-def eval_surface_point(
-    knots_u: KnotVector,
-    knots_v: KnotVector,
-    control_grid: np.ndarray,
-    x: float,
-    y: float,
-) -> np.ndarray:
-    """Point on the tensor-product spline surface at parameters ``(x, y)``.
-
-    ``control_grid`` has shape (n1 + 1, n2 + 1, d).
-    """
-    su = eval_basis(knots_u, x)
-    sv = eval_basis(knots_v, y)
-    block = control_grid[
-        su.start: su.start + su.values.size,
-        sv.start: sv.start + sv.values.size,
-    ]
-    return np.einsum("i,ijd,j->d", su.values, block, sv.values)
+    x = np.atleast_1d(np.asarray(params, dtype=float))
+    inside = (x >= 0.0) & (x <= 1.0)
+    if not inside.all():
+        bad = float(x[np.flatnonzero(~inside)[0]])
+        raise OutOfDomain(f"parameter {bad!r} outside [0, 1]")
+    t, d = knots.knots, knots.degree
+    span = np.clip(np.searchsorted(t, x, side="right") - 1, d, t.size - d - 2)
+    values = np.empty((x.size, d + 1))
+    left = np.empty((x.size, d + 1))
+    right = np.empty((x.size, d + 1))
+    values[:, 0] = 1.0
+    for j in range(1, d + 1):
+        left[:, j] = x - t[span + 1 - j]
+        right[:, j] = t[span + j] - x
+        saved = 0.0
+        for r in range(j):
+            temp = values[:, r] / (right[:, r + 1] + left[:, j - r])
+            values[:, r] = saved + right[:, r + 1] * temp
+            saved = left[:, j - r] * temp
+        values[:, j] = saved
+    return BasisSpan(span - d, values)

@@ -34,10 +34,6 @@ class SingularPenalty(FittingError):
     """The penalty matrix is numerically singular and cannot be inverted."""
 
 
-class SingularNormalMatrix(FittingError):
-    """A normal matrix required by a direct solve is numerically singular."""
-
-
 class RankDeficient(FittingError):
     """A stacked system lost full column rank; the direct solve is undefined."""
 

@@ -328,7 +328,6 @@ def estimate_lambda(problem, cfg: ExperimentConfig) -> tuple[float, dict]:
 class SeedOutcome:
     seed: int
     lam: float
-    lambda_echo: float
     fit_err: float
     iterations: int
     converged: bool
@@ -365,13 +364,18 @@ def _fit_fixed(problem, cfg, lam: float, seed: int, noisy) -> SeedOutcome:
         system, problem.initial_controls(noisy, cfg), cfg, seed, cfg.trajectory_stride
     )
     return SeedOutcome(
-        seed, lam, system.lam, _relative_error(problem, controls), result.iterations,
+        seed, lam, _relative_error(problem, controls), result.iterations,
         result.converged, time.perf_counter() - start, controls, result.trajectory,
     )
 
 
 def _inner_solver(problem, cfg, seed: int, noisy):
-    """The weight-to-controls map the self-consistent loop solves with."""
+    """The weight-to-controls map the self-consistent loop solves with.
+
+    Also returns a one-entry list that holds whether the latest solve
+    converged; a direct solve always does.
+    """
+    converged = [True]
     if cfg.inner_solver == "direct":
         def solve(lam: float) -> np.ndarray:
             return problem.solve_direct(noisy, lam)
@@ -380,20 +384,22 @@ def _inner_solver(problem, cfg, seed: int, noisy):
 
         def solve(lam: float) -> np.ndarray:
             system = problem.augment(noisy, lam)
-            return problem.solve_randomized(system, start, cfg, seed, 0)[0]
-    return solve
+            controls, result = problem.solve_randomized(system, start, cfg, seed, 0)
+            converged[0] = result.converged
+            return controls
+    return solve, converged
 
 
 def _fit_self_consistent(problem, cfg, seed: int, noisy, alpha: float) -> SeedOutcome:
     start = time.perf_counter()
-    solve = _inner_solver(problem, cfg, seed, noisy)
+    solve, converged = _inner_solver(problem, cfg, seed, noisy)
     sc: SelfConsistentResult = self_consistent(
         solve, self_consistent_measure(problem, noisy), problem.n_controls,
         alpha, cfg.eps_lambda,
     )
     return SeedOutcome(
-        seed, sc.lam, sc.lam, _relative_error(problem, sc.control_points),
-        sc.outer_iterations, True, time.perf_counter() - start, sc.control_points,
+        seed, sc.lam, _relative_error(problem, sc.control_points),
+        sc.outer_iterations, converged[0], time.perf_counter() - start, sc.control_points,
         lambda_iterates=sc.iterates,
     )
 
@@ -464,7 +470,6 @@ def _per_seed_entry(outcome: SeedOutcome) -> dict:
     entry = {
         "seed": outcome.seed,
         "lambda": outcome.lam,
-        "lambda_echo": outcome.lambda_echo,
         "fit_error": outcome.fit_err,
         "iterations": outcome.iterations,
         "converged": outcome.converged,

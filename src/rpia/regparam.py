@@ -32,7 +32,6 @@ from .errors import (
     InsufficientSpectrum,
     InvalidConfig,
     NonConvergence,
-    SingularNormalMatrix,
     SingularPenalty,
     ZeroPenalty,
 )
@@ -248,23 +247,3 @@ def self_consistent(
     raise NonConvergence(
         f"weight iteration did not settle within {max_outer} outer iterations"
     )
-
-
-def two_step_denoise(data_noisy, lam: float, smoother, design) -> np.ndarray:
-    """Smooth the data first, then fit: the two-solve comparison baseline.
-
-    Step one solves ``(I + lam * L^T L) u = data`` for the smoothed data,
-    step two fits ``u`` by plain least squares on the design matrix.
-    """
-    q = np.asarray(data_noisy, dtype=float)
-    if q.ndim == 1:
-        q = q[:, None]
-    smooth_mat = np.asarray(smoother, dtype=float)
-    a = np.asarray(design, dtype=float)
-    system = np.eye(q.shape[0]) + lam * smooth_mat.T @ smooth_mat
-    u = scipy.linalg.solve(system, q, assume_a="pos")
-    gram = a.T @ a
-    eigs = scipy.linalg.eigvalsh(gram)
-    if eigs[0] <= 0.0 or eigs[-1] / eigs[0] > 1e14:
-        raise SingularNormalMatrix("design normal matrix is numerically singular")
-    return scipy.linalg.solve(gram, a.T @ u, assume_a="pos")

@@ -1,4 +1,4 @@
-"""Shared helpers: independent basis recursion and small random systems."""
+"""Shared helpers: reference basis evaluators and small random systems."""
 
 import numpy as np
 import numpy.testing as npt
@@ -46,6 +46,59 @@ def naive_basis_value(knots, degree, i, x):
 def naive_all_basis(knots, degree, x):
     n_basis = len(knots) - degree - 1
     return np.array([naive_basis_value(knots, degree, i, x) for i in range(n_basis)])
+
+
+def _find_span(knots: np.ndarray, degree: int, x: float) -> int:
+    """Index of the knot span containing ``x`` (right-continuous convention).
+
+    Returns the largest index ``s`` with ``knots[s] <= x < knots[s + 1]``;
+    ``x`` at the right end of the domain falls into the last nontrivial span.
+    """
+    last = knots.size - degree - 2
+    if x >= knots[last + 1]:
+        return last
+    span = int(np.searchsorted(knots, x, side="right")) - 1
+    return max(span, degree)
+
+
+def _basis_values(knots: np.ndarray, degree: int, span: int, x: float) -> np.ndarray:
+    """Nonzero basis values at ``x`` via the triangular recurrence."""
+    values = np.empty(degree + 1)
+    left = np.empty(degree + 1)
+    right = np.empty(degree + 1)
+    values[0] = 1.0
+    for j in range(1, degree + 1):
+        left[j] = x - knots[span + 1 - j]
+        right[j] = knots[span + j] - x
+        saved = 0.0
+        for r in range(j):
+            temp = values[r] / (right[r + 1] + left[j - r])
+            values[r] = saved + right[r + 1] * temp
+            saved = left[j - r] * temp
+        values[j] = saved
+    return values
+
+
+def pointwise_basis(knots, params):
+    """Per-parameter reference for ``eval_basis``: one span search and one
+    scalar triangular recurrence per parameter.
+
+    Returns the first nonzero basis index of each parameter, shape (k,), and
+    its ``degree + 1`` values, shape (k, degree + 1).
+    """
+    t, d = knots.knots, knots.degree
+    xs = [float(x) for x in np.asarray(params, dtype=float)]
+    spans = [_find_span(t, d, x) for x in xs]
+    values = [_basis_values(t, d, s, x) for s, x in zip(spans, xs)]
+    return np.asarray(spans, dtype=int) - d, np.asarray(values).reshape(len(xs), d + 1)
+
+
+def dense_rows(starts, values, n_basis):
+    """Scatter each parameter's run of basis values into a full row of ``n_basis``."""
+    rows = np.zeros((len(starts), n_basis))
+    for row, (start, run) in enumerate(zip(starts, values)):
+        rows[row, start: start + len(run)] = run
+    return rows
 
 
 def random_curve_system(rng, m_rows=8, n_cols=4, lam=0.3, scale=2.0):

@@ -13,11 +13,13 @@ from rpia.assembly import (
     partition_from_blocks,
     tensor_apply,
 )
-from rpia.basis import build_knots, chord_length_params, eval_basis
-from rpia.datasets import rose_curve
+from rpia.basis import build_knots, chord_length_params, surface_params
+from rpia.datasets import blob_curve, boy_surface, rose_curve
 from rpia.errors import DegenerateData, DimensionMismatch, InvalidConfig, ZeroColumnBlock
 
-from conftest import curve_systems, scattered_partitions, surface_systems
+from conftest import (
+    curve_systems, dense_rows, pointwise_basis, scattered_partitions, surface_systems,
+)
 
 
 @pytest.fixture(scope="module")
@@ -55,14 +57,23 @@ class TestCollocation:
         assert matrix.shape == (1001, 101)
         assert np.max(np.count_nonzero(matrix, axis=1)) <= 4
 
-    def test_entries_match_pointwise_evaluation(self, small_collocation, rng):
-        knots, params, matrix = small_collocation
-        rows = rng.integers(0, matrix.shape[0], size=100)
-        for j in rows:
-            span = eval_basis(knots, params[j])
-            dense = np.zeros(matrix.shape[1])
-            dense[span.start: span.start + 4] = span.values
-            npt.assert_array_equal(matrix[j], dense)
+    def test_entries_match_pointwise_evaluation(self):
+        # Bit for bit against the per-parameter reference, on the shipped
+        # rose, blob and boy parametrizations (both boy directions) and on
+        # the 5x grids the fitted geometry is sampled at.
+        boy_u, boy_v = surface_params(boy_surface(60, 60).grid)
+        cases = [
+            (chord_length_params(rose_curve(1000).points), 100),
+            (chord_length_params(blob_curve(1000).points), 100),
+            (boy_u, 20),
+            (boy_v, 20),
+        ]
+        for params, n_ctrl_minus1 in cases:
+            knots = build_knots(params, n_ctrl_minus1)
+            dense = np.linspace(0.0, 1.0, 5 * (params.size - 1) + 1)
+            for xs in (params, dense):
+                expected = dense_rows(*pointwise_basis(knots, xs), knots.n_basis)
+                assert assemble_collocation(knots, xs).tobytes() == expected.tobytes()
 
 
 class TestDifferenceMatrix:
@@ -89,8 +100,9 @@ class TestDifferenceMatrix:
     def test_invalid(self):
         with pytest.raises(InvalidConfig):
             difference_matrix(1, 1.0)
-        with pytest.raises(InvalidConfig):
-            difference_matrix(5, 0.0)
+        for scale in (0.0, np.nan, np.inf):
+            with pytest.raises(InvalidConfig):
+                difference_matrix(5, scale)
 
 
 class TestAugmentCurve:

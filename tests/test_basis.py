@@ -1,17 +1,16 @@
 import numpy as np
 import numpy.testing as npt
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from rpia.basis import (
     KnotVector,
     build_knots,
     chord_length_params,
     eval_basis,
-    eval_curve_point,
-    eval_surface_point,
     surface_params,
 )
-from rpia.assembly import assemble_collocation
 from rpia.errors import (
     DegenerateData,
     DuplicatePointWarning,
@@ -19,7 +18,7 @@ from rpia.errors import (
     OutOfDomain,
 )
 
-from conftest import naive_all_basis
+from conftest import dense_rows, naive_all_basis, pointwise_basis
 
 
 class TestChordLengthParams:
@@ -130,6 +129,30 @@ class TestBuildKnots:
             build_knots(np.linspace(0, 1, 4), 10)  # d < 1
 
 
+def nonzeros(span, i):
+    """Basis index to value for the nonzero entries of parameter ``i``'s run."""
+    return {int(span.start[i]) + j: v for j, v in enumerate(span.values[i]) if v != 0.0}
+
+
+@st.composite
+def clamped_knots_and_params(draw):
+    """Random clamped cubic knots (repeats allowed) and parameters that hit
+    every knot, both floating-point neighbours of each knot, 0, 1 and a few
+    interior points.
+
+    Interior knots stay 1e-6 away from the ends, so no knot gap is subnormal
+    and the recurrence's quotients stay finite.
+    """
+    interior = sorted(draw(st.lists(st.floats(1e-6, 1.0 - 1e-6), max_size=12)))
+    knots = KnotVector(np.array([0.0] * 4 + interior + [1.0] * 4))
+    t = knots.knots
+    extra = draw(st.lists(st.floats(0.0, 1.0), max_size=10))
+    params = np.concatenate([
+        t, np.nextafter(t, -np.inf), np.nextafter(t, np.inf), [0.0, 1.0], extra,
+    ])
+    return knots, np.clip(params, 0.0, 1.0)
+
+
 class TestEvalBasis:
     @pytest.fixture
     def knots(self):
@@ -137,48 +160,46 @@ class TestEvalBasis:
 
     def test_clamped_left_end(self, knots):
         span = eval_basis(knots, 0.0)
-        nz = {i: v for i, v in span.items() if v != 0.0}
-        assert nz == {0: 1.0}
+        assert nonzeros(span, 0) == {0: 1.0}
 
     def test_clamped_right_end(self, knots):
         span = eval_basis(knots, 1.0)
-        nz = {i: v for i, v in span.items() if v != 0.0}
-        assert nz == {knots.n_basis - 1: 1.0}
+        assert nonzeros(span, 0) == {knots.n_basis - 1: 1.0}
 
     def test_partition_of_unity(self, knots, rng):
-        xs = rng.random(10_000)
-        worst = max(abs(sum(v for _, v in eval_basis(knots, x).items()) - 1.0) for x in xs)
+        span = eval_basis(knots, rng.random(10_000))
+        worst = np.max(np.abs(span.values.sum(axis=1) - 1.0))
         assert worst < 1e-12
 
     def test_local_support_and_nonnegativity(self, knots, rng):
-        for x in rng.random(500):
-            span = eval_basis(knots, x)
-            assert span.values.size == 4
-            assert np.all(span.values >= 0.0)
-            nonzero = [i for i, v in span.items() if v != 0.0]
+        span = eval_basis(knots, rng.random(500))
+        assert span.start.shape == (500,)
+        assert span.values.shape == (500, 4)
+        assert np.all(span.values >= 0.0)
+        for i in range(500):
+            nonzero = sorted(nonzeros(span, i))
             assert len(nonzero) <= 4
             assert nonzero == list(range(min(nonzero), max(nonzero) + 1))
 
     def test_against_naive_recursion(self, knots, rng):
         xs = np.concatenate([rng.random(60), [0.0, 1.0], knots.knots[4:-4][:5]])
-        for x in xs:
-            expected = naive_all_basis(knots.knots, 3, float(x))
-            got = np.zeros(knots.n_basis)
-            span = eval_basis(knots, float(x))
-            got[span.start: span.start + 4] = span.values
-            npt.assert_allclose(got, expected, atol=1e-13)
+        span = eval_basis(knots, xs)
+        got = dense_rows(span.start, span.values, knots.n_basis)
+        for x, row in zip(xs, got):
+            npt.assert_allclose(row, naive_all_basis(knots.knots, 3, float(x)), atol=1e-13)
 
     def test_right_continuity_at_interior_knot(self, knots):
         x = float(knots.knots[6])  # an interior knot
-        at = eval_basis(knots, x)
-        just_right = eval_basis(knots, np.nextafter(x, 1.0))
-        assert at.start == just_right.start
-        npt.assert_allclose(at.values, just_right.values, atol=1e-9)
+        span = eval_basis(knots, [x, np.nextafter(x, 1.0)])
+        assert span.start[0] == span.start[1]
+        npt.assert_allclose(span.values[0], span.values[1], atol=1e-9)
 
     def test_out_of_domain(self, knots):
-        for x in (-0.1, 1.0000001):
+        for x in (-0.1, 1.0000001, np.nan):
             with pytest.raises(OutOfDomain):
                 eval_basis(knots, x)
+        with pytest.raises(OutOfDomain, match=r"parameter -0\.1 outside"):
+            eval_basis(knots, [0.5, -0.1, np.nan, 2.0])
 
     def test_uniform_midspan_values(self):
         # Far from the clamped ends a cubic B-spline on uniform knots takes
@@ -188,29 +209,19 @@ class TestEvalBasis:
         mid = 0.5 * (kv.knots[8] + kv.knots[9])
         span = eval_basis(kv, mid)
         expected = naive_all_basis(kv.knots, 3, mid)
-        got = np.zeros(kv.n_basis)
-        got[span.start: span.start + 4] = span.values
-        npt.assert_allclose(got, expected, atol=1e-14)
-        ordered = np.sort(span.values)
+        npt.assert_allclose(dense_rows(span.start, span.values, kv.n_basis)[0], expected, atol=1e-14)
+        ordered = np.sort(span.values[0])
         npt.assert_allclose(ordered[0], ordered[1], atol=1e-12)
         npt.assert_allclose(ordered[2], ordered[3], atol=1e-12)
 
-    def test_curve_point_evaluation(self, knots, rng):
-        controls = rng.standard_normal((knots.n_basis, 2))
-        for x in rng.random(20):
-            direct = naive_all_basis(knots.knots, 3, float(x)) @ controls
-            npt.assert_allclose(eval_curve_point(knots, controls, float(x)), direct, atol=1e-12)
-
-    def test_surface_point_evaluation(self, knots, rng):
-        knots_v = build_knots(np.linspace(0.0, 1.0, 21), 6)
-        grid = rng.standard_normal((knots.n_basis, knots_v.n_basis, 3))
-        for x, y in rng.random((20, 2)):
-            row_u = assemble_collocation(knots, [x])
-            row_v = assemble_collocation(knots_v, [y])
-            direct = [(row_u @ grid[:, :, f] @ row_v.T).item() for f in range(3)]
-            npt.assert_allclose(
-                eval_surface_point(knots, knots_v, grid, float(x), float(y)), direct, atol=1e-12
-            )
+    @settings(max_examples=60, deadline=None)
+    @given(clamped_knots_and_params())
+    def test_matches_pointwise_reference_bit_for_bit(self, case):
+        knots, params = case
+        span = eval_basis(knots, params)
+        start, values = pointwise_basis(knots, params)
+        npt.assert_array_equal(span.start, start)
+        assert span.values.tobytes() == values.tobytes()
 
 
 class TestKnotVectorValidation:
@@ -222,3 +233,9 @@ class TestKnotVectorValidation:
         knots = np.array([0, 0, 0, 0, 0.6, 0.4, 1, 1, 1, 1], dtype=float)
         with pytest.raises(InvalidConfig):
             KnotVector(knots)
+
+    def test_rejects_non_finite(self):
+        for bad in (np.nan, np.inf):
+            knots = np.array([0, 0, 0, 0, bad, 1, 1, 1, 1], dtype=float)
+            with pytest.raises(InvalidConfig, match="knot 4"):
+                KnotVector(knots)

@@ -313,11 +313,6 @@ class TestRunExperiment:
         perm_errors = {r["seed"]: r["fit_error"] for r in perm_report.per_seed}
         assert base_errors == perm_errors
 
-    def test_lambda_echo_matches(self):
-        result = run_experiment(desk_curve_config())
-        for row in result.report.per_seed:
-            assert row["lambda"] == row["lambda_echo"]
-
     def test_zero_iterations_echoes_initial_error(self):
         cfg = desk_curve_config(max_iter=0, seeds=(5,))
         result = run_experiment(cfg)
@@ -346,6 +341,18 @@ class TestRunExperiment:
             assert "lambda_trajectory" in row
             assert row["lambda_trajectory"][0]["k"] == 1
             assert row["lambda"] > 0
+            assert row["converged"] is True  # direct inner solves always converge
+
+    def test_self_consistent_reports_capped_inner_solve(self, tmp_path):
+        # Every randomized inner solve stops at max_iter, the last one too.
+        result = run_experiment(
+            desk_curve_config(lam="self-consistent", inner_solver="rpia", max_iter=5, seeds=(0,))
+        )
+        write_outputs(result, tmp_path)
+        report = json.loads((tmp_path / "report.json").read_text())
+        assert report["per_seed"][0]["converged"] is False
+        seed_line = (tmp_path / "summary.txt").read_text().splitlines()[-1]
+        assert seed_line.split()[-1] == "False"
 
     def test_surface_runs_end_to_end(self):
         result = run_experiment(desk_surface_config())

@@ -31,7 +31,6 @@ from rpia.regparam import (
     self_consistent,
     spectral_decay_from_eigenvalues,
     surface_whitened_eigenvalues,
-    two_step_denoise,
     whitened_spectrum,
 )
 
@@ -318,30 +317,3 @@ class TestSelfConsistentSurface:
             # keeps shrinking instead of settling
             weight_loop(surface_problem(a, b, lu, lv), data, solve, 2.0, 1e-6, max_outer=8)
 
-
-class TestTwoStepDenoise:
-    def test_zero_weight_is_plain_least_squares(self, rng):
-        design = rng.standard_normal((12, 5))
-        smoother = difference_matrix(12, 1.0)
-        data = rng.standard_normal((12, 2))
-        fitted = two_step_denoise(data, 0.0, smoother, design)
-        expected, *_ = np.linalg.lstsq(design, data, rcond=None)
-        npt.assert_allclose(fitted, expected, atol=1e-10)
-
-    def test_large_weight_flattens_toward_affine(self, rng):
-        design = np.eye(30)
-        smoother = difference_matrix(30, 1.0)
-        data = rng.standard_normal((30, 1)) + np.linspace(0, 3, 30)[:, None]
-        fitted = two_step_denoise(data, 1e9, smoother, design)
-        # second differences of the smoothed signal vanish: affine trend
-        assert np.max(np.abs(np.diff(fitted[:, 0], 2))) < 1e-6
-
-    def test_matches_explicit_two_solves(self, rng):
-        design = rng.standard_normal((12, 5))
-        smoother = difference_matrix(12, 2.0)
-        data = rng.standard_normal((12, 2))
-        lam = 0.8
-        fitted = two_step_denoise(data, lam, smoother, design)
-        smoothed = np.linalg.solve(np.eye(12) + lam * smoother.T @ smoother, data)
-        expected = np.linalg.solve(design.T @ design, design.T @ smoothed)
-        npt.assert_allclose(fitted, expected, atol=1e-10)
