@@ -12,6 +12,7 @@ from __future__ import annotations
 import math
 from bisect import bisect_right
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -80,7 +81,7 @@ class AugmentedCurveSystem:
 
     ``stacked`` is ((m+1)+(n+1)) x (n+1) in Fortran order so column blocks
     slice to views; ``targets`` carries one column per point coordinate and is
-    zero below row ``data_rows``.
+    zero below row ``data_rows``. ``gram`` is built on first use.
     """
 
     stacked: np.ndarray
@@ -101,6 +102,11 @@ class AugmentedCurveSystem:
     def n_controls(self) -> int:
         return self.stacked.shape[1]
 
+    @cached_property
+    def gram(self) -> np.ndarray:
+        """``S^T S = A^T A + lam G^T G`` of the stacked matrix ``S``; banded."""
+        return self.stacked.T @ self.stacked
+
 
 @dataclass(frozen=True)
 class AugmentedSurfaceSystem:
@@ -108,7 +114,8 @@ class AugmentedSurfaceSystem:
 
     ``row_stacked`` is [A; sqrt(lam) Lu], ``col_stacked`` is [B; sqrt(lam) Lv],
     and ``targets`` puts the data grid in the top-left block of an otherwise
-    zero array of shape (rows(A)+rows(Lu), rows(B)+rows(Lv), ncoord).
+    zero array of shape (rows(A)+rows(Lu), rows(B)+rows(Lv), ncoord). The
+    grams are built on first use.
     """
 
     row_stacked: np.ndarray
@@ -133,6 +140,21 @@ class AugmentedSurfaceSystem:
     @property
     def n_controls(self) -> tuple[int, int]:
         return self.row_stacked.shape[1], self.col_stacked.shape[1]
+
+    @cached_property
+    def row_gram(self) -> np.ndarray:
+        """``[A; sqrt(lam) Lu]^T [A; sqrt(lam) Lu]``; banded."""
+        return self.row_stacked.T @ self.row_stacked
+
+    @cached_property
+    def col_gram(self) -> np.ndarray:
+        """``[B; sqrt(lam) Lv]^T [B; sqrt(lam) Lv]``; banded."""
+        return self.col_stacked.T @ self.col_stacked
+
+    @cached_property
+    def design_gram_u(self) -> np.ndarray:
+        """``A^T A``."""
+        return self.design_u.T @ self.design_u
 
 
 def augment_curve(design, penalty, data, lam: float) -> AugmentedCurveSystem:
@@ -199,23 +221,26 @@ def augment_surface(design_u, design_v, penalty_u, penalty_v, data, lam: float) 
 
 @dataclass(frozen=True)
 class BlockPartition:
-    """Disjoint column blocks with selection weights and row windows.
+    """Disjoint column blocks with selection weights and their windows.
 
     ``blocks`` are sorted index arrays covering every column exactly once;
     ``probabilities`` are the squared Frobenius norms of the corresponding
-    column blocks normalized to sum to one. ``rows[t]`` is the smallest
-    contiguous row slice holding every nonzero of block ``t``'s columns in the
-    matrix the partition was built from, so a block update needs to touch
-    only those rows.
+    column blocks normalized to sum to one. For the matrix ``M`` the
+    partition was built from, ``hits[t]`` lists the rows where block ``t``'s
+    columns have a nonzero, and ``coupled[t]`` is the smallest contiguous
+    column slice holding every column that shares such a row with block
+    ``t``, so the gram ``(M^T M)[:, block]`` is zero outside it.
     """
 
     blocks: tuple[np.ndarray, ...]
     norms_sq: np.ndarray
     probabilities: np.ndarray
-    rows: tuple[slice, ...]
+    hits: tuple[np.ndarray, ...]
+    coupled: tuple[slice, ...]
     spans: tuple = field(init=False, repr=False)
     cumulative: np.ndarray = field(init=False, repr=False)
     _bounds: list = field(init=False, repr=False)
+    _row_windows: dict = field(init=False, repr=False, default_factory=dict)
 
     def __post_init__(self):
         spans = []
@@ -241,12 +266,25 @@ class BlockPartition:
         """
         return bisect_right(self._bounds, u)
 
+    def row_windows(self, stop: int) -> tuple[slice, ...]:
+        """Per block, the smallest row slice holding its nonzeros among the
+        first ``stop`` rows of ``M``; empty, at ``stop``, if it has none there.
 
-def _row_window(matrix: np.ndarray, block: np.ndarray) -> slice:
-    # Hull of the rows where the block's columns have a nonzero; the block's
-    # norm is positive, so there is at least one.
-    hits = np.flatnonzero(np.any(matrix[:, block] != 0.0, axis=1))
-    return slice(int(hits[0]), int(hits[-1]) + 1)
+        A block update moves ``M[:stop] @ x`` only inside the window. The
+        solvers ask for their data rows on every step, so the windows are
+        kept per ``stop``.
+        """
+        windows = self._row_windows.get(stop)
+        if windows is None:
+            windows = tuple(_hull(rows[rows < stop], stop) for rows in self.hits)
+            self._row_windows[stop] = windows
+        return windows
+
+
+def _hull(indices: np.ndarray, empty_at: int = 0) -> slice:
+    if not indices.size:
+        return slice(empty_at, empty_at)
+    return slice(int(indices[0]), int(indices[-1]) + 1)
 
 
 def _partition(mat: np.ndarray, blocks: tuple[np.ndarray, ...]) -> BlockPartition:
@@ -257,8 +295,10 @@ def _partition(mat: np.ndarray, blocks: tuple[np.ndarray, ...]) -> BlockPartitio
     if np.any(norms == 0.0):
         bad = int(np.flatnonzero(norms == 0.0)[0])
         raise ZeroColumnBlock(f"column block {bad} has zero norm")
-    rows = tuple(_row_window(mat, b) for b in blocks)
-    return BlockPartition(blocks, norms, norms / norms.sum(), rows)
+    nonzero = mat != 0.0
+    hits = tuple(np.flatnonzero(nonzero[:, b].any(axis=1)) for b in blocks)
+    coupled = tuple(_hull(np.flatnonzero(nonzero[rows].any(axis=0))) for rows in hits)
+    return BlockPartition(blocks, norms, norms / norms.sum(), hits, coupled)
 
 
 def make_partition(matrix, block_size: int) -> BlockPartition:

@@ -44,8 +44,18 @@ class KnotVector:
             raise InvalidConfig(
                 f"knot vector must be finite, knot {bad} is {float(knots[bad])!r}"
             )
-        if np.any(np.diff(knots) < 0.0):
+        gaps = np.diff(knots)
+        if np.any(gaps < 0.0):
             raise InvalidConfig("knot vector must be nondecreasing")
+        # The recurrence divides by sums of knot gaps; a subnormal gap
+        # overflows it to inf and then nan.
+        subnormal = (gaps > 0.0) & (gaps < np.finfo(float).tiny)
+        if subnormal.any():
+            bad = int(np.flatnonzero(subnormal)[0]) + 1
+            raise InvalidConfig(
+                f"knot {bad} is {float(knots[bad])!r}, a subnormal gap above knot "
+                f"{bad - 1}; knot gaps must be 0 or at least {float(np.finfo(float).tiny)!r}"
+            )
         if np.any(knots[: d + 1] != 0.0) or np.any(knots[-(d + 1):] != 1.0):
             raise InvalidConfig("knot vector must be clamped to [0, 1]")
         interior = knots[d + 1: -(d + 1)]

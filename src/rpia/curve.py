@@ -1,14 +1,19 @@
 """Randomized block-coordinate iteration for the stacked curve system.
 
-Each iteration draws one column block with probability proportional to its
-squared Frobenius norm, moves the corresponding control points along the
-block correlation with the residual, and patches the residual incrementally.
-All point coordinates share the same block draw. The loop around the steps
-lives in :mod:`rpia.driver`.
+Each iteration draws one column block of the stacked matrix ``S`` with
+probability proportional to its squared Frobenius norm and moves the
+corresponding control points along the block correlation
+``g = S^T (T - S P)``. The state keeps ``g`` in control space, never the
+stacked residual ``T - S P``: a step reads ``g`` on its block and patches it
+on the block's banded window through the gram ``K = S^T S``. This is the
+least-squares progressive-iterative form of the iteration, randomized
+coordinate descent on the normal equations. All point coordinates share the
+same block draw. The loop around the steps lives in :mod:`rpia.driver`.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -20,15 +25,26 @@ from .errors import DimensionMismatch
 
 @dataclass
 class CurveFitState:
-    """Mutable iteration state: controls, residual, cached fitted points, RNG."""
+    """Mutable iteration state: controls, block correlation, fitted points, RNG."""
 
     system: AugmentedCurveSystem
-    control_points: np.ndarray
-    residual: np.ndarray
-    fitted_points: np.ndarray
+    control_points: np.ndarray    # (n + 1, ncoord)
+    correlation: np.ndarray       # S^T (T - S P), (n + 1, ncoord)
+    fitted_points: np.ndarray     # A P, (m + 1, ncoord)
     iteration: int
     rng: np.random.Generator
     last_move_norm: float = 0.0
+
+    def residual_norm(self) -> float:
+        """``|T - S P|`` from the kept fitted points and the controls.
+
+        The data misfit ``|Q - A P|^2`` plus the penalty quadratic form
+        ``P^T (lam G^T G) P``, evaluated through its factor ``sqrt(lam) G``.
+        """
+        system = self.system
+        misfit = system.data - self.fitted_points
+        penalty = system.stacked[system.data_rows:] @ self.control_points
+        return math.sqrt(np.vdot(misfit, misfit) + np.vdot(penalty, penalty))
 
 
 @dataclass(frozen=True)
@@ -41,7 +57,7 @@ class CurveFitResult:
 
 
 def init_state(system: AugmentedCurveSystem, p0, seed) -> CurveFitState:
-    """Fresh state at iterate 0 with the residual computed from scratch."""
+    """Fresh state at iterate 0 with the correlation computed from scratch."""
     controls = np.array(p0, dtype=float)
     if controls.ndim == 1:
         controls = controls[:, None]
@@ -63,24 +79,24 @@ def select_block(state: CurveFitState, partition: BlockPartition) -> int:
 def step(state: CurveFitState, partition: BlockPartition) -> CurveFitState:
     """One randomized block update, applied in place.
 
-    Only the drawn block of control points changes; the residual and the
-    cached fitted points are patched with the same column-block product,
-    restricted to the block's row window ``rows[t]``.
+    The move is ``delta = g[block] / |S[:, block]|^2``. Only the drawn block
+    of control points changes; the correlation is patched with
+    ``K[coupled, block] @ delta`` on the block's coupled window, and the
+    fitted points with ``A[rows, block] @ delta`` on its row window in the
+    design.
     """
     t = select_block(state, partition)
     span = partition.spans[t]
     index = span if span is not None else partition.blocks[t]
-    rows = partition.rows[t]
-    cols = state.system.stacked[rows, index]
-    window = state.residual[rows]
-    delta = cols.T @ window
-    delta /= partition.norms_sq[t]
+    system = state.system
+    delta = state.correlation[index] / partition.norms_sq[t]
     state.control_points[index] += delta
-    move = cols @ delta
-    window -= move
-    top = move[: max(state.system.data_rows - rows.start, 0)]
-    state.fitted_points[rows.start: rows.start + top.shape[0]] += top
-    state.last_move_norm = float(np.linalg.norm(top))
+    coupled = partition.coupled[t]
+    state.correlation[coupled] -= system.gram[coupled, index] @ delta
+    rows = partition.row_windows(system.data_rows)[t]
+    top = system.stacked[rows, index] @ delta
+    state.fitted_points[rows] += top
+    state.last_move_norm = math.sqrt(np.vdot(top, top))
     state.iteration += 1
     return state
 
@@ -88,8 +104,10 @@ def step(state: CurveFitState, partition: BlockPartition) -> CurveFitState:
 def _refresh(state: CurveFitState) -> None:
     # Recompute the incrementally maintained quantities from the controls:
     # at the start, and periodically to shed float drift.
-    state.residual = state.system.targets - state.system.stacked @ state.control_points
-    state.fitted_points = state.system.design @ state.control_points
+    system = state.system
+    residual = system.targets - system.stacked @ state.control_points
+    state.correlation = system.stacked.T @ residual
+    state.fitted_points = system.design @ state.control_points
 
 
 def run(

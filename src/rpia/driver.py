@@ -2,8 +2,11 @@
 
 A kernel supplies a state and a ``step``; the driver owns what lies around
 each step: the stop rule, trajectory sampling and the periodic refresh. It
-reads only the state fields both kernels keep: ``fitted_points``,
-``residual``, ``iteration`` and ``last_move_norm``.
+reads only what both kernel states offer: the fields ``fitted_points``,
+``iteration`` and ``last_move_norm``, and, at sample times, the stacked
+residual's norm from ``residual_norm()``. Both kernels keep the block
+correlation ``S^T (T - S P)`` in control space; neither holds the stacked
+residual.
 
 Randomness comes from the Philox counter-based generator seeded per fit, so
 a fit is a pure function of ``(system, partitions, start, stop, seed)``.
@@ -11,11 +14,12 @@ a fit is a pure function of ``(system, partitions, start, stop, seed)``.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
-# The residual and fitted points are patched incrementally on every step;
+# The correlation and fitted points are patched incrementally on every step;
 # at this period they are recomputed from the controls to shed float drift.
 REFRESH_EVERY = 500
 
@@ -65,18 +69,14 @@ def iterate(state, step, partitions, refresh, stop: StoppingRule, trajectory_str
     trajectory: list[TrajectorySample] = []
     quiet_steps = 0
     for _ in range(stop.max_iter):
-        previous_norm = float(np.linalg.norm(state.fitted_points))
+        previous_norm = math.sqrt(np.vdot(state.fitted_points, state.fitted_points))
         step(state, *partitions)
         if previous_norm > 0.0:
             rel = state.last_move_norm / previous_norm
         else:
             rel = state.last_move_norm
         if trajectory_stride and state.iteration % trajectory_stride == 0:
-            trajectory.append(
-                TrajectorySample(
-                    state.iteration, rel, float(np.linalg.norm(state.residual))
-                )
-            )
+            trajectory.append(TrajectorySample(state.iteration, rel, state.residual_norm()))
         quiet_steps = quiet_steps + 1 if rel < stop.tol else 0
         if quiet_steps >= stop.patience:
             return True, "tol", tuple(trajectory)

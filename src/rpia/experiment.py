@@ -47,7 +47,7 @@ from .datasets import (
 from .driver import StoppingRule
 from .errors import InvalidConfig
 from .oracle import gram_factor, solve_curve_direct, solve_tensor_normal
-from .pointsio import load_grid, load_points, write_csv
+from .pointsio import GridRows, load_grid, load_points, write_csv
 from .regparam import (
     NoiseModel,
     SelfConsistentResult,
@@ -238,11 +238,7 @@ class SurfaceProblem:
 
     def write_fitted(self, out: Path, controls) -> str:
         _, _, sampled = sample_fitted_surface(self, controls)
-        grid_rows = []
-        for h in range(sampled.shape[0]):
-            for l in range(sampled.shape[1]):
-                grid_rows.append((h, l, *map(float, sampled[h, l])))
-        write_csv(out / "fitted_surface.csv", ["row", "col", "x", "y", "z"], grid_rows)
+        write_csv(out / "fitted_surface.csv", ["row", "col", "x", "y", "z"], GridRows(sampled))
         return "fitted_surface.csv"
 
 

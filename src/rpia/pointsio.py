@@ -28,12 +28,7 @@ def _require_finite(path, lineno: int, values) -> None:
 def save_points(path, points) -> None:
     """Write curve points as a CSV with an x,y(,z) header."""
     pts = np.asarray(points, dtype=float)
-    header = ["x", "y", "z"][: pts.shape[1]]
-    with open(path, "w", newline="") as handle:
-        writer = csv.writer(handle)
-        writer.writerow(header)
-        for row in pts:
-            writer.writerow([_FLOAT_FMT % v for v in row])
+    write_csv(path, ["x", "y", "z"][: pts.shape[1]], pts.tolist())
 
 
 def load_points(path) -> np.ndarray:
@@ -64,15 +59,7 @@ def load_points(path) -> np.ndarray:
 
 def save_grid(path, grid) -> None:
     """Write a surface grid as long-format CSV: row,col,x,y,z."""
-    pts = np.asarray(grid, dtype=float)
-    with open(path, "w", newline="") as handle:
-        writer = csv.writer(handle)
-        writer.writerow(["row", "col", "x", "y", "z"])
-        for h in range(pts.shape[0]):
-            for l in range(pts.shape[1]):
-                writer.writerow(
-                    [h, l] + [_FLOAT_FMT % v for v in pts[h, l]]
-                )
+    write_csv(path, ["row", "col", "x", "y", "z"], GridRows(np.asarray(grid, dtype=float)))
 
 
 def load_grid(path) -> np.ndarray:
@@ -122,13 +109,39 @@ def load_grid(path) -> np.ndarray:
     return grid
 
 
+class GridRows:
+    """The long-format rows ``(row, col, *point)`` of a grid of points.
+
+    Sized, and made one grid row at a time as they are iterated, so writing a
+    large grid never holds all its rows as Python objects at once.
+    """
+
+    def __init__(self, grid: np.ndarray):
+        self.grid = grid
+
+    def __len__(self) -> int:
+        return self.grid.shape[0] * self.grid.shape[1]
+
+    def __iter__(self):
+        for h, line in enumerate(self.grid):
+            for l, point in enumerate(line.tolist()):
+                yield (h, l, *point)
+
+
 def write_csv(path, header, rows) -> None:
-    """Small helper for report tables; floats get full precision."""
-    path = Path(path)
-    with open(path, "w", newline="") as handle:
-        writer = csv.writer(handle)
-        writer.writerow(header)
-        for row in rows:
-            writer.writerow(
-                [_FLOAT_FMT % v if isinstance(v, float) else v for v in row]
-            )
+    """Write a report table: the header, then one line per row.
+
+    Floats get full precision and every other value its ``str``, unquoted;
+    lines end in CR LF as :mod:`csv` writes them. The first row's value
+    types fix one format string for every row, so each column keeps one
+    type. Rows are formatted and written one at a time.
+    """
+    with open(Path(path), "w", newline="") as handle:
+        csv.writer(handle).writerow(header)
+        rows = iter(rows)
+        first = next(rows, None)
+        if first is None:
+            return
+        line = ",".join(_FLOAT_FMT if isinstance(v, float) else "%s" for v in first) + "\r\n"
+        handle.write(line % tuple(first))
+        handle.writelines(line % tuple(row) for row in rows)

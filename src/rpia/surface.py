@@ -2,9 +2,13 @@
 
 Each iteration draws one row block and one column block independently (each
 with probability proportional to the squared Frobenius norm of the matching
-column block of its stacked factor), updates the selected control subgrid,
-and patches the residual with the same low-rank product. The three point
-coordinates evolve under identical block draws.
+column block of its stacked factor) and updates the selected control
+subgrid. With the stacked factors ``Ah = [A; sqrt(lam) Lu]`` and
+``Bh = [B; sqrt(lam) Lv]`` the state keeps the block correlation
+``g = Ah^T (T - Ah P Bh^T) Bh`` in control space, never the stacked
+residual: a step reads ``g`` on its subgrid and patches it on the coupled
+window through the factor grams ``Ku = Ah^T Ah`` and ``Kv = Bh^T Bh``. The
+three point coordinates evolve under identical block draws.
 
 The Kronecker product of the two factors is never formed; every update works
 on the small factors directly.
@@ -28,11 +32,31 @@ class SurfaceFitState:
 
     system: AugmentedSurfaceSystem
     control_grid: np.ndarray      # (ncoord, n1 + 1, n2 + 1)
-    residual: np.ndarray          # (ncoord, rows(A)+rows(Lu), rows(B)+rows(Lv))
-    fitted_points: np.ndarray     # (ncoord, m + 1, p + 1)
+    correlation: np.ndarray       # Ah^T (T - Ah P Bh^T) Bh, (ncoord, n1 + 1, n2 + 1)
+    fitted_points: np.ndarray     # A P B^T, (ncoord, m + 1, p + 1)
+    data: np.ndarray              # Q, (ncoord, m + 1, p + 1)
     iteration: int
     rng: np.random.Generator
     last_move_norm: float = 0.0
+
+    def residual_norm(self) -> float:
+        """``|T - Ah P Bh^T|`` from the kept fitted points and the controls.
+
+        With ``U = sqrt(lam) Lu`` and ``V = sqrt(lam) Lv`` the stacked
+        residual's three penalty blocks sum to the control-space quadratic
+        forms ``<X, (A^T A) X> + <Y, Y Kv>`` with ``X = P V^T`` and
+        ``Y = U P``; the data block is ``Q - A P B^T``.
+        """
+        system = self.system
+        grid = self.control_grid
+        misfit = self.data - self.fitted_points
+        x = grid @ system.col_stacked[system.data_cols:].T
+        y = system.row_stacked[system.data_rows:] @ grid
+        return math.sqrt(
+            np.vdot(misfit, misfit)
+            + np.vdot(x, system.design_gram_u @ x)
+            + np.vdot(y, y @ system.col_gram)
+        )
 
 
 @dataclass(frozen=True)
@@ -45,7 +69,7 @@ class SurfaceFitResult:
 
 
 def init_state(system: AugmentedSurfaceSystem, grid0, seed) -> SurfaceFitState:
-    """Fresh state at iterate 0 with residual and fitted points from scratch."""
+    """Fresh state at iterate 0 with correlation and fitted points from scratch."""
     grid = np.asarray(grid0, dtype=float)
     ncoord = system.targets.shape[2]
     n_u, n_v = system.n_controls
@@ -56,9 +80,8 @@ def init_state(system: AugmentedSurfaceSystem, grid0, seed) -> SurfaceFitState:
     # Always a copy: with one coordinate the moved view is already contiguous,
     # and the iteration must not write into the caller's grid.
     controls = np.moveaxis(grid, -1, 0).copy()
-    residual = np.empty((ncoord, system.row_stacked.shape[0], system.col_stacked.shape[0]))
-    fitted = np.empty((ncoord, system.data_rows, system.data_cols))
-    state = SurfaceFitState(system, controls, residual, fitted, 0, make_rng(seed))
+    data = np.moveaxis(system.data, -1, 0).copy()
+    state = SurfaceFitState(system, controls, None, None, data, 0, make_rng(seed))
     _refresh(state)
     return state
 
@@ -79,37 +102,35 @@ def step(
     row_partition: BlockPartition,
     col_partition: BlockPartition,
 ) -> SurfaceFitState:
-    """One randomized subgrid update, applied in place.
+    """One randomized subgrid update, applied in place, all coordinates at once.
 
-    Only the residual window ``rows[t] x rows[s]`` can change, so the update
-    works on that window for all coordinates in one batched product.
+    The move is ``delta = g[t, s] / (|Ah[:, t]|^2 |Bh[:, s]|^2)``. The
+    correlation changes only on the coupled window ``wt x ws``, by
+    ``Ku[wt, t] @ delta @ Kv[s, ws]``, and the fitted points only on the
+    blocks' row windows in the designs, by ``A[rows, t] @ delta @ B[cols, s]^T``.
     """
     t, s = select_blocks(state, row_partition, col_partition)
     row_span = row_partition.spans[t]
     col_span = col_partition.spans[s]
     row_index = row_span if row_span is not None else row_partition.blocks[t]
     col_index = col_span if col_span is not None else col_partition.blocks[s]
-    row_window = row_partition.rows[t]
-    col_window = col_partition.rows[s]
-    system = state.system
-    a = system.row_stacked[row_window, row_index]
-    b = system.col_stacked[col_window, col_index]
-    window = state.residual[:, row_window, col_window]
-    delta = a.T @ window @ b
-    delta /= row_partition.norms_sq[t] * col_partition.norms_sq[s]
     if row_span is not None and col_span is not None:
-        state.control_grid[:, row_span, col_span] += delta
+        block = (slice(None), row_span, col_span)
     else:
-        rows, cols = np.ix_(row_partition.blocks[t], col_partition.blocks[s])
-        state.control_grid[:, rows, cols] += delta
-    move = a @ delta @ b.T
-    window -= move
-    # The part of the window inside the data grid moves the fitted points.
-    r0 = row_window.start
-    c0 = col_window.start
-    top = move[:, : max(system.data_rows - r0, 0), : max(system.data_cols - c0, 0)]
-    state.fitted_points[:, r0: r0 + top.shape[1], c0: c0 + top.shape[2]] += top
-    state.last_move_norm = math.sqrt(np.einsum("fij,fij->", top, top))
+        block = (slice(None), *np.ix_(row_partition.blocks[t], col_partition.blocks[s]))
+    system = state.system
+    delta = state.correlation[block] / (row_partition.norms_sq[t] * col_partition.norms_sq[s])
+    state.control_grid[block] += delta
+    wt = row_partition.coupled[t]
+    ws = col_partition.coupled[s]
+    state.correlation[:, wt, ws] -= (
+        system.row_gram[wt, row_index] @ delta @ system.col_gram[col_index, ws]
+    )
+    rows = row_partition.row_windows(system.data_rows)[t]
+    cols = col_partition.row_windows(system.data_cols)[s]
+    top = system.row_stacked[rows, row_index] @ delta @ system.col_stacked[cols, col_index].T
+    state.fitted_points[:, rows, cols] += top
+    state.last_move_norm = math.sqrt(np.vdot(top, top))
     state.iteration += 1
     return state
 
@@ -118,14 +139,13 @@ def _refresh(state: SurfaceFitState) -> None:
     # Recompute the incrementally maintained quantities from the controls:
     # at the start, and periodically to shed float drift.
     system = state.system
-    for f in range(state.control_grid.shape[0]):
-        state.residual[f] = (
-            system.targets[:, :, f]
-            - system.row_stacked @ state.control_grid[f] @ system.col_stacked.T
-        )
-        state.fitted_points[f] = (
-            system.design_u @ state.control_grid[f] @ system.design_v.T
-        )
+    grid = state.control_grid
+    residual = (
+        np.moveaxis(system.targets, -1, 0)
+        - system.row_stacked @ grid @ system.col_stacked.T
+    )
+    state.correlation = system.row_stacked.T @ residual @ system.col_stacked
+    state.fitted_points = system.design_u @ grid @ system.design_v.T
 
 
 def run(

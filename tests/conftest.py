@@ -1,5 +1,8 @@
 """Shared helpers: reference basis evaluators and small random systems."""
 
+import csv
+import io
+
 import numpy as np
 import numpy.testing as npt
 import pytest
@@ -227,9 +230,19 @@ def scattered_partitions(draw, matrix):
     return partition_from_blocks(matrix, sets)
 
 
-def assert_close_to_scale(actual, expected):
-    """Agreement to 1e-13 of the larger of 1 and the expected array's largest entry."""
-    npt.assert_allclose(actual, expected, rtol=0, atol=1e-13 * max(1.0, np.max(np.abs(expected))))
+def csv_writer_bytes(header, rows) -> bytes:
+    """A table as :mod:`csv` writes it, floats with 17 significant digits."""
+    buffer = io.StringIO(newline="")
+    writer = csv.writer(buffer)
+    writer.writerow(header)
+    for row in rows:
+        writer.writerow(["%.17g" % v if isinstance(v, float) else v for v in row])
+    return buffer.getvalue().encode()
+
+
+def assert_close_to_scale(actual, expected, tol=1e-13):
+    """Agreement to ``tol`` of the larger of 1 and the expected array's largest entry."""
+    npt.assert_allclose(actual, expected, rtol=0, atol=tol * max(1.0, np.max(np.abs(expected))))
 
 
 @pytest.fixture

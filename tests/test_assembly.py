@@ -282,15 +282,28 @@ class TestPartition:
         made = make_partition(matrix, 2)
         npt.assert_array_equal(same.norms_sq, made.norms_sq)
         npt.assert_array_equal(same.probabilities, made.probabilities)
-        assert same.rows == made.rows
+        assert same.row_windows(6) == made.row_windows(6)
+        assert same.coupled == made.coupled
 
 
 def assert_windows_tight(matrix, partition):
-    """Each block's nonzero rows lie in its window, and both window ends hold one."""
-    for block, rows in zip(partition.blocks, partition.rows):
-        cols = matrix[:, block]
-        assert not np.any(cols[: rows.start]) and not np.any(cols[rows.stop:])
-        assert np.any(cols[rows.start]) and np.any(cols[rows.stop - 1])
+    """Each block's nonzero rows, in all rows and in the top half, lie in its
+    row windows, and the gram's nonzero rows in its coupled window; both ends
+    of each window are reached, and a window is empty only with no nonzero."""
+    for stop in (matrix.shape[0], matrix.shape[0] // 2):
+        top = matrix[:stop]
+        for block, rows in zip(partition.blocks, partition.row_windows(stop)):
+            cols = top[:, block]
+            assert not np.any(cols[: rows.start]) and not np.any(cols[rows.stop:])
+            if rows.stop > rows.start:
+                assert np.any(cols[rows.start]) and np.any(cols[rows.stop - 1])
+            else:
+                assert rows.start == stop and not np.any(cols)
+    gram = matrix.T @ matrix
+    shared = (matrix != 0.0).T.astype(int) @ (matrix != 0.0).astype(int)
+    for block, coupled in zip(partition.blocks, partition.coupled):
+        assert not np.any(gram[: coupled.start, block]) and not np.any(gram[coupled.stop:, block])
+        assert np.any(shared[coupled.start, block]) and np.any(shared[coupled.stop - 1, block])
 
 
 class TestRowWindows:
@@ -299,9 +312,25 @@ class TestRowWindows:
         design = np.array([[1.0, 0, 0, 0], [0.1, 0.6, 0.3, 0.0], [0, 0, 0, 1.0]])
         system = augment_curve(design, difference_matrix(4, 1.0), np.zeros((3, 1)), 1.0)
         part = make_partition(system.stacked, 2)
-        assert part.rows == (slice(0, 6), slice(1, 7))
+        assert part.row_windows(7) == (slice(0, 6), slice(1, 7))
+        # within the design rows only
+        assert part.row_windows(3) == (slice(0, 2), slice(1, 3))
+        assert part.row_windows(1) == (slice(0, 1), slice(1, 1))
         unpenalized = augment_curve(design, difference_matrix(4, 1.0), np.zeros((3, 1)), 0.0)
-        assert make_partition(unpenalized.stacked, 2).rows == (slice(0, 2), slice(1, 3))
+        assert make_partition(unpenalized.stacked, 2).row_windows(7) == (slice(0, 2), slice(1, 3))
+
+    def test_coupled_windows_by_hand(self):
+        # the tridiagonal penalty couples every column pair within distance 2;
+        # without it, block 0 (rows 0-1) reaches columns 0-2 only
+        design = np.array([[1.0, 0, 0, 0], [0.1, 0.6, 0.3, 0.0], [0, 0, 0, 1.0]])
+        system = augment_curve(design, difference_matrix(4, 1.0), np.zeros((3, 1)), 1.0)
+        assert make_partition(system.stacked, 2).coupled == (slice(0, 4), slice(0, 4))
+        unpenalized = augment_curve(design, difference_matrix(4, 1.0), np.zeros((3, 1)), 0.0)
+        part = make_partition(unpenalized.stacked, 2)
+        assert part.coupled == (slice(0, 3), slice(0, 4))
+        assert make_partition(unpenalized.stacked, 1).coupled == (
+            slice(0, 3), slice(0, 3), slice(0, 3), slice(3, 4)
+        )
 
     @settings(max_examples=60, deadline=None)
     @given(system=curve_systems(), block_size=st.integers(1, 6))

@@ -239,3 +239,20 @@ class TestKnotVectorValidation:
             knots = np.array([0, 0, 0, 0, bad, 1, 1, 1, 1], dtype=float)
             with pytest.raises(InvalidConfig, match="knot 4"):
                 KnotVector(knots)
+
+    def test_rejects_subnormal_gap(self):
+        # evaluating this vector at 0 gave [inf nan nan nan] before it was refused
+        knots = np.array([0, 0, 0, 0, 1e-310, 1, 1, 1, 1], dtype=float)
+        with pytest.raises(InvalidConfig, match="knot 4 is 1e-310"):
+            KnotVector(knots)
+        pair = np.array([0, 0, 0, 0, 3e-308, 3e-308 + 5e-324, 1, 1, 1, 1], dtype=float)
+        with pytest.raises(InvalidConfig, match="knot 5"):
+            KnotVector(pair)
+
+    def test_smallest_normal_gap_evaluates_finitely(self):
+        tiny = np.finfo(float).tiny
+        knots = KnotVector(np.array([0, 0, 0, 0, tiny, 1, 1, 1, 1], dtype=float))
+        params = np.array([0.0, tiny / 2, tiny, np.nextafter(tiny, 1.0), 0.5, 1.0])
+        span = eval_basis(knots, params)
+        assert np.isfinite(span.values).all()
+        npt.assert_allclose(span.values.sum(axis=1), 1.0, rtol=1e-15)

@@ -6,8 +6,12 @@ from click.testing import CliRunner
 
 from rpia import cli, errors
 from rpia.cli import main
+from rpia.config import load_config
 from rpia.datasets import boy_surface, rose_curve
+from rpia.experiment import build_problem, problem_spectrum
 from rpia.pointsio import load_points, save_grid, save_points
+
+from conftest import csv_writer_bytes
 
 
 LIBRARY_ERRORS = sorted(
@@ -181,6 +185,18 @@ class TestOtherCommands:
         lines = (out_dir / "spectrum.csv").read_text().splitlines()
         assert lines[0] == "k,eigenvalue"
         assert len(lines) == 22  # header plus the 21 whitened eigenvalues
+
+    def test_spectrum_table_matches_csv_writer(self, runner, tmp_path):
+        cfg = write_desk_config(tmp_path / "cfg.yaml")
+        out_dir = tmp_path / "out"
+        result = runner.invoke(main, ["spectrum", "--config", str(cfg), "--out", str(out_dir)])
+        assert result.exit_code == 0, result.output
+        config = load_config(cfg)
+        decay = problem_spectrum(build_problem(config), config.head_count)
+        rows = [(k + 1, float(v)) for k, v in enumerate(decay.eigenvalues)]
+        assert (out_dir / "spectrum.csv").read_bytes() == csv_writer_bytes(
+            ["k", "eigenvalue"], rows
+        )
 
     def test_sweep(self, runner, tmp_path):
         cfg = write_desk_config(tmp_path / "cfg.yaml")

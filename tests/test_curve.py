@@ -24,12 +24,18 @@ def philox_stream(seed):
     return np.random.Generator(np.random.Philox(seed))
 
 
+def correlation_of(system, controls):
+    """``S^T (T - S P)`` from scratch."""
+    return system.stacked.T @ (system.targets - system.stacked @ controls)
+
+
 class TestInitState:
     def test_zero_start_residual_is_target(self, rng):
         system = random_curve_system(rng)
         p0 = np.zeros((system.n_controls, 2))
         state = init_state(system, p0, 7)
-        npt.assert_array_equal(state.residual, system.targets)
+        npt.assert_array_equal(state.correlation, system.stacked.T @ system.targets)
+        npt.assert_allclose(state.residual_norm(), np.linalg.norm(system.targets), rtol=1e-15)
         npt.assert_array_equal(state.fitted_points, np.zeros_like(system.data))
         assert state.iteration == 0
 
@@ -37,8 +43,7 @@ class TestInitState:
         system = random_curve_system(rng, m_rows=12, n_cols=5, lam=0.4)
         solution = solve_curve_direct(system)
         state = init_state(system, solution.control_points, 3)
-        block_correlation = system.stacked.T @ state.residual
-        assert np.max(np.abs(block_correlation)) < 1e-10
+        assert np.max(np.abs(state.correlation)) < 1e-10
 
     def test_shape_check(self, rng):
         system = random_curve_system(rng)
@@ -95,9 +100,9 @@ class TestStep:
         penalty = difference_matrix(4, 1.0)
         exact = rng.standard_normal((4, 2))
         system = augment_curve(design, penalty, design @ exact, 0.0)
-        # zero residual exactly: targets = stacked @ exact (lam = 0 zeroes the tail)
+        # the exact solution's correlation is zero; clear init's round-off
         state = init_state(system, exact, 5)
-        state.residual[:] = system.targets - system.stacked @ exact
+        state.correlation[:] = 0.0
         before = state.control_points.copy()
         partition = make_partition(system.stacked, 2)
         step(state, partition)
@@ -119,9 +124,8 @@ class TestStep:
         partition = make_partition(system.stacked, 4)
         p0 = rng.standard_normal((4, 2))
         state = init_state(system, p0, 17)
-        residual0 = state.residual.copy()
         step(state, partition)
-        expected = p0 + system.stacked.T @ residual0 / np.sum(system.stacked**2)
+        expected = p0 + correlation_of(system, p0) / np.sum(system.stacked**2)
         npt.assert_allclose(state.control_points, expected, atol=1e-13)
 
     def test_matches_straight_line_reimplementation(self, rng):
@@ -155,8 +159,7 @@ class TestStep:
                 numer = float(system.stacked[:, col] @ residual[:, coord])
                 expected[col, coord] += numer / norm_sq
         npt.assert_allclose(state.control_points, expected, atol=1e-13)
-        expected_residual = system.targets - system.stacked @ expected
-        npt.assert_allclose(state.residual, expected_residual, atol=1e-12)
+        npt.assert_allclose(state.correlation, correlation_of(system, expected), atol=1e-12)
 
     def test_block_locality_bitwise(self, rng):
         system = random_curve_system(rng, m_rows=12, n_cols=6, lam=0.3)
@@ -185,7 +188,7 @@ class TestWindowedStep:
         state = init_state(system, p0, seed)
         for _ in range(8):
             controls = state.control_points.copy()
-            residual = state.residual.copy()
+            residual = system.targets - system.stacked @ controls
             fitted = state.fitted_points.copy()
             replay = philox_stream(0)
             replay.bit_generator.state = state.rng.bit_generator.state
@@ -202,11 +205,50 @@ class TestWindowedStep:
             top = move[: system.data_rows]
             fitted += top
             assert_close_to_scale(state.control_points, controls)
-            assert_close_to_scale(state.residual, residual)
+            assert_close_to_scale(state.correlation, system.stacked.T @ residual)
             assert_close_to_scale(state.fitted_points, fitted)
             # a move can be pure round-off; compare it at the fitted points' scale
             npt.assert_allclose(state.last_move_norm, np.linalg.norm(top), rtol=1e-13,
                                 atol=1e-13 * max(1.0, np.max(np.abs(fitted))))
+
+
+class TestGramStep:
+    @settings(max_examples=60, deadline=None)
+    @given(system=curve_systems(), seed=st.integers(0, 2**32 - 1), data=st.data())
+    def test_equals_stacked_data_space_step(self, system, seed, data):
+        # one step from a random state against the textbook step on the
+        # stacked residual, with the new correlation recomputed from scratch
+        if data.draw(st.booleans(), label="contiguous blocks"):
+            partition = make_partition(system.stacked, data.draw(st.integers(1, 6)))
+        else:
+            partition = data.draw(scattered_partitions(system.stacked))
+        p0 = 3.0 * np.random.default_rng(seed).standard_normal((system.n_controls, 2))
+        state = init_state(system, p0, seed)
+        replay = philox_stream(0)
+        replay.bit_generator.state = state.rng.bit_generator.state
+        step(state, partition)
+
+        t = int(np.searchsorted(partition.cumulative, replay.random(), side="right"))
+        block = partition.blocks[t]
+        cols = system.stacked[:, block]
+        delta = cols.T @ (system.targets - system.stacked @ p0) / np.sum(cols**2)
+        expected = p0.copy()
+        expected[block] += delta
+        assert_close_to_scale(state.control_points[block] - p0[block], delta, tol=1e-12)
+        assert_close_to_scale(state.control_points, expected, tol=1e-12)
+        assert_close_to_scale(state.correlation, correlation_of(system, expected), tol=1e-12)
+
+    @settings(max_examples=60, deadline=None)
+    @given(system=curve_systems(), seed=st.integers(0, 2**32 - 1),
+           n_steps=st.integers(0, 30))
+    def test_residual_norm_equals_stacked_residual(self, system, seed, n_steps):
+        partition = make_partition(system.stacked, 2)
+        p0 = np.random.default_rng(seed).standard_normal((system.n_controls, 2))
+        state = init_state(system, p0, seed)
+        for _ in range(n_steps):
+            step(state, partition)
+        truth = np.linalg.norm(system.targets - system.stacked @ state.control_points)
+        npt.assert_allclose(state.residual_norm(), truth, rtol=1e-12)
 
 
 class TestRun:
@@ -277,6 +319,8 @@ class TestRun:
 
 class TestResidualConsistency:
     def test_incremental_residual_tracks_truth_across_refresh(self, rng):
+        # the kept correlation is the residual's image S^T r; it and the
+        # residual norm built from the kept fitted points track the truth
         system = random_curve_system(rng, m_rows=16, n_cols=7, lam=0.25)
         partition = make_partition(system.stacked, 3)
         state = init_state(system, rng.standard_normal((7, 2)), 77)
@@ -287,9 +331,11 @@ class TestResidualConsistency:
             if k % 500 == 0:
                 _refresh(state)
             if k % 100 == 0:
-                truth = system.targets - system.stacked @ state.control_points
-                gap = np.linalg.norm(state.residual - truth)
+                truth = correlation_of(system, state.control_points)
+                gap = np.linalg.norm(state.correlation - truth)
                 assert gap <= 1e-10 * max(np.linalg.norm(truth), 1.0)
+                residual = np.linalg.norm(system.targets - system.stacked @ state.control_points)
+                assert abs(state.residual_norm() - residual) <= 1e-10 * max(residual, 1.0)
 
 
 class TestMeanIterateConvergence:

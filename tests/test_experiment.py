@@ -19,6 +19,7 @@ from rpia.experiment import (
     initial_controls_surface,
     run_experiment,
     sample_fitted_curve,
+    sample_fitted_surface,
     sweep_lambda,
     write_outputs,
     write_sweep_outputs,
@@ -26,7 +27,7 @@ from rpia.experiment import (
 from rpia.oracle import solve_curve_direct, solve_surface_direct
 from rpia.pointsio import load_grid
 
-from conftest import banded_designs, curve_problem, surface_problem
+from conftest import banded_designs, csv_writer_bytes, curve_problem, surface_problem
 
 
 def desk_curve_config(**overrides):
@@ -424,3 +425,49 @@ class TestOutputs:
         assert "fitted_surface.csv" in files
         grid = load_grid(tmp_path / "fitted_surface.csv")
         assert grid.shape == (5 * 14 + 1, 5 * 12 + 1, 3)
+
+
+class TestCsvBytes:
+    """Every table the bundles hold is byte for byte what :mod:`csv` writes."""
+
+    def trajectory_rows(self, result):
+        return [
+            (outcome.seed, sample.iteration, sample.rel_change, sample.residual_norm)
+            for outcome in result.outcomes for sample in outcome.trajectory
+        ]
+
+    def test_curve_bundle_tables(self, tmp_path):
+        result = run_experiment(desk_curve_config(seeds=(0, 1)))
+        write_outputs(result, tmp_path)
+        header = ["seed", "iteration", "rel_change", "residual_norm"]
+        assert (tmp_path / "trajectory.csv").read_bytes() == csv_writer_bytes(
+            header, self.trajectory_rows(result)
+        )
+        first = min(result.outcomes, key=lambda o: o.seed)
+        dense, points = sample_fitted_curve(result.problem, first.control_points)
+        rows = [(float(t), *map(float, pt)) for t, pt in zip(dense, points)]
+        assert (tmp_path / "fitted_curve.csv").read_bytes() == csv_writer_bytes(
+            ["param", "x", "y"], rows
+        )
+
+    def test_surface_bundle_tables(self, tmp_path):
+        result = run_experiment(desk_surface_config(seeds=(0,)))
+        write_outputs(result, tmp_path)
+        header = ["seed", "iteration", "rel_change", "residual_norm"]
+        assert (tmp_path / "trajectory.csv").read_bytes() == csv_writer_bytes(
+            header, self.trajectory_rows(result)
+        )
+        _, _, sampled = sample_fitted_surface(result.problem, result.outcomes[0].control_points)
+        rows = [
+            (h, l, *map(float, sampled[h, l]))
+            for h in range(sampled.shape[0]) for l in range(sampled.shape[1])
+        ]
+        assert (tmp_path / "fitted_surface.csv").read_bytes() == csv_writer_bytes(
+            ["row", "col", "x", "y", "z"], rows
+        )
+
+    def test_sweep_table(self, tmp_path):
+        report, _ = sweep_lambda(desk_curve_config(lam=SweepGrid(1e-8, 1e-5, 3), seeds=(0,)))
+        write_sweep_outputs(report, tmp_path)
+        header = ["lambda", "mean_error", "std_error", "is_estimated_optimal"]
+        assert (tmp_path / "sweep.csv").read_bytes() == csv_writer_bytes(header, report.rows())

@@ -11,6 +11,8 @@ from rpia.datasets import boy_surface, rose_curve
 from rpia.errors import IncompleteGrid, InvalidConfig, ParseError
 from rpia.pointsio import load_grid, load_points, save_grid, save_points
 
+from conftest import csv_writer_bytes
+
 
 class TestPointsRoundTrip:
     def test_curve_round_trip_is_bit_exact(self, tmp_path):
@@ -18,6 +20,22 @@ class TestPointsRoundTrip:
         path = tmp_path / "curve.csv"
         save_points(path, points)
         npt.assert_array_equal(load_points(path), points)
+
+    def test_saved_files_match_csv_writer(self, tmp_path):
+        points = rose_curve(40).points
+        save_points(tmp_path / "curve.csv", points)
+        assert (tmp_path / "curve.csv").read_bytes() == csv_writer_bytes(
+            ["x", "y"], [tuple(map(float, p)) for p in points]
+        )
+        grid = boy_surface(6, 5).grid
+        save_grid(tmp_path / "grid.csv", grid)
+        rows = [
+            (h, l, *map(float, grid[h, l]))
+            for h in range(grid.shape[0]) for l in range(grid.shape[1])
+        ]
+        assert (tmp_path / "grid.csv").read_bytes() == csv_writer_bytes(
+            ["row", "col", "x", "y", "z"], rows
+        )
 
     def test_parse_error_names_line(self, tmp_path):
         path = tmp_path / "bad.csv"

@@ -30,13 +30,32 @@ def philox_stream(seed):
     return np.random.Generator(np.random.Philox(seed))
 
 
+def stacked_residual(system, grid):
+    """``T - Ah P Bh^T`` per coordinate, coordinate-first: (ncoord, rows, cols)."""
+    return np.stack([
+        system.targets[:, :, f] - system.row_stacked @ grid[f] @ system.col_stacked.T
+        for f in range(grid.shape[0])
+    ])
+
+
+def correlation_of(system, grid):
+    """``Ah^T (T - Ah P Bh^T) Bh`` per coordinate from scratch; ``grid`` coordinate-first."""
+    return np.stack([
+        system.row_stacked.T @ r @ system.col_stacked for r in stacked_residual(system, grid)
+    ])
+
+
 class TestInitState:
     def test_zero_start(self, rng):
         system = random_surface_system(rng)
         grid0 = np.zeros((*system.n_controls, 3))
         state = init_state(system, grid0, 1)
         for f in range(3):
-            npt.assert_array_equal(state.residual[f], system.targets[:, :, f])
+            npt.assert_array_equal(
+                state.correlation[f],
+                system.row_stacked.T @ system.targets[:, :, f] @ system.col_stacked,
+            )
+        npt.assert_allclose(state.residual_norm(), np.linalg.norm(system.targets), rtol=1e-15)
         assert state.iteration == 0
 
     def test_shape_check(self, rng):
@@ -119,7 +138,7 @@ class TestStep:
         part_v = make_partition(system.col_stacked, 2)
         grid0 = rng.standard_normal((3, 2, 3))
         state = init_state(system, grid0, 8)
-        residual0 = state.residual.copy()
+        residual0 = stacked_residual(system, np.moveaxis(grid0, -1, 0))
         step(state, part_u, part_v)
         scale = np.sum(system.row_stacked**2) * np.sum(system.col_stacked**2)
         for f in range(3):
@@ -195,7 +214,7 @@ class TestWindowedStep:
         state = init_state(system, grid0, seed)
         for _ in range(8):
             controls = state.control_grid.copy()
-            residual = state.residual.copy()
+            residual = stacked_residual(system, controls)
             fitted = state.fitted_points.copy()
             replay = philox_stream(0)
             replay.bit_generator.state = state.rng.bit_generator.state
@@ -218,11 +237,64 @@ class TestWindowedStep:
                 fitted[f] += top
                 move_sq += np.sum(top**2)
             assert_close_to_scale(state.control_grid, controls)
-            assert_close_to_scale(state.residual, residual)
+            assert_close_to_scale(
+                state.correlation,
+                np.stack([system.row_stacked.T @ r @ system.col_stacked for r in residual]),
+            )
             assert_close_to_scale(state.fitted_points, fitted)
             # a move can be pure round-off; compare it at the fitted points' scale
             npt.assert_allclose(state.last_move_norm, np.sqrt(move_sq), rtol=1e-13,
                                 atol=1e-13 * max(1.0, np.max(np.abs(fitted))))
+
+
+class TestGramStep:
+    @settings(max_examples=60, deadline=None)
+    @given(system=surface_systems(), seed=st.integers(0, 2**32 - 1), data=st.data())
+    def test_equals_stacked_data_space_step(self, system, seed, data):
+        # one step from a random state against the textbook step on the
+        # stacked residual, with the new correlation recomputed from scratch
+        partitions = []
+        for factor in (system.row_stacked, system.col_stacked):
+            if data.draw(st.booleans(), label="contiguous blocks"):
+                partitions.append(make_partition(factor, data.draw(st.integers(1, 6))))
+            else:
+                partitions.append(data.draw(scattered_partitions(factor)))
+        part_u, part_v = partitions
+        ncoord = system.targets.shape[2]
+        grid0 = 3.0 * np.random.default_rng(seed).standard_normal((*system.n_controls, ncoord))
+        state = init_state(system, grid0, seed)
+        replay = philox_stream(0)
+        replay.bit_generator.state = state.rng.bit_generator.state
+        step(state, part_u, part_v)
+
+        t = int(np.searchsorted(part_u.cumulative, replay.random(), side="right"))
+        s = int(np.searchsorted(part_v.cumulative, replay.random(), side="right"))
+        cells = np.ix_(part_u.blocks[t], part_v.blocks[s])
+        a_cols = system.row_stacked[:, part_u.blocks[t]]
+        b_cols = system.col_stacked[:, part_v.blocks[s]]
+        scale = np.sum(a_cols**2) * np.sum(b_cols**2)
+        start = np.moveaxis(grid0, -1, 0)
+        expected = start.copy()
+        for f, r in enumerate(stacked_residual(system, start)):
+            delta = a_cols.T @ r @ b_cols / scale
+            assert_close_to_scale(state.control_grid[f][cells] - start[f][cells], delta, tol=1e-12)
+            expected[f][cells] += delta
+        assert_close_to_scale(state.control_grid, expected, tol=1e-12)
+        assert_close_to_scale(state.correlation, correlation_of(system, expected), tol=1e-12)
+
+    @settings(max_examples=60, deadline=None)
+    @given(system=surface_systems(), seed=st.integers(0, 2**32 - 1),
+           n_steps=st.integers(0, 30))
+    def test_residual_norm_equals_stacked_residual(self, system, seed, n_steps):
+        part_u = make_partition(system.row_stacked, 2)
+        part_v = make_partition(system.col_stacked, 3)
+        ncoord = system.targets.shape[2]
+        grid0 = np.random.default_rng(seed).standard_normal((*system.n_controls, ncoord))
+        state = init_state(system, grid0, seed)
+        for _ in range(n_steps):
+            step(state, part_u, part_v)
+        truth = np.linalg.norm(stacked_residual(system, state.control_grid))
+        npt.assert_allclose(state.residual_norm(), truth, rtol=1e-12)
 
 
 @pytest.fixture(scope="module")
@@ -238,6 +310,8 @@ def small_problem():
 
 class TestResidualConsistency:
     def test_incremental_residual_tracks_truth_across_refresh(self, rng):
+        # the kept correlation is the residual's image Ah^T R Bh; it and the
+        # residual norm built from the kept fitted points track the truth
         system = random_surface_system(rng, rows=(5, 4), cols=(4, 3), lam=0.2)
         part_u = make_partition(system.row_stacked, 2)
         part_v = make_partition(system.col_stacked, 2)
@@ -249,13 +323,12 @@ class TestResidualConsistency:
             if k % 500 == 0:
                 _refresh(state)
             if k % 200 == 0:
+                truth = correlation_of(system, state.control_grid)
                 for f in range(3):
-                    truth = (
-                        system.targets[:, :, f]
-                        - system.row_stacked @ state.control_grid[f] @ system.col_stacked.T
-                    )
-                    gap = np.linalg.norm(state.residual[f] - truth)
-                    assert gap <= 1e-10 * max(np.linalg.norm(truth), 1.0)
+                    gap = np.linalg.norm(state.correlation[f] - truth[f])
+                    assert gap <= 1e-10 * max(np.linalg.norm(truth[f]), 1.0)
+                residual = np.linalg.norm(stacked_residual(system, state.control_grid))
+                assert abs(state.residual_norm() - residual) <= 1e-10 * max(residual, 1.0)
 
 
 class TestRun:
