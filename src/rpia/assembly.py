@@ -157,32 +157,39 @@ class AugmentedSurfaceSystem:
         return self.design_u.T @ self.design_u
 
 
+def _stack(design, penalty, lam: float, name: str) -> np.ndarray:
+    """``[design; sqrt(lam) * penalty]`` in Fortran order, so column blocks slice to views.
+
+    The penalty must be square with one column per design column, so the
+    design's rows are the stacked rows less the stacked columns.
+    """
+    a = np.asarray(design, dtype=float)
+    g = np.asarray(penalty, dtype=float)
+    cols = a.shape[1]
+    if g.shape != (cols, cols):
+        raise DimensionMismatch(
+            f"{name} must be square of size {cols} (the design's columns), got {g.shape}"
+        )
+    return np.asfortranarray(np.vstack([a, math.sqrt(lam) * g]))
+
+
 def augment_curve(design, penalty, data, lam: float) -> AugmentedCurveSystem:
     """Stack ``[design; sqrt(lam) * penalty]`` with zero-padded targets.
 
     Solving least squares on the stacked pair is identical to minimizing
     ``|design p - data|^2 + lam * |penalty p|^2``.
     """
-    a = np.asarray(design, dtype=float)
-    g = np.asarray(penalty, dtype=float)
     q = np.asarray(data, dtype=float)
     require_finite(q, "data")
     if q.ndim == 1:
         q = q[:, None]
     lam = require_weight(lam)
-    if g.ndim != 2 or g.shape[0] != g.shape[1]:
-        raise DimensionMismatch("penalty matrix must be square")
-    if g.shape[1] != a.shape[1]:
-        raise DimensionMismatch(
-            f"penalty size {g.shape} does not match {a.shape[1]} columns of the design"
-        )
-    if q.shape[0] != a.shape[0]:
-        raise DimensionMismatch(
-            f"{q.shape[0]} target rows for {a.shape[0]} design rows"
-        )
-    stacked = np.asfortranarray(np.vstack([a, math.sqrt(lam) * g]))
-    targets = np.vstack([q, np.zeros((g.shape[0], q.shape[1]))])
-    return AugmentedCurveSystem(stacked, targets, lam, a.shape[0])
+    stacked = _stack(design, penalty, lam, "penalty")
+    rows = stacked.shape[0] - stacked.shape[1]
+    if q.shape[0] != rows:
+        raise DimensionMismatch(f"{q.shape[0]} target rows for {rows} design rows")
+    targets = np.vstack([q, np.zeros((stacked.shape[1], q.shape[1]))])
+    return AugmentedCurveSystem(stacked, targets, lam, rows)
 
 
 def augment_surface(design_u, design_v, penalty_u, penalty_v, data, lam: float) -> AugmentedSurfaceSystem:
@@ -192,71 +199,57 @@ def augment_surface(design_u, design_v, penalty_u, penalty_v, data, lam: float) 
     four-term objective: data misfit, the two singly weighted cross penalty
     terms, and the ``lam**2`` doubly penalized term.
     """
-    a = np.asarray(design_u, dtype=float)
-    b = np.asarray(design_v, dtype=float)
-    lu = np.asarray(penalty_u, dtype=float)
-    lv = np.asarray(penalty_v, dtype=float)
     grid = np.asarray(data, dtype=float)
     require_finite(grid, "data")
     if grid.ndim == 2:
         grid = grid[:, :, None]
     lam = require_weight(lam)
-    for mat, cols, name in ((lu, a.shape[1], "row penalty"), (lv, b.shape[1], "column penalty")):
-        if mat.ndim != 2 or mat.shape[0] != mat.shape[1] or mat.shape[1] != cols:
-            raise DimensionMismatch(f"{name} must be square of size {cols}")
-    if grid.shape[0] != a.shape[0] or grid.shape[1] != b.shape[0]:
+    row_stacked = _stack(design_u, penalty_u, lam, "row penalty")
+    col_stacked = _stack(design_v, penalty_v, lam, "column penalty")
+    rows = row_stacked.shape[0] - row_stacked.shape[1]
+    cols = col_stacked.shape[0] - col_stacked.shape[1]
+    if grid.shape[:2] != (rows, cols):
         raise DimensionMismatch(
-            f"data grid {grid.shape[:2]} does not match design rows "
-            f"({a.shape[0]}, {b.shape[0]})"
+            f"data grid {grid.shape[:2]} does not match design rows ({rows}, {cols})"
         )
-    root = math.sqrt(lam)
-    row_stacked = np.asfortranarray(np.vstack([a, root * lu]))
-    col_stacked = np.asfortranarray(np.vstack([b, root * lv]))
     targets = np.zeros((row_stacked.shape[0], col_stacked.shape[0], grid.shape[2]))
-    targets[: grid.shape[0], : grid.shape[1]] = grid
-    return AugmentedSurfaceSystem(
-        row_stacked, col_stacked, targets, lam, a.shape[0], b.shape[0]
-    )
+    targets[:rows, :cols] = grid
+    return AugmentedSurfaceSystem(row_stacked, col_stacked, targets, lam, rows, cols)
 
 
 @dataclass(frozen=True)
 class BlockPartition:
-    """Disjoint column blocks with selection weights and their windows.
+    """Contiguous column blocks with selection weights and their windows.
 
-    ``blocks`` are sorted index arrays covering every column exactly once;
-    ``probabilities`` are the squared Frobenius norms of the corresponding
-    column blocks normalized to sum to one. For the matrix ``M`` the
-    partition was built from, ``hits[t]`` lists the rows where block ``t``'s
-    columns have a nonzero, and ``coupled[t]`` is the smallest contiguous
-    column slice holding every column that shares such a row with block
-    ``t``, so the gram ``(M^T M)[:, block]`` is zero outside it.
+    Block ``t`` is the column slice ``spans[t]``, which the solvers index
+    with; ``blocks[t]`` holds the same columns as an index array, for the
+    oracles. The spans tile the columns in order. ``probabilities`` are the
+    squared Frobenius norms of the column blocks normalized to sum to one.
+    For the matrix ``M`` the partition was built from, ``hits[t]`` lists the
+    rows where block ``t``'s columns have a nonzero, and ``coupled[t]`` is
+    the smallest contiguous column slice holding every column that shares
+    such a row with block ``t``, so the gram ``(M^T M)[:, block]`` is zero
+    outside it.
     """
 
+    spans: tuple[slice, ...]
     blocks: tuple[np.ndarray, ...]
     norms_sq: np.ndarray
     probabilities: np.ndarray
     hits: tuple[np.ndarray, ...]
     coupled: tuple[slice, ...]
-    spans: tuple = field(init=False, repr=False)
     cumulative: np.ndarray = field(init=False, repr=False)
     _bounds: list = field(init=False, repr=False)
     _row_windows: dict = field(init=False, repr=False, default_factory=dict)
 
     def __post_init__(self):
-        spans = []
-        for block in self.blocks:
-            if block.size and np.array_equal(block, np.arange(block[0], block[-1] + 1)):
-                spans.append(slice(int(block[0]), int(block[-1]) + 1))
-            else:
-                spans.append(None)
         cumulative = np.cumsum(self.probabilities)
         cumulative[-1] = 1.0
-        object.__setattr__(self, "spans", tuple(spans))
         object.__setattr__(self, "cumulative", cumulative)
         object.__setattr__(self, "_bounds", cumulative.tolist())
 
     def __len__(self) -> int:
-        return len(self.blocks)
+        return len(self.spans)
 
     def block_at(self, u: float) -> int:
         """The block whose cumulative-probability interval holds ``u`` in [0, 1).
@@ -287,25 +280,12 @@ def _hull(indices: np.ndarray, empty_at: int = 0) -> slice:
     return slice(int(indices[0]), int(indices[-1]) + 1)
 
 
-def _partition(mat: np.ndarray, blocks: tuple[np.ndarray, ...]) -> BlockPartition:
-    # A block norm sums its columns' squared norms, so a contiguous block gets
-    # the same bits from either builder.
-    col_norms = np.einsum("ij,ij->j", mat, mat)
-    norms = np.asarray([float(col_norms[b].sum()) for b in blocks])
-    if np.any(norms == 0.0):
-        bad = int(np.flatnonzero(norms == 0.0)[0])
-        raise ZeroColumnBlock(f"column block {bad} has zero norm")
-    nonzero = mat != 0.0
-    hits = tuple(np.flatnonzero(nonzero[:, b].any(axis=1)) for b in blocks)
-    coupled = tuple(_hull(np.flatnonzero(nonzero[rows].any(axis=0))) for rows in hits)
-    return BlockPartition(blocks, norms, norms / norms.sum(), hits, coupled)
-
-
 def make_partition(matrix, block_size: int) -> BlockPartition:
     """Contiguous column blocks of ``block_size`` (ragged tail allowed).
 
     Selection weights are the squared Frobenius norms of the column blocks of
-    ``matrix``, normalized by the total squared norm.
+    ``matrix``, normalized by the total squared norm; the windows are those
+    of ``matrix``'s nonzeros (see :class:`BlockPartition`).
 
     Raises
     ------
@@ -316,17 +296,16 @@ def make_partition(matrix, block_size: int) -> BlockPartition:
     if block_size < 1:
         raise InvalidConfig("block size must be >= 1")
     n_cols = mat.shape[1]
-    return _partition(mat, tuple(
-        np.arange(start, min(start + block_size, n_cols))
-        for start in range(0, n_cols, block_size)
-    ))
-
-
-def partition_from_blocks(matrix, blocks) -> BlockPartition:
-    """Partition with caller-chosen index sets (used by reference checks)."""
-    mat = np.asarray(matrix, dtype=float)
-    index_sets = tuple(np.asarray(b, dtype=int) for b in blocks)
-    covered = np.sort(np.concatenate(index_sets))
-    if not np.array_equal(covered, np.arange(mat.shape[1])):
-        raise InvalidConfig("blocks must cover every column exactly once")
-    return _partition(mat, index_sets)
+    spans = tuple(
+        slice(start, min(start + block_size, n_cols)) for start in range(0, n_cols, block_size)
+    )
+    col_norms = np.einsum("ij,ij->j", mat, mat)
+    norms = np.asarray([float(col_norms[span].sum()) for span in spans])
+    if np.any(norms == 0.0):
+        bad = int(np.flatnonzero(norms == 0.0)[0])
+        raise ZeroColumnBlock(f"column block {bad} has zero norm")
+    nonzero = mat != 0.0
+    hits = tuple(np.flatnonzero(nonzero[:, span].any(axis=1)) for span in spans)
+    coupled = tuple(_hull(np.flatnonzero(nonzero[rows].any(axis=0))) for rows in hits)
+    blocks = tuple(np.arange(span.start, span.stop) for span in spans)
+    return BlockPartition(spans, blocks, norms, norms / norms.sum(), hits, coupled)

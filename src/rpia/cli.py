@@ -18,7 +18,15 @@ from pathlib import Path
 import click
 import numpy as np
 
-from .config import ExperimentConfig, SweepGrid, config_from_mapping, load_config
+from .config import (
+    GENERATORS,
+    INNER_SOLVERS,
+    PROBLEMS,
+    ExperimentConfig,
+    SweepGrid,
+    config_from_mapping,
+    load_config,
+)
 from .datasets import NoiseSpec, add_noise, blob_curve, boy_surface, rose_curve
 from .errors import FittingError, IncompleteGrid, InvalidConfig, ParseError
 from .experiment import (
@@ -75,16 +83,19 @@ def _base_config(config_path) -> ExperimentConfig:
 
 def _parse_seed_list(raw: str) -> tuple[int, ...]:
     try:
-        return tuple(int(part) for part in raw.split(",") if part.strip())
+        seeds = tuple(int(part) for part in raw.split(",") if part.strip())
     except ValueError:
         raise InvalidConfig(f"cannot parse seed list {raw!r}") from None
+    if not seeds:
+        raise InvalidConfig(f"seeds must be a nonempty list, got {raw!r}")
+    return seeds
 
 
 _SHARED_OPTIONS = [
     click.option("--config", "config_path", type=click.Path(exists=True), default=None,
                  help="YAML config supplying defaults."),
-    click.option("--problem", type=click.Choice(["curve", "surface"]), default=None),
-    click.option("--generator", type=click.Choice(["rose", "blob", "boy", "file"]), default=None),
+    click.option("--problem", type=click.Choice(PROBLEMS), default=None),
+    click.option("--generator", type=click.Choice(GENERATORS), default=None),
     click.option("--input", "input_path", type=click.Path(), default=None,
                  help="CSV dataset when generator is 'file'."),
     click.option("--m", type=int, default=None, help="Data index bound (m+1 points)."),
@@ -100,7 +111,7 @@ _SHARED_OPTIONS = [
     click.option("--seeds", type=str, default=None, help="Comma-separated seed list."),
     click.option("--head-count", type=int, default=None),
     click.option("--eps-lambda", type=float, default=None),
-    click.option("--inner-solver", type=click.Choice(["direct", "rpia"]), default=None),
+    click.option("--inner-solver", type=click.Choice(INNER_SOLVERS), default=None),
 ]
 
 
@@ -234,7 +245,8 @@ def spectrum(config_path, seeds, out_dir, **overrides):
 
 
 @main.command("gen-data")
-@click.option("--generator", type=click.Choice(["rose", "blob", "boy"]), required=True)
+@click.option("--generator", type=click.Choice([g for g in GENERATORS if g != "file"]),
+              required=True)
 @click.option("--m", type=int, required=True)
 @click.option("--p", type=int, default=None, help="Required for surface generators.")
 @click.option("--noise-amplitude", type=float, default=None,

@@ -3,6 +3,8 @@
 from __future__ import annotations
 
 import math
+import numbers
+import os
 from dataclasses import dataclass, fields, replace
 from typing import Optional, Union
 
@@ -12,7 +14,28 @@ import yaml
 from .errors import InvalidConfig
 
 
+# The allowed values of the choice fields; the CLI options offer the same.
+PROBLEMS = ("curve", "surface")
+GENERATORS = ("rose", "blob", "boy", "file")
+INNER_SOLVERS = ("direct", "rpia")
+
+# Integer fields; those in the second tuple may also be left unset (None).
+_INTEGER_FIELDS = ("m", "n_ctrl", "block_size", "max_iter", "head_count", "trajectory_stride")
+_OPTIONAL_INTEGER_FIELDS = ("p", "n_ctrl_v", "block_size_v")
+
+
+# bool is an int subclass, but ``true`` is neither a count nor a weight.
+def _is_integer(value) -> bool:
+    return isinstance(value, numbers.Integral) and not isinstance(value, bool)
+
+
+def _is_real(value) -> bool:
+    return isinstance(value, numbers.Real) and not isinstance(value, bool)
+
+
 def _require_positive(name: str, value: float) -> None:
+    if not _is_real(value):
+        raise InvalidConfig(f"{name} must be a real number, got {value!r}")
     # ``not value > 0`` also catches nan, which every ordered comparison fails.
     if not (value > 0.0 and math.isfinite(value)):
         raise InvalidConfig(f"{name} must be positive and finite, got {value!r}")
@@ -35,6 +58,8 @@ class SweepGrid:
         _require_positive("sweep grid hi", self.hi)
         if self.hi < self.lo:
             raise InvalidConfig("sweep grid needs 0 < lo <= hi")
+        if not _is_integer(self.points):
+            raise InvalidConfig(f"sweep grid points must be an integer, got {self.points!r}")
         if self.points < 1:
             raise InvalidConfig("sweep grid needs at least 1 point")
 
@@ -72,10 +97,17 @@ class ExperimentConfig:
     trajectory_stride: int = 10
 
     def __post_init__(self):
-        if self.problem not in ("curve", "surface"):
+        for name in _INTEGER_FIELDS + _OPTIONAL_INTEGER_FIELDS:
+            value = getattr(self, name)
+            if not (_is_integer(value) or (value is None and name in _OPTIONAL_INTEGER_FIELDS)):
+                raise InvalidConfig(f"{name} must be an integer, got {value!r}")
+        if self.problem not in PROBLEMS:
             raise InvalidConfig(f"unknown problem {self.problem!r}")
-        if self.generator not in ("rose", "blob", "boy", "file"):
+        if self.generator not in GENERATORS:
             raise InvalidConfig(f"unknown generator {self.generator!r}")
+        # An integer would be opened as a file descriptor.
+        if self.input_path is not None and not isinstance(self.input_path, (str, os.PathLike)):
+            raise InvalidConfig(f"input must be a file path, got {self.input_path!r}")
         if self.generator == "file" and not self.input_path:
             raise InvalidConfig("generator 'file' requires input_path")
         if self.generator in ("rose", "blob") and self.problem != "curve":
@@ -99,8 +131,10 @@ class ExperimentConfig:
             )
         if isinstance(self.lam, SweepGrid) and self.lam.points < 2:
             raise InvalidConfig("configured sweep grids need at least 2 points")
-        if isinstance(self.lam, float) and not (math.isfinite(self.lam) and self.lam >= 0.0):
-            raise InvalidConfig(f"lambda must be finite and nonnegative, got {self.lam!r}")
+        if not isinstance(self.lam, (str, SweepGrid)) and not (
+            _is_real(self.lam) and math.isfinite(self.lam) and self.lam >= 0.0
+        ):
+            raise InvalidConfig(f"lambda must be a finite nonnegative number, got {self.lam!r}")
         _require_positive("noise_amplitude", self.noise_amplitude)
         _require_positive("penalty_scale", self.penalty_scale)
         _require_positive("tolerance", self.tolerance)
@@ -109,10 +143,13 @@ class ExperimentConfig:
         if self.head_count < 3:
             raise InvalidConfig("head_count must be at least 3")
         _require_positive("eps_lambda", self.eps_lambda)
-        if self.inner_solver not in ("direct", "rpia"):
-            raise InvalidConfig("inner_solver must be 'direct' or 'rpia'")
+        if self.inner_solver not in INNER_SOLVERS:
+            raise InvalidConfig(f"inner_solver must be one of {INNER_SOLVERS}")
         if self.trajectory_stride < 0:
             raise InvalidConfig("trajectory_stride must be nonnegative")
+        for seed in self.seeds:
+            if not (_is_integer(seed) and seed >= 0):
+                raise InvalidConfig(f"seeds must be non-negative integers, got {seed!r}")
         if not self.seeds:
             default = (
                 _SURFACE_DEFAULT_SEEDS if self.problem == "surface" else _CURVE_DEFAULT_SEEDS
@@ -124,27 +161,35 @@ class ExperimentConfig:
         return replace(self, **provided) if provided else self
 
 
-def _parse_lambda(raw) -> LambdaChoice:
+def _parse_weight(name: str, raw) -> float:
+    """A weight given as a number or as a numeric string (``1e-6`` is a string
+    to YAML, and the CLI passes strings); a bool is neither."""
     if isinstance(raw, str):
-        if raw in _LAMBDA_MODES:
-            return raw
         try:
             return float(raw)
         except ValueError:
-            raise InvalidConfig(f"cannot interpret lambda value {raw!r}") from None
+            raise InvalidConfig(f"cannot interpret {name} value {raw!r}") from None
+    if not _is_real(raw):
+        raise InvalidConfig(f"{name} must be a real number, got {raw!r}")
+    return float(raw)
+
+
+def _parse_lambda(raw) -> LambdaChoice:
+    if isinstance(raw, str) and raw in _LAMBDA_MODES:
+        return raw
     if isinstance(raw, dict):
         sweep = raw.get("sweep")
         if not isinstance(sweep, dict):
             raise InvalidConfig("lambda mapping must contain a 'sweep' entry")
         try:
             return SweepGrid(
-                float(sweep["lo"]), float(sweep["hi"]), int(sweep["points"])
+                _parse_weight("sweep grid lo", sweep["lo"]),
+                _parse_weight("sweep grid hi", sweep["hi"]),
+                sweep["points"],
             )
         except KeyError as exc:
             raise InvalidConfig(f"sweep grid missing key {exc}") from None
-    if isinstance(raw, (int, float)):
-        return float(raw)
-    raise InvalidConfig(f"cannot interpret lambda value {raw!r}")
+    return _parse_weight("lambda", raw)
 
 
 def config_from_mapping(mapping: dict) -> ExperimentConfig:
@@ -165,7 +210,7 @@ def config_from_mapping(mapping: dict) -> ExperimentConfig:
         seeds = kwargs["seeds"]
         if not isinstance(seeds, (list, tuple)) or not seeds:
             raise InvalidConfig("seeds must be a nonempty list")
-        kwargs["seeds"] = tuple(int(s) for s in seeds)
+        kwargs["seeds"] = tuple(seeds)
     return ExperimentConfig(**kwargs)
 
 

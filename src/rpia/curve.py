@@ -86,15 +86,14 @@ def step(state: CurveFitState, partition: BlockPartition) -> CurveFitState:
     design.
     """
     t = select_block(state, partition)
-    span = partition.spans[t]
-    index = span if span is not None else partition.blocks[t]
+    block = partition.spans[t]
     system = state.system
-    delta = state.correlation[index] / partition.norms_sq[t]
-    state.control_points[index] += delta
+    delta = state.correlation[block] / partition.norms_sq[t]
+    state.control_points[block] += delta
     coupled = partition.coupled[t]
-    state.correlation[coupled] -= system.gram[coupled, index] @ delta
+    state.correlation[coupled] -= system.gram[coupled, block] @ delta
     rows = partition.row_windows(system.data_rows)[t]
-    top = system.stacked[rows, index] @ delta
+    top = system.stacked[rows, block] @ delta
     state.fitted_points[rows] += top
     state.last_move_norm = math.sqrt(np.vdot(top, top))
     state.iteration += 1

@@ -110,17 +110,13 @@ class CurveProblem:
     def n_controls(self) -> int:
         return self.design.shape[1]
 
-    def augment(self, data, lam: float):
-        return augment_curve(self.design, self.penalty, data, lam)
-
-    def initial_controls(self, data, cfg: ExperimentConfig) -> np.ndarray:
-        return initial_controls_curve(data, cfg.n_ctrl)
-
-    def solve_randomized(self, system, start, cfg: ExperimentConfig, seed: int, stride: int):
-        """Partition the system and run the randomized solver: (controls, result)."""
-        partition = make_partition(system.stacked, cfg.block_size)
+    def solve_randomized(self, data, lam: float, cfg: ExperimentConfig, seed: int, stride: int):
+        """Stack the system at ``lam``, partition it and run the randomized
+        solver from controls seeded by the data: (controls, result)."""
+        system = augment_curve(self.design, self.penalty, data, lam)
         result = curve_solver.run(
-            system, partition, start, _stop_rule(cfg), solver_rng(seed),
+            system, make_partition(system.stacked, cfg.block_size),
+            initial_controls_curve(data, cfg.n_ctrl), _stop_rule(cfg), solver_rng(seed),
             trajectory_stride=stride,
         )
         return result.control_points, result
@@ -182,21 +178,18 @@ class SurfaceProblem:
     def n_controls(self) -> int:
         return self.design_u.shape[1] * self.design_v.shape[1]
 
-    def augment(self, data, lam: float):
-        return augment_surface(
+    def solve_randomized(self, data, lam: float, cfg: ExperimentConfig, seed: int, stride: int):
+        """Stack both factors at ``lam``, partition them and run the randomized
+        solver from controls seeded by the data: (controls, result)."""
+        system = augment_surface(
             self.design_u, self.design_v, self.penalty_u, self.penalty_v, data, lam
         )
-
-    def initial_controls(self, data, cfg: ExperimentConfig) -> np.ndarray:
-        return initial_controls_surface(data, cfg.n_ctrl, cfg.n_ctrl_v)
-
-    def solve_randomized(self, system, start, cfg: ExperimentConfig, seed: int, stride: int):
-        """Partition both factors and run the randomized solver: (controls, result)."""
-        part_u = make_partition(system.row_stacked, cfg.block_size)
-        part_v = make_partition(system.col_stacked, cfg.block_size_v or cfg.block_size)
         result = surface_solver.run(
-            system, part_u, part_v, start, _stop_rule(cfg), solver_rng(seed),
-            trajectory_stride=stride,
+            system,
+            make_partition(system.row_stacked, cfg.block_size),
+            make_partition(system.col_stacked, cfg.block_size_v or cfg.block_size),
+            initial_controls_surface(data, cfg.n_ctrl, cfg.n_ctrl_v),
+            _stop_rule(cfg), solver_rng(seed), trajectory_stride=stride,
         )
         return result.control_grid, result
 
@@ -355,10 +348,7 @@ def self_consistent_measure(problem, data):
 
 def _fit_fixed(problem, cfg, lam: float, seed: int, noisy) -> SeedOutcome:
     start = time.perf_counter()
-    system = problem.augment(noisy, lam)
-    controls, result = problem.solve_randomized(
-        system, problem.initial_controls(noisy, cfg), cfg, seed, cfg.trajectory_stride
-    )
+    controls, result = problem.solve_randomized(noisy, lam, cfg, seed, cfg.trajectory_stride)
     return SeedOutcome(
         seed, lam, _relative_error(problem, controls), result.iterations,
         result.converged, time.perf_counter() - start, controls, result.trajectory,
@@ -376,11 +366,8 @@ def _inner_solver(problem, cfg, seed: int, noisy):
         def solve(lam: float) -> np.ndarray:
             return problem.solve_direct(noisy, lam)
     else:
-        start = problem.initial_controls(noisy, cfg)
-
         def solve(lam: float) -> np.ndarray:
-            system = problem.augment(noisy, lam)
-            controls, result = problem.solve_randomized(system, start, cfg, seed, 0)
+            controls, result = problem.solve_randomized(noisy, lam, cfg, seed, 0)
             converged[0] = result.converged
             return controls
     return solve, converged

@@ -110,25 +110,20 @@ def step(
     blocks' row windows in the designs, by ``A[rows, t] @ delta @ B[cols, s]^T``.
     """
     t, s = select_blocks(state, row_partition, col_partition)
-    row_span = row_partition.spans[t]
-    col_span = col_partition.spans[s]
-    row_index = row_span if row_span is not None else row_partition.blocks[t]
-    col_index = col_span if col_span is not None else col_partition.blocks[s]
-    if row_span is not None and col_span is not None:
-        block = (slice(None), row_span, col_span)
-    else:
-        block = (slice(None), *np.ix_(row_partition.blocks[t], col_partition.blocks[s]))
+    row_block = row_partition.spans[t]
+    col_block = col_partition.spans[s]
     system = state.system
-    delta = state.correlation[block] / (row_partition.norms_sq[t] * col_partition.norms_sq[s])
-    state.control_grid[block] += delta
+    scale = row_partition.norms_sq[t] * col_partition.norms_sq[s]
+    delta = state.correlation[:, row_block, col_block] / scale
+    state.control_grid[:, row_block, col_block] += delta
     wt = row_partition.coupled[t]
     ws = col_partition.coupled[s]
     state.correlation[:, wt, ws] -= (
-        system.row_gram[wt, row_index] @ delta @ system.col_gram[col_index, ws]
+        system.row_gram[wt, row_block] @ delta @ system.col_gram[col_block, ws]
     )
     rows = row_partition.row_windows(system.data_rows)[t]
     cols = col_partition.row_windows(system.data_cols)[s]
-    top = system.row_stacked[rows, row_index] @ delta @ system.col_stacked[cols, col_index].T
+    top = system.row_stacked[rows, row_block] @ delta @ system.col_stacked[cols, col_block].T
     state.fitted_points[:, rows, cols] += top
     state.last_move_norm = math.sqrt(np.vdot(top, top))
     state.iteration += 1

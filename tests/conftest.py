@@ -13,7 +13,6 @@ from rpia.assembly import (
     augment_curve,
     augment_surface,
     difference_matrix,
-    partition_from_blocks,
 )
 from rpia.basis import build_knots
 from rpia.experiment import CurveProblem, SurfaceProblem
@@ -216,18 +215,6 @@ def surface_systems(draw):
         grid,
         draw(penalty_weights(design_u, design_v)),
     )
-
-
-@st.composite
-def scattered_partitions(draw, matrix):
-    """``partition_from_blocks`` over a shuffled split of the columns into 1-4 sets."""
-    n_cols = matrix.shape[1]
-    order = draw(st.permutations(range(n_cols)))
-    n_sets = draw(st.integers(1, min(4, n_cols)))
-    cuts = draw(st.lists(st.integers(1, n_cols - 1), min_size=n_sets - 1,
-                         max_size=n_sets - 1, unique=True))
-    sets = [sorted(part) for part in np.split(np.asarray(order), sorted(cuts))]
-    return partition_from_blocks(matrix, sets)
 
 
 def csv_writer_bytes(header, rows) -> bytes:

@@ -10,7 +10,6 @@ from rpia.assembly import (
     augment_surface,
     difference_matrix,
     make_partition,
-    partition_from_blocks,
     tensor_apply,
 )
 from rpia.basis import build_knots, chord_length_params, surface_params
@@ -18,7 +17,7 @@ from rpia.datasets import blob_curve, boy_surface, rose_curve
 from rpia.errors import DegenerateData, DimensionMismatch, InvalidConfig, ZeroColumnBlock
 
 from conftest import (
-    curve_systems, dense_rows, pointwise_basis, scattered_partitions, surface_systems,
+    curve_systems, dense_rows, pointwise_basis, surface_systems,
 )
 
 
@@ -268,22 +267,21 @@ class TestPartition:
         matrix[:, 2:] = 0.0
         with pytest.raises(ZeroColumnBlock, match="column block 1 "):
             make_partition(matrix, 2)
-        with pytest.raises(ZeroColumnBlock, match="column block 2 "):
-            partition_from_blocks(matrix, [[0], [1], [2, 3]])
 
-    def test_custom_blocks(self, rng):
-        matrix = rng.standard_normal((6, 5))
-        part = partition_from_blocks(matrix, [[0, 2, 4], [1, 3]])
-        assert len(part) == 2
-        with pytest.raises(InvalidConfig):
-            partition_from_blocks(matrix, [[0, 1], [2, 3]])
-        # contiguous index sets give make_partition's partition, bit for bit
-        same = partition_from_blocks(matrix, [[0, 1], [2, 3], [4]])
-        made = make_partition(matrix, 2)
-        npt.assert_array_equal(same.norms_sq, made.norms_sq)
-        npt.assert_array_equal(same.probabilities, made.probabilities)
-        assert same.row_windows(6) == made.row_windows(6)
-        assert same.coupled == made.coupled
+    @settings(max_examples=60, deadline=None)
+    @given(n_cols=st.integers(1, 40), block_size=st.integers(1, 12))
+    def test_spans_and_blocks_name_the_same_columns(self, n_cols, block_size):
+        matrix = np.arange(1.0, 2.0 * n_cols + 1.0).reshape(2, n_cols)
+        part = make_partition(matrix, block_size)
+        columns = np.arange(n_cols)
+        assert len(part.spans) == len(part.blocks) == len(part)
+        for span, block in zip(part.spans, part.blocks):
+            npt.assert_array_equal(columns[span], block)
+        # the spans tile range(n) in order
+        assert part.spans[0].start == 0 and part.spans[-1].stop == n_cols
+        for before, after in zip(part.spans, part.spans[1:]):
+            assert before.stop == after.start
+        assert all(span.stop - span.start == block_size for span in part.spans[:-1])
 
 
 def assert_windows_tight(matrix, partition):
@@ -342,13 +340,6 @@ class TestRowWindows:
     def test_surface_windows_hold_every_nonzero(self, system, block_size):
         for factor in (system.row_stacked, system.col_stacked):
             assert_windows_tight(factor, make_partition(factor, block_size))
-
-    @settings(max_examples=60, deadline=None)
-    @given(data=st.data())
-    def test_scattered_block_windows_hold_every_nonzero(self, data):
-        system = data.draw(curve_systems())
-        partition = data.draw(scattered_partitions(system.stacked))
-        assert_windows_tight(system.stacked, partition)
 
 
 class TestBlockAt:

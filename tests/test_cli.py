@@ -107,6 +107,27 @@ class TestFit:
         assert result.exit_code == 2
         assert "tolerance" in result.output
 
+    @pytest.mark.parametrize("field, value", [
+        ("max_iter", "100.0"), ("m", '"abc"'), ("seeds", '["x"]'), ("seeds", "[true, 2.7]"),
+        ("lambda", "true"), ("tolerance", "yes"),
+    ])
+    def test_wrongly_typed_config_value_exit_code(self, runner, tmp_path, field, value):
+        cfg = write_desk_config(tmp_path / "cfg.yaml", **{field: value})
+        result = runner.invoke(main, ["fit", "--config", str(cfg), "--out", str(tmp_path / "o")])
+        assert result.exit_code == 2
+        assert field in result.output
+        assert not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize("seeds", ["-1", "", " , "])
+    def test_bad_seed_flag_exit_code(self, runner, tmp_path, seeds):
+        cfg = write_desk_config(tmp_path / "cfg.yaml")
+        result = runner.invoke(
+            main, ["fit", "--config", str(cfg), "--seeds", seeds, "--out", str(tmp_path / "o")]
+        )
+        assert result.exit_code == 2
+        assert "seeds" in result.output
+        assert not (tmp_path / "o").exists()
+
     def test_numerical_error_exit_code(self, runner, tmp_path):
         data = tmp_path / "degenerate.csv"
         data.write_text("x,y\n" + "1.0,1.0\n" * 12)

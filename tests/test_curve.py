@@ -16,7 +16,6 @@ from conftest import (
     assert_close_to_scale,
     curve_systems,
     random_curve_system,
-    scattered_partitions,
 )
 
 
@@ -180,10 +179,7 @@ class TestWindowedStep:
     @settings(max_examples=60, deadline=None)
     @given(system=curve_systems(), seed=st.integers(0, 2**32 - 1), data=st.data())
     def test_matches_dense_reference_update(self, system, seed, data):
-        if data.draw(st.booleans(), label="contiguous blocks"):
-            partition = make_partition(system.stacked, data.draw(st.integers(1, 6)))
-        else:
-            partition = data.draw(scattered_partitions(system.stacked))
+        partition = make_partition(system.stacked, data.draw(st.integers(1, 6)))
         p0 = np.random.default_rng(seed).standard_normal((system.n_controls, 2))
         state = init_state(system, p0, seed)
         for _ in range(8):
@@ -218,10 +214,7 @@ class TestGramStep:
     def test_equals_stacked_data_space_step(self, system, seed, data):
         # one step from a random state against the textbook step on the
         # stacked residual, with the new correlation recomputed from scratch
-        if data.draw(st.booleans(), label="contiguous blocks"):
-            partition = make_partition(system.stacked, data.draw(st.integers(1, 6)))
-        else:
-            partition = data.draw(scattered_partitions(system.stacked))
+        partition = make_partition(system.stacked, data.draw(st.integers(1, 6)))
         p0 = 3.0 * np.random.default_rng(seed).standard_normal((system.n_controls, 2))
         state = init_state(system, p0, seed)
         replay = philox_stream(0)

@@ -2,6 +2,9 @@ import numpy.testing as npt
 import pytest
 
 from rpia.config import (
+    GENERATORS,
+    INNER_SOLVERS,
+    PROBLEMS,
     ExperimentConfig,
     SweepGrid,
     config_from_mapping,
@@ -149,6 +152,63 @@ class TestConfig:
     def test_rejects_non_finite_floats(self, field, value):
         with pytest.raises(InvalidConfig, match=field):
             config_from_mapping({field: value})
+
+    @pytest.mark.parametrize("field, value", [
+        ("m", "abc"), ("m", 100.0), ("m", True), ("p", 8.5), ("n_ctrl", "12"),
+        ("n_ctrl_v", False), ("block_size", 2.0), ("block_size_v", "5"),
+        ("max_iter", 100.0), ("head_count", True), ("trajectory_stride", 1.5),
+    ])
+    def test_integer_fields_reject_other_types(self, field, value):
+        with pytest.raises(InvalidConfig, match=field):
+            config_from_mapping({field: value})
+
+    @pytest.mark.parametrize("field", ["noise_amplitude", "penalty_scale", "tolerance", "eps_lambda"])
+    @pytest.mark.parametrize("value", [True, "1.0", None, [1.0]])
+    def test_real_fields_reject_other_types(self, field, value):
+        with pytest.raises(InvalidConfig, match=field):
+            config_from_mapping({field: value})
+
+    @pytest.mark.parametrize("value", [True, False, None, [1e-6], "tiny"])
+    def test_lambda_rejects_bools_and_non_numbers(self, value):
+        with pytest.raises(InvalidConfig, match="lambda"):
+            config_from_mapping({"lambda": value})
+
+    def test_lambda_takes_numeric_strings(self):
+        # YAML reads ``1e-6`` (no decimal point) as a string; the CLI passes strings
+        assert config_from_mapping({"lambda": "1e-6"}).lam == 1e-6
+        grid = config_from_mapping({"lambda": {"sweep": {"lo": "1e-9", "hi": 1e-3, "points": 3}}})
+        assert grid.lam == SweepGrid(1e-9, 1e-3, 3)
+
+    @pytest.mark.parametrize("key, value", [
+        ("lo", True), ("hi", "wide"), ("points", 3.0), ("points", "3"), ("points", True),
+    ])
+    def test_sweep_grid_fields_reject_other_types(self, key, value):
+        sweep = {"lo": 1e-9, "hi": 1e-3, "points": 3, key: value}
+        with pytest.raises(InvalidConfig, match=f"sweep grid {key}"):
+            config_from_mapping({"lambda": {"sweep": sweep}})
+
+    @pytest.mark.parametrize("value", [1, 7, True, ["a.csv"]])
+    def test_input_must_be_a_path(self, value):
+        # an integer path would be opened as a file descriptor
+        with pytest.raises(InvalidConfig, match="input"):
+            config_from_mapping({"generator": "file", "input": value})
+
+    @pytest.mark.parametrize("seeds", [["x"], [True, 2], [2.7], [-1], [0, -3], [], "0", 3])
+    def test_seeds_must_be_non_negative_integers(self, seeds):
+        with pytest.raises(InvalidConfig, match="seeds"):
+            config_from_mapping({"seeds": seeds})
+
+    def test_choices_come_from_one_list(self):
+        from rpia import cli
+
+        options = {opt.name: opt for opt in cli.fit.params}
+        assert tuple(options["problem"].type.choices) == PROBLEMS
+        assert tuple(options["generator"].type.choices) == GENERATORS
+        assert tuple(options["inner_solver"].type.choices) == INNER_SOLVERS
+        gen_data = {opt.name: opt for opt in cli.gen_data.params}
+        assert tuple(gen_data["generator"].type.choices) == tuple(
+            g for g in GENERATORS if g != "file"
+        )
 
     @pytest.mark.parametrize(
         "lo, hi", [(float("nan"), 1e-3), (1e-9, float("nan")), (1e-9, float("inf"))]

@@ -8,7 +8,6 @@ from rpia.assembly import (
     augment_surface,
     difference_matrix,
     make_partition,
-    partition_from_blocks,
 )
 from rpia.errors import TooLarge
 from rpia.oracle import (
@@ -171,7 +170,8 @@ class TestExpectationMapCurve:
 
     def test_ragged_partition(self, rng):
         system = random_curve_system(rng, m_rows=10, n_cols=5, lam=0.1)
-        partition = partition_from_blocks(system.stacked, [[0, 3], [1], [2, 4]])
+        partition = make_partition(system.stacked, 2)
+        assert [b.size for b in partition.blocks] == [2, 2, 1]
         z = rng.standard_normal(10)
         enumerated = expectation_map_curve_enumerated(system, partition, z)
         closed = expectation_map_curve_closed(system, z)

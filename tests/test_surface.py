@@ -21,7 +21,6 @@ from rpia.surface import init_state, run, select_blocks, step
 from conftest import (
     assert_close_to_scale,
     random_surface_system,
-    scattered_partitions,
     surface_systems,
 )
 
@@ -202,13 +201,10 @@ class TestWindowedStep:
     @settings(max_examples=60, deadline=None)
     @given(system=surface_systems(), seed=st.integers(0, 2**32 - 1), data=st.data())
     def test_matches_dense_per_coordinate_reference(self, system, seed, data):
-        partitions = []
-        for factor in (system.row_stacked, system.col_stacked):
-            if data.draw(st.booleans(), label="contiguous blocks"):
-                partitions.append(make_partition(factor, data.draw(st.integers(1, 6))))
-            else:
-                partitions.append(data.draw(scattered_partitions(factor)))
-        part_u, part_v = partitions
+        part_u, part_v = (
+            make_partition(factor, data.draw(st.integers(1, 6)))
+            for factor in (system.row_stacked, system.col_stacked)
+        )
         ncoord = system.targets.shape[2]
         grid0 = np.random.default_rng(seed).standard_normal((*system.n_controls, ncoord))
         state = init_state(system, grid0, seed)
@@ -253,13 +249,10 @@ class TestGramStep:
     def test_equals_stacked_data_space_step(self, system, seed, data):
         # one step from a random state against the textbook step on the
         # stacked residual, with the new correlation recomputed from scratch
-        partitions = []
-        for factor in (system.row_stacked, system.col_stacked):
-            if data.draw(st.booleans(), label="contiguous blocks"):
-                partitions.append(make_partition(factor, data.draw(st.integers(1, 6))))
-            else:
-                partitions.append(data.draw(scattered_partitions(factor)))
-        part_u, part_v = partitions
+        part_u, part_v = (
+            make_partition(factor, data.draw(st.integers(1, 6)))
+            for factor in (system.row_stacked, system.col_stacked)
+        )
         ncoord = system.targets.shape[2]
         grid0 = 3.0 * np.random.default_rng(seed).standard_normal((*system.n_controls, ncoord))
         state = init_state(system, grid0, seed)
