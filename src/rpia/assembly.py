@@ -23,14 +23,10 @@ from .errors import DegenerateData, DimensionMismatch, InvalidConfig, ZeroColumn
 def assemble_collocation(knots: KnotVector, params) -> np.ndarray:
     """Dense matrix of basis values: entry (j, i) is basis i at parameter j.
 
-    Rows sum to 1 and carry at most ``degree + 1`` nonzeros each.
+    Rows sum to 1 and carry at most ``degree + 1`` nonzeros each: the dense
+    form of ``eval_basis(knots, params)``.
     """
-    span = eval_basis(knots, params)
-    rows = np.arange(span.start.size)[:, None]
-    cols = span.start[:, None] + np.arange(knots.degree + 1)
-    matrix = np.zeros((span.start.size, knots.n_basis))
-    matrix[rows, cols] = span.values
-    return matrix
+    return eval_basis(knots, params).dense()
 
 
 def tensor_apply(a: np.ndarray, grid: np.ndarray, b: np.ndarray) -> np.ndarray:

@@ -6,6 +6,8 @@ data parameter sequence. Evaluation is vectorized over an array of
 parameters: one ``searchsorted`` finds every knot span, and the standard
 triangular recurrence (de Boor / Cox) runs on columns, returning for each
 parameter only the ``degree + 1`` basis values that can be nonzero there.
+That ``BasisSpan`` is the collocation matrix of a fit: its products and its
+gram come from the runs, without the dense matrix.
 
 All functions here are pure; none hold state.
 """
@@ -70,15 +72,70 @@ class KnotVector:
 
 @dataclass(frozen=True)
 class BasisSpan:
-    """The contiguous runs of basis values that are nonzero at each parameter.
+    """A collocation matrix ``A`` kept as the run of nonzero values in each row.
 
-    ``start`` has shape (k,) and ``values`` shape (k, degree + 1):
-    ``values[i, j]`` is the value of basis function ``start[i] + j`` at
-    parameter ``i``. Some entries of a run may be zero at clamped ends.
+    ``start`` has shape (k,) and ``values`` shape (k, w):
+    ``values[i, j]`` is entry ``(i, start[i] + j)`` of the k x ``n_basis``
+    matrix, whose other entries are zero. For a B-spline basis ``w`` is
+    ``degree + 1`` and some entries of a run may be zero at clamped ends; a
+    dense matrix is the span with every start 0 and ``w = n_basis``.
+
+    The products with ``A`` gather and scatter along the runs, so none of
+    them forms the dense matrix; :meth:`dense` writes it.
     """
 
     start: np.ndarray
     values: np.ndarray
+    n_basis: int
+
+    def _columns(self) -> np.ndarray:
+        return self.start[:, None] + np.arange(self.values.shape[1])
+
+    def dense(self) -> np.ndarray:
+        """The k x ``n_basis`` matrix itself."""
+        matrix = np.zeros((self.start.size, self.n_basis))
+        matrix[np.arange(self.start.size)[:, None], self._columns()] = self.values
+        return matrix
+
+    def apply(self, x, axis: int = 0) -> np.ndarray:
+        """``A @ x`` along ``axis`` of ``x``, which has ``n_basis`` entries there."""
+        x = np.moveaxis(np.asarray(x, dtype=float), axis, 0)
+        out = np.einsum("kw,kw...->k...", self.values, x.take(self._columns(), axis=0))
+        return np.moveaxis(out, 0, axis)
+
+    def apply_transpose(self, y, axis: int = 0) -> np.ndarray:
+        """``A^T @ y`` along ``axis`` of ``y``, which has k entries there.
+
+        One scatter-add (``np.bincount``) over every (row, run entry,
+        trailing entry) product.
+        """
+        y = np.moveaxis(np.asarray(y, dtype=float), axis, 0)
+        flat = y.reshape(self.start.size, -1)
+        width = flat.shape[1]
+        index = self._columns()[:, :, None] * width + np.arange(width)
+        products = self.values[:, :, None] * flat[:, None, :]
+        out = np.bincount(index.ravel(), products.ravel(), minlength=self.n_basis * width)
+        return np.moveaxis(out.reshape((self.n_basis,) + y.shape[1:]), 0, axis)
+
+    def gram(self) -> np.ndarray:
+        """``A^T A``: exactly symmetric, zero beyond the run width off the diagonal.
+
+        Diagonal ``k`` sums, per run offset ``j``, the products
+        ``values[:, j] * values[:, j + k]`` with one ``np.bincount`` each, and
+        then adds those partial sums. Each entry is a sum over the few rows
+        that touch it, which on collocation designs is more accurate than
+        the dense ``A.T @ A`` (see ``tests/test_basis.py``).
+        """
+        v, n = self.values, self.n_basis
+        gram = np.zeros((n, n))
+        for k in range(v.shape[1]):
+            diagonal = np.zeros(n - k)
+            for j in range(v.shape[1] - k):
+                diagonal += np.bincount(self.start + j, v[:, j] * v[:, j + k], minlength=n - k)
+            i = np.arange(n - k)
+            gram[i, i + k] = diagonal
+            gram[i + k, i] = diagonal
+        return gram
 
 
 def chord_length_params(points) -> np.ndarray:
@@ -224,7 +281,7 @@ def eval_basis(knots: KnotVector, params) -> BasisSpan:
     -------
     BasisSpan
         ``degree + 1`` contiguous values per parameter, nonnegative and
-        summing to 1.
+        summing to 1: the collocation matrix of ``knots`` at ``params``.
 
     Raises
     ------
@@ -251,4 +308,4 @@ def eval_basis(knots: KnotVector, params) -> BasisSpan:
             values[:, r] = saved + right[:, r + 1] * temp
             saved = left[:, j - r] * temp
         values[:, j] = saved
-    return BasisSpan(span - d, values)
+    return BasisSpan(span - d, values, knots.n_basis)

@@ -31,6 +31,7 @@ from .datasets import NoiseSpec, add_noise, blob_curve, boy_surface, rose_curve
 from .errors import FittingError, IncompleteGrid, InvalidConfig, ParseError
 from .experiment import (
     build_problem,
+    capped_count,
     estimate_lambda,
     problem_spectrum,
     run_experiment,
@@ -128,6 +129,16 @@ def _merged_config(config_path, seeds, **overrides) -> ExperimentConfig:
     return cfg.with_overrides(**overrides)
 
 
+def _warn_capped(capped: int, fits: int, max_iter: int) -> None:
+    """One stderr line when any randomized fit stopped at its iteration cap."""
+    if capped:
+        click.echo(
+            f"warning: {capped} of {fits} fits stopped at max_iter={max_iter} "
+            "before meeting the tolerance",
+            err=True,
+        )
+
+
 @click.group()
 def main():
     """Noisy B-spline curve and surface fitting with randomized block iteration."""
@@ -149,6 +160,7 @@ def fit(config_path, seeds, lam, out_dir, **overrides):
         raise InvalidConfig("the fit command does not take sweep grids; use sweep")
     result = run_experiment(cfg)
     files = write_outputs(result, out_dir)
+    _warn_capped(capped_count(result.outcomes), len(result.outcomes), cfg.max_iter)
     report = result.report
     click.echo(
         f"lambda={report.lambda_used:.6e} mean_error={report.mean_fit_error:.6f} "
@@ -181,6 +193,7 @@ def sweep(config_path, seeds, lo, hi, points, out_dir, **overrides):
     cfg = replace(cfg, lam=grid)
     report, _ = sweep_lambda(cfg)
     name = write_sweep_outputs(report, out_dir)
+    _warn_capped(report.capped_fits, report.fits, cfg.max_iter)
     best = int(np.argmin(report.mean_errors))
     click.echo(
         f"estimate lambda={report.lambda_estimate:.6e} "
@@ -215,6 +228,7 @@ def self_consistent_cmd(config_path, seeds, out_dir, **overrides):
     cfg = replace(cfg, lam="self-consistent")
     result = run_experiment(cfg)
     files = write_outputs(result, out_dir)
+    _warn_capped(capped_count(result.outcomes), len(result.outcomes), cfg.max_iter)
     report = result.report
     click.echo(
         f"lambda={report.lambda_used:.6e} mean_error={report.mean_fit_error:.6f} "

@@ -147,9 +147,13 @@ class ExperimentConfig:
             raise InvalidConfig(f"inner_solver must be one of {INNER_SOLVERS}")
         if self.trajectory_stride < 0:
             raise InvalidConfig("trajectory_stride must be nonnegative")
-        for seed in self.seeds:
+        for k, seed in enumerate(self.seeds):
             if not (_is_integer(seed) and seed >= 0):
                 raise InvalidConfig(f"seeds must be non-negative integers, got {seed!r}")
+            # A repeated seed would fit the same noise draw twice and count it
+            # twice in the mean and spread of the fit errors.
+            if seed in self.seeds[:k]:
+                raise InvalidConfig(f"seeds must not repeat, got {seed!r} twice")
         if not self.seeds:
             default = (
                 _SURFACE_DEFAULT_SEEDS if self.problem == "surface" else _CURVE_DEFAULT_SEEDS

@@ -1,7 +1,7 @@
 """Experiment orchestration: data, weight selection, multi-seed fits, reports.
 
 A run proceeds: generate or load the geometry, parametrize the clean data,
-assemble the collocation and penalty matrices once, pick the smoothing
+evaluate the collocation (as spans) and penalty matrices once, pick the smoothing
 weight (fixed, rule-estimated, or self-consistent per seed), fit each seed's
 noisy draw independently, and aggregate the relative fit errors.
 
@@ -15,7 +15,8 @@ from __future__ import annotations
 
 import json
 import time
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
+from functools import cached_property
 from pathlib import Path
 from typing import Optional, Union
 
@@ -34,7 +35,14 @@ from .assembly import (
     require_weight,
     tensor_apply,
 )
-from .basis import KnotVector, build_knots, chord_length_params, surface_params
+from .basis import (
+    BasisSpan,
+    KnotVector,
+    build_knots,
+    chord_length_params,
+    eval_basis,
+    surface_params,
+)
 from .config import ExperimentConfig, SweepGrid
 from .datasets import (
     NoiseSpec,
@@ -89,10 +97,12 @@ def _stop_rule(cfg: ExperimentConfig) -> StoppingRule:
 # through this module's globals at call time, so replacing a module attribute
 # (to trace or to stub a layer) reaches every call.
 #
-# Each problem carries the control-space grams of its design and penalty,
-# built once in ``build_problem``: the spectrum (from the Cholesky factors of
-# the design grams) and every direct solve work on n x n matrices, never on a
-# data-space whitened or stacked matrix.
+# Each problem keeps its collocation matrices as the spans ``eval_basis``
+# returns. The design grams, the normal-equation right-hand sides and the
+# fitted points come from the spans, and the spectrum (from the Cholesky
+# factors of the design grams) and every direct solve work on n x n
+# matrices. The dense designs are built on first use, by the stacked systems
+# of the randomized fits and the ill-conditioned fallback only.
 
 
 @dataclass(frozen=True)
@@ -100,15 +110,32 @@ class CurveProblem:
     clean: np.ndarray
     params: np.ndarray
     knots: KnotVector
-    design: np.ndarray
-    penalty: np.ndarray
-    design_gram: np.ndarray                  # A^T A
-    penalty_gram: np.ndarray                 # G^T G
-    reference_controls: np.ndarray
+    basis: BasisSpan                         # A, the collocation at params
+    penalty: np.ndarray                      # G
+
+    @cached_property
+    def design(self) -> np.ndarray:
+        """``A`` as a dense matrix."""
+        return self.basis.dense()
+
+    @cached_property
+    def design_gram(self) -> np.ndarray:
+        """``A^T A``."""
+        return self.basis.gram()
+
+    @cached_property
+    def penalty_gram(self) -> np.ndarray:
+        """``G^T G``."""
+        return self.penalty.T @ self.penalty
+
+    @cached_property
+    def reference_controls(self) -> np.ndarray:
+        """The unpenalized least-squares fit of the clean data."""
+        return self.solve_direct(self.clean, 0.0)
 
     @property
     def n_controls(self) -> int:
-        return self.design.shape[1]
+        return self.basis.n_basis
 
     def solve_randomized(self, data, lam: float, cfg: ExperimentConfig, seed: int, stride: int):
         """Stack the system at ``lam``, partition it and run the randomized
@@ -134,10 +161,10 @@ class CurveProblem:
         if factor is None:
             system = augment_curve(self.design, self.penalty, q, lam)
             return solve_curve_direct(system).control_points
-        return scipy.linalg.cho_solve(factor, self.design.T @ q)
+        return scipy.linalg.cho_solve(factor, self.basis.apply_transpose(q))
 
     def fitted(self, controls) -> np.ndarray:
-        return self.design @ controls
+        return self.basis.apply(controls)
 
     def penalty_norm2(self, controls) -> float:
         return float(np.sum((self.penalty @ controls) ** 2)) / self.n_controls
@@ -164,19 +191,49 @@ class SurfaceProblem:
     params_v: np.ndarray
     knots_u: KnotVector
     knots_v: KnotVector
-    design_u: np.ndarray
-    design_v: np.ndarray
-    penalty_u: np.ndarray
-    penalty_v: np.ndarray
-    design_gram_u: np.ndarray                # A^T A
-    design_gram_v: np.ndarray                # B^T B
-    penalty_gram_u: np.ndarray               # Lu^T Lu
-    penalty_gram_v: np.ndarray               # Lv^T Lv
-    reference_controls: np.ndarray
+    basis_u: BasisSpan                       # A, the collocation at params_u
+    basis_v: BasisSpan                       # B, the collocation at params_v
+    penalty_u: np.ndarray                    # Lu
+    penalty_v: np.ndarray                    # Lv
+
+    @cached_property
+    def design_u(self) -> np.ndarray:
+        """``A`` as a dense matrix."""
+        return self.basis_u.dense()
+
+    @cached_property
+    def design_v(self) -> np.ndarray:
+        """``B`` as a dense matrix."""
+        return self.basis_v.dense()
+
+    @cached_property
+    def design_gram_u(self) -> np.ndarray:
+        """``A^T A``."""
+        return self.basis_u.gram()
+
+    @cached_property
+    def design_gram_v(self) -> np.ndarray:
+        """``B^T B``."""
+        return self.basis_v.gram()
+
+    @cached_property
+    def penalty_gram_u(self) -> np.ndarray:
+        """``Lu^T Lu``."""
+        return self.penalty_u.T @ self.penalty_u
+
+    @cached_property
+    def penalty_gram_v(self) -> np.ndarray:
+        """``Lv^T Lv``."""
+        return self.penalty_v.T @ self.penalty_v
+
+    @cached_property
+    def reference_controls(self) -> np.ndarray:
+        """The unpenalized least-squares fit of the clean data."""
+        return self.solve_direct(self.clean, 0.0)
 
     @property
     def n_controls(self) -> int:
-        return self.design_u.shape[1] * self.design_v.shape[1]
+        return self.basis_u.n_basis * self.basis_v.n_basis
 
     def solve_randomized(self, data, lam: float, cfg: ExperimentConfig, seed: int, stride: int):
         """Stack both factors at ``lam``, partition them and run the randomized
@@ -200,7 +257,7 @@ class SurfaceProblem:
         lam = require_weight(lam)
         if grid.ndim == 2:
             grid = grid[:, :, None]
-        rhs = tensor_apply(self.design_u.T, grid, self.design_v.T)
+        rhs = self.basis_v.apply_transpose(self.basis_u.apply_transpose(grid), axis=1)
         return solve_tensor_normal(
             self.design_gram_u + lam * self.penalty_gram_u,
             self.design_gram_v + lam * self.penalty_gram_v,
@@ -208,7 +265,8 @@ class SurfaceProblem:
         )[0]
 
     def fitted(self, controls) -> np.ndarray:
-        return tensor_apply(self.design_u, controls, self.design_v)
+        """``A P B^T`` for every coordinate."""
+        return self.basis_v.apply(self.basis_u.apply(controls), axis=1)
 
     def penalty_norm2(self, controls) -> float:
         """Count-normalized ``|A P Lv^T|^2 + |Lu P B^T|^2`` over all coordinates.
@@ -217,8 +275,8 @@ class SurfaceProblem:
         count: the doubly weighted ``lam**2`` term ``|Lu P Lv^T|^2`` is dropped,
         so the self-consistent balance has no weight on its right-hand side.
         """
-        cross_u = tensor_apply(self.design_u, controls, self.penalty_v)
-        cross_v = tensor_apply(self.penalty_u, controls, self.design_v)
+        cross_u = self.basis_u.apply(np.einsum("ujf,vj->uvf", controls, self.penalty_v))
+        cross_v = self.basis_v.apply(np.einsum("ui,ijf->ujf", self.penalty_u, controls), axis=1)
         return (float(np.sum(cross_u**2)) + float(np.sum(cross_v**2))) / self.n_controls
 
     def spectrum(self, head_count: int):
@@ -249,37 +307,29 @@ def load_dataset(cfg: ExperimentConfig) -> np.ndarray:
 
 
 def build_problem(cfg: ExperimentConfig) -> Union[CurveProblem, SurfaceProblem]:
-    """Parametrize the clean data and assemble all seed-independent matrices.
+    """Parametrize the clean data and evaluate the seed-independent matrices.
 
-    The reference controls are the unpenalized least-squares fit of the
-    clean data; every reported error is relative to that fit.
+    The collocation matrices are kept as spans (no dense m x n matrix). The
+    reference controls, the unpenalized least-squares fit of the clean data
+    that every reported error is relative to, are solved on first use.
     """
     clean = load_dataset(cfg)
     if cfg.problem == "curve":
         params = chord_length_params(clean)
         knots = build_knots(params, cfg.n_ctrl)
-        design = assemble_collocation(knots, params)
-        penalty = difference_matrix(cfg.n_ctrl + 1, cfg.penalty_scale)
-        problem = CurveProblem(
-            clean, params, knots, design, penalty,
-            design.T @ design, penalty.T @ penalty, reference_controls=None,
+        return CurveProblem(
+            clean, params, knots, eval_basis(knots, params),
+            difference_matrix(cfg.n_ctrl + 1, cfg.penalty_scale),
         )
-    else:
-        params_u, params_v = surface_params(clean)
-        knots_u = build_knots(params_u, cfg.n_ctrl)
-        knots_v = build_knots(params_v, cfg.n_ctrl_v)
-        design_u = assemble_collocation(knots_u, params_u)
-        design_v = assemble_collocation(knots_v, params_v)
-        penalty_u = difference_matrix(cfg.n_ctrl + 1, cfg.penalty_scale)
-        penalty_v = difference_matrix(cfg.n_ctrl_v + 1, cfg.penalty_scale)
-        problem = SurfaceProblem(
-            clean, params_u, params_v, knots_u, knots_v,
-            design_u, design_v, penalty_u, penalty_v,
-            design_u.T @ design_u, design_v.T @ design_v,
-            penalty_u.T @ penalty_u, penalty_v.T @ penalty_v,
-            reference_controls=None,
-        )
-    return replace(problem, reference_controls=problem.solve_direct(clean, 0.0))
+    params_u, params_v = surface_params(clean)
+    knots_u = build_knots(params_u, cfg.n_ctrl)
+    knots_v = build_knots(params_v, cfg.n_ctrl_v)
+    return SurfaceProblem(
+        clean, params_u, params_v, knots_u, knots_v,
+        eval_basis(knots_u, params_u), eval_basis(knots_v, params_v),
+        difference_matrix(cfg.n_ctrl + 1, cfg.penalty_scale),
+        difference_matrix(cfg.n_ctrl_v + 1, cfg.penalty_scale),
+    )
 
 
 def problem_spectrum(problem, head_count: int):
@@ -320,6 +370,7 @@ class SeedOutcome:
     fit_err: float
     iterations: int
     converged: bool
+    stop_reason: str                  # "tol" | "max_iter" | "direct"
     wall_time: float
     control_points: np.ndarray
     trajectory: tuple = ()
@@ -351,39 +402,42 @@ def _fit_fixed(problem, cfg, lam: float, seed: int, noisy) -> SeedOutcome:
     controls, result = problem.solve_randomized(noisy, lam, cfg, seed, cfg.trajectory_stride)
     return SeedOutcome(
         seed, lam, _relative_error(problem, controls), result.iterations,
-        result.converged, time.perf_counter() - start, controls, result.trajectory,
+        result.converged, result.stop_reason, time.perf_counter() - start, controls,
+        result.trajectory,
     )
 
 
 def _inner_solver(problem, cfg, seed: int, noisy):
     """The weight-to-controls map the self-consistent loop solves with.
 
-    Also returns a one-entry list that holds whether the latest solve
-    converged; a direct solve always does.
+    Also returns a one-entry list that holds how the latest solve stopped,
+    ``(converged, stop_reason)``: the randomized solver's, or ``(True,
+    "direct")`` for a direct solve.
     """
-    converged = [True]
+    stopped = [(True, "direct")]
     if cfg.inner_solver == "direct":
         def solve(lam: float) -> np.ndarray:
             return problem.solve_direct(noisy, lam)
     else:
         def solve(lam: float) -> np.ndarray:
             controls, result = problem.solve_randomized(noisy, lam, cfg, seed, 0)
-            converged[0] = result.converged
+            stopped[0] = (result.converged, result.stop_reason)
             return controls
-    return solve, converged
+    return solve, stopped
 
 
 def _fit_self_consistent(problem, cfg, seed: int, noisy, alpha: float) -> SeedOutcome:
     start = time.perf_counter()
-    solve, converged = _inner_solver(problem, cfg, seed, noisy)
+    solve, stopped = _inner_solver(problem, cfg, seed, noisy)
     sc: SelfConsistentResult = self_consistent(
         solve, self_consistent_measure(problem, noisy), problem.n_controls,
         alpha, cfg.eps_lambda,
     )
+    converged, reason = stopped[0]
     return SeedOutcome(
         seed, sc.lam, _relative_error(problem, sc.control_points),
-        sc.outer_iterations, converged[0], time.perf_counter() - start, sc.control_points,
-        lambda_iterates=sc.iterates,
+        sc.outer_iterations, converged, reason, time.perf_counter() - start,
+        sc.control_points, lambda_iterates=sc.iterates,
     )
 
 
@@ -397,6 +451,11 @@ def run_seed(problem, cfg: ExperimentConfig, lam_choice, seed: int, alpha=None) 
 
 def _run_seeds(problem, cfg, lam_choice, alpha=None) -> list[SeedOutcome]:
     return [run_seed(problem, cfg, lam_choice, seed, alpha) for seed in cfg.seeds]
+
+
+def capped_count(outcomes) -> int:
+    """How many of the fits stopped at ``max_iter`` before meeting the tolerance."""
+    return sum(o.stop_reason == "max_iter" for o in outcomes)
 
 
 def _aggregate(outcomes: list[SeedOutcome]) -> tuple[float, float]:
@@ -456,6 +515,7 @@ def _per_seed_entry(outcome: SeedOutcome) -> dict:
         "fit_error": outcome.fit_err,
         "iterations": outcome.iterations,
         "converged": outcome.converged,
+        "stop_reason": outcome.stop_reason,
         "wall_time": outcome.wall_time,
         "trajectory": [
             [s.iteration, s.rel_change, s.residual_norm] for s in outcome.trajectory
@@ -522,6 +582,8 @@ class SweepReport:
     estimate_mean_error: float
     estimate_std_error: float
     estimate_info: dict
+    fits: int                         # seed fits over the grid and the estimate row
+    capped_fits: int                  # of those, how many stopped at max_iter
 
     def rows(self):
         table = [
@@ -546,15 +608,18 @@ def sweep_lambda(cfg: ExperimentConfig) -> tuple[SweepReport, Union[CurveProblem
     lam_est, info = estimate_lambda(problem, cfg)
     lambdas = list(cfg.lam.values())
     means, stds = [], []
+    capped = 0
     for lam in lambdas:
         outcomes = _run_seeds(problem, cfg, float(lam))
         mean_err, std_err = _aggregate(outcomes)
         means.append(mean_err)
         stds.append(std_err)
+        capped += capped_count(outcomes)
     est_outcomes = _run_seeds(problem, cfg, float(lam_est))
     est_mean, est_std = _aggregate(est_outcomes)
     report = SweepReport(
-        [float(v) for v in lambdas], means, stds, float(lam_est), est_mean, est_std, info
+        [float(v) for v in lambdas], means, stds, float(lam_est), est_mean, est_std, info,
+        (len(lambdas) + 1) * len(cfg.seeds), capped + capped_count(est_outcomes),
     )
     return report, problem
 

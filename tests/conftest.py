@@ -14,7 +14,7 @@ from rpia.assembly import (
     augment_surface,
     difference_matrix,
 )
-from rpia.basis import build_knots
+from rpia.basis import BasisSpan, build_knots
 from rpia.experiment import CurveProblem, SurfaceProblem
 
 
@@ -123,19 +123,22 @@ def random_surface_system(rng, rows=(3, 3), cols=(2, 3), lam=0.2):
     return augment_surface(design_u, design_v, penalty_u, penalty_v, grid, lam)
 
 
+def full_width_span(design):
+    """A dense matrix as a span: each row one run from column 0 across every column."""
+    design = np.asarray(design, dtype=float)
+    return BasisSpan(np.zeros(design.shape[0], dtype=int), design, design.shape[1])
+
+
 def curve_problem(design, penalty):
     """A curve problem around bare matrices: no data, parameters or reference fit."""
-    return CurveProblem(
-        None, None, None, design, penalty, design.T @ design, penalty.T @ penalty, None
-    )
+    return CurveProblem(None, None, None, full_width_span(design), penalty)
 
 
 def surface_problem(design_u, design_v, penalty_u, penalty_v):
     """A surface problem around bare matrices: no data, parameters or reference fit."""
     return SurfaceProblem(
-        None, None, None, None, None, design_u, design_v, penalty_u, penalty_v,
-        design_u.T @ design_u, design_v.T @ design_v,
-        penalty_u.T @ penalty_u, penalty_v.T @ penalty_v, None,
+        None, None, None, None, None, full_width_span(design_u), full_width_span(design_v),
+        penalty_u, penalty_v,
     )
 
 

@@ -5,12 +5,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from rpia.basis import (
+    BasisSpan,
     KnotVector,
     build_knots,
     chord_length_params,
     eval_basis,
     surface_params,
 )
+from rpia.datasets import rose_curve
 from rpia.errors import (
     DegenerateData,
     DuplicatePointWarning,
@@ -18,7 +20,13 @@ from rpia.errors import (
     OutOfDomain,
 )
 
-from conftest import dense_rows, naive_all_basis, pointwise_basis
+from conftest import (
+    assert_close_to_scale,
+    dense_rows,
+    full_width_span,
+    naive_all_basis,
+    pointwise_basis,
+)
 
 
 class TestChordLengthParams:
@@ -222,6 +230,92 @@ class TestEvalBasis:
         start, values = pointwise_basis(knots, params)
         npt.assert_array_equal(span.start, start)
         assert span.values.tobytes() == values.tobytes()
+
+
+class TestSpanProducts:
+    """Gathers and scatter-adds along the runs against the dense matrix."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(clamped_knots_and_params(), st.sampled_from([None, 1, 3]),
+           st.integers(0, 2**32 - 1))
+    def test_products_match_dense(self, case, columns, seed):
+        knots, params = case
+        span = eval_basis(knots, params)
+        dense = span.dense()
+        rng = np.random.default_rng(seed)
+        trailing = () if columns is None else (columns,)
+        x = rng.standard_normal((knots.n_basis,) + trailing)
+        y = rng.standard_normal((params.size,) + trailing)
+        assert_close_to_scale(span.apply(x), dense @ x, 1e-14)
+        assert_close_to_scale(span.apply_transpose(y), dense.T @ y, 1e-14)
+
+    @settings(max_examples=40, deadline=None)
+    @given(clamped_knots_and_params(), st.integers(1, 5), st.sampled_from([1, 3]),
+           st.integers(0, 2**32 - 1))
+    def test_products_along_either_grid_axis(self, case, other, ncoord, seed):
+        knots, params = case
+        span = eval_basis(knots, params)
+        dense = span.dense()
+        rng = np.random.default_rng(seed)
+        controls = rng.standard_normal((knots.n_basis, other, ncoord))
+        data = rng.standard_normal((params.size, other, ncoord))
+        assert_close_to_scale(span.apply(controls), np.einsum("kn,nof->kof", dense, controls),
+                              1e-14)
+        assert_close_to_scale(span.apply_transpose(data),
+                              np.einsum("kn,kof->nof", dense, data), 1e-14)
+        swapped = controls.transpose(1, 0, 2)
+        assert_close_to_scale(span.apply(swapped, axis=1),
+                              np.einsum("kn,onf->okf", dense, swapped), 1e-14)
+        swapped = data.transpose(1, 0, 2)
+        assert_close_to_scale(span.apply_transpose(swapped, axis=1),
+                              np.einsum("kn,okf->onf", dense, swapped), 1e-14)
+
+    @settings(max_examples=60, deadline=None)
+    @given(clamped_knots_and_params())
+    def test_gram_is_symmetric_and_matches_dense(self, case):
+        knots, params = case
+        span = eval_basis(knots, params)
+        dense = span.dense()
+        gram = span.gram()
+        assert np.array_equal(gram, gram.T)
+        assert_close_to_scale(gram, dense.T @ dense, 1e-15)
+
+    def test_full_width_span_is_the_dense_matrix(self, rng):
+        matrix = rng.standard_normal((7, 4))
+        span = full_width_span(matrix)
+        npt.assert_array_equal(span.dense(), matrix)
+        assert_close_to_scale(span.gram(), matrix.T @ matrix, 1e-15)
+        assert_close_to_scale(span.apply(np.eye(4)), matrix, 1e-15)
+
+    def test_empty_columns_stay_zero(self):
+        # column 2 is in no run: its gram row and A^T y entry are zero
+        span = BasisSpan(np.array([0, 3, 0]), np.array([[1.0, 2.0], [3.0, 4.0], [5.0, 6.0]]), 5)
+        assert np.all(span.gram()[2] == 0.0)
+        assert span.apply_transpose(np.ones(3))[2] == 0.0
+        npt.assert_array_equal(span.apply_transpose(np.ones(3)), [6.0, 8.0, 0.0, 3.0, 4.0])
+
+    @pytest.mark.skipif(np.finfo(np.longdouble).eps >= np.finfo(float).eps,
+                        reason="long double is no wider than double here")
+    @pytest.mark.parametrize("m, n_ctrl", [(1000, 100), (20000, 400)])
+    def test_gram_is_no_less_accurate_than_dense_product(self, m, n_ctrl):
+        # The spectrum and every direct solve start from A^T A. Against a
+        # long-double reference the span gram's worst entrywise relative
+        # error must not exceed that of the dense product A.T @ A.
+        params = chord_length_params(rose_curve(m).points)
+        span = eval_basis(build_knots(params, n_ctrl), params)
+        reference = np.zeros((span.n_basis, span.n_basis), dtype=np.longdouble)
+        values = span.values.astype(np.longdouble)
+        for i in range(4):
+            for j in range(4):
+                np.add.at(reference, (span.start + i, span.start + j), values[:, i] * values[:, j])
+        nonzero = reference != 0
+
+        def worst(gram):
+            error = gram.astype(np.longdouble) - reference
+            return float(np.max(np.abs(error[nonzero] / reference[nonzero])))
+
+        dense = span.dense()
+        assert worst(span.gram()) <= worst(dense.T @ dense)
 
 
 class TestKnotVectorValidation:

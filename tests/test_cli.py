@@ -128,6 +128,21 @@ class TestFit:
         assert "seeds" in result.output
         assert not (tmp_path / "o").exists()
 
+    @pytest.mark.parametrize("how", ["flag", "config"])
+    def test_repeated_seed_exit_code(self, runner, tmp_path, how):
+        if how == "flag":
+            cfg = write_desk_config(tmp_path / "cfg.yaml")
+            extra = ["--seeds", "0,0"]
+        else:
+            cfg = write_desk_config(tmp_path / "cfg.yaml", seeds="[1, 0, 1]")
+            extra = []
+        result = runner.invoke(
+            main, ["fit", "--config", str(cfg), "--out", str(tmp_path / "o")] + extra
+        )
+        assert result.exit_code == 2
+        assert "seeds must not repeat" in result.output
+        assert not (tmp_path / "o").exists()
+
     def test_numerical_error_exit_code(self, runner, tmp_path):
         data = tmp_path / "degenerate.csv"
         data.write_text("x,y\n" + "1.0,1.0\n" * 12)
@@ -241,3 +256,52 @@ class TestOtherCommands:
         report = json.loads((out_dir / "report.json").read_text())
         assert report["lambda_mode"] == "self-consistent"
         assert "lambda_trajectory" in report["per_seed"][0]
+
+
+CAPPED_WARNING = "fits stopped at max_iter=20 before meeting the tolerance"
+
+
+class TestStopReasons:
+    """Each seed's stop reason is in report.json; a capped seed warns once on stderr."""
+
+    @pytest.mark.parametrize("command, extra, reason", [
+        ("fit", [], "max_iter"),
+        ("self-consistent", ["--inner-solver", "rpia"], "max_iter"),
+        ("self-consistent", [], "direct"),
+    ])
+    def test_report_and_warning(self, runner, tmp_path, command, extra, reason):
+        cfg = write_desk_config(tmp_path / "cfg.yaml", max_iter=20, penalty_scale=20.0)
+        out_dir = tmp_path / "out"
+        result = runner.invoke(
+            main, [command, "--config", str(cfg), "--out", str(out_dir)] + extra
+        )
+        assert result.exit_code == 0, result.output
+        per_seed = json.loads((out_dir / "report.json").read_text())["per_seed"]
+        assert [entry["stop_reason"] for entry in per_seed] == [reason, reason]
+        if reason == "max_iter":
+            assert result.stderr.count("warning:") == 1
+            assert f"2 of 2 {CAPPED_WARNING}" in result.stderr
+        else:
+            assert result.stderr == ""
+        assert "stop_reason" not in (out_dir / "summary.txt").read_text()
+
+    def test_converged_fit_stops_on_tolerance_without_warning(self, runner, tmp_path):
+        cfg = write_desk_config(tmp_path / "cfg.yaml", max_iter=100000)
+        out_dir = tmp_path / "out"
+        result = runner.invoke(main, ["fit", "--config", str(cfg), "--out", str(out_dir)])
+        assert result.exit_code == 0, result.output
+        per_seed = json.loads((out_dir / "report.json").read_text())["per_seed"]
+        assert [entry["stop_reason"] for entry in per_seed] == ["tol", "tol"]
+        assert result.stderr == ""
+
+    def test_sweep_warns_once(self, runner, tmp_path):
+        cfg = write_desk_config(tmp_path / "cfg.yaml", max_iter=20)
+        result = runner.invoke(
+            main,
+            ["sweep", "--config", str(cfg), "--lo", "1e-8", "--hi", "1e-5",
+             "--points", "3", "--out", str(tmp_path / "out")],
+        )
+        assert result.exit_code == 0, result.output
+        assert result.stderr.count("warning:") == 1
+        # three grid weights and the estimate row, two seeds each
+        assert f"8 of 8 {CAPPED_WARNING}" in result.stderr

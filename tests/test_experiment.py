@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 from rpia import experiment
 from rpia.assembly import augment_curve, augment_surface, difference_matrix
+from rpia.basis import BasisSpan
 from rpia.config import ExperimentConfig, SweepGrid, load_config
 from rpia.datasets import NoiseSpec, add_noise, fit_error
 from rpia.errors import InvalidConfig, RankDeficient
@@ -131,10 +132,13 @@ def test_pinned_weight_loop(name):
 
 
 def test_estimate_and_direct_paths_form_no_data_space_matrix(monkeypatch):
-    # The estimate, the reference solve and the direct inner solver work on
-    # control-space matrices only: no stacked system, no m x n whitening.
-    def refuse(*args, **kwargs):
-        raise AssertionError("a stacked (m+n) x n system was built")
+    # The estimate, the reference solve, the direct inner solver and the
+    # fitted points work on spans and control-space matrices only: no dense
+    # collocation, no stacked system, no m x n whitening.
+    def refuse(what):
+        def refused(*args, **kwargs):
+            raise AssertionError(f"{what} was built")
+        return refused
 
     def square_factors_only(spectrum):
         def checked(*args):
@@ -143,8 +147,10 @@ def test_estimate_and_direct_paths_form_no_data_space_matrix(monkeypatch):
             return spectrum(*args)
         return checked
 
-    monkeypatch.setattr(experiment, "augment_curve", refuse)
-    monkeypatch.setattr(experiment, "augment_surface", refuse)
+    monkeypatch.setattr(BasisSpan, "dense", refuse("a dense collocation matrix"))
+    monkeypatch.setattr(experiment, "assemble_collocation", refuse("a dense collocation matrix"))
+    monkeypatch.setattr(experiment, "augment_curve", refuse("a stacked (m+n) x n system"))
+    monkeypatch.setattr(experiment, "augment_surface", refuse("a stacked (m+n) x n system"))
     monkeypatch.setattr(
         experiment, "whitened_spectrum", square_factors_only(experiment.whitened_spectrum)
     )
@@ -152,9 +158,14 @@ def test_estimate_and_direct_paths_form_no_data_space_matrix(monkeypatch):
         experiment, "surface_whitened_eigenvalues",
         square_factors_only(experiment.surface_whitened_eigenvalues),
     )
-    cfg = load_config(CONFIG_DIR / "rose.yaml")
-    lam, _ = estimate_lambda(build_problem(cfg), cfg)
-    assert lam > 0.0
+    for name in ("rose", "boy_a40"):
+        cfg = load_config(CONFIG_DIR / f"{name}.yaml")
+        problem = build_problem(cfg)
+        lam, _ = estimate_lambda(problem, cfg)
+        assert lam > 0.0
+        noisy = add_noise(problem.clean, NoiseSpec(cfg.noise_amplitude, 0))
+        controls = problem.solve_direct(noisy, lam)
+        assert problem.fitted(controls).shape == problem.clean.shape
     for name in ("rose_adaptive", "boy_a40_adaptive"):
         cfg = load_config(CONFIG_DIR / f"{name}.yaml").with_overrides(seeds=(0, 1))
         result = run_experiment(cfg)

@@ -198,6 +198,18 @@ class TestConfig:
         with pytest.raises(InvalidConfig, match="seeds"):
             config_from_mapping({"seeds": seeds})
 
+    @pytest.mark.parametrize("seeds", [[0, 0], [3, 1, 3], (2, 5, 7, 5)])
+    def test_seeds_must_not_repeat(self, seeds):
+        # a repeated seed fits the same noise draw twice and counts it twice
+        # in the mean and spread of the fit errors
+        repeated = next(s for k, s in enumerate(seeds) if s in seeds[:k])
+        with pytest.raises(InvalidConfig, match=f"seeds must not repeat, got {repeated} twice"):
+            config_from_mapping({"seeds": seeds})
+
+    def test_repeated_seed_override_is_refused(self):
+        with pytest.raises(InvalidConfig, match="seeds must not repeat"):
+            config_from_mapping({"seeds": [0, 1]}).with_overrides(seeds=(1, 1))
+
     def test_choices_come_from_one_list(self):
         from rpia import cli
 
