@@ -21,7 +21,6 @@ from pathlib import Path
 from typing import Optional, Union
 
 import numpy as np
-import scipy.linalg
 
 from . import curve as curve_solver
 from . import surface as surface_solver
@@ -54,7 +53,7 @@ from .datasets import (
 )
 from .driver import StoppingRule
 from .errors import InvalidConfig
-from .oracle import gram_factor, solve_curve_direct, solve_tensor_normal
+from .oracle import GramPencil, solve_curve_direct, solve_tensor_normal
 from .pointsio import GridRows, load_grid, load_points, write_csv
 from .regparam import (
     NoiseModel,
@@ -100,9 +99,10 @@ def _stop_rule(cfg: ExperimentConfig) -> StoppingRule:
 # Each problem keeps its collocation matrices as the spans ``eval_basis``
 # returns. The design grams, the normal-equation right-hand sides and the
 # fitted points come from the spans, and the spectrum (from the Cholesky
-# factors of the design grams) and every direct solve work on n x n
-# matrices. The dense designs are built on first use, by the stacked systems
-# of the randomized fits and the ill-conditioned fallback only.
+# factors of the design grams) and every direct solve (``numpy.linalg``,
+# gated by the problem's ``GramPencil``) work on n x n matrices. The dense
+# designs are built on first use, by the stacked systems of the randomized
+# fits and the ill-conditioned fallback only.
 
 
 @dataclass(frozen=True)
@@ -124,9 +124,9 @@ class CurveProblem:
         return self.basis.gram()
 
     @cached_property
-    def penalty_gram(self) -> np.ndarray:
-        """``G^T G``."""
-        return self.penalty.T @ self.penalty
+    def normal(self) -> GramPencil:
+        """``A^T A + lam G^T G`` at any weight, with its condition gate."""
+        return GramPencil(self.design_gram, self.penalty.T @ self.penalty)
 
     @cached_property
     def reference_controls(self) -> np.ndarray:
@@ -148,20 +148,29 @@ class CurveProblem:
         )
         return result.control_points, result
 
-    def solve_direct(self, data, lam: float) -> np.ndarray:
-        """Penalized minimizer: a Cholesky solve of ``(A^T A + lam G^T G) P = A^T q``.
+    def direct_solver(self, data):
+        """The weight-to-minimizer map for one data set: ``lam`` to the solution
+        of ``(A^T A + lam G^T G) P = A^T q``, with ``A^T q`` formed once.
 
         A normal matrix that fails the condition gate takes the stacked
         least-squares route of :func:`solve_curve_direct` instead.
         """
         q = np.asarray(data, dtype=float)
         require_finite(q, "data")
-        lam = require_weight(lam)
-        factor, _ = gram_factor(self.design_gram + lam * self.penalty_gram)
-        if factor is None:
-            system = augment_curve(self.design, self.penalty, q, lam)
-            return solve_curve_direct(system).control_points
-        return scipy.linalg.cho_solve(factor, self.basis.apply_transpose(q))
+        rhs = self.basis.apply_transpose(q)
+
+        def solve(lam: float) -> np.ndarray:
+            lam = require_weight(lam)
+            solution, _ = self.normal.solve(rhs, lam)
+            if solution is None:
+                system = augment_curve(self.design, self.penalty, q, lam)
+                return solve_curve_direct(system).control_points
+            return solution
+        return solve
+
+    def solve_direct(self, data, lam: float) -> np.ndarray:
+        """Penalized minimizer at one weight (see :meth:`direct_solver`)."""
+        return self.direct_solver(data)(lam)
 
     def fitted(self, controls) -> np.ndarray:
         return self.basis.apply(controls)
@@ -170,7 +179,7 @@ class CurveProblem:
         return float(np.sum((self.penalty @ controls) ** 2)) / self.n_controls
 
     def spectrum(self, head_count: int):
-        eigs = whitened_spectrum(scipy.linalg.cholesky(self.design_gram), self.penalty)
+        eigs = whitened_spectrum(np.linalg.cholesky(self.design_gram, upper=True), self.penalty)
         return spectral_decay_from_eigenvalues(eigs, head_count)
 
     def write_fitted(self, out: Path, controls) -> str:
@@ -217,14 +226,14 @@ class SurfaceProblem:
         return self.basis_v.gram()
 
     @cached_property
-    def penalty_gram_u(self) -> np.ndarray:
-        """``Lu^T Lu``."""
-        return self.penalty_u.T @ self.penalty_u
+    def normal_u(self) -> GramPencil:
+        """``A^T A + lam Lu^T Lu`` at any weight, with its condition gate."""
+        return GramPencil(self.design_gram_u, self.penalty_u.T @ self.penalty_u)
 
     @cached_property
-    def penalty_gram_v(self) -> np.ndarray:
-        """``Lv^T Lv``."""
-        return self.penalty_v.T @ self.penalty_v
+    def normal_v(self) -> GramPencil:
+        """``B^T B + lam Lv^T Lv`` at any weight, with its condition gate."""
+        return GramPencil(self.design_gram_v, self.penalty_v.T @ self.penalty_v)
 
     @cached_property
     def reference_controls(self) -> np.ndarray:
@@ -250,19 +259,22 @@ class SurfaceProblem:
         )
         return result.control_grid, result
 
-    def solve_direct(self, data, lam: float) -> np.ndarray:
-        """Penalized minimizer: two factor Cholesky solves against ``A^T Q B``."""
+    def direct_solver(self, data):
+        """The weight-to-minimizer map for one data grid: two factor solves
+        against ``A^T Q B``, which is formed once."""
         grid = np.asarray(data, dtype=float)
         require_finite(grid, "data")
-        lam = require_weight(lam)
         if grid.ndim == 2:
             grid = grid[:, :, None]
         rhs = self.basis_v.apply_transpose(self.basis_u.apply_transpose(grid), axis=1)
-        return solve_tensor_normal(
-            self.design_gram_u + lam * self.penalty_gram_u,
-            self.design_gram_v + lam * self.penalty_gram_v,
-            rhs,
-        )[0]
+
+        def solve(lam: float) -> np.ndarray:
+            return solve_tensor_normal(self.normal_u, self.normal_v, rhs, require_weight(lam))[0]
+        return solve
+
+    def solve_direct(self, data, lam: float) -> np.ndarray:
+        """Penalized minimizer at one weight (see :meth:`direct_solver`)."""
+        return self.direct_solver(data)(lam)
 
     def fitted(self, controls) -> np.ndarray:
         """``A P B^T`` for every coordinate."""
@@ -281,8 +293,8 @@ class SurfaceProblem:
 
     def spectrum(self, head_count: int):
         eigs = surface_whitened_eigenvalues(
-            scipy.linalg.cholesky(self.design_gram_u),
-            scipy.linalg.cholesky(self.design_gram_v),
+            np.linalg.cholesky(self.design_gram_u, upper=True),
+            np.linalg.cholesky(self.design_gram_v, upper=True),
             self.penalty_u, self.penalty_v,
         )
         return spectral_decay_from_eigenvalues(eigs, head_count)
@@ -397,9 +409,9 @@ def self_consistent_measure(problem, data):
     return measure
 
 
-def _fit_fixed(problem, cfg, lam: float, seed: int, noisy) -> SeedOutcome:
+def _fit_fixed(problem, cfg, lam: float, seed: int, noisy, stride: int) -> SeedOutcome:
     start = time.perf_counter()
-    controls, result = problem.solve_randomized(noisy, lam, cfg, seed, cfg.trajectory_stride)
+    controls, result = problem.solve_randomized(noisy, lam, cfg, seed, stride)
     return SeedOutcome(
         seed, lam, _relative_error(problem, controls), result.iterations,
         result.converged, result.stop_reason, time.perf_counter() - start, controls,
@@ -416,8 +428,7 @@ def _inner_solver(problem, cfg, seed: int, noisy):
     """
     stopped = [(True, "direct")]
     if cfg.inner_solver == "direct":
-        def solve(lam: float) -> np.ndarray:
-            return problem.solve_direct(noisy, lam)
+        solve = problem.direct_solver(noisy)
     else:
         def solve(lam: float) -> np.ndarray:
             controls, result = problem.solve_randomized(noisy, lam, cfg, seed, 0)
@@ -441,16 +452,26 @@ def _fit_self_consistent(problem, cfg, seed: int, noisy, alpha: float) -> SeedOu
     )
 
 
-def run_seed(problem, cfg: ExperimentConfig, lam_choice, seed: int, alpha=None) -> SeedOutcome:
-    """Fit one noisy draw end to end."""
+def run_seed(
+    problem, cfg: ExperimentConfig, lam_choice, seed: int, alpha=None, trajectory_stride=None
+) -> SeedOutcome:
+    """Fit one noisy draw end to end.
+
+    A fixed-weight fit samples its trajectory every ``trajectory_stride``
+    steps (0 disables), the config's stride unless given.
+    """
     noisy = add_noise(problem.clean, NoiseSpec(cfg.noise_amplitude, seed))
     if lam_choice == "self-consistent":
         return _fit_self_consistent(problem, cfg, seed, noisy, alpha)
-    return _fit_fixed(problem, cfg, float(lam_choice), seed, noisy)
+    if trajectory_stride is None:
+        trajectory_stride = cfg.trajectory_stride
+    return _fit_fixed(problem, cfg, float(lam_choice), seed, noisy, trajectory_stride)
 
 
-def _run_seeds(problem, cfg, lam_choice, alpha=None) -> list[SeedOutcome]:
-    return [run_seed(problem, cfg, lam_choice, seed, alpha) for seed in cfg.seeds]
+def _run_seeds(problem, cfg, lam_choice, alpha=None, trajectory_stride=None) -> list[SeedOutcome]:
+    return [
+        run_seed(problem, cfg, lam_choice, seed, alpha, trajectory_stride) for seed in cfg.seeds
+    ]
 
 
 def capped_count(outcomes) -> int:
@@ -600,7 +621,8 @@ def sweep_lambda(cfg: ExperimentConfig) -> tuple[SweepReport, Union[CurveProblem
     """One multi-seed fit batch per grid point, plus the rule-estimate row.
 
     The same seeds (hence the same noise draws) are reused at every grid
-    point, so the error curve varies only through the weight.
+    point, so the error curve varies only through the weight. The table
+    reads only fit errors, so the fits sample no trajectory.
     """
     if not isinstance(cfg.lam, SweepGrid):
         raise InvalidConfig("sweep_lambda needs a sweep grid in the lambda field")
@@ -610,12 +632,12 @@ def sweep_lambda(cfg: ExperimentConfig) -> tuple[SweepReport, Union[CurveProblem
     means, stds = [], []
     capped = 0
     for lam in lambdas:
-        outcomes = _run_seeds(problem, cfg, float(lam))
+        outcomes = _run_seeds(problem, cfg, float(lam), trajectory_stride=0)
         mean_err, std_err = _aggregate(outcomes)
         means.append(mean_err)
         stds.append(std_err)
         capped += capped_count(outcomes)
-    est_outcomes = _run_seeds(problem, cfg, float(lam_est))
+    est_outcomes = _run_seeds(problem, cfg, float(lam_est), trajectory_stride=0)
     est_mean, est_std = _aggregate(est_outcomes)
     report = SweepReport(
         [float(v) for v in lambdas], means, stds, float(lam_est), est_mean, est_std, info,

@@ -3,18 +3,18 @@
 Everything here is a slow-but-sure alternative path: dense normal-equation
 solves of the stacked systems, exhaustive expectations of one randomized
 step, and spectral-radius checks. The solvers are tested against these,
-never the other way round. The Cholesky condition gate (``gram_factor``) and
-the two-factor tensor solve (``solve_tensor_normal``) also serve the
+never the other way round. The normal-matrix condition gate (``GramPencil``)
+and the two-factor tensor solve (``solve_tensor_normal``) also serve the
 experiment's control-space direct solves.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
+from typing import Optional
 
 import numpy as np
-import scipy.linalg
-import scipy.linalg.lapack
 
 from .assembly import (
     AugmentedCurveSystem,
@@ -24,9 +24,9 @@ from .assembly import (
 )
 from .errors import RankDeficient, TooLarge
 
-# Beyond this condition estimate the Cholesky route is abandoned: for a
-# rank-revealing least-squares solve (curves) or a RankDeficient error
-# (surfaces).
+# Beyond this bound on the 2-norm condition number of a normal matrix the
+# direct route is abandoned: for a rank-revealing least-squares solve
+# (curves) or a RankDeficient error (surfaces).
 _COND_LIMIT = 1e12
 
 # Size caps for the exhaustive reference computations.
@@ -38,8 +38,10 @@ _KRONECKER_CAP = 400
 class DirectSolution:
     """Minimizer of a penalized least-squares objective plus diagnostics.
 
-    ``condition_estimate`` is LAPACK's 1-norm condition estimate ``1/rcond``
-    of the normal matrix (the larger of the two factors' for surfaces).
+    ``condition_estimate`` is an upper bound on the 2-norm condition number
+    of the normal matrix (the larger of the two factors' for surfaces): the
+    ratio of its extreme eigenvalues, widened by the eigensolver's round-off
+    (:func:`eigen_range`).
     """
 
     control_points: np.ndarray
@@ -47,37 +49,67 @@ class DirectSolution:
     condition_estimate: float
 
 
-def gram_factor(gram: np.ndarray):
-    """Cholesky factor of a symmetric normal matrix and its condition estimate.
+def eigen_range(gram: np.ndarray) -> np.ndarray:
+    """``[low, high]``: bounds on the eigenvalues of a symmetric matrix.
 
-    Returns ``(factor, cond)``: ``factor`` is a ``cho_factor`` pair for
-    ``cho_solve``, and ``cond`` is ``1/rcond`` in the 1-norm from LAPACK's
-    ``dpocon``. ``factor`` is None when the Cholesky factorization fails or
-    ``cond`` exceeds the limit; the caller then takes its fallback route.
+    ``eigvalsh`` is backward stable, so each computed eigenvalue lies within
+    a small multiple of ``n eps |gram|_2`` of an exact one; both ends are
+    widened by that much.
     """
-    try:
-        factor = scipy.linalg.cho_factor(gram)
-    except scipy.linalg.LinAlgError:
-        return None, np.inf
-    rcond, _ = scipy.linalg.lapack.dpocon(
-        factor[0], np.linalg.norm(gram, 1), uplo="L" if factor[1] else "U"
-    )
-    cond = 1.0 / rcond if rcond > 0.0 else np.inf
-    if not cond <= _COND_LIMIT:
-        return None, cond
-    return factor, cond
+    eigs = np.linalg.eigvalsh(gram)
+    slack = gram.shape[0] * np.finfo(float).eps * max(-eigs[0], eigs[-1])
+    return np.array([eigs[0] - slack, eigs[-1] + slack])
+
+
+class GramPencil:
+    """The normal matrices ``design + lam * penalty`` of one penalized fit.
+
+    ``design`` and ``penalty`` are symmetric positive semidefinite grams; with
+    no penalty the pencil is the one matrix ``design`` (weight 0 only). The
+    condition gate is Weyl's bound: every eigenvalue of the sum lies in
+    ``[a_min + lam g_min, a_max + lam g_max]``. Each gram's eigenvalue range
+    is computed once, the penalty's only when a positive weight asks, so the
+    gate costs O(1) per weight and a solve is one LU solve.
+    """
+
+    def __init__(self, design: np.ndarray, penalty: Optional[np.ndarray] = None):
+        self.design = design
+        self.penalty = penalty
+
+    @cached_property
+    def _design_range(self) -> np.ndarray:
+        return eigen_range(self.design)
+
+    @cached_property
+    def _penalty_range(self) -> np.ndarray:
+        return eigen_range(self.penalty)
+
+    def condition(self, lam: float = 0.0) -> float:
+        """Weyl's bound on the 2-norm condition number at weight ``lam``;
+        infinite when the bound cannot show the matrix positive definite."""
+        low, high = self._design_range + lam * self._penalty_range if lam else self._design_range
+        return float(high / low) if low > 0.0 else np.inf
+
+    def solve(self, rhs: np.ndarray, lam: float = 0.0):
+        """``(solution, cond)`` for ``(design + lam penalty) X = rhs``; the
+        solution is None when the condition bound ``cond`` exceeds the limit."""
+        cond = self.condition(lam)
+        if not cond <= _COND_LIMIT:
+            return None, cond
+        gram = self.design + lam * self.penalty if lam else self.design
+        return np.linalg.solve(gram, rhs), cond
 
 
 def _solve_normal(stacked: np.ndarray, rhs_matrix: np.ndarray) -> tuple[np.ndarray, float]:
     """Solve ``stacked^T stacked X = stacked^T rhs`` stably.
 
-    Uses a Cholesky factorization while the normal matrix is comfortably
-    positive definite, otherwise falls back to a rank-revealing least-squares
+    Solves the normal equations while their matrix is comfortably positive
+    definite, otherwise falls back to a rank-revealing least-squares
     factorization of the stacked matrix itself.
     """
-    factor, cond = gram_factor(stacked.T @ stacked)
-    if factor is not None:
-        return scipy.linalg.cho_solve(factor, stacked.T @ rhs_matrix), cond
+    solution, cond = GramPencil(stacked.T @ stacked).solve(stacked.T @ rhs_matrix)
+    if solution is not None:
+        return solution, cond
     solution, _, rank, _ = np.linalg.lstsq(stacked, rhs_matrix, rcond=None)
     if rank < stacked.shape[1]:
         raise RankDeficient(
@@ -86,25 +118,29 @@ def _solve_normal(stacked: np.ndarray, rhs_matrix: np.ndarray) -> tuple[np.ndarr
     return solution, cond
 
 
-def solve_tensor_normal(gram_u: np.ndarray, gram_v: np.ndarray, rhs: np.ndarray) -> tuple[np.ndarray, float]:
+def solve_tensor_normal(
+    pencil_u: GramPencil, pencil_v: GramPencil, rhs: np.ndarray, lam: float = 0.0
+) -> tuple[np.ndarray, float]:
     """Solve ``gram_u P[:, :, f] gram_v = rhs[:, :, f]`` for every coordinate ``f``.
 
-    Two Cholesky solves per coordinate; no Kronecker product is ever formed.
-    Returns the solution and the larger condition estimate of the two grams.
+    ``gram_u`` and ``gram_v`` are the two pencils at weight ``lam``. One LU
+    solve per factor covers every coordinate; no Kronecker product is ever
+    formed. Returns the solution and the larger condition bound of the two.
 
     Raises
     ------
     RankDeficient
-        If either gram fails the Cholesky condition gate.
+        If either gram fails the condition gate.
     """
-    factor_u, cond_u = gram_factor(gram_u)
-    factor_v, cond_v = gram_factor(gram_v)
-    if factor_u is None or factor_v is None:
+    n_u, n_v, ncoord = rhs.shape
+    half, cond_u = pencil_u.solve(rhs.reshape(n_u, n_v * ncoord), lam)
+    if half is None:
         raise RankDeficient("a stacked factor is numerically rank deficient")
-    solution = np.empty_like(rhs, dtype=float)
-    for f in range(rhs.shape[2]):
-        half = scipy.linalg.cho_solve(factor_u, rhs[:, :, f])
-        solution[:, :, f] = scipy.linalg.cho_solve(factor_v, half.T).T
+    half = half.reshape(n_u, n_v, ncoord).transpose(1, 0, 2).reshape(n_v, n_u * ncoord)
+    solution, cond_v = pencil_v.solve(half, lam)
+    if solution is None:
+        raise RankDeficient("a stacked factor is numerically rank deficient")
+    solution = solution.reshape(n_v, n_u, ncoord).transpose(1, 0, 2).copy()
     return solution, max(cond_u, cond_v)
 
 
@@ -125,7 +161,9 @@ def solve_surface_direct(system: AugmentedSurfaceSystem) -> DirectSolution:
     a_hat = system.row_stacked
     b_hat = system.col_stacked
     rhs = tensor_apply(a_hat.T, system.targets, b_hat.T)
-    solution, cond = solve_tensor_normal(a_hat.T @ a_hat, b_hat.T @ b_hat, rhs)
+    solution, cond = solve_tensor_normal(
+        GramPencil(a_hat.T @ a_hat), GramPencil(b_hat.T @ b_hat), rhs
+    )
     residual = tensor_apply(a_hat, solution, b_hat) - system.targets
     return DirectSolution(solution, float(np.sum(residual**2)), cond)
 
@@ -234,7 +272,7 @@ def contraction_check(system) -> float:
     """
     if isinstance(system, AugmentedCurveSystem):
         gram = system.stacked.T @ system.stacked
-        eigs = scipy.linalg.eigvalsh(gram)
+        eigs = np.linalg.eigvalsh(gram)
         total = float(np.trace(gram))
         return float(np.max(np.abs(1.0 - eigs / total)))
     if isinstance(system, AugmentedSurfaceSystem):
@@ -246,8 +284,8 @@ def contraction_check(system) -> float:
             )
         gram_u = system.row_stacked.T @ system.row_stacked
         gram_v = system.col_stacked.T @ system.col_stacked
-        eig_u = scipy.linalg.eigvalsh(gram_u) / float(np.trace(gram_u))
-        eig_v = scipy.linalg.eigvalsh(gram_v) / float(np.trace(gram_v))
+        eig_u = np.linalg.eigvalsh(gram_u) / float(np.trace(gram_u))
+        eig_v = np.linalg.eigvalsh(gram_v) / float(np.trace(gram_v))
         products = np.outer(eig_u, eig_v).ravel()
         return float(np.max(np.abs(1.0 - products)))
     raise TypeError(f"unsupported system type {type(system).__name__}")

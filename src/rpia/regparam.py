@@ -25,8 +25,6 @@ from dataclasses import dataclass
 from typing import Callable, Optional
 
 import numpy as np
-import scipy.linalg
-import scipy.linalg.lapack
 
 from .errors import (
     InsufficientSpectrum,
@@ -102,18 +100,19 @@ def whitened_spectrum(design_factor, penalty_factor) -> np.ndarray:
     Raises
     ------
     SingularPenalty
-        If ``H`` is numerically rank deficient (reciprocal condition below
-        ``1e-8``, i.e. a penalty gram beyond condition ``1e16``).
+        If ``H`` is numerically rank deficient: the reciprocal of the exact
+        1-norm condition number of ``R`` is below ``1e-8``, i.e. a penalty
+        gram beyond condition ``1e16``.
     """
     f = np.asarray(design_factor, dtype=float)
     r = np.linalg.qr(np.asarray(penalty_factor, dtype=float), mode="r")
-    rcond, _ = scipy.linalg.lapack.dtrcon(r, norm="1")
+    rcond = 1.0 / np.linalg.cond(r, 1)
     if not rcond >= _PENALTY_RCOND:
         raise SingularPenalty(
             f"penalty is numerically singular (reciprocal condition {rcond:.3e})"
         )
-    whitened = scipy.linalg.solve_triangular(r, f.T, trans="T").T
-    return np.sort(scipy.linalg.svdvals(whitened) ** 2)[::-1]
+    whitened = np.linalg.solve(r.T, f.T).T
+    return np.sort(np.linalg.svd(whitened, compute_uv=False) ** 2)[::-1]
 
 
 def surface_whitened_eigenvalues(design_u, design_v, penalty_u, penalty_v) -> np.ndarray:

@@ -408,6 +408,19 @@ class TestSweep:
         assert lines[0] == "lambda,mean_error,std_error,is_estimated_optimal"
         assert len(lines) == 5
 
+    def test_fits_sample_no_trajectory(self, monkeypatch):
+        # the table reads only fit errors, so no fit pays for trajectory samples
+        strides = []
+        solve = experiment.CurveProblem.solve_randomized
+
+        def recording(self, data, lam, cfg, seed, stride):
+            strides.append(stride)
+            return solve(self, data, lam, cfg, seed, stride)
+
+        monkeypatch.setattr(experiment.CurveProblem, "solve_randomized", recording)
+        sweep_lambda(desk_curve_config(lam=SweepGrid(1e-8, 1e-5, 2), seeds=(0, 1)))
+        assert strides == [0] * 6
+
 
 class TestOutputs:
     def test_curve_bundle(self, tmp_path):

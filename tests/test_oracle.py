@@ -1,7 +1,8 @@
 import numpy as np
 import numpy.testing as npt
 import pytest
-import scipy.linalg
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from rpia.assembly import (
     augment_curve,
@@ -11,8 +12,8 @@ from rpia.assembly import (
 )
 from rpia.errors import TooLarge
 from rpia.oracle import (
+    GramPencil,
     contraction_check,
-    gram_factor,
     expectation_map_curve,
     expectation_map_curve_closed,
     expectation_map_curve_enumerated,
@@ -23,25 +24,34 @@ from rpia.oracle import (
     solve_surface_direct,
 )
 
-from conftest import random_curve_system, random_surface_system
+from conftest import designs, random_curve_system, random_surface_system
 
 
-class TestGramFactor:
-    def test_condition_estimate_tracks_one_norm_condition(self, rng):
+class TestGramPencil:
+    def test_condition_bound_tracks_two_norm_condition(self, rng):
         u, _ = np.linalg.qr(rng.standard_normal((8, 8)))
         gram = u @ np.diag(np.logspace(0, 6, 8)) @ u.T
-        factor, cond = gram_factor(gram)
-        exact = np.linalg.cond(gram, 1)
-        assert exact / 10.0 <= cond <= exact * (1.0 + 1e-8)
-        npt.assert_allclose(
-            scipy.linalg.cho_solve(factor, gram), np.eye(8), atol=1e-8
-        )
+        solution, cond = GramPencil(gram).solve(gram)
+        exact = np.linalg.cond(gram, 2)
+        assert exact <= cond <= exact * (1.0 + 1e-8)
+        npt.assert_allclose(solution, np.eye(8), atol=1e-8)
 
     def test_refuses_singular_and_ill_conditioned(self, rng):
-        assert gram_factor(np.ones((4, 4)))[0] is None
+        assert GramPencil(np.ones((4, 4))).solve(np.ones(4))[0] is None
         u, _ = np.linalg.qr(rng.standard_normal((6, 6)))
-        factor, cond = gram_factor(u @ np.diag(np.logspace(0, 13, 6)) @ u.T)
-        assert factor is None and cond > 1e12
+        solution, cond = GramPencil(u @ np.diag(np.logspace(0, 13, 6)) @ u.T).solve(np.ones(6))
+        assert solution is None and cond > 1e12
+
+    @settings(max_examples=200, deadline=None)
+    @given(design=designs(), rows=st.integers(1, 16), lam=st.floats(0.0, 1e6),
+           seed=st.integers(0, 2**32 - 1))
+    def test_weyl_bound_is_at_least_the_two_norm_condition(self, design, rows, lam, seed):
+        # the per-weight gate never reads a normal matrix as better conditioned
+        # than it is, whatever the two grams' ranks
+        penalty = np.random.default_rng(seed).standard_normal((rows, design.shape[1]))
+        design_gram, penalty_gram = design.T @ design, penalty.T @ penalty
+        bound = GramPencil(design_gram, penalty_gram).condition(lam)
+        assert bound >= np.linalg.cond(design_gram + lam * penalty_gram, 2)
 
 
 class TestSolveCurveDirect:
