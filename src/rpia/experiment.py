@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import json
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import cached_property
 from pathlib import Path
 from typing import Optional, Union
@@ -409,9 +409,9 @@ def self_consistent_measure(problem, data):
     return measure
 
 
-def _fit_fixed(problem, cfg, lam: float, seed: int, noisy, stride: int) -> SeedOutcome:
+def _fit_fixed(problem, cfg, lam: float, seed: int, noisy) -> SeedOutcome:
     start = time.perf_counter()
-    controls, result = problem.solve_randomized(noisy, lam, cfg, seed, stride)
+    controls, result = problem.solve_randomized(noisy, lam, cfg, seed, cfg.trajectory_stride)
     return SeedOutcome(
         seed, lam, _relative_error(problem, controls), result.iterations,
         result.converged, result.stop_reason, time.perf_counter() - start, controls,
@@ -452,26 +452,16 @@ def _fit_self_consistent(problem, cfg, seed: int, noisy, alpha: float) -> SeedOu
     )
 
 
-def run_seed(
-    problem, cfg: ExperimentConfig, lam_choice, seed: int, alpha=None, trajectory_stride=None
-) -> SeedOutcome:
-    """Fit one noisy draw end to end.
-
-    A fixed-weight fit samples its trajectory every ``trajectory_stride``
-    steps (0 disables), the config's stride unless given.
-    """
+def run_seed(problem, cfg: ExperimentConfig, lam_choice, seed: int, alpha=None) -> SeedOutcome:
+    """Fit one noisy draw end to end."""
     noisy = add_noise(problem.clean, NoiseSpec(cfg.noise_amplitude, seed))
     if lam_choice == "self-consistent":
         return _fit_self_consistent(problem, cfg, seed, noisy, alpha)
-    if trajectory_stride is None:
-        trajectory_stride = cfg.trajectory_stride
-    return _fit_fixed(problem, cfg, float(lam_choice), seed, noisy, trajectory_stride)
+    return _fit_fixed(problem, cfg, float(lam_choice), seed, noisy)
 
 
-def _run_seeds(problem, cfg, lam_choice, alpha=None, trajectory_stride=None) -> list[SeedOutcome]:
-    return [
-        run_seed(problem, cfg, lam_choice, seed, alpha, trajectory_stride) for seed in cfg.seeds
-    ]
+def _run_seeds(problem, cfg, lam_choice, alpha=None) -> list[SeedOutcome]:
+    return [run_seed(problem, cfg, lam_choice, seed, alpha) for seed in cfg.seeds]
 
 
 def capped_count(outcomes) -> int:
@@ -621,23 +611,28 @@ def sweep_lambda(cfg: ExperimentConfig) -> tuple[SweepReport, Union[CurveProblem
     """One multi-seed fit batch per grid point, plus the rule-estimate row.
 
     The same seeds (hence the same noise draws) are reused at every grid
-    point, so the error curve varies only through the weight. The table
-    reads only fit errors, so the fits sample no trajectory.
+    point, so the error curve varies only through the weight. Each batch is
+    a fixed-weight run of the config; the table reads only fit errors, so
+    the fits sample no trajectory.
     """
     if not isinstance(cfg.lam, SweepGrid):
         raise InvalidConfig("sweep_lambda needs a sweep grid in the lambda field")
     problem = build_problem(cfg)
     lam_est, info = estimate_lambda(problem, cfg)
+
+    def batch(lam: float) -> list[SeedOutcome]:
+        return _run_seeds(problem, replace(cfg, lam=lam, trajectory_stride=0), lam)
+
     lambdas = list(cfg.lam.values())
     means, stds = [], []
     capped = 0
     for lam in lambdas:
-        outcomes = _run_seeds(problem, cfg, float(lam), trajectory_stride=0)
+        outcomes = batch(float(lam))
         mean_err, std_err = _aggregate(outcomes)
         means.append(mean_err)
         stds.append(std_err)
         capped += capped_count(outcomes)
-    est_outcomes = _run_seeds(problem, cfg, float(lam_est), trajectory_stride=0)
+    est_outcomes = batch(float(lam_est))
     est_mean, est_std = _aggregate(est_outcomes)
     report = SweepReport(
         [float(v) for v in lambdas], means, stds, float(lam_est), est_mean, est_std, info,

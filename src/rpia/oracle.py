@@ -61,6 +61,11 @@ def eigen_range(gram: np.ndarray) -> np.ndarray:
     return np.array([eigs[0] - slack, eigs[-1] + slack])
 
 
+def _ratio(eigen_bounds: np.ndarray) -> float:
+    low, high = eigen_bounds
+    return float(high / low) if low > 0.0 else np.inf
+
+
 class GramPencil:
     """The normal matrices ``design + lam * penalty`` of one penalized fit.
 
@@ -69,7 +74,10 @@ class GramPencil:
     condition gate is Weyl's bound: every eigenvalue of the sum lies in
     ``[a_min + lam g_min, a_max + lam g_max]``. Each gram's eigenvalue range
     is computed once, the penalty's only when a positive weight asks, so the
-    gate costs O(1) per weight and a solve is one LU solve.
+    gate costs O(1) per weight and a solve is one LU solve. Where the two
+    grams' low eigenvectors differ (a design gram that is singular or nearly
+    so) the bound can overstate the condition by orders of magnitude, so a
+    bound beyond the limit is checked against the matrix's own eigenvalues.
     """
 
     def __init__(self, design: np.ndarray, penalty: Optional[np.ndarray] = None):
@@ -84,11 +92,20 @@ class GramPencil:
     def _penalty_range(self) -> np.ndarray:
         return eigen_range(self.penalty)
 
+    def matrix(self, lam: float = 0.0) -> np.ndarray:
+        return self.design + lam * self.penalty if lam else self.design
+
     def condition(self, lam: float = 0.0) -> float:
-        """Weyl's bound on the 2-norm condition number at weight ``lam``;
-        infinite when the bound cannot show the matrix positive definite."""
-        low, high = self._design_range + lam * self._penalty_range if lam else self._design_range
-        return float(high / low) if low > 0.0 else np.inf
+        """Upper bound on the 2-norm condition number at weight ``lam``:
+        Weyl's bound, or the exact eigenvalue ratio (widened by round-off)
+        where Weyl's exceeds the limit; infinite when neither shows the
+        matrix positive definite."""
+        if not lam:
+            return _ratio(self._design_range)
+        bound = _ratio(self._design_range + lam * self._penalty_range)
+        if bound <= _COND_LIMIT:
+            return bound
+        return _ratio(eigen_range(self.matrix(lam)))
 
     def solve(self, rhs: np.ndarray, lam: float = 0.0):
         """``(solution, cond)`` for ``(design + lam penalty) X = rhs``; the
@@ -96,8 +113,7 @@ class GramPencil:
         cond = self.condition(lam)
         if not cond <= _COND_LIMIT:
             return None, cond
-        gram = self.design + lam * self.penalty if lam else self.design
-        return np.linalg.solve(gram, rhs), cond
+        return np.linalg.solve(self.matrix(lam), rhs), cond
 
 
 def _solve_normal(stacked: np.ndarray, rhs_matrix: np.ndarray) -> tuple[np.ndarray, float]:

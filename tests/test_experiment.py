@@ -28,7 +28,13 @@ from rpia.experiment import (
 from rpia.oracle import solve_curve_direct, solve_surface_direct
 from rpia.pointsio import load_grid
 
-from conftest import banded_designs, csv_writer_bytes, curve_problem, surface_problem
+from conftest import (
+    banded_designs,
+    collocation_design,
+    csv_writer_bytes,
+    curve_problem,
+    surface_problem,
+)
 
 
 def desk_curve_config(**overrides):
@@ -199,6 +205,29 @@ class TestControlSpaceDirect:
         got = surface_problem(design_u, design_v, lu, lv).solve_direct(grid, lam)
         want = solve_surface_direct(
             augment_surface(design_u, design_v, lu, lv, grid, lam)
+        ).control_points
+        assert _relative_gap(got, want) <= 1e-10
+
+    def test_empty_design_column_at_small_weight(self, rng):
+        # a design column with no nonzero leaves the design gram singular, so
+        # Weyl's bound (about 2e12 here) overstates the true condition (about
+        # 1.4e9); the gate then checks the matrix itself and takes the
+        # control-space route for both problem kinds
+        design = collocation_design(40, 10)
+        design[:, 4] = 0.0
+        penalty = difference_matrix(11, 1.0)
+        lam = 5e-10
+        curve = curve_problem(design, penalty)
+        assert curve.normal.condition(lam) <= 1e10
+        data = rng.standard_normal((40, 2))
+        want = solve_curve_direct(augment_curve(design, penalty, data, lam)).control_points
+        assert _relative_gap(curve.solve_direct(data, lam), want) <= 1e-10
+        design_v = collocation_design(20, 5)
+        penalty_v = difference_matrix(6, 1.0)
+        grid = rng.standard_normal((40, 20, 3))
+        got = surface_problem(design, design_v, penalty, penalty_v).solve_direct(grid, lam)
+        want = solve_surface_direct(
+            augment_surface(design, design_v, penalty, penalty_v, grid, lam)
         ).control_points
         assert _relative_gap(got, want) <= 1e-10
 

@@ -42,6 +42,25 @@ class TestGramPencil:
         solution, cond = GramPencil(u @ np.diag(np.logspace(0, 13, 6)) @ u.T).solve(np.ones(6))
         assert solution is None and cond > 1e12
 
+    def test_overstated_weyl_bound_falls_back_to_the_exact_condition(self, rng):
+        # a singular design gram whose null vector the penalty barely weights:
+        # Weyl's bound is far above the limit, the matrix itself is not
+        u, _ = np.linalg.qr(rng.standard_normal((6, 6)))
+        design = u @ np.diag([0.0, 1.0, 1.0, 2.0, 3.0, 4.0]) @ u.T
+        penalty = np.diag([1.0, 1.0, 1.0, 1.0, 1.0, 1e-6])
+        pencil = GramPencil(design, penalty)
+        lam = 1e-8
+        low, high = pencil._design_range + lam * pencil._penalty_range
+        assert high / low > 1e12
+        exact = np.linalg.cond(design + lam * penalty, 2)
+        solution, cond = pencil.solve(np.eye(6), lam)
+        # the round-off widening of the lowest eigenvalue (~5e-15) is a
+        # relative ~1e-6 of it here
+        assert exact <= cond <= exact * (1.0 + 1e-5)
+        matrix = design + lam * penalty
+        residual = np.linalg.norm(matrix @ solution - np.eye(6))
+        assert residual <= 1e-12 * np.linalg.norm(matrix) * np.linalg.norm(solution)
+
     @settings(max_examples=200, deadline=None)
     @given(design=designs(), rows=st.integers(1, 16), lam=st.floats(0.0, 1e6),
            seed=st.integers(0, 2**32 - 1))
