@@ -15,6 +15,7 @@ from .assembly import (
     assemble_collocation,
     augment_curve,
     augment_surface,
+    difference_eigenpairs,
     difference_matrix,
     make_partition,
     tensor_apply,
@@ -55,7 +56,6 @@ from .regparam import (
     optimal_lambda,
     self_consistent,
     spectral_decay_from_eigenvalues,
-    surface_whitened_eigenvalues,
     whitened_spectrum,
 )
 from .surface import SurfaceFitResult
@@ -88,6 +88,7 @@ __all__ = [
     "build_knots",
     "chord_length_params",
     "contraction_check",
+    "difference_eigenpairs",
     "difference_matrix",
     "eval_basis",
     "expectation_map_curve",
@@ -101,7 +102,6 @@ __all__ = [
     "solve_surface_direct",
     "spectral_decay_from_eigenvalues",
     "surface_params",
-    "surface_whitened_eigenvalues",
     "tensor_apply",
     "whitened_spectrum",
 ]

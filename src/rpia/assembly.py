@@ -55,20 +55,40 @@ def require_weight(lam) -> float:
     return lam
 
 
-def difference_matrix(size: int, scale: float) -> np.ndarray:
-    """Scaled second-order difference matrix with Dirichlet boundaries.
-
-    ``scale * tridiag(1, -2, 1)`` of the given size; symmetric and negative
-    definite, so its Gram matrix is positive definite and it is invertible.
-    """
+def _require_difference(size: int, scale: float) -> None:
     if size < 2:
         raise InvalidConfig("difference matrix needs size >= 2")
     if not (math.isfinite(scale) and scale > 0.0):
         raise InvalidConfig(
             f"difference matrix scale must be finite and positive, got {float(scale)!r}"
         )
+
+
+def difference_matrix(size: int, scale: float) -> np.ndarray:
+    """Scaled second-order difference matrix with Dirichlet boundaries.
+
+    ``scale * tridiag(1, -2, 1)`` of the given size; symmetric and negative
+    definite, so its Gram matrix is positive definite and it is invertible.
+    """
+    _require_difference(size, scale)
     matrix = -2.0 * np.eye(size) + np.eye(size, k=1) + np.eye(size, k=-1)
     return scale * matrix
+
+
+def difference_eigenpairs(size: int, scale: float) -> tuple[np.ndarray, np.ndarray]:
+    """Eigenvalues ``mu`` and orthonormal eigenvectors ``U`` of :func:`difference_matrix`.
+
+    ``difference_matrix(N, s) = U diag(mu) U^T`` in the sine (DST-I) basis:
+    ``mu_k = -4 s sin^2(k pi / (2(N+1)))`` (ascending in magnitude) and
+    ``U[j, k] = sqrt(2/(N+1)) sin(j k pi / (N+1))`` for ``j, k = 1..N``, with
+    ``j k`` reduced modulo ``2(N+1)`` in integers first, so no sine argument
+    exceeds ``2 pi`` and ``U`` stays orthogonal to a few dozen ulps.
+    """
+    _require_difference(size, scale)
+    k = np.arange(1, size + 1)
+    mu = -4.0 * scale * np.sin(k * np.pi / (2 * (size + 1))) ** 2
+    phase = np.outer(k, k) % (2 * (size + 1))
+    return mu, math.sqrt(2.0 / (size + 1)) * np.sin(phase * np.pi / (size + 1))
 
 
 @dataclass(frozen=True)

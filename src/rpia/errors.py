@@ -30,10 +30,6 @@ class ZeroColumnBlock(FittingError):
     """A column block has zero norm and can never be selected."""
 
 
-class SingularPenalty(FittingError):
-    """The penalty matrix is numerically singular and cannot be inverted."""
-
-
 class RankDeficient(FittingError):
     """A stacked system lost full column rank; the direct solve is undefined."""
 

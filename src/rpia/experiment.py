@@ -1,9 +1,9 @@
 """Experiment orchestration: data, weight selection, multi-seed fits, reports.
 
 A run proceeds: generate or load the geometry, parametrize the clean data,
-evaluate the collocation (as spans) and penalty matrices once, pick the smoothing
-weight (fixed, rule-estimated, or self-consistent per seed), fit each seed's
-noisy draw independently, and aggregate the relative fit errors.
+evaluate the collocation (as spans) once, pick the smoothing weight (fixed,
+rule-estimated, or self-consistent per seed), fit each seed's noisy draw
+independently, and aggregate the relative fit errors.
 
 Randomness bookkeeping: the noise draw for seed ``s`` uses the Philox stream
 with key ``s``; the solver's block draws use the same key jumped one stride,
@@ -61,7 +61,6 @@ from .regparam import (
     optimal_lambda,
     self_consistent,
     spectral_decay_from_eigenvalues,
-    surface_whitened_eigenvalues,
     whitened_spectrum,
 )
 
@@ -97,9 +96,9 @@ def _stop_rule(cfg: ExperimentConfig) -> StoppingRule:
 # (to trace or to stub a layer) reaches every call.
 #
 # Each problem keeps its collocation matrices as the spans ``eval_basis``
-# returns. The design grams, the normal-equation right-hand sides and the
-# fitted points come from the spans, and the spectrum (from the Cholesky
-# factors of the design grams) and every direct solve (``numpy.linalg``,
+# returns, and its penalties as their scale. The design grams, the right-hand
+# sides and the fitted points come from the spans; the spectrum (from the
+# design grams' Cholesky factors) and every direct solve (``numpy.linalg``,
 # gated by the problem's ``GramPencil``) work on n x n matrices. The dense
 # designs are built on first use, by the stacked systems of the randomized
 # fits and the ill-conditioned fallback only.
@@ -111,7 +110,11 @@ class CurveProblem:
     params: np.ndarray
     knots: KnotVector
     basis: BasisSpan                         # A, the collocation at params
-    penalty: np.ndarray                      # G
+    penalty_scale: float                     # s in G = s tridiag(1, -2, 1)
+
+    @cached_property
+    def penalty(self) -> np.ndarray:         # G
+        return difference_matrix(self.n_controls, self.penalty_scale)
 
     @cached_property
     def design(self) -> np.ndarray:
@@ -179,7 +182,8 @@ class CurveProblem:
         return float(np.sum((self.penalty @ controls) ** 2)) / self.n_controls
 
     def spectrum(self, head_count: int):
-        eigs = whitened_spectrum(np.linalg.cholesky(self.design_gram, upper=True), self.penalty)
+        factor = np.linalg.cholesky(self.design_gram, upper=True)
+        eigs = whitened_spectrum([factor], [self.penalty_scale])
         return spectral_decay_from_eigenvalues(eigs, head_count)
 
     def write_fitted(self, out: Path, controls) -> str:
@@ -202,8 +206,15 @@ class SurfaceProblem:
     knots_v: KnotVector
     basis_u: BasisSpan                       # A, the collocation at params_u
     basis_v: BasisSpan                       # B, the collocation at params_v
-    penalty_u: np.ndarray                    # Lu
-    penalty_v: np.ndarray                    # Lv
+    penalty_scale: float                     # s of both difference penalties
+
+    @cached_property
+    def penalty_u(self) -> np.ndarray:       # Lu
+        return difference_matrix(self.basis_u.n_basis, self.penalty_scale)
+
+    @cached_property
+    def penalty_v(self) -> np.ndarray:       # Lv
+        return difference_matrix(self.basis_v.n_basis, self.penalty_scale)
 
     @cached_property
     def design_u(self) -> np.ndarray:
@@ -292,11 +303,9 @@ class SurfaceProblem:
         return (float(np.sum(cross_u**2)) + float(np.sum(cross_v**2))) / self.n_controls
 
     def spectrum(self, head_count: int):
-        eigs = surface_whitened_eigenvalues(
-            np.linalg.cholesky(self.design_gram_u, upper=True),
-            np.linalg.cholesky(self.design_gram_v, upper=True),
-            self.penalty_u, self.penalty_v,
-        )
+        grams = (self.design_gram_u, self.design_gram_v)
+        factors = [np.linalg.cholesky(gram, upper=True) for gram in grams]
+        eigs = whitened_spectrum(factors, [self.penalty_scale] * 2)
         return spectral_decay_from_eigenvalues(eigs, head_count)
 
     def write_fitted(self, out: Path, controls) -> str:
@@ -329,18 +338,13 @@ def build_problem(cfg: ExperimentConfig) -> Union[CurveProblem, SurfaceProblem]:
     if cfg.problem == "curve":
         params = chord_length_params(clean)
         knots = build_knots(params, cfg.n_ctrl)
-        return CurveProblem(
-            clean, params, knots, eval_basis(knots, params),
-            difference_matrix(cfg.n_ctrl + 1, cfg.penalty_scale),
-        )
+        return CurveProblem(clean, params, knots, eval_basis(knots, params), cfg.penalty_scale)
     params_u, params_v = surface_params(clean)
     knots_u = build_knots(params_u, cfg.n_ctrl)
     knots_v = build_knots(params_v, cfg.n_ctrl_v)
     return SurfaceProblem(
         clean, params_u, params_v, knots_u, knots_v,
-        eval_basis(knots_u, params_u), eval_basis(knots_v, params_v),
-        difference_matrix(cfg.n_ctrl + 1, cfg.penalty_scale),
-        difference_matrix(cfg.n_ctrl_v + 1, cfg.penalty_scale),
+        eval_basis(knots_u, params_u), eval_basis(knots_v, params_v), cfg.penalty_scale,
     )
 
 
@@ -348,7 +352,7 @@ def problem_spectrum(problem, head_count: int):
     """Decay-rate fit of the whitened design spectrum for either problem kind.
 
     Computed in control space, from the Cholesky factors of the problem's
-    design grams and its penalty matrices.
+    design grams and the closed-form eigenpairs of its difference penalties.
     """
     return problem.spectrum(head_count)
 

@@ -2,12 +2,12 @@
 
 The estimate rests on the whitened operator ``Q = A G^{-1}`` (design matrix
 times inverse penalty). The spectrum of ``Q^T Q`` is that of the generalized
-control-space problem ``A^T A v = rho G^T G v``, and it is computed there:
-from the n x n Cholesky factor ``R`` of ``A^T A`` (``Q`` and ``R G^{-1}`` share
-their singular values), so nothing of data-space size is formed. When the
-eigenvalues decay like
-``k**(-alpha)``, balancing the bias and variance terms of the mean squared
-error gives
+control-space problem ``A^T A v = rho G^T G v``, and it is computed there,
+from the n x n Cholesky factor of ``A^T A`` and the closed-form sine
+eigenbasis of the difference penalty (:func:`whitened_spectrum`, one routine
+for curves and surfaces), so nothing of data-space size is formed. When the
+eigenvalues decay like ``k**(-alpha)``, balancing the bias and variance
+terms of the mean squared error gives
 
     lam ** (1 + 1/alpha) = sigma^2 * n^{-1} * |G p_ref|_n^{-2}
 
@@ -26,21 +26,12 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .errors import (
-    InsufficientSpectrum,
-    InvalidConfig,
-    NonConvergence,
-    SingularPenalty,
-    ZeroPenalty,
-)
+from .assembly import difference_eigenpairs
+from .errors import InsufficientSpectrum, InvalidConfig, NonConvergence, ZeroPenalty
 
 # Relative eigenvalue floor: anything below this multiple of the largest
 # eigenvalue is numerical zero and would corrupt the log-log regression.
 _EIG_FLOOR = 1e-14
-
-# A penalty factor less well conditioned than this has a numerically
-# singular gram: its condition would pass 1/eps, where Cholesky breaks down.
-_PENALTY_RCOND = 1e-8
 
 
 @dataclass(frozen=True)
@@ -86,57 +77,45 @@ class SelfConsistentResult:
         return len(self.iterates)
 
 
-def whitened_spectrum(design_factor, penalty_factor) -> np.ndarray:
+def whitened_spectrum(design_factors, penalty_scales) -> np.ndarray:
     """Descending spectrum of ``Q^T Q`` for the whitened design ``Q = A G^{-1}``.
 
-    Takes factors of the two grams: any ``F`` with ``F^T F = A^T A`` (the
-    design itself, or its n x n Cholesky factor) and any full-column-rank
-    ``H`` with ``H^T H = G^T G`` (the penalty itself, or a stacked one). The
-    eigenvalues solve ``A^T A v = rho G^T G v``; they are the squared singular
-    values of ``F R^{-1}``, with ``R`` the triangular factor of ``H``. Taking
-    singular values of a factor rather than eigenvalues of a Gram matrix
-    keeps twice the relative digits in the small eigenvalues of the head.
+    One design factor (any ``F`` with ``F^T F`` the design gram, such as its
+    n x n Cholesky factor) and one penalty scale per direction, ``u`` then
+    ``v`` for a surface. With ``difference_matrix(n, s) = U diag(mu) U^T``
+    (:func:`~rpia.assembly.difference_eigenpairs`) the eigenvalues of
+    ``A^T A v = rho G^T G v`` are the squared singular values of ``(F U) / |mu|``;
+    for a surface, of ``kron(Fv Uv, Fu Uu) / hypot.outer(|mu_v|, |mu_u|)``, as
+    ``Uv (x) Uu`` diagonalizes ``I (x) Lu^2 + Lv^2 (x) I``. Singular values of
+    a factor keep twice a Gram eigensolve's relative digits in the small head.
 
     Raises
     ------
-    SingularPenalty
-        If ``H`` is numerically rank deficient: the reciprocal of the exact
-        1-norm condition number of ``R`` is below ``1e-8``, i.e. a penalty
-        gram beyond condition ``1e16``.
+    InsufficientSpectrum
+        If a penalty scale takes the spectrum out of the normal floating-point range.
     """
-    f = np.asarray(design_factor, dtype=float)
-    r = np.linalg.qr(np.asarray(penalty_factor, dtype=float), mode="r")
-    rcond = 1.0 / np.linalg.cond(r, 1)
-    if not rcond >= _PENALTY_RCOND:
-        raise SingularPenalty(
-            f"penalty is numerically singular (reciprocal condition {rcond:.3e})"
-        )
-    whitened = np.linalg.solve(r.T, f.T).T
-    return np.sort(np.linalg.svd(whitened, compute_uv=False) ** 2)[::-1]
-
-
-def surface_whitened_eigenvalues(design_u, design_v, penalty_u, penalty_v) -> np.ndarray:
-    """Descending spectrum of the tensor design whitened by the net penalty.
-
-    The surface analogue of ``Q^T Q`` for the whitened curve design: the
-    generalized symmetric eigenproblem
-
-        (Bg (x) Ag) v = rho (I (x) Lu^T Lu + Lv^T Lv (x) I) v
-
-    with ``Ag = design_u^T design_u`` and ``Bg = design_v^T design_v``, solved
-    by :func:`whitened_spectrum` on the factors ``design_v (x) design_u`` and
-    ``[I (x) Lu; Lv (x) I]``. Pass the Cholesky factors of ``Ag`` and ``Bg``
-    as the designs (same grams, same spectrum) and every matrix stays in
-    control space, of side ``(n1+1)(n2+1)``.
-    """
-    a = np.asarray(design_u, dtype=float)
-    b = np.asarray(design_v, dtype=float)
-    lu = np.asarray(penalty_u, dtype=float)
-    lv = np.asarray(penalty_v, dtype=float)
-    net_penalty = np.vstack(
-        [np.kron(np.eye(lv.shape[0]), lu), np.kron(lv, np.eye(lu.shape[0]))]
+    scales = ", ".join(dict.fromkeys(f"{float(s):g}" for s in penalty_scales))
+    out_of_range = InsufficientSpectrum(
+        f"penalty_scale {scales} puts the whitened spectrum outside the floating-point range"
     )
-    return whitened_spectrum(np.kron(b, a), net_penalty)
+    # the empty product: kron with [[1]] and hypot with 0 keep a curve's F U and |mu| exact
+    whitened, weights = np.ones((1, 1)), np.zeros(1)
+    for factor, scale in zip(design_factors, penalty_scales):
+        mu, basis = difference_eigenpairs(factor.shape[1], scale)
+        if not (np.isfinite(mu) & (mu != 0.0)).all():
+            raise out_of_range
+        whitened = np.kron(np.asarray(factor, dtype=float) @ basis, whitened)
+        weights = np.hypot.outer(np.abs(mu), weights).ravel()
+    with np.errstate(over="ignore"):
+        whitened = whitened / weights
+        if not np.isfinite(whitened).all():
+            raise out_of_range
+        singular = np.linalg.svd(whitened, compute_uv=False)
+        eigs = singular**2
+    # a positive singular value whose square is not a normal double has lost digits
+    if not (np.isfinite(eigs).all() and (eigs >= np.finfo(float).tiny)[singular > 0.0].all()):
+        raise out_of_range
+    return eigs
 
 
 def spectral_decay_from_eigenvalues(eigenvalues, head_count: int) -> SpectralDecayFit:
@@ -193,12 +172,6 @@ def optimal_lambda(
     return float(base ** (alpha / (alpha + 1.0)))
 
 
-def _lambda_from_balance(misfit: float, penalty: float, n_controls: int, alpha: float) -> float:
-    if penalty <= 0.0:
-        raise ZeroPenalty("penalty norm of the iterate vanished")
-    return float((misfit / (penalty * n_controls)) ** (alpha / (alpha + 1.0)))
-
-
 def self_consistent(
     solve: Callable[[float], np.ndarray],
     measure: Callable[[np.ndarray], tuple[float, float]],
@@ -225,7 +198,8 @@ def self_consistent(
     Raises
     ------
     ZeroPenalty
-        If a fit's penalty vanishes (the update is undefined).
+        If a fit's penalty vanishes (the update is undefined); the message
+        names the outer iteration, its weight and the starting weight.
     NonConvergence
         If the weights have not settled after ``max_outer`` fits.
     """
@@ -236,7 +210,12 @@ def self_consistent(
     iterates = [LambdaIterate(1, lam)]
     for k in range(2, max_outer + 1):
         misfit, pen = measure(controls)
-        lam_next = _lambda_from_balance(misfit, pen, n_count, alpha)
+        if pen <= 0.0:
+            raise ZeroPenalty(
+                f"penalty norm of the fit vanished at outer iteration {k - 1}, "
+                f"weight {lam:.6e} (the loop started at {iterates[0].lam:.6e})"
+            )
+        lam_next = float((misfit / (pen * n_count)) ** (alpha / (alpha + 1.0)))
         iterates.append(LambdaIterate(k, lam_next, misfit, pen))
         converged = abs(lam_next - lam) <= eps_lambda * lam
         lam = lam_next

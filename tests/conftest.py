@@ -129,16 +129,18 @@ def full_width_span(design):
     return BasisSpan(np.zeros(design.shape[0], dtype=int), design, design.shape[1])
 
 
-def curve_problem(design, penalty):
-    """A curve problem around bare matrices: no data, parameters or reference fit."""
-    return CurveProblem(None, None, None, full_width_span(design), penalty)
+def curve_problem(design, penalty_scale):
+    """A curve problem around a bare design and the scale of its difference
+    penalty: no data, parameters or reference fit."""
+    return CurveProblem(None, None, None, full_width_span(design), penalty_scale)
 
 
-def surface_problem(design_u, design_v, penalty_u, penalty_v):
-    """A surface problem around bare matrices: no data, parameters or reference fit."""
+def surface_problem(design_u, design_v, penalty_scale):
+    """A surface problem around bare designs and the scale of both difference
+    penalties: no data, parameters or reference fit."""
     return SurfaceProblem(
         None, None, None, None, None, full_width_span(design_u), full_width_span(design_v),
-        penalty_u, penalty_v,
+        penalty_scale,
     )
 
 

@@ -8,6 +8,7 @@ from rpia.assembly import (
     assemble_collocation,
     augment_curve,
     augment_surface,
+    difference_eigenpairs,
     difference_matrix,
     make_partition,
     tensor_apply,
@@ -102,6 +103,28 @@ class TestDifferenceMatrix:
         for scale in (0.0, np.nan, np.inf):
             with pytest.raises(InvalidConfig):
                 difference_matrix(5, scale)
+
+
+class TestDifferenceEigenpairs:
+    # Over N <= 1200 the closed form stays within 30 eps of orthogonal and
+    # 16 eps (relative to the scale) of the matrix. Taking the sine of the
+    # unreduced j k pi / (N+1) misses both bounds from N of a few dozen on.
+    @settings(max_examples=40, deadline=None)
+    @given(size=st.integers(2, 1200), scale=st.floats(1e-6, 1e6))
+    def test_reproduces_difference_matrix(self, size, scale):
+        eps = np.finfo(float).eps
+        mu, basis = difference_eigenpairs(size, scale)
+        assert np.all(np.diff(np.abs(mu)) > 0.0)
+        npt.assert_allclose(basis.T @ basis, np.eye(size), rtol=0, atol=64 * eps)
+        npt.assert_allclose((basis * mu) @ basis.T, difference_matrix(size, scale),
+                            rtol=0, atol=32 * eps * scale)
+
+    def test_invalid(self):
+        with pytest.raises(InvalidConfig):
+            difference_eigenpairs(1, 1.0)
+        for scale in (0.0, -1.0, np.nan, np.inf):
+            with pytest.raises(InvalidConfig):
+                difference_eigenpairs(5, scale)
 
 
 class TestAugmentCurve:

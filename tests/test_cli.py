@@ -1,9 +1,15 @@
 import json
+import os
+import re
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 from click.testing import CliRunner
 
+import rpia
 from rpia import cli, errors
 from rpia.cli import main
 from rpia.config import load_config
@@ -13,6 +19,8 @@ from rpia.pointsio import load_points, save_grid, save_points
 
 from conftest import csv_writer_bytes
 
+
+CONFIG_DIR = Path(__file__).resolve().parents[1] / "configs"
 
 LIBRARY_ERRORS = sorted(
     (cls for cls in vars(errors).values()
@@ -256,6 +264,42 @@ class TestOtherCommands:
         report = json.loads((out_dir / "report.json").read_text())
         assert report["lambda_mode"] == "self-consistent"
         assert "lambda_trajectory" in report["per_seed"][0]
+
+
+class TestNumericalFailuresSayWhere:
+    @pytest.mark.parametrize("scale", ["1e-300", "1e300"])
+    def test_penalty_scale_outside_the_floating_range(self, scale):
+        # a fresh process, because LAPACK reports a bad argument (DLASCL) on
+        # the process's own stderr, which CliRunner does not capture
+        package_root = str(Path(rpia.__file__).resolve().parents[1])
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            [package_root] + [p for p in [os.environ.get("PYTHONPATH")] if p]
+        ))
+        proc = subprocess.run(
+            [sys.executable, "-m", "rpia.cli", "estimate-lambda",
+             "--config", str(CONFIG_DIR / "rose.yaml"), "--penalty-scale", scale],
+            capture_output=True, text=True, env=env, timeout=300,
+        )
+        assert proc.returncode == 3, proc.stderr
+        assert f"error: penalty_scale {float(scale):g} " in proc.stderr
+        for noise in ("RuntimeWarning", "DLASCL"):
+            assert noise not in proc.stdout + proc.stderr
+
+    def test_vanished_penalty_names_the_outer_iteration(self, runner, tmp_path):
+        # on the desk config the direct weight loop runs off from its
+        # prior-free start until the fit is all penalty and its norm underflows
+        cfg = write_desk_config(tmp_path / "cfg.yaml", inner_solver="direct")
+        result = runner.invoke(
+            main, ["self-consistent", "--config", str(cfg), "--out", str(tmp_path / "out")]
+        )
+        assert result.exit_code == 3
+        found = re.search(
+            r"error: penalty norm of the fit vanished at outer iteration (\d+), "
+            r"weight (\S+) \(the loop started at (\S+)\)", result.output,
+        )
+        assert found, result.output
+        outer, weight, start = int(found[1]), float(found[2]), float(found[3])
+        assert outer > 1 and weight > 1e6 * start > 0.0
 
 
 CAPPED_WARNING = "fits stopped at max_iter=20 before meeting the tolerance"

@@ -146,29 +146,27 @@ def test_estimate_and_direct_paths_form_no_data_space_matrix(monkeypatch):
             raise AssertionError(f"{what} was built")
         return refused
 
-    def square_factors_only(spectrum):
-        def checked(*args):
-            for matrix in args:
-                assert matrix.shape[0] == matrix.shape[1], "data-space factor"
-            return spectrum(*args)
-        return checked
+    spectrum_calls = []
+    whitened_spectrum = experiment.whitened_spectrum
+
+    def square_factors_only(design_factors, penalty_scales):
+        for factor in design_factors:
+            assert factor.shape[0] == factor.shape[1], "data-space factor"
+        spectrum_calls.append(len(design_factors))
+        return whitened_spectrum(design_factors, penalty_scales)
 
     monkeypatch.setattr(BasisSpan, "dense", refuse("a dense collocation matrix"))
     monkeypatch.setattr(experiment, "assemble_collocation", refuse("a dense collocation matrix"))
     monkeypatch.setattr(experiment, "augment_curve", refuse("a stacked (m+n) x n system"))
     monkeypatch.setattr(experiment, "augment_surface", refuse("a stacked (m+n) x n system"))
-    monkeypatch.setattr(
-        experiment, "whitened_spectrum", square_factors_only(experiment.whitened_spectrum)
-    )
-    monkeypatch.setattr(
-        experiment, "surface_whitened_eigenvalues",
-        square_factors_only(experiment.surface_whitened_eigenvalues),
-    )
-    for name in ("rose", "boy_a40"):
+    monkeypatch.setattr(experiment, "whitened_spectrum", square_factors_only)
+    for name, directions in (("rose", 1), ("boy_a40", 2)):
         cfg = load_config(CONFIG_DIR / f"{name}.yaml")
         problem = build_problem(cfg)
+        spectrum_calls.clear()
         lam, _ = estimate_lambda(problem, cfg)
         assert lam > 0.0
+        assert spectrum_calls == [directions], "the estimate skipped the checked spectrum"
         noisy = add_noise(problem.clean, NoiseSpec(cfg.noise_amplitude, 0))
         controls = problem.solve_direct(noisy, lam)
         assert problem.fitted(controls).shape == problem.clean.shape
@@ -189,20 +187,21 @@ class TestControlSpaceDirect:
     def test_curve_matches_stacked_oracle(self, design, lam, scale, seed):
         penalty = difference_matrix(design.shape[1], scale)
         data = np.random.default_rng(seed).standard_normal((design.shape[0], 2))
-        got = curve_problem(design, penalty).solve_direct(data, lam)
+        got = curve_problem(design, scale).solve_direct(data, lam)
         want = solve_curve_direct(augment_curve(design, penalty, data, lam)).control_points
         assert _relative_gap(got, want) <= 1e-10
 
     @settings(max_examples=40, deadline=None)
     @given(design_u=banded_designs(), design_v=banded_designs(), lam=st.floats(0.0, 1e3),
-           ncoord=st.sampled_from([1, 3]), seed=st.integers(0, 2**32 - 1))
-    def test_surface_matches_stacked_oracle(self, design_u, design_v, lam, ncoord, seed):
-        lu = difference_matrix(design_u.shape[1], 1.5)
-        lv = difference_matrix(design_v.shape[1], 2.5)
+           scale=st.floats(0.5, 50.0), ncoord=st.sampled_from([1, 3]),
+           seed=st.integers(0, 2**32 - 1))
+    def test_surface_matches_stacked_oracle(self, design_u, design_v, lam, scale, ncoord, seed):
+        lu = difference_matrix(design_u.shape[1], scale)
+        lv = difference_matrix(design_v.shape[1], scale)
         grid = np.random.default_rng(seed).standard_normal(
             (design_u.shape[0], design_v.shape[0], ncoord)
         )
-        got = surface_problem(design_u, design_v, lu, lv).solve_direct(grid, lam)
+        got = surface_problem(design_u, design_v, scale).solve_direct(grid, lam)
         want = solve_surface_direct(
             augment_surface(design_u, design_v, lu, lv, grid, lam)
         ).control_points
@@ -217,7 +216,7 @@ class TestControlSpaceDirect:
         design[:, 4] = 0.0
         penalty = difference_matrix(11, 1.0)
         lam = 5e-10
-        curve = curve_problem(design, penalty)
+        curve = curve_problem(design, 1.0)
         assert curve.normal.condition(lam) <= 1e10
         data = rng.standard_normal((40, 2))
         want = solve_curve_direct(augment_curve(design, penalty, data, lam)).control_points
@@ -225,7 +224,7 @@ class TestControlSpaceDirect:
         design_v = collocation_design(20, 5)
         penalty_v = difference_matrix(6, 1.0)
         grid = rng.standard_normal((40, 20, 3))
-        got = surface_problem(design, design_v, penalty, penalty_v).solve_direct(grid, lam)
+        got = surface_problem(design, design_v, 1.0).solve_direct(grid, lam)
         want = solve_surface_direct(
             augment_surface(design, design_v, penalty, penalty_v, grid, lam)
         ).control_points
@@ -238,7 +237,7 @@ class TestControlSpaceDirect:
         design = u @ np.diag([1.0, 1e-2, 1e-4, 1e-7])
         penalty = difference_matrix(4, 1.0)
         data = rng.standard_normal((12, 2))
-        got = curve_problem(design, penalty).solve_direct(data, 0.0)
+        got = curve_problem(design, 1.0).solve_direct(data, 0.0)
         want, *_ = np.linalg.lstsq(design, data, rcond=None)
         assert _relative_gap(got, want) <= 1e-6
 
@@ -246,9 +245,7 @@ class TestControlSpaceDirect:
         u, _ = np.linalg.qr(rng.standard_normal((12, 4)))
         design_u = u @ np.diag([1.0, 1e-2, 1e-4, 1e-7])
         design_v = rng.standard_normal((6, 3))
-        problem = surface_problem(
-            design_u, design_v, difference_matrix(4, 1.0), difference_matrix(3, 1.0)
-        )
+        problem = surface_problem(design_u, design_v, 1.0)
         with pytest.raises(RankDeficient):
             problem.solve_direct(rng.standard_normal((12, 6, 3)), 0.0)
 
@@ -265,20 +262,20 @@ class TestProblemMeasures:
         # fitted points A c = (1, 2, 1) against data (1, 2, 3): misfit 4 over
         # 3 points; G c = (-1, -1): penalty 2 over 2 controls
         design = np.array([[1.0, 0.0], [1.0, 1.0], [0.0, 1.0]])
-        problem = curve_problem(design, difference_matrix(2, 1.0))
+        problem = curve_problem(design, 1.0)
         measure = experiment.self_consistent_measure(problem, np.array([[1.0], [2.0], [3.0]]))
         misfit, penalty = measure(np.array([[1.0], [1.0]]))
         npt.assert_allclose([misfit, penalty], [4.0 / 3.0, 1.0], rtol=1e-15)
 
     def test_surface_weight_measure_by_hand(self):
-        # identity factors on a 2 x 2 grid: misfit (1 - 2)^2 over 4 points,
-        # each singly weighted penalty term 1 over n = 4 controls
+        # identity factors on a 2 x 2 grid of ones: misfit (1 - 2)^2 over 4
+        # points; L = 0.5 tridiag(1, -2, 1) maps each row and column of ones to
+        # (-0.5, -0.5), so each singly weighted penalty term is 1 over n = 4
         eye = np.eye(2)
-        problem = surface_problem(eye, eye, eye, eye)
-        data = np.zeros((2, 2, 1))
+        problem = surface_problem(eye, eye, 0.5)
+        data = np.ones((2, 2, 1))
         data[0, 0, 0] = 2.0
-        controls = np.zeros((2, 2, 1))
-        controls[0, 0, 0] = 1.0
+        controls = np.ones((2, 2, 1))
         measure = experiment.self_consistent_measure(problem, data)
         assert measure(controls) == (0.25, 0.5)
 
@@ -286,14 +283,14 @@ class TestProblemMeasures:
         a = rng.standard_normal((6, 3))
         b = rng.standard_normal((5, 4))
         lu = difference_matrix(3, 1.5)
-        lv = difference_matrix(4, 2.5)
+        lv = difference_matrix(4, 1.5)
         controls = rng.standard_normal((3, 4, 3))
         expected = sum(
             np.sum((a @ controls[:, :, f] @ lv.T) ** 2)
             + np.sum((lu @ controls[:, :, f] @ b.T) ** 2)
             for f in range(3)
         ) / 12
-        got = surface_problem(a, b, lu, lv).penalty_norm2(controls)
+        got = surface_problem(a, b, 1.5).penalty_norm2(controls)
         npt.assert_allclose(got, expected, rtol=1e-13)
 
     @pytest.mark.parametrize("make", [desk_curve_config, desk_surface_config])

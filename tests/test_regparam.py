@@ -14,13 +14,7 @@ from rpia.assembly import (
 )
 from rpia.basis import build_knots, chord_length_params
 from rpia.datasets import NoiseSpec, add_noise, rose_curve
-from rpia.errors import (
-    InsufficientSpectrum,
-    InvalidConfig,
-    NonConvergence,
-    SingularPenalty,
-    ZeroPenalty,
-)
+from rpia.errors import InsufficientSpectrum, InvalidConfig, NonConvergence, ZeroPenalty
 from rpia.experiment import self_consistent_measure
 from rpia.oracle import solve_curve_direct, solve_surface_direct
 
@@ -30,87 +24,85 @@ from rpia.regparam import (
     optimal_lambda,
     self_consistent,
     spectral_decay_from_eigenvalues,
-    surface_whitened_eigenvalues,
     whitened_spectrum,
 )
 
 
-def dense_whitened(design, penalty):
-    """Reference whitening ``Q = design penalty^{-1}``, checked by multiplying back."""
-    q = scipy.linalg.solve(penalty, design.T).T
-    defect = np.linalg.norm(q @ penalty - design) / np.linalg.norm(design)
-    assert defect < 1e-10
-    return q
+def generalized_spectrum(design_gram, penalty_gram):
+    """Reference: descending eigenvalues of ``design_gram v = rho penalty_gram v``."""
+    eigs = scipy.linalg.eigh(design_gram, penalty_gram, eigvals_only=True)
+    return np.sort(np.clip(eigs, 0.0, None))[::-1]
 
 
-def spectrum_decay(design, penalty, head_count):
+def curve_reference(design, scale):
+    penalty = difference_matrix(design.shape[1], scale)
+    return generalized_spectrum(design.T @ design, penalty.T @ penalty)
+
+
+def surface_reference(design_u, design_v, scale_u, scale_v):
+    lu = difference_matrix(design_u.shape[1], scale_u)
+    lv = difference_matrix(design_v.shape[1], scale_v)
+    penalty_gram = (np.kron(np.eye(lv.shape[0]), lu.T @ lu)
+                    + np.kron(lv.T @ lv, np.eye(lu.shape[0])))
+    return generalized_spectrum(np.kron(design_v.T @ design_v, design_u.T @ design_u),
+                                penalty_gram)
+
+
+def spectrum_decay(design, scale, head_count):
     """Decay fit of the whitened spectrum, from the design's Cholesky factor."""
     factor = scipy.linalg.cholesky(design.T @ design)
-    return spectral_decay_from_eigenvalues(whitened_spectrum(factor, penalty), head_count)
+    return spectral_decay_from_eigenvalues(whitened_spectrum([factor], [scale]), head_count)
+
+
+def squared_singular_values(matrix):
+    return np.linalg.svd(matrix, compute_uv=False) ** 2
 
 
 class TestWhitenedSpectrum:
-    def test_scaled_identity_penalty(self, rng):
-        design = rng.standard_normal((8, 5))
-        eigs = whitened_spectrum(design, 4.0 * np.eye(5))
-        expected = scipy.linalg.eigvalsh(design.T @ design)[::-1] / 16.0
-        npt.assert_allclose(eigs, expected, rtol=1e-13)
-
     def test_matches_dense_whitening(self, rng):
         design = rng.standard_normal((8, 5))
-        penalty = difference_matrix(5, 3.0)
-        q = dense_whitened(design, penalty)
-        expected = scipy.linalg.eigvalsh(q.T @ q)[::-1]
+        expected = curve_reference(design, 3.0)
         factor = scipy.linalg.cholesky(design.T @ design)
-        npt.assert_allclose(whitened_spectrum(design, penalty), expected, rtol=1e-12)
-        npt.assert_allclose(whitened_spectrum(factor, penalty), expected, rtol=1e-12)
-
-    def test_singular_penalty(self, rng):
-        design = rng.standard_normal((6, 4))
-        singular = np.ones((4, 4))
-        with pytest.raises(SingularPenalty):
-            whitened_spectrum(design, singular)
+        npt.assert_allclose(whitened_spectrum([design], [3.0]), expected, rtol=1e-12)
+        npt.assert_allclose(whitened_spectrum([factor], [3.0]), expected, rtol=1e-12)
 
     @settings(max_examples=60, deadline=None)
     @given(design=designs(), scale=st.floats(0.1, 2000.0))
     def test_head_matches_dense_whitening(self, design, scale):
         # eigenvalues within 1e-3 of the largest: the head the decay fit reads
         assume(np.any(design))
-        penalty = difference_matrix(design.shape[1], scale)
-        q = dense_whitened(design, penalty)
-        expected = scipy.linalg.eigvalsh(q.T @ q)[::-1]
+        expected = curve_reference(design, scale)
         head = expected >= 1e-3 * expected[0]
-        eigs = whitened_spectrum(design, penalty)
+        eigs = whitened_spectrum([design], [scale])
         npt.assert_allclose(eigs[: head.sum()], expected[head], rtol=1e-9)
         gram = design.T @ design
         if np.linalg.cond(gram) < 1e8:
             factor = scipy.linalg.cholesky(gram)
-            npt.assert_allclose(whitened_spectrum(factor, penalty)[head], expected[head],
+            npt.assert_allclose(whitened_spectrum([factor], [scale])[head], expected[head],
                                 rtol=1e-9)
 
     @settings(max_examples=30, deadline=None)
-    @given(design_u=banded_designs(), design_v=banded_designs())
-    def test_surface_control_space_factors_match_designs(self, design_u, design_v):
-        lu = difference_matrix(design_u.shape[1], 1.5)
-        lv = difference_matrix(design_v.shape[1], 2.5)
-        expected = surface_whitened_eigenvalues(design_u, design_v, lu, lv)
+    @given(design_u=banded_designs(), design_v=banded_designs(),
+           scale_u=st.floats(0.1, 2000.0), scale_v=st.floats(0.1, 2000.0))
+    def test_surface_control_space_factors_match_designs(self, design_u, design_v,
+                                                         scale_u, scale_v):
+        expected = surface_reference(design_u, design_v, scale_u, scale_v)
         head = expected >= 1e-3 * expected[0]
-        got = surface_whitened_eigenvalues(
-            scipy.linalg.cholesky(design_u.T @ design_u),
-            scipy.linalg.cholesky(design_v.T @ design_v), lu, lv,
-        )
-        npt.assert_allclose(got[head], expected[head], rtol=1e-9)
+        scales = [scale_u, scale_v]
+        for factors in (
+            [design_u, design_v],
+            [scipy.linalg.cholesky(d.T @ d) for d in (design_u, design_v)],
+        ):
+            got = whitened_spectrum(factors, scales)
+            npt.assert_allclose(got[head], expected[head], rtol=1e-9)
 
-    @settings(max_examples=40, deadline=None)
-    @given(design=designs(), data=st.data())
-    def test_singular_penalty_property(self, design, data):
-        n = design.shape[1]
-        penalty = difference_matrix(n, data.draw(st.floats(0.1, 2000.0)))
-        penalty[:, data.draw(st.integers(0, n - 1))] = 0.0
-        with pytest.raises(SingularPenalty):
-            whitened_spectrum(design, penalty)
-        with pytest.raises(SingularPenalty):
-            surface_whitened_eigenvalues(design, design, penalty, penalty)
+    @pytest.mark.parametrize("scale", [1e-300, 1e-160, 1e300, 1e308])
+    def test_scale_outside_the_floating_range(self, rng, scale):
+        design = rng.standard_normal((12, 6))
+        with pytest.raises(InsufficientSpectrum, match="penalty_scale"):
+            whitened_spectrum([design], [scale])
+        with pytest.raises(InsufficientSpectrum, match="penalty_scale"):
+            whitened_spectrum([design, design], [scale, scale])
 
 
 class TestSpectralDecay:
@@ -126,12 +118,11 @@ class TestSpectralDecay:
             u, _ = np.linalg.qr(rng.standard_normal((40, 20)))
             v, _ = np.linalg.qr(rng.standard_normal((20, 20)))
             matrix = u @ np.diag(singular_values) @ v.T
-            fit = spectral_decay_from_eigenvalues(whitened_spectrum(matrix, np.eye(20)), 20)
+            fit = spectral_decay_from_eigenvalues(squared_singular_values(matrix), 20)
             npt.assert_allclose(fit.alpha, alpha, atol=1e-6)
 
     def test_descending_nonnegative(self, rng):
-        matrix = rng.standard_normal((15, 10))
-        eigs = whitened_spectrum(matrix, np.eye(10))
+        eigs = whitened_spectrum([rng.standard_normal((15, 10))], [2.0])
         assert np.all(eigs >= 0.0)
         assert np.all(np.diff(eigs) <= 0.0)
 
@@ -139,7 +130,7 @@ class TestSpectralDecay:
         matrix = rng.standard_normal((10, 8))
         matrix[:, 4:] = matrix[:, :4]  # rank 4
         with pytest.raises(InsufficientSpectrum):
-            spectral_decay_from_eigenvalues(whitened_spectrum(matrix, np.eye(8)), 6)
+            spectral_decay_from_eigenvalues(squared_singular_values(matrix), 6)
 
     def test_head_count_validation(self):
         with pytest.raises(InvalidConfig):
@@ -148,13 +139,8 @@ class TestSpectralDecay:
     def test_surface_whitened_spectrum_matches_dense_reference(self, rng):
         a = rng.standard_normal((9, 4))
         b = rng.standard_normal((8, 3))
-        lu = difference_matrix(4, 1.5)
-        lv = difference_matrix(3, 2.0)
-        eigs = surface_whitened_eigenvalues(a, b, lu, lv)
-        design_gram = np.kron(b.T @ b, a.T @ a)
-        penalty_gram = np.kron(np.eye(3), lu.T @ lu) + np.kron(lv.T @ lv, np.eye(4))
-        expected = np.sort(scipy.linalg.eigh(design_gram, penalty_gram, eigvals_only=True))[::-1]
-        npt.assert_allclose(eigs, np.clip(expected, 0.0, None), atol=1e-10)
+        eigs = whitened_spectrum([a, b], [1.5, 2.0])
+        npt.assert_allclose(eigs, surface_reference(a, b, 1.5, 2.0), atol=1e-10)
 
 
 class TestOptimalLambda:
@@ -193,7 +179,7 @@ class TestFullScaleEstimate:
         knots = build_knots(params, 100)
         design = assemble_collocation(knots, params)
         penalty = difference_matrix(101, 1600.0)
-        alpha = spectrum_decay(design, penalty, 50).alpha
+        alpha = spectrum_decay(design, 1600.0, 50).alpha
         reference = solve_curve_direct(
             augment_curve(design, penalty, points, 0.0)
         ).control_points
@@ -216,7 +202,7 @@ def rose_desk_problem(penalty_scale):
     points = rose_curve(200).points
     params = chord_length_params(points)
     design = assemble_collocation(build_knots(params, 40), params)
-    problem = curve_problem(design, difference_matrix(41, penalty_scale))
+    problem = curve_problem(design, penalty_scale)
     return problem, add_noise(points, NoiseSpec(4.0, 3))
 
 
@@ -229,23 +215,27 @@ def oracle_solve(problem, noisy):
 
 class TestSelfConsistentCurve:
     def test_fixed_point_terminates_at_first_check(self):
-        # misfit equals penalty, so the first update reproduces the start value
-        problem = curve_problem(np.eye(2), np.eye(2))
-        data = np.array([[2.0], [0.0]])
-        fixed = np.array([[1.0], [0.0]])
+        # misfit equals penalty (G c = (-1, -1) and A c - data = (-1, -1), each
+        # 2 over 2), so the first update reproduces the start value
+        problem = curve_problem(np.eye(2), 1.0)
+        data = np.array([[2.0], [2.0]])
+        fixed = np.array([[1.0], [1.0]])
         result = weight_loop(problem, data, lambda lam: fixed, alpha=2.0, eps_lambda=0.01)
         assert result.outer_iterations == 2
         npt.assert_allclose(result.lam, 2.0 ** (-2.0 / 3.0), rtol=1e-12)
         npt.assert_array_equal(result.control_points, fixed)
 
     def test_zero_penalty(self):
-        problem = curve_problem(np.eye(2), np.eye(2))
+        problem = curve_problem(np.eye(2), 1.0)
         data = np.array([[2.0], [0.0]])
-        with pytest.raises(ZeroPenalty):
+        start = 2.0 ** (-2.0 / 3.0)
+        with pytest.raises(ZeroPenalty, match=(
+            rf"outer iteration 1, weight {start:.6e} \(the loop started at {start:.6e}\)"
+        )):
             weight_loop(problem, data, lambda lam: np.zeros((2, 1)), alpha=2.0)
 
     def test_non_convergence(self):
-        problem = curve_problem(np.eye(2), np.eye(2))
+        problem = curve_problem(np.eye(2), 1.0)
         data = np.array([[2.0], [0.0]])
         flip = [0]
 
@@ -266,7 +256,7 @@ class TestSelfConsistentCurve:
 
     def test_desk_scale_convergence(self):
         problem, noisy = rose_desk_problem(91.0)
-        alpha = spectrum_decay(problem.design, problem.penalty, 30).alpha
+        alpha = spectrum_decay(problem.design, problem.penalty_scale, 30).alpha
         result = weight_loop(problem, noisy, oracle_solve(problem, noisy), alpha, 0.01)
         assert result.lam > 0.0
         assert result.outer_iterations <= 15
@@ -286,13 +276,13 @@ class TestSelfConsistentCurve:
 class TestSelfConsistentSurface:
     def test_fixed_point_terminates_at_first_check(self):
         eye = np.eye(2)
-        problem = surface_problem(eye, eye, eye, eye)
-        data = np.zeros((2, 2, 1))
+        problem = surface_problem(eye, eye, 0.5)
+        data = np.ones((2, 2, 1))
         data[0, 0, 0] = 2.0
-        fixed = np.zeros((2, 2, 1))
-        fixed[0, 0, 0] = 1.0
-        # misfit 1/4; penalty terms each 1/4, so the ratio is 1/2 and the
-        # update gives (1/2 / 4)^(alpha/(alpha+1)) with n = 4
+        fixed = np.ones((2, 2, 1))
+        # misfit 1/4; L = 0.5 tridiag(1, -2, 1) maps each row and column of
+        # ones to (-0.5, -0.5), so the penalty terms are each 1/4, the ratio is
+        # 1/2 and the update gives (1/2 / 4)^(alpha/(alpha+1)) with n = 4
         result = weight_loop(problem, data, lambda lam: fixed, alpha=1.0, eps_lambda=1.0)
         assert result.outer_iterations == 2
         second = result.iterates[1]
@@ -315,5 +305,5 @@ class TestSelfConsistentSurface:
         with pytest.raises(NonConvergence):
             # exact data: the misfit collapses every round, so the weight
             # keeps shrinking instead of settling
-            weight_loop(surface_problem(a, b, lu, lv), data, solve, 2.0, 1e-6, max_outer=8)
+            weight_loop(surface_problem(a, b, 1.0), data, solve, 2.0, 1e-6, max_outer=8)
 
