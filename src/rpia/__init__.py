@@ -12,11 +12,14 @@ from .assembly import (
     AugmentedCurveSystem,
     AugmentedSurfaceSystem,
     BlockPartition,
+    CurveNormalSystem,
+    SurfaceNormalSystem,
     assemble_collocation,
     augment_curve,
     augment_surface,
     difference_eigenpairs,
     difference_matrix,
+    gram_partition,
     make_partition,
     tensor_apply,
 )
@@ -68,6 +71,7 @@ __all__ = [
     "BasisSpan",
     "BlockPartition",
     "CurveFitResult",
+    "CurveNormalSystem",
     "DirectSolution",
     "KnotVector",
     "LambdaIterate",
@@ -79,6 +83,7 @@ __all__ = [
     "SpectralDecayFit",
     "StoppingRule",
     "SurfaceFitResult",
+    "SurfaceNormalSystem",
     "add_noise",
     "assemble_collocation",
     "augment_curve",
@@ -94,6 +99,7 @@ __all__ = [
     "expectation_map_curve",
     "expectation_map_surface",
     "fit_error",
+    "gram_partition",
     "make_partition",
     "optimal_lambda",
     "rose_curve",

@@ -1,10 +1,14 @@
-"""Collocation matrices, difference penalties, stacked systems, column partitions.
+"""Collocation matrices, difference penalties, normal systems, column partitions.
 
-The penalized fitting problems are carried around in their stacked
-("augmented") form: the design matrix with ``sqrt(lam)`` times the penalty
-matrix appended below it, and zero-padded targets. Ordinary least squares on
-the stacked system is algebraically identical to the penalized problem, which
-is what lets one randomized solver cover both.
+A penalized fit ``min |A P - q|^2 + lam |G P|^2`` is ordinary least squares
+on its stacked ("augmented") form: the design matrix with ``sqrt(lam)``
+times the penalty matrix appended below it, and zero-padded targets. The
+randomized solvers never touch that stack. They read the fit's normal
+system in control space: the gram ``K = A^T A + lam G^T G``, the design gram
+``A^T A``, the right-hand side ``A^T q`` and ``|q|^2``. The experiment builds
+those fields from the B-spline spans (:class:`CurveNormalSystem`,
+:class:`SurfaceNormalSystem`); a dense :class:`AugmentedCurveSystem` derives
+the same fields from its stack, for the oracles and the reference tests.
 """
 
 from __future__ import annotations
@@ -92,12 +96,48 @@ def difference_eigenpairs(size: int, scale: float) -> tuple[np.ndarray, np.ndarr
 
 
 @dataclass(frozen=True)
+class CurveNormalSystem:
+    """A penalized curve fit in control space: what the randomized solver reads.
+
+    ``gram`` is ``K = A^T A + lam G^T G`` and ``design_gram`` is ``A^T A``,
+    both (n+1) x (n+1); ``rhs`` is ``A^T q``, one column per point
+    coordinate; ``data_norm_sq`` is ``|q|^2``.
+    """
+
+    gram: np.ndarray
+    design_gram: np.ndarray
+    rhs: np.ndarray
+    data_norm_sq: float
+
+
+@dataclass(frozen=True)
+class SurfaceNormalSystem:
+    """A penalized tensor surface fit in control space.
+
+    With the row design ``A``, column design ``B`` and penalties ``Lu``,
+    ``Lv``: ``gram_u = A^T A + lam Lu^T Lu``, ``gram_v = B^T B + lam Lv^T Lv``
+    (so the stacked system's normal matrix is ``kron(gram_v, gram_u)``), the
+    design grams ``A^T A`` and ``B^T B``, ``rhs = A^T Q B`` of shape
+    (n1+1, n2+1, ncoord) and ``data_norm_sq = |Q|^2``.
+    """
+
+    gram_u: np.ndarray
+    gram_v: np.ndarray
+    design_gram_u: np.ndarray
+    design_gram_v: np.ndarray
+    rhs: np.ndarray
+    data_norm_sq: float
+
+
+@dataclass(frozen=True)
 class AugmentedCurveSystem:
     """Design matrix stacked over the scaled penalty, with zero-padded targets.
 
     ``stacked`` is ((m+1)+(n+1)) x (n+1) in Fortran order so column blocks
     slice to views; ``targets`` carries one column per point coordinate and is
-    zero below row ``data_rows``. ``gram`` is built on first use.
+    zero below row ``data_rows``. The fields of a :class:`CurveNormalSystem`
+    (``gram``, ``design_gram``, ``rhs``, ``data_norm_sq``) are built from the
+    stack on first use, so the randomized solver runs on either.
     """
 
     stacked: np.ndarray
@@ -123,6 +163,21 @@ class AugmentedCurveSystem:
         """``S^T S = A^T A + lam G^T G`` of the stacked matrix ``S``; banded."""
         return self.stacked.T @ self.stacked
 
+    @cached_property
+    def design_gram(self) -> np.ndarray:
+        """``A^T A``."""
+        return self.design.T @ self.design
+
+    @cached_property
+    def rhs(self) -> np.ndarray:
+        """``A^T q``, which is also ``S^T`` times the zero-padded targets."""
+        return self.design.T @ self.data
+
+    @cached_property
+    def data_norm_sq(self) -> float:
+        """``|q|^2``."""
+        return float(np.vdot(self.data, self.data))
+
 
 @dataclass(frozen=True)
 class AugmentedSurfaceSystem:
@@ -130,8 +185,7 @@ class AugmentedSurfaceSystem:
 
     ``row_stacked`` is [A; sqrt(lam) Lu], ``col_stacked`` is [B; sqrt(lam) Lv],
     and ``targets`` puts the data grid in the top-left block of an otherwise
-    zero array of shape (rows(A)+rows(Lu), rows(B)+rows(Lv), ncoord). The
-    grams are built on first use.
+    zero array of shape (rows(A)+rows(Lu), rows(B)+rows(Lv), ncoord).
     """
 
     row_stacked: np.ndarray
@@ -156,21 +210,6 @@ class AugmentedSurfaceSystem:
     @property
     def n_controls(self) -> tuple[int, int]:
         return self.row_stacked.shape[1], self.col_stacked.shape[1]
-
-    @cached_property
-    def row_gram(self) -> np.ndarray:
-        """``[A; sqrt(lam) Lu]^T [A; sqrt(lam) Lu]``; banded."""
-        return self.row_stacked.T @ self.row_stacked
-
-    @cached_property
-    def col_gram(self) -> np.ndarray:
-        """``[B; sqrt(lam) Lv]^T [B; sqrt(lam) Lv]``; banded."""
-        return self.col_stacked.T @ self.col_stacked
-
-    @cached_property
-    def design_gram_u(self) -> np.ndarray:
-        """``A^T A``."""
-        return self.design_u.T @ self.design_u
 
 
 def _stack(design, penalty, lam: float, name: str) -> np.ndarray:
@@ -235,32 +274,36 @@ def augment_surface(design_u, design_v, penalty_u, penalty_v, data, lam: float) 
 
 @dataclass(frozen=True)
 class BlockPartition:
-    """Contiguous column blocks with selection weights and their windows.
+    """Contiguous column blocks of a gram ``K``, with selection weights and windows.
 
     Block ``t`` is the column slice ``spans[t]``, which the solvers index
     with; ``blocks[t]`` holds the same columns as an index array, for the
-    oracles. The spans tile the columns in order. ``probabilities`` are the
-    squared Frobenius norms of the column blocks normalized to sum to one.
-    For the matrix ``M`` the partition was built from, ``hits[t]`` lists the
-    rows where block ``t``'s columns have a nonzero, and ``coupled[t]`` is
-    the smallest contiguous column slice holding every column that shares
-    such a row with block ``t``, so the gram ``(M^T M)[:, block]`` is zero
-    outside it.
+    oracles. The spans tile the columns in order. ``norms_sq[t]`` sums
+    ``diag(K)`` over the block: for ``K = M^T M`` the squared Frobenius norm
+    of ``M``'s column block. ``probabilities`` are those norms normalized to
+    sum to one. ``coupled[t]`` is the smallest contiguous slice holding the
+    block and every row where ``K[:, block]`` has a nonzero, so a block
+    update moves ``K @ x`` only inside it; ``inner[t]`` is where the block
+    lies within that window.
     """
 
     spans: tuple[slice, ...]
     blocks: tuple[np.ndarray, ...]
     norms_sq: np.ndarray
     probabilities: np.ndarray
-    hits: tuple[np.ndarray, ...]
     coupled: tuple[slice, ...]
+    inner: tuple[slice, ...] = field(init=False, repr=False)
     cumulative: np.ndarray = field(init=False, repr=False)
     _bounds: list = field(init=False, repr=False)
-    _row_windows: dict = field(init=False, repr=False, default_factory=dict)
 
     def __post_init__(self):
+        inner = tuple(
+            slice(span.start - window.start, span.stop - window.start)
+            for span, window in zip(self.spans, self.coupled)
+        )
         cumulative = np.cumsum(self.probabilities)
         cumulative[-1] = 1.0
+        object.__setattr__(self, "inner", inner)
         object.__setattr__(self, "cumulative", cumulative)
         object.__setattr__(self, "_bounds", cumulative.tolist())
 
@@ -275,53 +318,47 @@ class BlockPartition:
         """
         return bisect_right(self._bounds, u)
 
-    def row_windows(self, stop: int) -> tuple[slice, ...]:
-        """Per block, the smallest row slice holding its nonzeros among the
-        first ``stop`` rows of ``M``; empty, at ``stop``, if it has none there.
 
-        A block update moves ``M[:stop] @ x`` only inside the window. The
-        solvers ask for their data rows on every step, so the windows are
-        kept per ``stop``.
-        """
-        windows = self._row_windows.get(stop)
-        if windows is None:
-            windows = tuple(_hull(rows[rows < stop], stop) for rows in self.hits)
-            self._row_windows[stop] = windows
-        return windows
+def gram_partition(gram, block_size: int) -> BlockPartition:
+    """Contiguous column blocks of ``block_size`` (ragged tail allowed) of a gram.
 
-
-def _hull(indices: np.ndarray, empty_at: int = 0) -> slice:
-    if not indices.size:
-        return slice(empty_at, empty_at)
-    return slice(int(indices[0]), int(indices[-1]) + 1)
-
-
-def make_partition(matrix, block_size: int) -> BlockPartition:
-    """Contiguous column blocks of ``block_size`` (ragged tail allowed).
-
-    Selection weights are the squared Frobenius norms of the column blocks of
-    ``matrix``, normalized by the total squared norm; the windows are those
-    of ``matrix``'s nonzeros (see :class:`BlockPartition`).
+    ``gram`` is a symmetric positive semidefinite ``K``; the selection
+    weights and the coupled windows come from its diagonal and its nonzero
+    pattern (see :class:`BlockPartition`).
 
     Raises
     ------
     ZeroColumnBlock
         If any block has zero norm (it could never be selected).
     """
-    mat = np.asarray(matrix, dtype=float)
+    k = np.asarray(gram, dtype=float)
     if block_size < 1:
         raise InvalidConfig("block size must be >= 1")
-    n_cols = mat.shape[1]
+    n_cols = k.shape[1]
     spans = tuple(
         slice(start, min(start + block_size, n_cols)) for start in range(0, n_cols, block_size)
     )
-    col_norms = np.einsum("ij,ij->j", mat, mat)
-    norms = np.asarray([float(col_norms[span].sum()) for span in spans])
+    diagonal = np.diagonal(k)
+    norms = np.asarray([float(diagonal[span].sum()) for span in spans])
     if np.any(norms == 0.0):
         bad = int(np.flatnonzero(norms == 0.0)[0])
         raise ZeroColumnBlock(f"column block {bad} has zero norm")
-    nonzero = mat != 0.0
-    hits = tuple(np.flatnonzero(nonzero[:, span].any(axis=1)) for span in spans)
-    coupled = tuple(_hull(np.flatnonzero(nonzero[rows].any(axis=0))) for rows in hits)
+    # the diagonal counts as nonzero, so each window holds its own block
+    nonzero = (k != 0.0) | np.eye(n_cols, dtype=bool)
+    coupled = tuple(_hull(np.flatnonzero(nonzero[:, span].any(axis=1))) for span in spans)
     blocks = tuple(np.arange(span.start, span.stop) for span in spans)
-    return BlockPartition(spans, blocks, norms, norms / norms.sum(), hits, coupled)
+    return BlockPartition(spans, blocks, norms, norms / norms.sum(), coupled)
+
+
+def _hull(indices: np.ndarray) -> slice:
+    return slice(int(indices[0]), int(indices[-1]) + 1)
+
+
+def make_partition(matrix, block_size: int) -> BlockPartition:
+    """:func:`gram_partition` of ``matrix^T matrix``: the column blocks of ``matrix``.
+
+    Selection weights are the squared Frobenius norms of the column blocks of
+    ``matrix``, normalized by the total squared norm.
+    """
+    mat = np.asarray(matrix, dtype=float)
+    return gram_partition(mat.T @ mat, block_size)

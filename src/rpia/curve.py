@@ -1,14 +1,17 @@
-"""Randomized block-coordinate iteration for the stacked curve system.
+"""Randomized block-coordinate iteration for a penalized curve fit, in control space.
 
-Each iteration draws one column block of the stacked matrix ``S`` with
-probability proportional to its squared Frobenius norm and moves the
+Each iteration draws one column block of the stacked matrix ``S = [A;
+sqrt(lam) G]`` with probability proportional to its squared Frobenius norm
+(the block's share of ``diag(K)``, ``K = S^T S``) and moves the
 corresponding control points along the block correlation
-``g = S^T (T - S P)``. The state keeps ``g`` in control space, never the
-stacked residual ``T - S P``: a step reads ``g`` on its block and patches it
-on the block's banded window through the gram ``K = S^T S``. This is the
-least-squares progressive-iterative form of the iteration, randomized
-coordinate descent on the normal equations. All point coordinates share the
-same block draw. The loop around the steps lives in :mod:`rpia.driver`.
+``g = S^T (T - S P) = A^T q - K P``. This is the least-squares
+progressive-iterative form of the iteration, randomized coordinate descent
+on the normal equations, and it needs only n x n arrays: the state keeps the
+controls ``P``, ``g``, the design image ``h = A^T A P`` and the scalar
+``f^2 = |A P|^2``, and a step patches ``g`` and ``h`` on the block's
+coupled window through ``K`` and ``A^T A``. Neither the stacked system nor
+the fitted points are ever formed. All point coordinates share the same
+block draw. The loop around the steps lives in :mod:`rpia.driver`.
 """
 
 from __future__ import annotations
@@ -18,33 +21,34 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .assembly import AugmentedCurveSystem, BlockPartition
+from .assembly import BlockPartition, CurveNormalSystem
 from .driver import StoppingRule, TrajectorySample, iterate, make_rng
 from .errors import DimensionMismatch
 
 
 @dataclass
 class CurveFitState:
-    """Mutable iteration state: controls, block correlation, fitted points, RNG."""
+    """Mutable iteration state: controls, correlation, design image, ``|A P|^2``, RNG.
 
-    system: AugmentedCurveSystem
-    control_points: np.ndarray    # (n + 1, ncoord)
-    correlation: np.ndarray       # S^T (T - S P), (n + 1, ncoord)
-    fitted_points: np.ndarray     # A P, (m + 1, ncoord)
+    ``system`` is a :class:`~rpia.assembly.CurveNormalSystem` or anything
+    with its fields, such as a dense
+    :class:`~rpia.assembly.AugmentedCurveSystem`.
+    """
+
+    system: CurveNormalSystem
+    control_points: np.ndarray    # P, (n + 1, ncoord)
+    correlation: np.ndarray       # g = A^T q - K P, (n + 1, ncoord)
+    design_image: np.ndarray      # h = A^T A P, (n + 1, ncoord)
+    fitted_norm_sq: float         # f^2 = |A P|^2
     iteration: int
     rng: np.random.Generator
     last_move_norm: float = 0.0
 
     def residual_norm(self) -> float:
-        """``|T - S P|`` from the kept fitted points and the controls.
-
-        The data misfit ``|Q - A P|^2`` plus the penalty quadratic form
-        ``P^T (lam G^T G) P``, evaluated through its factor ``sqrt(lam) G``.
-        """
+        """``|T - S P|``, from ``|T - S P|^2 = |q|^2 - <P, A^T q + g>`` in O(n)."""
         system = self.system
-        misfit = system.data - self.fitted_points
-        penalty = system.stacked[system.data_rows:] @ self.control_points
-        return math.sqrt(np.vdot(misfit, misfit) + np.vdot(penalty, penalty))
+        cross = np.vdot(self.control_points, system.rhs + self.correlation)
+        return math.sqrt(max(system.data_norm_sq - cross, 0.0))
 
 
 @dataclass(frozen=True)
@@ -56,17 +60,16 @@ class CurveFitResult:
     trajectory: tuple[TrajectorySample, ...] = field(default_factory=tuple)
 
 
-def init_state(system: AugmentedCurveSystem, p0, seed) -> CurveFitState:
-    """Fresh state at iterate 0 with the correlation computed from scratch."""
+def init_state(system: CurveNormalSystem, p0, seed) -> CurveFitState:
+    """Fresh state at iterate 0 with the correlation and design image from scratch."""
     controls = np.array(p0, dtype=float)
     if controls.ndim == 1:
         controls = controls[:, None]
-    expected = (system.n_controls, system.targets.shape[1])
-    if controls.shape != expected:
+    if controls.shape != system.rhs.shape:
         raise DimensionMismatch(
-            f"initial controls have shape {controls.shape}, expected {expected}"
+            f"initial controls have shape {controls.shape}, expected {system.rhs.shape}"
         )
-    state = CurveFitState(system, controls, None, None, 0, make_rng(seed))
+    state = CurveFitState(system, controls, None, None, 0.0, 0, make_rng(seed))
     _refresh(state)
     return state
 
@@ -80,22 +83,24 @@ def step(state: CurveFitState, partition: BlockPartition) -> CurveFitState:
     """One randomized block update, applied in place.
 
     The move is ``delta = g[block] / |S[:, block]|^2``. Only the drawn block
-    of control points changes; the correlation is patched with
-    ``K[coupled, block] @ delta`` on the block's coupled window, and the
-    fitted points with ``A[rows, block] @ delta`` on its row window in the
-    design.
+    of control points changes. On the block's coupled window ``w`` the
+    correlation loses ``K[w, block] @ delta`` and the design image gains
+    ``u = (A^T A)[w, block] @ delta``. The fitted points move by ``A delta``,
+    with ``|A delta|^2 = <delta, u[block]>``, and ``|A P|^2`` grows by
+    ``2 <h[block], delta> + |A delta|^2``.
     """
     t = select_block(state, partition)
     block = partition.spans[t]
+    coupled = partition.coupled[t]
     system = state.system
     delta = state.correlation[block] / partition.norms_sq[t]
     state.control_points[block] += delta
-    coupled = partition.coupled[t]
     state.correlation[coupled] -= system.gram[coupled, block] @ delta
-    rows = partition.row_windows(system.data_rows)[t]
-    top = system.stacked[rows, block] @ delta
-    state.fitted_points[rows] += top
-    state.last_move_norm = math.sqrt(np.vdot(top, top))
+    image = system.design_gram[coupled, block] @ delta
+    move_sq = max(float(np.vdot(delta, image[partition.inner[t]])), 0.0)
+    state.fitted_norm_sq += 2.0 * float(np.vdot(state.design_image[block], delta)) + move_sq
+    state.design_image[coupled] += image
+    state.last_move_norm = math.sqrt(move_sq)
     state.iteration += 1
     return state
 
@@ -104,13 +109,14 @@ def _refresh(state: CurveFitState) -> None:
     # Recompute the incrementally maintained quantities from the controls:
     # at the start, and periodically to shed float drift.
     system = state.system
-    residual = system.targets - system.stacked @ state.control_points
-    state.correlation = system.stacked.T @ residual
-    state.fitted_points = system.design @ state.control_points
+    controls = state.control_points
+    state.correlation = system.rhs - system.gram @ controls
+    state.design_image = system.design_gram @ controls
+    state.fitted_norm_sq = float(np.vdot(controls, state.design_image))
 
 
 def run(
-    system: AugmentedCurveSystem,
+    system: CurveNormalSystem,
     partition: BlockPartition,
     p0,
     stop: StoppingRule,
@@ -121,7 +127,7 @@ def run(
 
     Parameters
     ----------
-    system, partition : the stacked problem and its column blocks.
+    system, partition : the normal system and the column blocks of its gram.
     p0 : array_like
         Initial control points, shape (n_controls, ncoord).
     stop : StoppingRule

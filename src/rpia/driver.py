@@ -2,11 +2,12 @@
 
 A kernel supplies a state and a ``step``; the driver owns what lies around
 each step: the stop rule, trajectory sampling and the periodic refresh. It
-reads only what both kernel states offer: the fields ``fitted_points``,
-``iteration`` and ``last_move_norm``, and, at sample times, the stacked
-residual's norm from ``residual_norm()``. Both kernels keep the block
-correlation ``S^T (T - S P)`` in control space; neither holds the stacked
-residual.
+reads only what both kernel states offer: the fields ``fitted_norm_sq``
+(``|A P|^2``, the squared norm of the unpenalized fitted points),
+``last_move_norm`` (the norm of the last step's move of those points),
+``iteration``, and, at sample times, the stacked residual's norm from
+``residual_norm()``. Both kernels carry these in control space, so the
+driver's work per step does not depend on the number of data points.
 
 Randomness comes from the Philox counter-based generator seeded per fit, so
 a fit is a pure function of ``(system, partitions, start, stop, seed)``.
@@ -19,8 +20,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-# The correlation and fitted points are patched incrementally on every step;
-# at this period they are recomputed from the controls to shed float drift.
+# The kernels' control-space images and |A P|^2 are patched incrementally on
+# every step; at this period they are recomputed from the controls to shed
+# float drift.
 REFRESH_EVERY = 500
 
 
@@ -29,8 +31,9 @@ class StoppingRule:
     """Relative-change tolerance on the fitted points plus an iteration cap.
 
     The change is measured on the unpenalized fitted points (design times
-    controls), not on the stacked residual. When the previous fitted points
-    have zero norm the criterion falls back to the absolute change.
+    controls), not on the stacked residual: a step's ``|A delta|`` over the
+    previous ``|A P|``, both known in control space. When the previous fitted
+    points have zero norm the criterion falls back to the absolute change.
 
     ``patience`` is the number of consecutive iterations the criterion must
     hold before stopping. A single block update can land exactly on its own
@@ -69,7 +72,7 @@ def iterate(state, step, partitions, refresh, stop: StoppingRule, trajectory_str
     trajectory: list[TrajectorySample] = []
     quiet_steps = 0
     for _ in range(stop.max_iter):
-        previous_norm = math.sqrt(np.vdot(state.fitted_points, state.fitted_points))
+        previous_norm = math.sqrt(max(state.fitted_norm_sq, 0.0))
         step(state, *partitions)
         if previous_norm > 0.0:
             rel = state.last_move_norm / previous_norm

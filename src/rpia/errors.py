@@ -34,6 +34,10 @@ class RankDeficient(FittingError):
     """A stacked system lost full column rank; the direct solve is undefined."""
 
 
+class OutOfRange(FittingError):
+    """A weight or penalty scale takes a normal matrix outside the floating-point range."""
+
+
 class InsufficientSpectrum(FittingError):
     """Fewer positive eigenvalues than requested for the decay-rate fit."""
 

@@ -14,6 +14,7 @@ config, which is what makes report files byte-reproducible.
 from __future__ import annotations
 
 import json
+import math
 import time
 from dataclasses import dataclass, replace
 from functools import cached_property
@@ -25,11 +26,12 @@ import numpy as np
 from . import curve as curve_solver
 from . import surface as surface_solver
 from .assembly import (
+    CurveNormalSystem,
+    SurfaceNormalSystem,
     assemble_collocation,
     augment_curve,
-    augment_surface,
     difference_matrix,
-    make_partition,
+    gram_partition,
     require_finite,
     require_weight,
     tensor_apply,
@@ -52,7 +54,7 @@ from .datasets import (
     rose_curve,
 )
 from .driver import StoppingRule
-from .errors import InvalidConfig
+from .errors import InvalidConfig, OutOfRange
 from .oracle import GramPencil, solve_curve_direct, solve_tensor_normal
 from .pointsio import GridRows, load_grid, load_points, write_csv
 from .regparam import (
@@ -98,10 +100,40 @@ def _stop_rule(cfg: ExperimentConfig) -> StoppingRule:
 # Each problem keeps its collocation matrices as the spans ``eval_basis``
 # returns, and its penalties as their scale. The design grams, the right-hand
 # sides and the fitted points come from the spans; the spectrum (from the
-# design grams' Cholesky factors) and every direct solve (``numpy.linalg``,
-# gated by the problem's ``GramPencil``) work on n x n matrices. The dense
-# designs are built on first use, by the stacked systems of the randomized
-# fits and the ill-conditioned fallback only.
+# design grams' Cholesky factors), every direct solve (``numpy.linalg``,
+# gated by the problem's ``GramPencil``) and every randomized fit (on a
+# control-space normal system) work on n x n matrices. The dense designs are
+# built on first use, by the ill-conditioned fallback only.
+
+
+def _penalty_gram(penalty: np.ndarray, penalty_scale: float) -> np.ndarray:
+    """``G^T G``, refused when it leaves the floating-point range."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        gram = penalty.T @ penalty
+    if not np.isfinite(gram).all():
+        raise OutOfRange(
+            f"penalty_scale {penalty_scale:g} puts the penalty gram outside the "
+            "floating-point range"
+        )
+    return gram
+
+
+def _normal_matrices(pencils, lam: float, penalty_scale: float) -> list:
+    """The pencils' normal matrices at weight ``lam``, ``[K]`` or ``[Ku, Kv]``.
+
+    Refused unless the fit's normal matrix, ``K`` or ``kron(Kv, Ku)``, has a
+    finite trace (``tr Ku tr Kv``): the sum of the solver's selection weights,
+    and a bound on every entry of a positive semidefinite matrix.
+    """
+    with np.errstate(over="ignore", invalid="ignore"):
+        matrices = [pencil.matrix(lam) for pencil in pencils]
+        trace = math.prod(float(np.trace(matrix)) for matrix in matrices)
+    if not math.isfinite(trace):
+        raise OutOfRange(
+            f"weight {lam:g} with penalty_scale {penalty_scale:g} puts the normal "
+            "matrix outside the floating-point range"
+        )
+    return matrices
 
 
 @dataclass(frozen=True)
@@ -129,7 +161,7 @@ class CurveProblem:
     @cached_property
     def normal(self) -> GramPencil:
         """``A^T A + lam G^T G`` at any weight, with its condition gate."""
-        return GramPencil(self.design_gram, self.penalty.T @ self.penalty)
+        return GramPencil(self.design_gram, _penalty_gram(self.penalty, self.penalty_scale))
 
     @cached_property
     def reference_controls(self) -> np.ndarray:
@@ -140,16 +172,29 @@ class CurveProblem:
     def n_controls(self) -> int:
         return self.basis.n_basis
 
-    def solve_randomized(self, data, lam: float, cfg: ExperimentConfig, seed: int, stride: int):
-        """Stack the system at ``lam``, partition it and run the randomized
-        solver from controls seeded by the data: (controls, result)."""
-        system = augment_curve(self.design, self.penalty, data, lam)
-        result = curve_solver.run(
-            system, make_partition(system.stacked, cfg.block_size),
-            initial_controls_curve(data, cfg.n_ctrl), _stop_rule(cfg), solver_rng(seed),
-            trajectory_stride=stride,
-        )
-        return result.control_points, result
+    def right_hand_side(self, data) -> tuple[np.ndarray, np.ndarray]:
+        """The data as a float array and ``A^T q``, which every solve for it reads."""
+        q = np.asarray(data, dtype=float)
+        require_finite(q, "data")
+        return q, self.basis.apply_transpose(q)
+
+    def randomized_solver(self, data, cfg: ExperimentConfig, seed: int, stride: int):
+        """The randomized solver's weight-to-fit map for one data set: ``lam`` to
+        (controls, result) on the normal system at ``lam``, starting from
+        controls seeded by the data. ``A^T q`` and ``|q|^2`` are formed once."""
+        q, rhs = self.right_hand_side(data)
+        norm_sq = float(np.vdot(q, q))
+        p0 = initial_controls_curve(q, cfg.n_ctrl)
+
+        def solve(lam: float):
+            [gram] = _normal_matrices([self.normal], require_weight(lam), self.penalty_scale)
+            system = CurveNormalSystem(gram, self.design_gram, rhs, norm_sq)
+            result = curve_solver.run(
+                system, gram_partition(gram, cfg.block_size), p0, _stop_rule(cfg),
+                solver_rng(seed), trajectory_stride=stride,
+            )
+            return result.control_points, result
+        return solve
 
     def direct_solver(self, data):
         """The weight-to-minimizer map for one data set: ``lam`` to the solution
@@ -158,9 +203,7 @@ class CurveProblem:
         A normal matrix that fails the condition gate takes the stacked
         least-squares route of :func:`solve_curve_direct` instead.
         """
-        q = np.asarray(data, dtype=float)
-        require_finite(q, "data")
-        rhs = self.basis.apply_transpose(q)
+        q, rhs = self.right_hand_side(data)
 
         def solve(lam: float) -> np.ndarray:
             lam = require_weight(lam)
@@ -239,12 +282,12 @@ class SurfaceProblem:
     @cached_property
     def normal_u(self) -> GramPencil:
         """``A^T A + lam Lu^T Lu`` at any weight, with its condition gate."""
-        return GramPencil(self.design_gram_u, self.penalty_u.T @ self.penalty_u)
+        return GramPencil(self.design_gram_u, _penalty_gram(self.penalty_u, self.penalty_scale))
 
     @cached_property
     def normal_v(self) -> GramPencil:
         """``B^T B + lam Lv^T Lv`` at any weight, with its condition gate."""
-        return GramPencil(self.design_gram_v, self.penalty_v.T @ self.penalty_v)
+        return GramPencil(self.design_gram_v, _penalty_gram(self.penalty_v, self.penalty_scale))
 
     @cached_property
     def reference_controls(self) -> np.ndarray:
@@ -255,29 +298,43 @@ class SurfaceProblem:
     def n_controls(self) -> int:
         return self.basis_u.n_basis * self.basis_v.n_basis
 
-    def solve_randomized(self, data, lam: float, cfg: ExperimentConfig, seed: int, stride: int):
-        """Stack both factors at ``lam``, partition them and run the randomized
-        solver from controls seeded by the data: (controls, result)."""
-        system = augment_surface(
-            self.design_u, self.design_v, self.penalty_u, self.penalty_v, data, lam
-        )
-        result = surface_solver.run(
-            system,
-            make_partition(system.row_stacked, cfg.block_size),
-            make_partition(system.col_stacked, cfg.block_size_v or cfg.block_size),
-            initial_controls_surface(data, cfg.n_ctrl, cfg.n_ctrl_v),
-            _stop_rule(cfg), solver_rng(seed), trajectory_stride=stride,
-        )
-        return result.control_grid, result
-
-    def direct_solver(self, data):
-        """The weight-to-minimizer map for one data grid: two factor solves
-        against ``A^T Q B``, which is formed once."""
+    def right_hand_side(self, data) -> tuple[np.ndarray, np.ndarray]:
+        """The data grid as a float array with a coordinate axis, and ``A^T Q B``,
+        which every solve for it reads."""
         grid = np.asarray(data, dtype=float)
         require_finite(grid, "data")
         if grid.ndim == 2:
             grid = grid[:, :, None]
-        rhs = self.basis_v.apply_transpose(self.basis_u.apply_transpose(grid), axis=1)
+        return grid, self.basis_v.apply_transpose(self.basis_u.apply_transpose(grid), axis=1)
+
+    def randomized_solver(self, data, cfg: ExperimentConfig, seed: int, stride: int):
+        """The randomized solver's weight-to-fit map for one data grid: ``lam`` to
+        (controls, result) on the normal system at ``lam``, starting from
+        controls seeded by the data. ``A^T Q B`` and ``|Q|^2`` are formed once."""
+        grid, rhs = self.right_hand_side(data)
+        norm_sq = float(np.vdot(grid, grid))
+        grid0 = initial_controls_surface(grid, cfg.n_ctrl, cfg.n_ctrl_v)
+
+        def solve(lam: float):
+            gram_u, gram_v = _normal_matrices(
+                [self.normal_u, self.normal_v], require_weight(lam), self.penalty_scale
+            )
+            system = SurfaceNormalSystem(
+                gram_u, gram_v, self.design_gram_u, self.design_gram_v, rhs, norm_sq
+            )
+            result = surface_solver.run(
+                system,
+                gram_partition(gram_u, cfg.block_size),
+                gram_partition(gram_v, cfg.block_size_v or cfg.block_size),
+                grid0, _stop_rule(cfg), solver_rng(seed), trajectory_stride=stride,
+            )
+            return result.control_grid, result
+        return solve
+
+    def direct_solver(self, data):
+        """The weight-to-minimizer map for one data grid: two factor solves
+        against ``A^T Q B``, which is formed once."""
+        _, rhs = self.right_hand_side(data)
 
         def solve(lam: float) -> np.ndarray:
             return solve_tensor_normal(self.normal_u, self.normal_v, rhs, require_weight(lam))[0]
@@ -415,7 +472,7 @@ def self_consistent_measure(problem, data):
 
 def _fit_fixed(problem, cfg, lam: float, seed: int, noisy) -> SeedOutcome:
     start = time.perf_counter()
-    controls, result = problem.solve_randomized(noisy, lam, cfg, seed, cfg.trajectory_stride)
+    controls, result = problem.randomized_solver(noisy, cfg, seed, cfg.trajectory_stride)(lam)
     return SeedOutcome(
         seed, lam, _relative_error(problem, controls), result.iterations,
         result.converged, result.stop_reason, time.perf_counter() - start, controls,
@@ -434,8 +491,10 @@ def _inner_solver(problem, cfg, seed: int, noisy):
     if cfg.inner_solver == "direct":
         solve = problem.direct_solver(noisy)
     else:
+        fit = problem.randomized_solver(noisy, cfg, seed, 0)
+
         def solve(lam: float) -> np.ndarray:
-            controls, result = problem.solve_randomized(noisy, lam, cfg, seed, 0)
+            controls, result = fit(lam)
             stopped[0] = (result.converged, result.stop_reason)
             return controls
     return solve, stopped

@@ -1,17 +1,19 @@
-"""Doubly randomized block iteration for the stacked tensor surface system.
+"""Doubly randomized block iteration for a penalized tensor surface fit, in control space.
 
 Each iteration draws one row block and one column block independently (each
 with probability proportional to the squared Frobenius norm of the matching
-column block of its stacked factor) and updates the selected control
-subgrid. With the stacked factors ``Ah = [A; sqrt(lam) Lu]`` and
-``Bh = [B; sqrt(lam) Lv]`` the state keeps the block correlation
-``g = Ah^T (T - Ah P Bh^T) Bh`` in control space, never the stacked
-residual: a step reads ``g`` on its subgrid and patches it on the coupled
-window through the factor grams ``Ku = Ah^T Ah`` and ``Kv = Bh^T Bh``. The
-three point coordinates evolve under identical block draws.
+column block of its stacked factor, ``Ah = [A; sqrt(lam) Lu]`` or
+``Bh = [B; sqrt(lam) Lv]``) and updates the selected control subgrid along
+the block correlation ``g = Ah^T (T - Ah P Bh^T) Bh = A^T Q B - Ku P Kv``
+with the factor grams ``Ku = Ah^T Ah`` and ``Kv = Bh^T Bh``. The state
+keeps only control-space arrays: ``P``, ``g``, the design image
+``h = (A^T A) P (B^T B)`` and the scalar ``f^2 = |A P B^T|^2``. A step
+patches ``g`` and ``h`` on the coupled window of its subgrid; neither the
+stacked factors nor the fitted points are ever formed. The three point
+coordinates evolve under identical block draws.
 
 The Kronecker product of the two factors is never formed; every update works
-on the small factors directly.
+on the small factor grams directly.
 """
 
 from __future__ import annotations
@@ -21,7 +23,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .assembly import AugmentedSurfaceSystem, BlockPartition
+from .assembly import BlockPartition, SurfaceNormalSystem
 from .driver import StoppingRule, TrajectorySample, iterate, make_rng
 from .errors import DimensionMismatch
 
@@ -30,33 +32,21 @@ from .errors import DimensionMismatch
 class SurfaceFitState:
     """Mutable iteration state; arrays are coordinate-first internally."""
 
-    system: AugmentedSurfaceSystem
-    control_grid: np.ndarray      # (ncoord, n1 + 1, n2 + 1)
-    correlation: np.ndarray       # Ah^T (T - Ah P Bh^T) Bh, (ncoord, n1 + 1, n2 + 1)
-    fitted_points: np.ndarray     # A P B^T, (ncoord, m + 1, p + 1)
-    data: np.ndarray              # Q, (ncoord, m + 1, p + 1)
+    system: SurfaceNormalSystem
+    control_grid: np.ndarray      # P, (ncoord, n1 + 1, n2 + 1)
+    correlation: np.ndarray       # g = A^T Q B - Ku P Kv, same shape
+    design_image: np.ndarray      # h = (A^T A) P (B^T B), same shape
+    fitted_norm_sq: float         # f^2 = |A P B^T|^2
     iteration: int
     rng: np.random.Generator
     last_move_norm: float = 0.0
 
     def residual_norm(self) -> float:
-        """``|T - Ah P Bh^T|`` from the kept fitted points and the controls.
-
-        With ``U = sqrt(lam) Lu`` and ``V = sqrt(lam) Lv`` the stacked
-        residual's three penalty blocks sum to the control-space quadratic
-        forms ``<X, (A^T A) X> + <Y, Y Kv>`` with ``X = P V^T`` and
-        ``Y = U P``; the data block is ``Q - A P B^T``.
-        """
+        """``|T - Ah P Bh^T|``, from ``|Q|^2 - <P, A^T Q B + g>`` in O(n)."""
         system = self.system
-        grid = self.control_grid
-        misfit = self.data - self.fitted_points
-        x = grid @ system.col_stacked[system.data_cols:].T
-        y = system.row_stacked[system.data_rows:] @ grid
-        return math.sqrt(
-            np.vdot(misfit, misfit)
-            + np.vdot(x, system.design_gram_u @ x)
-            + np.vdot(y, y @ system.col_gram)
-        )
+        rhs = np.moveaxis(system.rhs, -1, 0)
+        cross = np.vdot(self.control_grid, rhs + self.correlation)
+        return math.sqrt(max(system.data_norm_sq - cross, 0.0))
 
 
 @dataclass(frozen=True)
@@ -68,20 +58,17 @@ class SurfaceFitResult:
     trajectory: tuple[TrajectorySample, ...] = field(default_factory=tuple)
 
 
-def init_state(system: AugmentedSurfaceSystem, grid0, seed) -> SurfaceFitState:
-    """Fresh state at iterate 0 with correlation and fitted points from scratch."""
+def init_state(system: SurfaceNormalSystem, grid0, seed) -> SurfaceFitState:
+    """Fresh state at iterate 0 with correlation and design image from scratch."""
     grid = np.asarray(grid0, dtype=float)
-    ncoord = system.targets.shape[2]
-    n_u, n_v = system.n_controls
-    if grid.shape != (n_u, n_v, ncoord):
+    if grid.shape != system.rhs.shape:
         raise DimensionMismatch(
-            f"initial control grid has shape {grid.shape}, expected {(n_u, n_v, ncoord)}"
+            f"initial control grid has shape {grid.shape}, expected {system.rhs.shape}"
         )
     # Always a copy: with one coordinate the moved view is already contiguous,
     # and the iteration must not write into the caller's grid.
     controls = np.moveaxis(grid, -1, 0).copy()
-    data = np.moveaxis(system.data, -1, 0).copy()
-    state = SurfaceFitState(system, controls, None, None, data, 0, make_rng(seed))
+    state = SurfaceFitState(system, controls, None, None, 0.0, 0, make_rng(seed))
     _refresh(state)
     return state
 
@@ -104,28 +91,32 @@ def step(
 ) -> SurfaceFitState:
     """One randomized subgrid update, applied in place, all coordinates at once.
 
-    The move is ``delta = g[t, s] / (|Ah[:, t]|^2 |Bh[:, s]|^2)``. The
-    correlation changes only on the coupled window ``wt x ws``, by
-    ``Ku[wt, t] @ delta @ Kv[s, ws]``, and the fitted points only on the
-    blocks' row windows in the designs, by ``A[rows, t] @ delta @ B[cols, s]^T``.
+    The move is ``delta = g[t, s] / (|Ah[:, t]|^2 |Bh[:, s]|^2)``. On the
+    coupled window ``wt x ws`` the correlation loses
+    ``Ku[wt, t] @ delta @ Kv[s, ws]`` and the design image gains
+    ``u = (A^T A)[wt, t] @ delta @ (B^T B)[s, ws]``. The fitted points move by
+    ``A delta B^T``, with ``|A delta B^T|^2 = <delta, u[t, s]>``, and
+    ``|A P B^T|^2`` grows by ``2 <h[t, s], delta> + |A delta B^T|^2``.
     """
     t, s = select_blocks(state, row_partition, col_partition)
     row_block = row_partition.spans[t]
     col_block = col_partition.spans[s]
+    wt = row_partition.coupled[t]
+    ws = col_partition.coupled[s]
     system = state.system
     scale = row_partition.norms_sq[t] * col_partition.norms_sq[s]
     delta = state.correlation[:, row_block, col_block] / scale
     state.control_grid[:, row_block, col_block] += delta
-    wt = row_partition.coupled[t]
-    ws = col_partition.coupled[s]
     state.correlation[:, wt, ws] -= (
-        system.row_gram[wt, row_block] @ delta @ system.col_gram[col_block, ws]
+        system.gram_u[wt, row_block] @ delta @ system.gram_v[col_block, ws]
     )
-    rows = row_partition.row_windows(system.data_rows)[t]
-    cols = col_partition.row_windows(system.data_cols)[s]
-    top = system.row_stacked[rows, row_block] @ delta @ system.col_stacked[cols, col_block].T
-    state.fitted_points[:, rows, cols] += top
-    state.last_move_norm = math.sqrt(np.vdot(top, top))
+    image = system.design_gram_u[wt, row_block] @ delta @ system.design_gram_v[col_block, ws]
+    inside = image[:, row_partition.inner[t], col_partition.inner[s]]
+    move_sq = max(float(np.vdot(delta, inside)), 0.0)
+    before = state.design_image[:, row_block, col_block]
+    state.fitted_norm_sq += 2.0 * float(np.vdot(before, delta)) + move_sq
+    state.design_image[:, wt, ws] += image
+    state.last_move_norm = math.sqrt(move_sq)
     state.iteration += 1
     return state
 
@@ -135,16 +126,13 @@ def _refresh(state: SurfaceFitState) -> None:
     # at the start, and periodically to shed float drift.
     system = state.system
     grid = state.control_grid
-    residual = (
-        np.moveaxis(system.targets, -1, 0)
-        - system.row_stacked @ grid @ system.col_stacked.T
-    )
-    state.correlation = system.row_stacked.T @ residual @ system.col_stacked
-    state.fitted_points = system.design_u @ grid @ system.design_v.T
+    state.correlation = np.moveaxis(system.rhs, -1, 0) - system.gram_u @ grid @ system.gram_v
+    state.design_image = system.design_gram_u @ grid @ system.design_gram_v
+    state.fitted_norm_sq = float(np.vdot(grid, state.design_image))
 
 
 def run(
-    system: AugmentedSurfaceSystem,
+    system: SurfaceNormalSystem,
     row_partition: BlockPartition,
     col_partition: BlockPartition,
     grid0,
@@ -154,9 +142,9 @@ def run(
 ) -> SurfaceFitResult:
     """Iterate until the fitted surface points settle or the cap is hit.
 
-    The change criterion uses the unpenalized fitted points
-    (design_u @ P @ design_v^T over all coordinates); see
-    :func:`rpia.driver.iterate`.
+    The partitions are those of ``gram_u`` and ``gram_v``. The change
+    criterion uses the unpenalized fitted points ``A P B^T`` over all
+    coordinates; see :func:`rpia.driver.iterate`.
     """
     state = init_state(system, grid0, seed)
     converged, reason, trajectory = iterate(

@@ -9,10 +9,12 @@ import pytest
 from hypothesis import strategies as st
 
 from rpia.assembly import (
+    SurfaceNormalSystem,
     assemble_collocation,
     augment_curve,
     augment_surface,
     difference_matrix,
+    tensor_apply,
 )
 from rpia.basis import BasisSpan, build_knots
 from rpia.experiment import CurveProblem, SurfaceProblem
@@ -123,6 +125,17 @@ def random_surface_system(rng, rows=(3, 3), cols=(2, 3), lam=0.2):
     return augment_surface(design_u, design_v, penalty_u, penalty_v, grid, lam)
 
 
+def surface_normal_system(system):
+    """The control-space fields of a stacked surface system, from its dense factors."""
+    row, col = system.row_stacked, system.col_stacked
+    return SurfaceNormalSystem(
+        row.T @ row, col.T @ col,
+        system.design_u.T @ system.design_u, system.design_v.T @ system.design_v,
+        tensor_apply(system.design_u.T, system.data, system.design_v.T),
+        float(np.vdot(system.data, system.data)),
+    )
+
+
 def full_width_span(design):
     """A dense matrix as a span: each row one run from column 0 across every column."""
     design = np.asarray(design, dtype=float)
@@ -185,8 +198,8 @@ def banded_designs(draw):
 def penalty_weights(draw, *designs):
     """0 when every design column has a nonzero, else a positive weight.
 
-    A design column with no nonzero then still has its penalty rows, so its
-    block's row window can lie wholly below the data rows.
+    A design column with no nonzero then still has its penalty rows, so no
+    column block of the stacked system has zero norm.
     """
     if all(np.any(design, axis=0).all() for design in designs):
         return draw(st.sampled_from([0.0, 1e-6, 0.3]))

@@ -10,6 +10,7 @@ from rpia.assembly import (
     augment_surface,
     difference_eigenpairs,
     difference_matrix,
+    gram_partition,
     make_partition,
     tensor_apply,
 )
@@ -18,7 +19,8 @@ from rpia.datasets import blob_curve, boy_surface, rose_curve
 from rpia.errors import DegenerateData, DimensionMismatch, InvalidConfig, ZeroColumnBlock
 
 from conftest import (
-    curve_systems, dense_rows, pointwise_basis, surface_systems,
+    curve_problem, curve_systems, dense_rows, designs, penalty_weights, pointwise_basis,
+    surface_systems,
 )
 
 
@@ -308,18 +310,8 @@ class TestPartition:
 
 
 def assert_windows_tight(matrix, partition):
-    """Each block's nonzero rows, in all rows and in the top half, lie in its
-    row windows, and the gram's nonzero rows in its coupled window; both ends
-    of each window are reached, and a window is empty only with no nonzero."""
-    for stop in (matrix.shape[0], matrix.shape[0] // 2):
-        top = matrix[:stop]
-        for block, rows in zip(partition.blocks, partition.row_windows(stop)):
-            cols = top[:, block]
-            assert not np.any(cols[: rows.start]) and not np.any(cols[rows.stop:])
-            if rows.stop > rows.start:
-                assert np.any(cols[rows.start]) and np.any(cols[rows.stop - 1])
-            else:
-                assert rows.start == stop and not np.any(cols)
+    """Each block's coupled window holds every nonzero of the gram's block
+    columns, and both of its ends are columns that share a row with the block."""
     gram = matrix.T @ matrix
     shared = (matrix != 0.0).T.astype(int) @ (matrix != 0.0).astype(int)
     for block, coupled in zip(partition.blocks, partition.coupled):
@@ -327,19 +319,7 @@ def assert_windows_tight(matrix, partition):
         assert np.any(shared[coupled.start, block]) and np.any(shared[coupled.stop - 1, block])
 
 
-class TestRowWindows:
-    def test_collocation_windows_by_hand(self):
-        # 3 collocation rows of a 4-column cubic basis, then 4 penalty rows
-        design = np.array([[1.0, 0, 0, 0], [0.1, 0.6, 0.3, 0.0], [0, 0, 0, 1.0]])
-        system = augment_curve(design, difference_matrix(4, 1.0), np.zeros((3, 1)), 1.0)
-        part = make_partition(system.stacked, 2)
-        assert part.row_windows(7) == (slice(0, 6), slice(1, 7))
-        # within the design rows only
-        assert part.row_windows(3) == (slice(0, 2), slice(1, 3))
-        assert part.row_windows(1) == (slice(0, 1), slice(1, 1))
-        unpenalized = augment_curve(design, difference_matrix(4, 1.0), np.zeros((3, 1)), 0.0)
-        assert make_partition(unpenalized.stacked, 2).row_windows(7) == (slice(0, 2), slice(1, 3))
-
+class TestCoupledWindows:
     def test_coupled_windows_by_hand(self):
         # the tridiagonal penalty couples every column pair within distance 2;
         # without it, block 0 (rows 0-1) reaches columns 0-2 only
@@ -363,6 +343,23 @@ class TestRowWindows:
     def test_surface_windows_hold_every_nonzero(self, system, block_size):
         for factor in (system.row_stacked, system.col_stacked):
             assert_windows_tight(factor, make_partition(factor, block_size))
+
+
+class TestGramPartition:
+    @settings(max_examples=60, deadline=None)
+    @given(design=designs(), data=st.data(), block_size=st.integers(1, 6))
+    def test_stacked_matrix_and_span_gram_agree(self, design, data, block_size):
+        # the stacked system's column blocks and those of the gram the
+        # experiment forms from the spans, A^T A + lam G^T G
+        lam = data.draw(penalty_weights(design))
+        penalty = difference_matrix(design.shape[1], 2.0)
+        stacked = augment_curve(design, penalty, np.zeros((design.shape[0], 1)), lam).stacked
+        dense = make_partition(stacked, block_size)
+        gram = curve_problem(design, 2.0).normal.matrix(lam)
+        spans = gram_partition(gram, block_size)
+        assert spans.spans == dense.spans and spans.coupled == dense.coupled
+        npt.assert_allclose(spans.norms_sq, dense.norms_sq, rtol=1e-14)
+        npt.assert_allclose(spans.probabilities, dense.probabilities, rtol=1e-14)
 
 
 class TestBlockAt:

@@ -266,24 +266,56 @@ class TestOtherCommands:
         assert "lambda_trajectory" in report["per_seed"][0]
 
 
+def run_cli_process(args):
+    """``rpia`` in a fresh process, with this checkout's package first on the path.
+
+    A fresh process sees what LAPACK prints on the process's own stderr (a
+    bad argument, DLASCL) and Python's warnings as a user would, neither of
+    which CliRunner captures.
+    """
+    package_root = str(Path(rpia.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [package_root] + [p for p in [os.environ.get("PYTHONPATH")] if p]
+    ))
+    return subprocess.run(
+        [sys.executable, "-m", "rpia.cli", *args],
+        capture_output=True, text=True, env=env, timeout=300,
+    )
+
+
 class TestNumericalFailuresSayWhere:
     @pytest.mark.parametrize("scale", ["1e-300", "1e300"])
     def test_penalty_scale_outside_the_floating_range(self, scale):
-        # a fresh process, because LAPACK reports a bad argument (DLASCL) on
-        # the process's own stderr, which CliRunner does not capture
-        package_root = str(Path(rpia.__file__).resolve().parents[1])
-        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-            [package_root] + [p for p in [os.environ.get("PYTHONPATH")] if p]
-        ))
-        proc = subprocess.run(
-            [sys.executable, "-m", "rpia.cli", "estimate-lambda",
-             "--config", str(CONFIG_DIR / "rose.yaml"), "--penalty-scale", scale],
-            capture_output=True, text=True, env=env, timeout=300,
+        proc = run_cli_process(
+            ["estimate-lambda", "--config", str(CONFIG_DIR / "rose.yaml"), "--penalty-scale", scale]
         )
         assert proc.returncode == 3, proc.stderr
         assert f"error: penalty_scale {float(scale):g} " in proc.stderr
         for noise in ("RuntimeWarning", "DLASCL"):
             assert noise not in proc.stdout + proc.stderr
+
+    @pytest.mark.parametrize("kind, option, value, named", [
+        ("curve", "--penalty-scale", "1e200", "penalty_scale 1e+200 "),
+        ("curve", "--lambda", "1e303", "weight 1e+303 with penalty_scale 91 "),
+        ("surface", "--penalty-scale", "1e200", "penalty_scale 1e+200 "),
+        ("surface", "--lambda", "1e300", "weight 1e+300 with penalty_scale 91 "),
+    ])
+    def test_normal_matrix_outside_the_floating_range(self, tmp_path, kind, option, value, named):
+        # a fixed-weight fit is refused before any arithmetic on an overflowing
+        # penalty gram, or on a normal matrix whose trace (the solver's total
+        # selection weight) overflows: at 1e303 every entry of K is finite, at
+        # 1e300 both surface factors are
+        if kind == "curve":
+            cfg = write_desk_config(tmp_path / "cfg.yaml")
+        else:
+            cfg = CONFIG_DIR / "boy_a40.yaml"
+        proc = run_cli_process(
+            ["fit", "--config", str(cfg), "--seeds", "0", option, value,
+             "--out", str(tmp_path / "out")]
+        )
+        assert proc.returncode == 3, proc.stderr
+        assert f"error: {named}" in proc.stderr
+        assert "RuntimeWarning" not in proc.stdout + proc.stderr
 
     def test_vanished_penalty_names_the_outer_iteration(self, runner, tmp_path):
         # on the desk config the direct weight loop runs off from its

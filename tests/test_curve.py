@@ -4,17 +4,27 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from rpia.assembly import augment_curve, difference_matrix, make_partition
+from rpia.assembly import (
+    CurveNormalSystem,
+    assemble_collocation,
+    augment_curve,
+    difference_matrix,
+    gram_partition,
+    make_partition,
+)
 from rpia.basis import build_knots, chord_length_params
-from rpia.assembly import assemble_collocation
 from rpia.curve import StoppingRule, init_state, run, select_block, step
 from rpia.datasets import rose_curve
 from rpia.errors import DimensionMismatch
+from rpia.experiment import initial_controls_curve
 from rpia.oracle import solve_curve_direct
 
 from conftest import (
     assert_close_to_scale,
+    curve_problem,
     curve_systems,
+    designs,
+    penalty_weights,
     random_curve_system,
 )
 
@@ -33,9 +43,10 @@ class TestInitState:
         system = random_curve_system(rng)
         p0 = np.zeros((system.n_controls, 2))
         state = init_state(system, p0, 7)
-        npt.assert_array_equal(state.correlation, system.stacked.T @ system.targets)
+        assert_close_to_scale(state.correlation, system.stacked.T @ system.targets)
         npt.assert_allclose(state.residual_norm(), np.linalg.norm(system.targets), rtol=1e-15)
-        npt.assert_array_equal(state.fitted_points, np.zeros_like(system.data))
+        npt.assert_array_equal(state.design_image, np.zeros_like(p0))
+        assert state.fitted_norm_sq == 0.0
         assert state.iteration == 0
 
     def test_least_squares_start_has_orthogonal_residual(self, rng):
@@ -182,10 +193,11 @@ class TestWindowedStep:
         partition = make_partition(system.stacked, data.draw(st.integers(1, 6)))
         p0 = np.random.default_rng(seed).standard_normal((system.n_controls, 2))
         state = init_state(system, p0, seed)
+        design = system.design
+        fitted = design @ p0
         for _ in range(8):
             controls = state.control_points.copy()
             residual = system.targets - system.stacked @ controls
-            fitted = state.fitted_points.copy()
             replay = philox_stream(0)
             replay.bit_generator.state = state.rng.bit_generator.state
             step(state, partition)
@@ -202,10 +214,14 @@ class TestWindowedStep:
             fitted += top
             assert_close_to_scale(state.control_points, controls)
             assert_close_to_scale(state.correlation, system.stacked.T @ residual)
-            assert_close_to_scale(state.fitted_points, fitted)
-            # a move can be pure round-off; compare it at the fitted points' scale
-            npt.assert_allclose(state.last_move_norm, np.linalg.norm(top), rtol=1e-13,
-                                atol=1e-13 * max(1.0, np.max(np.abs(fitted))))
+            # the fitted points are kept only as their design image and norm
+            assert_close_to_scale(state.design_image, design.T @ fitted)
+            # a move can be pure round-off; compare squares at the fitted points' scale
+            scale_sq = max(1.0, np.max(np.abs(fitted))) ** 2
+            npt.assert_allclose(state.fitted_norm_sq, np.sum(fitted**2), rtol=1e-12,
+                                atol=1e-12 * scale_sq)
+            npt.assert_allclose(state.last_move_norm**2, np.sum(top**2), rtol=1e-12,
+                                atol=1e-12 * scale_sq)
 
 
 class TestGramStep:
@@ -242,6 +258,44 @@ class TestGramStep:
             step(state, partition)
         truth = np.linalg.norm(system.targets - system.stacked @ state.control_points)
         npt.assert_allclose(state.residual_norm(), truth, rtol=1e-12)
+
+
+    @settings(max_examples=60, deadline=None)
+    @given(system=curve_systems(), seed=st.integers(0, 2**32 - 1),
+           n_steps=st.integers(0, 60), data=st.data())
+    def test_design_image_and_fitted_norm_track_the_controls(self, system, seed, n_steps, data):
+        partition = make_partition(system.stacked, data.draw(st.integers(1, 6)))
+        p0 = np.random.default_rng(seed).standard_normal((system.n_controls, 2))
+        state = init_state(system, p0, seed)
+        for _ in range(n_steps):
+            step(state, partition)
+        fitted = system.design @ state.control_points
+        assert_close_to_scale(state.design_image, system.design.T @ fitted, tol=1e-10)
+        norm_sq = np.sum(fitted**2)
+        npt.assert_allclose(state.fitted_norm_sq, norm_sq, rtol=0, atol=1e-10 * max(1.0, norm_sq))
+
+    @settings(max_examples=60, deadline=None)
+    @given(design=designs(), seed=st.integers(0, 2**32 - 1), n_steps=st.integers(0, 60),
+           data=st.data())
+    def test_dense_and_span_systems_give_the_same_controls(self, design, seed, n_steps, data):
+        # the normal system as the experiment builds it, from the spans,
+        # against the dense stacked system for the same design, penalty, data
+        # and weight; a patience beyond the cap runs both exactly n_steps
+        lam = data.draw(penalty_weights(design))
+        block_size = data.draw(st.integers(1, 6))
+        points = np.random.default_rng(seed).standard_normal((design.shape[0], 2))
+        problem = curve_problem(design, 2.0)
+        q, rhs = problem.right_hand_side(points)
+        spans = CurveNormalSystem(
+            problem.normal.matrix(lam), problem.design_gram, rhs, float(np.vdot(q, q))
+        )
+        dense = augment_curve(design, difference_matrix(design.shape[1], 2.0), points, lam)
+        p0 = initial_controls_curve(points, design.shape[1] - 1)
+        rule = StoppingRule(1e-8, n_steps, patience=n_steps + 1)
+        got = run(spans, gram_partition(spans.gram, block_size), p0, rule, seed)
+        want = run(dense, make_partition(dense.stacked, block_size), p0, rule, seed)
+        assert got.iterations == want.iterations == n_steps
+        assert_close_to_scale(got.control_points, want.control_points)
 
 
 class TestRun:
@@ -312,8 +366,8 @@ class TestRun:
 
 class TestResidualConsistency:
     def test_incremental_residual_tracks_truth_across_refresh(self, rng):
-        # the kept correlation is the residual's image S^T r; it and the
-        # residual norm built from the kept fitted points track the truth
+        # the kept correlation S^T r, design image A^T A P and |A P|^2, and
+        # the residual norm built from them, track the truth
         system = random_curve_system(rng, m_rows=16, n_cols=7, lam=0.25)
         partition = make_partition(system.stacked, 3)
         state = init_state(system, rng.standard_normal((7, 2)), 77)
@@ -329,6 +383,12 @@ class TestResidualConsistency:
                 assert gap <= 1e-10 * max(np.linalg.norm(truth), 1.0)
                 residual = np.linalg.norm(system.targets - system.stacked @ state.control_points)
                 assert abs(state.residual_norm() - residual) <= 1e-10 * max(residual, 1.0)
+                fitted = system.design @ state.control_points
+                image = system.design.T @ fitted
+                gap = np.linalg.norm(state.design_image - image)
+                assert gap <= 1e-10 * max(np.linalg.norm(image), 1.0)
+                norm_sq = np.sum(fitted**2)
+                assert abs(state.fitted_norm_sq - norm_sq) <= 1e-10 * max(norm_sq, 1.0)
 
 
 class TestMeanIterateConvergence:

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from rpia import experiment
+from rpia import assembly, experiment
 from rpia.assembly import augment_curve, augment_surface, difference_matrix
 from rpia.basis import BasisSpan
 from rpia.config import ExperimentConfig, SweepGrid, load_config
@@ -137,15 +137,28 @@ def test_pinned_weight_loop(name):
         npt.assert_allclose(outcome.lam, pinned["lambda"][seed], rtol=1e-9)
 
 
-def test_estimate_and_direct_paths_form_no_data_space_matrix(monkeypatch):
-    # The estimate, the reference solve, the direct inner solver and the
-    # fitted points work on spans and control-space matrices only: no dense
-    # collocation, no stacked system, no m x n whitening.
+@pytest.fixture
+def no_data_space_matrix(monkeypatch):
+    """Make every builder of a dense collocation matrix or a stacked (m+n) x n
+    system raise, wherever the experiment could reach it."""
     def refuse(what):
         def refused(*args, **kwargs):
             raise AssertionError(f"{what} was built")
         return refused
 
+    monkeypatch.setattr(BasisSpan, "dense", refuse("a dense collocation matrix"))
+    for module in (assembly, experiment):
+        monkeypatch.setattr(module, "assemble_collocation",
+                            refuse("a dense collocation matrix"), raising=False)
+        for name in ("augment_curve", "augment_surface"):
+            monkeypatch.setattr(module, name, refuse("a stacked (m+n) x n system"),
+                                raising=False)
+
+
+def test_estimate_and_direct_paths_form_no_data_space_matrix(no_data_space_matrix, monkeypatch):
+    # The estimate, the reference solve, the direct inner solver and the
+    # fitted points work on spans and control-space matrices only: no dense
+    # collocation, no stacked system, no m x n whitening.
     spectrum_calls = []
     whitened_spectrum = experiment.whitened_spectrum
 
@@ -155,10 +168,6 @@ def test_estimate_and_direct_paths_form_no_data_space_matrix(monkeypatch):
         spectrum_calls.append(len(design_factors))
         return whitened_spectrum(design_factors, penalty_scales)
 
-    monkeypatch.setattr(BasisSpan, "dense", refuse("a dense collocation matrix"))
-    monkeypatch.setattr(experiment, "assemble_collocation", refuse("a dense collocation matrix"))
-    monkeypatch.setattr(experiment, "augment_curve", refuse("a stacked (m+n) x n system"))
-    monkeypatch.setattr(experiment, "augment_surface", refuse("a stacked (m+n) x n system"))
     monkeypatch.setattr(experiment, "whitened_spectrum", square_factors_only)
     for name, directions in (("rose", 1), ("boy_a40", 2)):
         cfg = load_config(CONFIG_DIR / f"{name}.yaml")
@@ -174,6 +183,39 @@ def test_estimate_and_direct_paths_form_no_data_space_matrix(monkeypatch):
         cfg = load_config(CONFIG_DIR / f"{name}.yaml").with_overrides(seeds=(0, 1))
         result = run_experiment(cfg)
         assert [o.seed for o in result.outcomes] == [0, 1]
+
+
+def test_randomized_fits_form_no_data_space_matrix(no_data_space_matrix):
+    # Fixed-weight fits and randomized inner solves of the weight loop run on
+    # control-space normal systems built from the spans.
+    configs = [
+        load_config(CONFIG_DIR / "rose.yaml").with_overrides(seeds=(0, 1), max_iter=200),
+        load_config(CONFIG_DIR / "boy_a40.yaml").with_overrides(seeds=(0,), max_iter=200),
+        PINNED_CONFIGS["curve_self_consistent_rpia"]().with_overrides(seeds=(0,)),
+        PINNED_CONFIGS["surface_self_consistent_rpia"]().with_overrides(seeds=(0,)),
+    ]
+    for cfg in configs:
+        assert all(o.iterations > 0 for o in run_experiment(cfg).outcomes)
+
+
+BASELINE = Path(__file__).resolve().parents[1] / "perfbench" / "baseline.json"
+
+
+@pytest.mark.full_scale
+@pytest.mark.parametrize("workload, name", [("rose-fit", "rose"), ("boy-fit", "boy_a40")])
+def test_benchmark_pool_seeds_keep_their_recorded_fits(workload, name):
+    # The benchmark's output check (perfbench/check.py) on every noise seed
+    # of the workload's pool: exact iteration counts, and fit errors to its
+    # relative tolerance of 1e-6.
+    recorded = json.loads(BASELINE.read_text())["workloads"][workload]["per_seed"]
+    seeds = tuple(sorted(int(seed) for seed in recorded))
+    cfg = load_config(CONFIG_DIR / f"{name}.yaml").with_overrides(
+        seeds=seeds, trajectory_stride=0
+    )
+    for outcome in run_experiment(cfg).outcomes:
+        want = recorded[str(outcome.seed)]
+        assert outcome.iterations == want["iterations"], f"seed {outcome.seed}"
+        npt.assert_allclose(outcome.fit_err, want["fit_error"], rtol=1e-6)
 
 
 def _relative_gap(actual, expected):
@@ -437,13 +479,13 @@ class TestSweep:
     def test_fits_sample_no_trajectory(self, monkeypatch):
         # the table reads only fit errors, so no fit pays for trajectory samples
         strides = []
-        solve = experiment.CurveProblem.solve_randomized
+        solver = experiment.CurveProblem.randomized_solver
 
-        def recording(self, data, lam, cfg, seed, stride):
+        def recording(self, data, cfg, seed, stride):
             strides.append(stride)
-            return solve(self, data, lam, cfg, seed, stride)
+            return solver(self, data, cfg, seed, stride)
 
-        monkeypatch.setattr(experiment.CurveProblem, "solve_randomized", recording)
+        monkeypatch.setattr(experiment.CurveProblem, "randomized_solver", recording)
         sweep_lambda(desk_curve_config(lam=SweepGrid(1e-8, 1e-5, 2), seeds=(0, 1)))
         assert strides == [0] * 6
 

@@ -21,6 +21,7 @@ from rpia.surface import init_state, run, select_blocks, step
 from conftest import (
     assert_close_to_scale,
     random_surface_system,
+    surface_normal_system,
     surface_systems,
 )
 
@@ -48,19 +49,21 @@ class TestInitState:
     def test_zero_start(self, rng):
         system = random_surface_system(rng)
         grid0 = np.zeros((*system.n_controls, 3))
-        state = init_state(system, grid0, 1)
+        state = init_state(surface_normal_system(system), grid0, 1)
         for f in range(3):
-            npt.assert_array_equal(
+            assert_close_to_scale(
                 state.correlation[f],
                 system.row_stacked.T @ system.targets[:, :, f] @ system.col_stacked,
             )
         npt.assert_allclose(state.residual_norm(), np.linalg.norm(system.targets), rtol=1e-15)
+        npt.assert_array_equal(state.design_image, np.zeros_like(state.control_grid))
+        assert state.fitted_norm_sq == 0.0
         assert state.iteration == 0
 
     def test_shape_check(self, rng):
         system = random_surface_system(rng)
         with pytest.raises(DimensionMismatch):
-            init_state(system, np.zeros((2, 2, 3)), 0)
+            init_state(surface_normal_system(system), np.zeros((2, 2, 3)), 0)
 
 
 class TestSelectBlocks:
@@ -68,7 +71,7 @@ class TestSelectBlocks:
         system = random_surface_system(rng)
         part_u = make_partition(system.row_stacked, system.row_stacked.shape[1])
         part_v = make_partition(system.col_stacked, system.col_stacked.shape[1])
-        state = init_state(system, np.zeros((*system.n_controls, 3)), 2)
+        state = init_state(surface_normal_system(system), np.zeros((*system.n_controls, 3)), 2)
         assert all(select_blocks(state, part_u, part_v) == (0, 0) for _ in range(20))
 
     def test_joint_frequency_product_of_marginals(self):
@@ -84,7 +87,7 @@ class TestSelectBlocks:
         part_v = make_partition(col_stacked, 2)
         npt.assert_allclose(part_u.probabilities, [0.25, 0.75])
         npt.assert_allclose(part_v.probabilities, [0.5, 0.5])
-        state = init_state(system, np.zeros((4, 4, 3)), 777)
+        state = init_state(surface_normal_system(system), np.zeros((4, 4, 3)), 777)
         hits = 0
         n_draws = 100_000
         for _ in range(n_draws):
@@ -124,7 +127,7 @@ class TestStep:
         system = augment_surface(
             a, b, difference_matrix(3, 1.0), difference_matrix(2, 1.0), data, 0.0
         )
-        state = init_state(system, exact, 3)
+        state = init_state(surface_normal_system(system), exact, 3)
         part_u = make_partition(system.row_stacked, 2)
         part_v = make_partition(system.col_stacked, 1)
         before = state.control_grid.copy()
@@ -136,7 +139,7 @@ class TestStep:
         part_u = make_partition(system.row_stacked, 3)
         part_v = make_partition(system.col_stacked, 2)
         grid0 = rng.standard_normal((3, 2, 3))
-        state = init_state(system, grid0, 8)
+        state = init_state(surface_normal_system(system), grid0, 8)
         residual0 = stacked_residual(system, np.moveaxis(grid0, -1, 0))
         step(state, part_u, part_v)
         scale = np.sum(system.row_stacked**2) * np.sum(system.col_stacked**2)
@@ -152,7 +155,7 @@ class TestStep:
         part_v = make_partition(system.col_stacked, 1)
         seed = 91
         grid0 = rng.standard_normal((3, 3, 3))
-        state = init_state(system, grid0, seed)
+        state = init_state(surface_normal_system(system), grid0, seed)
         step(state, part_u, part_v)
 
         reference_rng = philox_stream(seed)
@@ -182,7 +185,7 @@ class TestStep:
         system = random_surface_system(rng, rows=(4, 4), cols=(3, 3), lam=0.2)
         part_u = make_partition(system.row_stacked, 2)
         part_v = make_partition(system.col_stacked, 2)
-        state = init_state(system, rng.standard_normal((4, 3, 3)), 55)
+        state = init_state(surface_normal_system(system), rng.standard_normal((4, 3, 3)), 55)
         for _ in range(20):
             before = state.control_grid.copy()
             snapshot = state.rng.bit_generator.state
@@ -207,11 +210,12 @@ class TestWindowedStep:
         )
         ncoord = system.targets.shape[2]
         grid0 = np.random.default_rng(seed).standard_normal((*system.n_controls, ncoord))
-        state = init_state(system, grid0, seed)
+        state = init_state(surface_normal_system(system), grid0, seed)
+        a, b = system.design_u, system.design_v
+        fitted = np.stack([a @ g @ b.T for g in state.control_grid])
         for _ in range(8):
             controls = state.control_grid.copy()
             residual = stacked_residual(system, controls)
-            fitted = state.fitted_points.copy()
             replay = philox_stream(0)
             replay.bit_generator.state = state.rng.bit_generator.state
             step(state, part_u, part_v)
@@ -237,10 +241,14 @@ class TestWindowedStep:
                 state.correlation,
                 np.stack([system.row_stacked.T @ r @ system.col_stacked for r in residual]),
             )
-            assert_close_to_scale(state.fitted_points, fitted)
-            # a move can be pure round-off; compare it at the fitted points' scale
-            npt.assert_allclose(state.last_move_norm, np.sqrt(move_sq), rtol=1e-13,
-                                atol=1e-13 * max(1.0, np.max(np.abs(fitted))))
+            # the fitted points are kept only as their design image and norm
+            assert_close_to_scale(state.design_image, np.stack([a.T @ x @ b for x in fitted]))
+            # a move can be pure round-off; compare squares at the fitted points' scale
+            scale_sq = max(1.0, np.max(np.abs(fitted))) ** 2
+            npt.assert_allclose(state.fitted_norm_sq, np.sum(fitted**2), rtol=1e-12,
+                                atol=1e-12 * scale_sq)
+            npt.assert_allclose(state.last_move_norm**2, move_sq, rtol=1e-12,
+                                atol=1e-12 * scale_sq)
 
 
 class TestGramStep:
@@ -255,7 +263,7 @@ class TestGramStep:
         )
         ncoord = system.targets.shape[2]
         grid0 = 3.0 * np.random.default_rng(seed).standard_normal((*system.n_controls, ncoord))
-        state = init_state(system, grid0, seed)
+        state = init_state(surface_normal_system(system), grid0, seed)
         replay = philox_stream(0)
         replay.bit_generator.state = state.rng.bit_generator.state
         step(state, part_u, part_v)
@@ -283,11 +291,33 @@ class TestGramStep:
         part_v = make_partition(system.col_stacked, 3)
         ncoord = system.targets.shape[2]
         grid0 = np.random.default_rng(seed).standard_normal((*system.n_controls, ncoord))
-        state = init_state(system, grid0, seed)
+        state = init_state(surface_normal_system(system), grid0, seed)
         for _ in range(n_steps):
             step(state, part_u, part_v)
         truth = np.linalg.norm(stacked_residual(system, state.control_grid))
         npt.assert_allclose(state.residual_norm(), truth, rtol=1e-12)
+
+
+    @settings(max_examples=60, deadline=None)
+    @given(system=surface_systems(), seed=st.integers(0, 2**32 - 1),
+           n_steps=st.integers(0, 60), data=st.data())
+    def test_design_image_and_fitted_norm_track_the_controls(self, system, seed, n_steps, data):
+        part_u, part_v = (
+            make_partition(factor, data.draw(st.integers(1, 6)))
+            for factor in (system.row_stacked, system.col_stacked)
+        )
+        ncoord = system.targets.shape[2]
+        grid0 = np.random.default_rng(seed).standard_normal((*system.n_controls, ncoord))
+        state = init_state(surface_normal_system(system), grid0, seed)
+        for _ in range(n_steps):
+            step(state, part_u, part_v)
+        a, b = system.design_u, system.design_v
+        fitted = np.stack([a @ g @ b.T for g in state.control_grid])
+        assert_close_to_scale(
+            state.design_image, np.stack([a.T @ x @ b for x in fitted]), tol=1e-10
+        )
+        norm_sq = np.sum(fitted**2)
+        npt.assert_allclose(state.fitted_norm_sq, norm_sq, rtol=0, atol=1e-10 * max(1.0, norm_sq))
 
 
 @pytest.fixture(scope="module")
@@ -303,12 +333,12 @@ def small_problem():
 
 class TestResidualConsistency:
     def test_incremental_residual_tracks_truth_across_refresh(self, rng):
-        # the kept correlation is the residual's image Ah^T R Bh; it and the
-        # residual norm built from the kept fitted points track the truth
+        # the kept correlation Ah^T R Bh, design image A^T A P B^T B and
+        # |A P B^T|^2, and the residual norm built from them, track the truth
         system = random_surface_system(rng, rows=(5, 4), cols=(4, 3), lam=0.2)
         part_u = make_partition(system.row_stacked, 2)
         part_v = make_partition(system.col_stacked, 2)
-        state = init_state(system, rng.standard_normal((4, 3, 3)), 31)
+        state = init_state(surface_normal_system(system), rng.standard_normal((4, 3, 3)), 31)
         from rpia.surface import _refresh
 
         for k in range(1, 1201):
@@ -322,6 +352,13 @@ class TestResidualConsistency:
                     assert gap <= 1e-10 * max(np.linalg.norm(truth[f]), 1.0)
                 residual = np.linalg.norm(stacked_residual(system, state.control_grid))
                 assert abs(state.residual_norm() - residual) <= 1e-10 * max(residual, 1.0)
+                a, b = system.design_u, system.design_v
+                fitted = np.stack([a @ g @ b.T for g in state.control_grid])
+                image = np.stack([a.T @ x @ b for x in fitted])
+                gap = np.linalg.norm(state.design_image - image)
+                assert gap <= 1e-10 * max(np.linalg.norm(image), 1.0)
+                norm_sq = np.sum(fitted**2)
+                assert abs(state.fitted_norm_sq - norm_sq) <= 1e-10 * max(norm_sq, 1.0)
 
 
 class TestRun:
@@ -333,7 +370,7 @@ class TestRun:
         part_u = make_partition(system.row_stacked, 3)
         part_v = make_partition(system.col_stacked, 3)
         grid0 = np.zeros((7, 6, 3))
-        result = run(system, part_u, part_v, grid0, StoppingRule(1e-12, 30_000), 5)
+        result = run(surface_normal_system(system), part_u, part_v, grid0, StoppingRule(1e-12, 30_000), 5)
         direct = solve_surface_direct(system).control_points
         num = 0.0
         den = 0.0
@@ -349,7 +386,7 @@ class TestRun:
         grid0 = rng.standard_normal((*system.n_controls, 3))
         part_u = make_partition(system.row_stacked, 2)
         part_v = make_partition(system.col_stacked, 2)
-        result = run(system, part_u, part_v, grid0, StoppingRule(1e-8, 0), 4)
+        result = run(surface_normal_system(system), part_u, part_v, grid0, StoppingRule(1e-8, 0), 4)
         npt.assert_array_equal(result.control_grid, grid0)
         assert result.iterations == 0
 
@@ -363,7 +400,7 @@ class TestRun:
         part_v = make_partition(system.col_stacked, 2)
         g0 = rng.standard_normal((5, 5, 1))
         before = g0.copy()
-        result = run(system, part_u, part_v, g0, StoppingRule(1e-12, 50), 6)
+        result = run(surface_normal_system(system), part_u, part_v, g0, StoppingRule(1e-12, 50), 6)
         assert result.iterations > 0
         npt.assert_array_equal(g0, before)
 
@@ -372,8 +409,8 @@ class TestRun:
         part_u = make_partition(system.row_stacked, 2)
         part_v = make_partition(system.col_stacked, 2)
         grid0 = rng.standard_normal((4, 3, 3))
-        first = run(system, part_u, part_v, grid0, StoppingRule(1e-10, 200), 12)
-        second = run(system, part_u, part_v, grid0, StoppingRule(1e-10, 200), 12)
+        first = run(surface_normal_system(system), part_u, part_v, grid0, StoppingRule(1e-10, 200), 12)
+        second = run(surface_normal_system(system), part_u, part_v, grid0, StoppingRule(1e-10, 200), 12)
         npt.assert_array_equal(first.control_grid, second.control_grid)
         assert first.iterations == second.iterations
 
@@ -389,8 +426,9 @@ class TestRun:
         part_u = make_partition(base_system.row_stacked, 2)
         part_v = make_partition(base_system.col_stacked, 2)
         grid0 = rng.standard_normal((4, 3, 3))
-        base = run(base_system, part_u, part_v, grid0, StoppingRule(1e-10, 100), 21)
+        rule = StoppingRule(1e-10, 100)
+        base = run(surface_normal_system(base_system), part_u, part_v, grid0, rule, 21)
         permuted = run(
-            perm_system, part_u, part_v, grid0[:, :, perm], StoppingRule(1e-10, 100), 21
+            surface_normal_system(perm_system), part_u, part_v, grid0[:, :, perm], rule, 21
         )
         npt.assert_array_equal(permuted.control_grid, base.control_grid[:, :, perm])
