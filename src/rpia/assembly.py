@@ -101,7 +101,9 @@ class CurveNormalSystem:
 
     ``gram`` is ``K = A^T A + lam G^T G`` and ``design_gram`` is ``A^T A``,
     both (n+1) x (n+1); ``rhs`` is ``A^T q``, one column per point
-    coordinate; ``data_norm_sq`` is ``|q|^2``.
+    coordinate; ``data_norm_sq`` is ``|q|^2``. The solver patches ``A^T A``
+    on the coupled windows of ``K``'s partition, so ``A^T A`` may have no
+    nonzero outside them (:meth:`BlockPartition.covers`).
     """
 
     gram: np.ndarray
@@ -118,7 +120,9 @@ class SurfaceNormalSystem:
     ``Lv``: ``gram_u = A^T A + lam Lu^T Lu``, ``gram_v = B^T B + lam Lv^T Lv``
     (so the stacked system's normal matrix is ``kron(gram_v, gram_u)``), the
     design grams ``A^T A`` and ``B^T B``, ``rhs = A^T Q B`` of shape
-    (n1+1, n2+1, ncoord) and ``data_norm_sq = |Q|^2``.
+    (n1+1, n2+1, ncoord) and ``data_norm_sq = |Q|^2``. Each design gram
+    may have no nonzero outside the coupled windows of its factor gram's
+    partition (:meth:`BlockPartition.covers`).
     """
 
     gram_u: np.ndarray
@@ -170,8 +174,8 @@ class AugmentedCurveSystem:
 
     @cached_property
     def rhs(self) -> np.ndarray:
-        """``A^T q``, which is also ``S^T`` times the zero-padded targets."""
-        return self.design.T @ self.data
+        """``S^T`` times the zero-padded targets, which is ``A^T q``."""
+        return self.stacked.T @ self.targets
 
     @cached_property
     def data_norm_sq(self) -> float:
@@ -284,7 +288,9 @@ class BlockPartition:
     sum to one. ``coupled[t]`` is the smallest contiguous slice holding the
     block and every row where ``K[:, block]`` has a nonzero, so a block
     update moves ``K @ x`` only inside it; ``inner[t]`` is where the block
-    lies within that window.
+    lies within that window. The solvers patch ``A^T A @ x`` on the same
+    windows, which is exact only when the design gram's nonzeros lie inside
+    them (:meth:`covers`); ``run`` checks this.
     """
 
     spans: tuple[slice, ...]
@@ -317,6 +323,19 @@ class BlockPartition:
         bisection on a Python list is an order of magnitude cheaper per call.
         """
         return bisect_right(self._bounds, u)
+
+    def covers(self, matrix) -> bool:
+        """Whether every nonzero of ``matrix[:, spans[t]]`` lies in ``coupled[t]``.
+
+        For ``K = A^T A + lam G^T G`` with the gram and penalty gram both
+        banded this holds unless an entry of ``A^T A`` at the edge of ``K``'s
+        band cancels exactly.
+        """
+        nonzero = np.asarray(matrix) != 0.0
+        return not any(
+            nonzero[: window.start, span].any() or nonzero[window.stop :, span].any()
+            for span, window in zip(self.spans, self.coupled)
+        )
 
 
 def gram_partition(gram, block_size: int) -> BlockPartition:

@@ -135,7 +135,14 @@ def run(
         Philox key for the block draws.
     trajectory_stride : int
         Record a trajectory sample every this many iterations (0 disables).
+
+    Raises
+    ------
+    DimensionMismatch
+        If ``design_gram`` has a nonzero outside the partition's windows.
     """
+    if not partition.covers(system.design_gram):
+        raise DimensionMismatch("the design gram has nonzeros outside the gram's coupled windows")
     state = init_state(system, p0, seed)
     converged, reason, trajectory = iterate(
         state, step, (partition,), _refresh, stop, trajectory_stride

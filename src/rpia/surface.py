@@ -144,8 +144,13 @@ def run(
 
     The partitions are those of ``gram_u`` and ``gram_v``. The change
     criterion uses the unpenalized fitted points ``A P B^T`` over all
-    coordinates; see :func:`rpia.driver.iterate`.
+    coordinates; see :func:`rpia.driver.iterate`. Raises
+    :class:`DimensionMismatch` if a design gram has a nonzero outside its
+    partition's windows.
     """
+    if not (row_partition.covers(system.design_gram_u)
+            and col_partition.covers(system.design_gram_v)):
+        raise DimensionMismatch("a design gram has nonzeros outside its gram's coupled windows")
     state = init_state(system, grid0, seed)
     converged, reason, trajectory = iterate(
         state, step, (row_partition, col_partition), _refresh, stop, trajectory_stride

@@ -14,7 +14,6 @@ from rpia.assembly import (
     augment_curve,
     augment_surface,
     difference_matrix,
-    tensor_apply,
 )
 from rpia.basis import BasisSpan, build_knots
 from rpia.experiment import CurveProblem, SurfaceProblem
@@ -131,7 +130,7 @@ def surface_normal_system(system):
     return SurfaceNormalSystem(
         row.T @ row, col.T @ col,
         system.design_u.T @ system.design_u, system.design_v.T @ system.design_v,
-        tensor_apply(system.design_u.T, system.data, system.design_v.T),
+        np.stack([row.T @ t @ col for t in np.moveaxis(system.targets, -1, 0)], axis=-1),
         float(np.vdot(system.data, system.data)),
     )
 

@@ -360,6 +360,19 @@ class TestGramPartition:
         assert spans.spans == dense.spans and spans.coupled == dense.coupled
         npt.assert_allclose(spans.norms_sq, dense.norms_sq, rtol=1e-14)
         npt.assert_allclose(spans.probabilities, dense.probabilities, rtol=1e-14)
+        # the solvers patch A^T A on these windows
+        assert spans.covers(design.T @ design)
+
+    def test_covers_by_hand(self):
+        # a diagonal gram gives one-column windows; a design gram coupling
+        # columns 0 and 3 reaches outside both
+        part = gram_partition(np.eye(4), 1)
+        assert part.coupled == (slice(0, 1), slice(1, 2), slice(2, 3), slice(3, 4))
+        assert part.covers(np.diag([1.0, 2.0, 0.0, 3.0]))
+        coupled = np.eye(4)
+        coupled[0, 3] = coupled[3, 0] = 0.5
+        assert not part.covers(coupled)
+        assert gram_partition(np.eye(4), 4).covers(coupled)
 
 
 class TestBlockAt:

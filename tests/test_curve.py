@@ -43,7 +43,7 @@ class TestInitState:
         system = random_curve_system(rng)
         p0 = np.zeros((system.n_controls, 2))
         state = init_state(system, p0, 7)
-        assert_close_to_scale(state.correlation, system.stacked.T @ system.targets)
+        npt.assert_array_equal(state.correlation, system.stacked.T @ system.targets)
         npt.assert_allclose(state.residual_norm(), np.linalg.norm(system.targets), rtol=1e-15)
         npt.assert_array_equal(state.design_image, np.zeros_like(p0))
         assert state.fitted_norm_sq == 0.0
@@ -216,12 +216,12 @@ class TestWindowedStep:
             assert_close_to_scale(state.correlation, system.stacked.T @ residual)
             # the fitted points are kept only as their design image and norm
             assert_close_to_scale(state.design_image, design.T @ fitted)
-            # a move can be pure round-off; compare squares at the fitted points' scale
-            scale_sq = max(1.0, np.max(np.abs(fitted))) ** 2
-            npt.assert_allclose(state.fitted_norm_sq, np.sum(fitted**2), rtol=1e-12,
-                                atol=1e-12 * scale_sq)
-            npt.assert_allclose(state.last_move_norm**2, np.sum(top**2), rtol=1e-12,
-                                atol=1e-12 * scale_sq)
+            # a move can be pure round-off; compare it at the fitted points' scale
+            scale = max(1.0, np.max(np.abs(fitted)))
+            npt.assert_allclose(state.fitted_norm_sq, np.sum(fitted**2), rtol=1e-13,
+                                atol=1e-13 * scale**2)
+            npt.assert_allclose(state.last_move_norm, np.linalg.norm(top), rtol=1e-13,
+                                atol=1e-13 * scale)
 
 
 class TestGramStep:
@@ -314,6 +314,16 @@ class TestRun:
             design @ direct
         )
         assert rel < 1e-6
+
+    def test_design_gram_outside_the_windows_is_refused(self):
+        # a diagonal gram gives one-column windows that cannot hold the design
+        # gram's coupling of columns 0 and 3
+        design_gram = np.eye(4)
+        design_gram[0, 3] = design_gram[3, 0] = 0.5
+        system = CurveNormalSystem(np.eye(4), design_gram, np.ones((4, 1)), 4.0)
+        with pytest.raises(DimensionMismatch, match="coupled windows"):
+            run(system, gram_partition(system.gram, 1), np.zeros((4, 1)),
+                StoppingRule(1e-8, 10), 0)
 
     def test_zero_iterations_returns_start(self, rng):
         system = random_curve_system(rng)

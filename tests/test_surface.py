@@ -6,9 +6,11 @@ from hypothesis import strategies as st
 
 from rpia.assembly import (
     AugmentedSurfaceSystem,
+    SurfaceNormalSystem,
     assemble_collocation,
     augment_surface,
     difference_matrix,
+    gram_partition,
     make_partition,
 )
 from rpia.basis import build_knots, surface_params
@@ -51,7 +53,7 @@ class TestInitState:
         grid0 = np.zeros((*system.n_controls, 3))
         state = init_state(surface_normal_system(system), grid0, 1)
         for f in range(3):
-            assert_close_to_scale(
+            npt.assert_array_equal(
                 state.correlation[f],
                 system.row_stacked.T @ system.targets[:, :, f] @ system.col_stacked,
             )
@@ -243,12 +245,12 @@ class TestWindowedStep:
             )
             # the fitted points are kept only as their design image and norm
             assert_close_to_scale(state.design_image, np.stack([a.T @ x @ b for x in fitted]))
-            # a move can be pure round-off; compare squares at the fitted points' scale
-            scale_sq = max(1.0, np.max(np.abs(fitted))) ** 2
-            npt.assert_allclose(state.fitted_norm_sq, np.sum(fitted**2), rtol=1e-12,
-                                atol=1e-12 * scale_sq)
-            npt.assert_allclose(state.last_move_norm**2, move_sq, rtol=1e-12,
-                                atol=1e-12 * scale_sq)
+            # a move can be pure round-off; compare it at the fitted points' scale
+            scale = max(1.0, np.max(np.abs(fitted)))
+            npt.assert_allclose(state.fitted_norm_sq, np.sum(fitted**2), rtol=1e-13,
+                                atol=1e-13 * scale**2)
+            npt.assert_allclose(state.last_move_norm, np.sqrt(move_sq), rtol=1e-13,
+                                atol=1e-13 * scale)
 
 
 class TestGramStep:
@@ -380,6 +382,18 @@ class TestRun:
             num += np.sum(diff**2)
             den += np.sum(ref**2)
         assert np.sqrt(num / den) < 1e-5
+
+    def test_design_gram_outside_the_windows_is_refused(self):
+        # the column design gram couples columns 0 and 3 across the
+        # one-column windows of a diagonal column gram
+        design_gram_v = np.eye(4)
+        design_gram_v[0, 3] = design_gram_v[3, 0] = 0.5
+        system = SurfaceNormalSystem(
+            np.eye(3), np.eye(4), np.eye(3), design_gram_v, np.ones((3, 4, 1)), 12.0
+        )
+        with pytest.raises(DimensionMismatch, match="coupled windows"):
+            run(system, gram_partition(system.gram_u, 3), gram_partition(system.gram_v, 1),
+                np.zeros((3, 4, 1)), StoppingRule(1e-8, 10), 0)
 
     def test_zero_iterations_returns_start(self, rng):
         system = random_surface_system(rng)
