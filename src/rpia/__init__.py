@@ -31,7 +31,6 @@ from .basis import (
     eval_basis,
     surface_params,
 )
-from .curve import CurveFitResult
 from .datasets import (
     NoiseSpec,
     SampledCurve,
@@ -42,7 +41,7 @@ from .datasets import (
     fit_error,
     rose_curve,
 )
-from .driver import StoppingRule
+from .driver import FitResult, StoppingRule
 from .oracle import (
     DirectSolution,
     contraction_check,
@@ -61,7 +60,6 @@ from .regparam import (
     spectral_decay_from_eigenvalues,
     whitened_spectrum,
 )
-from .surface import SurfaceFitResult
 
 __version__ = "0.1.0"
 
@@ -70,9 +68,9 @@ __all__ = [
     "AugmentedSurfaceSystem",
     "BasisSpan",
     "BlockPartition",
-    "CurveFitResult",
     "CurveNormalSystem",
     "DirectSolution",
+    "FitResult",
     "KnotVector",
     "LambdaIterate",
     "NoiseModel",
@@ -82,7 +80,6 @@ __all__ = [
     "SelfConsistentResult",
     "SpectralDecayFit",
     "StoppingRule",
-    "SurfaceFitResult",
     "SurfaceNormalSystem",
     "add_noise",
     "assemble_collocation",

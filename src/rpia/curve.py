@@ -17,12 +17,12 @@ block draw. The loop around the steps lives in :mod:`rpia.driver`.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .assembly import BlockPartition, CurveNormalSystem
-from .driver import StoppingRule, TrajectorySample, iterate, make_rng
+from .driver import FitResult, StoppingRule, iterate, make_rng
 from .errors import DimensionMismatch
 
 
@@ -49,15 +49,6 @@ class CurveFitState:
         system = self.system
         cross = np.vdot(self.control_points, system.rhs + self.correlation)
         return math.sqrt(max(system.data_norm_sq - cross, 0.0))
-
-
-@dataclass(frozen=True)
-class CurveFitResult:
-    control_points: np.ndarray
-    iterations: int
-    converged: bool
-    stop_reason: str
-    trajectory: tuple[TrajectorySample, ...] = field(default_factory=tuple)
 
 
 def init_state(system: CurveNormalSystem, p0, seed) -> CurveFitState:
@@ -122,7 +113,7 @@ def run(
     stop: StoppingRule,
     seed,
     trajectory_stride: int = 10,
-) -> CurveFitResult:
+) -> FitResult:
     """Iterate until the fitted points settle or the iteration cap is hit.
 
     Parameters
@@ -147,6 +138,4 @@ def run(
     converged, reason, trajectory = iterate(
         state, step, (partition,), _refresh, stop, trajectory_stride
     )
-    return CurveFitResult(
-        state.control_points, state.iteration, converged, reason, trajectory
-    )
+    return FitResult(state.control_points, state.iteration, converged, reason, trajectory)

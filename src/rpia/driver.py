@@ -54,6 +54,21 @@ class TrajectorySample:
     residual_norm: float
 
 
+@dataclass(frozen=True)
+class FitResult:
+    """A randomized fit's controls and how it stopped.
+
+    ``control_points`` has the shape of the fit's start: (n + 1, ncoord)
+    for a curve, (n1 + 1, n2 + 1, ncoord) for a surface.
+    """
+
+    control_points: np.ndarray
+    iterations: int
+    converged: bool
+    stop_reason: str
+    trajectory: tuple[TrajectorySample, ...] = ()
+
+
 def make_rng(seed) -> np.random.Generator:
     """Philox stream keyed by ``seed``; a Generator is used as given."""
     if isinstance(seed, np.random.Generator):

@@ -31,7 +31,7 @@ class ZeroColumnBlock(FittingError):
 
 
 class RankDeficient(FittingError):
-    """A stacked system lost full column rank; the direct solve is undefined."""
+    """A design or stacked system lost full column rank; the solve or spectrum is undefined."""
 
 
 class OutOfRange(FittingError):

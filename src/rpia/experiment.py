@@ -19,7 +19,7 @@ import time
 from dataclasses import dataclass, replace
 from functools import cached_property
 from pathlib import Path
-from typing import Optional, Union
+from typing import Optional
 
 import numpy as np
 
@@ -34,7 +34,6 @@ from .assembly import (
     gram_partition,
     require_finite,
     require_weight,
-    tensor_apply,
 )
 from .basis import (
     BasisSpan,
@@ -54,7 +53,7 @@ from .datasets import (
     rose_curve,
 )
 from .driver import StoppingRule
-from .errors import InvalidConfig, OutOfRange
+from .errors import InvalidConfig, OutOfRange, RankDeficient
 from .oracle import GramPencil, solve_curve_direct, solve_tensor_normal
 from .pointsio import GridRows, load_grid, load_points, write_csv
 from .regparam import (
@@ -72,38 +71,42 @@ def solver_rng(seed: int) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(key=seed).jumped(1))
 
 
+def initial_controls(data: np.ndarray, bounds) -> np.ndarray:
+    """Seed every control point from the data, one floor-spaced subsample per
+    axis: with ``n = bounds[axis]`` (``n + 1`` controls) and ``m + 1`` data
+    points along the axis, the indices ``floor(m * i / n)`` for ``i = 0..n``."""
+    picks = [
+        (m * np.arange(n + 1)) // n for m, n in zip(np.subtract(data.shape, 1), bounds)
+    ]
+    return data[np.ix_(*picks)]
+
+
 def initial_controls_curve(data: np.ndarray, n_ctrl: int) -> np.ndarray:
-    """Seed every control point from the data: index ``floor(m * i / n1)``."""
-    m = data.shape[0] - 1
-    idx = (m * np.arange(n_ctrl + 1)) // n_ctrl
-    return data[idx].copy()
-
-
-def initial_controls_surface(grid: np.ndarray, n_u: int, n_v: int) -> np.ndarray:
-    """Surface analogue: subsample the data grid at floor-spaced indices."""
-    m = grid.shape[0] - 1
-    p = grid.shape[1] - 1
-    rows = (m * np.arange(n_u + 1)) // n_u
-    cols = (p * np.arange(n_v + 1)) // n_v
-    return grid[np.ix_(rows, cols)].copy()
+    """:func:`initial_controls` for a curve with ``n_ctrl + 1`` control points."""
+    return initial_controls(data, [n_ctrl])
 
 
 def _stop_rule(cfg: ExperimentConfig) -> StoppingRule:
     return StoppingRule(cfg.tolerance, cfg.max_iter)
 
 
-# The two problem kinds answer the same questions, so the experiment code
-# below never asks which kind it holds. Their methods reach library functions
-# through this module's globals at call time, so replacing a module attribute
-# (to trace or to stub a layer) reaches every call.
+# A fit is the tensor product of one curve fit per parameter direction: a
+# curve has one direction, a surface two (u along array axis 0, v along axis
+# 1), and a trailing axis holds the point coordinates. The normal matrix is
+# ``kron(Kv, Ku)``, so every operation below is one direction's matrix
+# applied along that direction's axis, and the experiment code never asks
+# which kind of problem it holds (Currie, Durban & Eilers, JRSS B 68, 2006).
+# The methods reach library functions through this module's globals at call
+# time, so replacing a module attribute (to trace or to stub a layer) reaches
+# every call.
 #
-# Each problem keeps its collocation matrices as the spans ``eval_basis``
-# returns, and its penalties as their scale. The design grams, the right-hand
+# Each direction keeps its collocation matrix as the spans ``eval_basis``
+# returns, and its penalty as its scale. The design grams, the right-hand
 # sides and the fitted points come from the spans; the spectrum (from the
 # design grams' Cholesky factors), every direct solve (``numpy.linalg``,
-# gated by the problem's ``GramPencil``) and every randomized fit (on a
+# gated by each direction's ``GramPencil``) and every randomized fit (on a
 # control-space normal system) work on n x n matrices. The dense designs are
-# built on first use, by the ill-conditioned fallback only.
+# built on first use, by the curve's ill-conditioned fallback only.
 
 
 def _penalty_gram(penalty: np.ndarray, penalty_scale: float) -> np.ndarray:
@@ -118,27 +121,15 @@ def _penalty_gram(penalty: np.ndarray, penalty_scale: float) -> np.ndarray:
     return gram
 
 
-def _normal_matrices(pencils, lam: float, penalty_scale: float) -> list:
-    """The pencils' normal matrices at weight ``lam``, ``[K]`` or ``[Ku, Kv]``.
-
-    Refused unless the fit's normal matrix, ``K`` or ``kron(Kv, Ku)``, has a
-    finite trace (``tr Ku tr Kv``): the sum of the solver's selection weights,
-    and a bound on every entry of a positive semidefinite matrix.
-    """
-    with np.errstate(over="ignore", invalid="ignore"):
-        matrices = [pencil.matrix(lam) for pencil in pencils]
-        trace = math.prod(float(np.trace(matrix)) for matrix in matrices)
-    if not math.isfinite(trace):
-        raise OutOfRange(
-            f"weight {lam:g} with penalty_scale {penalty_scale:g} puts the normal "
-            "matrix outside the floating-point range"
-        )
-    return matrices
+def _along(matrix: np.ndarray, x: np.ndarray, axis: int) -> np.ndarray:
+    """``matrix`` applied along ``axis`` of ``x``; ``matrix @ x`` at axis 0."""
+    return np.moveaxis(np.tensordot(matrix, x, axes=(1, axis)), 0, axis)
 
 
 @dataclass(frozen=True)
-class CurveProblem:
-    clean: np.ndarray
+class Direction:
+    """One parameter direction of a fit: its collocation and difference penalty."""
+
     params: np.ndarray
     knots: KnotVector
     basis: BasisSpan                         # A, the collocation at params
@@ -146,7 +137,7 @@ class CurveProblem:
 
     @cached_property
     def penalty(self) -> np.ndarray:         # G
-        return difference_matrix(self.n_controls, self.penalty_scale)
+        return difference_matrix(self.basis.n_basis, self.penalty_scale)
 
     @cached_property
     def design(self) -> np.ndarray:
@@ -163,6 +154,18 @@ class CurveProblem:
         """``A^T A + lam G^T G`` at any weight, with its condition gate."""
         return GramPencil(self.design_gram, _penalty_gram(self.penalty, self.penalty_scale))
 
+
+@dataclass(frozen=True)
+class TensorProblem:
+    """A penalized tensor-product fit over one direction (a curve) or two (a surface).
+
+    The subclasses add the randomized kernel, the curve's fallback for an
+    ill-conditioned normal matrix and the fitted-geometry file.
+    """
+
+    clean: np.ndarray
+    directions: tuple[Direction, ...]
+
     @cached_property
     def reference_controls(self) -> np.ndarray:
         """The unpenalized least-squares fit of the clean data."""
@@ -170,13 +173,63 @@ class CurveProblem:
 
     @property
     def n_controls(self) -> int:
-        return self.basis.n_basis
+        return math.prod(d.basis.n_basis for d in self.directions)
 
     def right_hand_side(self, data) -> tuple[np.ndarray, np.ndarray]:
-        """The data as a float array and ``A^T q``, which every solve for it reads."""
+        """The data as a float array with a coordinate axis, and ``A^T q`` (a
+        surface: ``A^T Q B``), which every solve for it reads."""
         q = np.asarray(data, dtype=float)
         require_finite(q, "data")
-        return q, self.basis.apply_transpose(q)
+        if q.ndim == len(self.directions):
+            q = q[..., None]
+        rhs = q
+        for axis, direction in enumerate(self.directions):
+            rhs = direction.basis.apply_transpose(rhs, axis=axis)
+        return q, rhs
+
+    def fitted(self, controls) -> np.ndarray:
+        """``A P`` (a surface: ``A P B^T``) for every coordinate."""
+        points = controls
+        for axis, direction in enumerate(self.directions):
+            points = direction.basis.apply(points, axis=axis)
+        return points
+
+    def penalty_norm2(self, controls) -> float:
+        """Count-normalized sum, over the directions, of the squared norm of the
+        controls with that direction's penalty along its axis and the other
+        directions' designs along theirs: ``|G P|^2`` for a curve,
+        ``|Lu P B^T|^2 + |A P Lv^T|^2`` for a surface, over all coordinates.
+
+        Only singly weighted penalty terms count: a surface's doubly weighted
+        ``lam**2`` term ``|Lu P Lv^T|^2`` is dropped, so the self-consistent
+        balance has no weight on its right-hand side.
+        """
+        total = 0.0
+        for axis, direction in enumerate(self.directions):
+            term = _along(direction.penalty, controls, axis)
+            for other, design in enumerate(self.directions):
+                if other != axis:
+                    term = design.basis.apply(term, axis=other)
+            total += float(np.sum(term**2))
+        return total / self.n_controls
+
+    def _normal_matrices(self, lam: float) -> list:
+        """Each direction's normal matrix at weight ``lam``, ``[K]`` or ``[Ku, Kv]``.
+
+        Refused unless the fit's normal matrix, ``K`` or ``kron(Kv, Ku)``, has a
+        finite trace (``tr Ku tr Kv``): the sum of the solver's selection weights,
+        and a bound on every entry of a positive semidefinite matrix.
+        """
+        with np.errstate(over="ignore", invalid="ignore"):
+            matrices = [direction.normal.matrix(lam) for direction in self.directions]
+            trace = math.prod(float(np.trace(matrix)) for matrix in matrices)
+        if not math.isfinite(trace):
+            scale = max(direction.penalty_scale for direction in self.directions)
+            raise OutOfRange(
+                f"weight {lam:g} with penalty_scale {scale:g} puts the normal "
+                "matrix outside the floating-point range"
+            )
+        return matrices
 
     def randomized_solver(self, data, cfg: ExperimentConfig, seed: int, stride: int):
         """The randomized solver's weight-to-fit map for one data set: ``lam`` to
@@ -184,53 +237,86 @@ class CurveProblem:
         controls seeded by the data. ``A^T q`` and ``|q|^2`` are formed once."""
         q, rhs = self.right_hand_side(data)
         norm_sq = float(np.vdot(q, q))
-        p0 = initial_controls_curve(q, cfg.n_ctrl)
+        start = initial_controls(q, [d.basis.n_basis - 1 for d in self.directions])
+        block_sizes = (cfg.block_size, cfg.block_size_v or cfg.block_size)
 
         def solve(lam: float):
-            [gram] = _normal_matrices([self.normal], require_weight(lam), self.penalty_scale)
-            system = CurveNormalSystem(gram, self.design_gram, rhs, norm_sq)
-            result = curve_solver.run(
-                system, gram_partition(gram, cfg.block_size), p0, _stop_rule(cfg),
-                solver_rng(seed), trajectory_stride=stride,
+            grams = self._normal_matrices(require_weight(lam))
+            partitions = [gram_partition(g, size) for g, size in zip(grams, block_sizes)]
+            result = self._kernel(
+                grams, rhs, norm_sq, partitions, start, _stop_rule(cfg), solver_rng(seed), stride
             )
             return result.control_points, result
         return solve
 
+    def _kernel(self, grams, rhs, norm_sq, partitions, start, stop, rng, stride):
+        """The randomized solver's run on the normal system with these grams."""
+        raise NotImplementedError
+
     def direct_solver(self, data):
         """The weight-to-minimizer map for one data set: ``lam`` to the solution
-        of ``(A^T A + lam G^T G) P = A^T q``, with ``A^T q`` formed once.
+        of the normal equations at ``lam``, one direction's solve per axis
+        against ``A^T q`` (or ``A^T Q B``), which is formed once.
 
-        A normal matrix that fails the condition gate takes the stacked
-        least-squares route of :func:`solve_curve_direct` instead.
+        A normal matrix that fails its condition gate goes to
+        :meth:`_ill_conditioned`.
         """
         q, rhs = self.right_hand_side(data)
+        pencils = [direction.normal for direction in self.directions]
 
         def solve(lam: float) -> np.ndarray:
             lam = require_weight(lam)
-            solution, _ = self.normal.solve(rhs, lam)
-            if solution is None:
-                system = augment_curve(self.design, self.penalty, q, lam)
-                return solve_curve_direct(system).control_points
-            return solution
+            solution, _ = solve_tensor_normal(pencils, rhs, lam)
+            return self._ill_conditioned(q, lam) if solution is None else solution
         return solve
+
+    def _ill_conditioned(self, data: np.ndarray, lam: float) -> np.ndarray:
+        raise RankDeficient(
+            f"a direction's normal matrix is numerically rank deficient at weight {lam:g}"
+        )
 
     def solve_direct(self, data, lam: float) -> np.ndarray:
         """Penalized minimizer at one weight (see :meth:`direct_solver`)."""
         return self.direct_solver(data)(lam)
 
-    def fitted(self, controls) -> np.ndarray:
-        return self.basis.apply(controls)
-
-    def penalty_norm2(self, controls) -> float:
-        return float(np.sum((self.penalty @ controls) ** 2)) / self.n_controls
-
     def spectrum(self, head_count: int):
-        factor = np.linalg.cholesky(self.design_gram, upper=True)
-        eigs = whitened_spectrum([factor], [self.penalty_scale])
+        factors = []
+        for axis, direction in enumerate(self.directions):
+            try:
+                factors.append(np.linalg.cholesky(direction.design_gram, upper=True))
+            except np.linalg.LinAlgError:
+                where = "the curve" if len(self.directions) == 1 else f"direction {'uv'[axis]}"
+                raise RankDeficient(
+                    f"the design gram of {where} is singular: {direction.basis.start.size} "
+                    f"data points for {direction.basis.n_basis} controls"
+                ) from None
+        eigs = whitened_spectrum(factors, [d.penalty_scale for d in self.directions])
         return spectral_decay_from_eigenvalues(eigs, head_count)
 
+
+def _direction_attribute(axis: int, name: str) -> property:
+    """Direction ``axis``'s attribute ``name``, read through the problem."""
+    return property(lambda problem: getattr(problem.directions[axis], name))
+
+
+class CurveProblem(TensorProblem):
+    design = _direction_attribute(0, "design")      # A
+    penalty = _direction_attribute(0, "penalty")    # G
+
+    def __init__(self, clean, params, knots, basis, penalty_scale):
+        super().__init__(clean, (Direction(params, knots, basis, penalty_scale),))
+
+    def _kernel(self, grams, rhs, norm_sq, partitions, start, stop, rng, stride):
+        system = CurveNormalSystem(*grams, self.directions[0].design_gram, rhs, norm_sq)
+        return curve_solver.run(system, *partitions, start, stop, rng, trajectory_stride=stride)
+
+    def _ill_conditioned(self, data: np.ndarray, lam: float) -> np.ndarray:
+        """The minimizer by the stacked least-squares route of :func:`solve_curve_direct`."""
+        system = augment_curve(self.design, self.penalty, data, lam)
+        return solve_curve_direct(system).control_points
+
     def write_fitted(self, out: Path, controls) -> str:
-        dense, points = sample_fitted_curve(self, controls)
+        [dense], points = sample_fitted(self, controls)
         header = ["param"] + ["x", "y", "z"][: points.shape[1]]
         write_csv(
             out / "fitted_curve.csv",
@@ -240,133 +326,26 @@ class CurveProblem:
         return "fitted_curve.csv"
 
 
-@dataclass(frozen=True)
-class SurfaceProblem:
-    clean: np.ndarray
-    params_u: np.ndarray
-    params_v: np.ndarray
-    knots_u: KnotVector
-    knots_v: KnotVector
-    basis_u: BasisSpan                       # A, the collocation at params_u
-    basis_v: BasisSpan                       # B, the collocation at params_v
-    penalty_scale: float                     # s of both difference penalties
+class SurfaceProblem(TensorProblem):
+    design_u = _direction_attribute(0, "design")    # A
+    design_v = _direction_attribute(1, "design")    # B
+    penalty_u = _direction_attribute(0, "penalty")  # Lu
+    penalty_v = _direction_attribute(1, "penalty")  # Lv
 
-    @cached_property
-    def penalty_u(self) -> np.ndarray:       # Lu
-        return difference_matrix(self.basis_u.n_basis, self.penalty_scale)
+    def __init__(self, clean, params_u, params_v, knots_u, knots_v, basis_u, basis_v,
+                 penalty_scale):
+        super().__init__(clean, (
+            Direction(params_u, knots_u, basis_u, penalty_scale),
+            Direction(params_v, knots_v, basis_v, penalty_scale),
+        ))
 
-    @cached_property
-    def penalty_v(self) -> np.ndarray:       # Lv
-        return difference_matrix(self.basis_v.n_basis, self.penalty_scale)
-
-    @cached_property
-    def design_u(self) -> np.ndarray:
-        """``A`` as a dense matrix."""
-        return self.basis_u.dense()
-
-    @cached_property
-    def design_v(self) -> np.ndarray:
-        """``B`` as a dense matrix."""
-        return self.basis_v.dense()
-
-    @cached_property
-    def design_gram_u(self) -> np.ndarray:
-        """``A^T A``."""
-        return self.basis_u.gram()
-
-    @cached_property
-    def design_gram_v(self) -> np.ndarray:
-        """``B^T B``."""
-        return self.basis_v.gram()
-
-    @cached_property
-    def normal_u(self) -> GramPencil:
-        """``A^T A + lam Lu^T Lu`` at any weight, with its condition gate."""
-        return GramPencil(self.design_gram_u, _penalty_gram(self.penalty_u, self.penalty_scale))
-
-    @cached_property
-    def normal_v(self) -> GramPencil:
-        """``B^T B + lam Lv^T Lv`` at any weight, with its condition gate."""
-        return GramPencil(self.design_gram_v, _penalty_gram(self.penalty_v, self.penalty_scale))
-
-    @cached_property
-    def reference_controls(self) -> np.ndarray:
-        """The unpenalized least-squares fit of the clean data."""
-        return self.solve_direct(self.clean, 0.0)
-
-    @property
-    def n_controls(self) -> int:
-        return self.basis_u.n_basis * self.basis_v.n_basis
-
-    def right_hand_side(self, data) -> tuple[np.ndarray, np.ndarray]:
-        """The data grid as a float array with a coordinate axis, and ``A^T Q B``,
-        which every solve for it reads."""
-        grid = np.asarray(data, dtype=float)
-        require_finite(grid, "data")
-        if grid.ndim == 2:
-            grid = grid[:, :, None]
-        return grid, self.basis_v.apply_transpose(self.basis_u.apply_transpose(grid), axis=1)
-
-    def randomized_solver(self, data, cfg: ExperimentConfig, seed: int, stride: int):
-        """The randomized solver's weight-to-fit map for one data grid: ``lam`` to
-        (controls, result) on the normal system at ``lam``, starting from
-        controls seeded by the data. ``A^T Q B`` and ``|Q|^2`` are formed once."""
-        grid, rhs = self.right_hand_side(data)
-        norm_sq = float(np.vdot(grid, grid))
-        grid0 = initial_controls_surface(grid, cfg.n_ctrl, cfg.n_ctrl_v)
-
-        def solve(lam: float):
-            gram_u, gram_v = _normal_matrices(
-                [self.normal_u, self.normal_v], require_weight(lam), self.penalty_scale
-            )
-            system = SurfaceNormalSystem(
-                gram_u, gram_v, self.design_gram_u, self.design_gram_v, rhs, norm_sq
-            )
-            result = surface_solver.run(
-                system,
-                gram_partition(gram_u, cfg.block_size),
-                gram_partition(gram_v, cfg.block_size_v or cfg.block_size),
-                grid0, _stop_rule(cfg), solver_rng(seed), trajectory_stride=stride,
-            )
-            return result.control_grid, result
-        return solve
-
-    def direct_solver(self, data):
-        """The weight-to-minimizer map for one data grid: two factor solves
-        against ``A^T Q B``, which is formed once."""
-        _, rhs = self.right_hand_side(data)
-
-        def solve(lam: float) -> np.ndarray:
-            return solve_tensor_normal(self.normal_u, self.normal_v, rhs, require_weight(lam))[0]
-        return solve
-
-    def solve_direct(self, data, lam: float) -> np.ndarray:
-        """Penalized minimizer at one weight (see :meth:`direct_solver`)."""
-        return self.direct_solver(data)(lam)
-
-    def fitted(self, controls) -> np.ndarray:
-        """``A P B^T`` for every coordinate."""
-        return self.basis_v.apply(self.basis_u.apply(controls), axis=1)
-
-    def penalty_norm2(self, controls) -> float:
-        """Count-normalized ``|A P Lv^T|^2 + |Lu P B^T|^2`` over all coordinates.
-
-        Only the two singly weighted penalty terms of the stacked objective
-        count: the doubly weighted ``lam**2`` term ``|Lu P Lv^T|^2`` is dropped,
-        so the self-consistent balance has no weight on its right-hand side.
-        """
-        cross_u = self.basis_u.apply(np.einsum("ujf,vj->uvf", controls, self.penalty_v))
-        cross_v = self.basis_v.apply(np.einsum("ui,ijf->ujf", self.penalty_u, controls), axis=1)
-        return (float(np.sum(cross_u**2)) + float(np.sum(cross_v**2))) / self.n_controls
-
-    def spectrum(self, head_count: int):
-        grams = (self.design_gram_u, self.design_gram_v)
-        factors = [np.linalg.cholesky(gram, upper=True) for gram in grams]
-        eigs = whitened_spectrum(factors, [self.penalty_scale] * 2)
-        return spectral_decay_from_eigenvalues(eigs, head_count)
+    def _kernel(self, grams, rhs, norm_sq, partitions, start, stop, rng, stride):
+        design_grams = [direction.design_gram for direction in self.directions]
+        system = SurfaceNormalSystem(*grams, *design_grams, rhs, norm_sq)
+        return surface_solver.run(system, *partitions, start, stop, rng, trajectory_stride=stride)
 
     def write_fitted(self, out: Path, controls) -> str:
-        _, _, sampled = sample_fitted_surface(self, controls)
+        _, sampled = sample_fitted(self, controls)
         write_csv(out / "fitted_surface.csv", ["row", "col", "x", "y", "z"], GridRows(sampled))
         return "fitted_surface.csv"
 
@@ -384,7 +363,7 @@ def load_dataset(cfg: ExperimentConfig) -> np.ndarray:
     return load_points(cfg.input_path)
 
 
-def build_problem(cfg: ExperimentConfig) -> Union[CurveProblem, SurfaceProblem]:
+def build_problem(cfg: ExperimentConfig) -> TensorProblem:
     """Parametrize the clean data and evaluate the seed-independent matrices.
 
     The collocation matrices are kept as spans (no dense m x n matrix). The
@@ -577,7 +556,7 @@ class FitReport:
 @dataclass
 class ExperimentResult:
     config: ExperimentConfig
-    problem: Union[CurveProblem, SurfaceProblem]
+    problem: TensorProblem
     outcomes: list
     report: FitReport
 
@@ -670,7 +649,7 @@ class SweepReport:
         return table
 
 
-def sweep_lambda(cfg: ExperimentConfig) -> tuple[SweepReport, Union[CurveProblem, SurfaceProblem]]:
+def sweep_lambda(cfg: ExperimentConfig) -> tuple[SweepReport, TensorProblem]:
     """One multi-seed fit batch per grid point, plus the rule-estimate row.
 
     The same seeds (hence the same noise draws) are reused at every grid
@@ -704,23 +683,15 @@ def sweep_lambda(cfg: ExperimentConfig) -> tuple[SweepReport, Union[CurveProblem
     return report, problem
 
 
-def sample_fitted_curve(problem: CurveProblem, controls: np.ndarray, density: int = 5):
-    """Fitted curve sampled at ``density`` times the data density."""
-    m = problem.clean.shape[0] - 1
-    dense = np.linspace(0.0, 1.0, density * m + 1)
-    design_dense = assemble_collocation(problem.knots, dense)
-    return dense, design_dense @ controls
-
-
-def sample_fitted_surface(problem: SurfaceProblem, control_grid: np.ndarray, density: int = 5):
-    """Fitted surface sampled at ``density`` times the data density per direction."""
-    m = problem.clean.shape[0] - 1
-    p = problem.clean.shape[1] - 1
-    dense_u = np.linspace(0.0, 1.0, density * m + 1)
-    dense_v = np.linspace(0.0, 1.0, density * p + 1)
-    a_dense = assemble_collocation(problem.knots_u, dense_u)
-    b_dense = assemble_collocation(problem.knots_v, dense_v)
-    return dense_u, dense_v, tensor_apply(a_dense, control_grid, b_dense)
+def sample_fitted(problem: TensorProblem, controls: np.ndarray, density: int = 5):
+    """Fitted geometry sampled at ``density`` times the data density per
+    direction: the sample parameters of each direction, and the points."""
+    dense, points = [], controls
+    for axis, direction in enumerate(problem.directions):
+        params = np.linspace(0.0, 1.0, density * (problem.clean.shape[axis] - 1) + 1)
+        points = _along(assemble_collocation(direction.knots, params), points, axis)
+        dense.append(params)
+    return dense, points
 
 
 def _summary_text(result: ExperimentResult) -> str:

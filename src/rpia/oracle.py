@@ -4,8 +4,9 @@ Everything here is a slow-but-sure alternative path: dense normal-equation
 solves of the stacked systems, exhaustive expectations of one randomized
 step, and spectral-radius checks. The solvers are tested against these,
 never the other way round. The normal-matrix condition gate (``GramPencil``)
-and the two-factor tensor solve (``solve_tensor_normal``) also serve the
-experiment's control-space direct solves.
+and the axis-by-axis tensor solve over any number of pencils
+(``solve_tensor_normal``) also serve the experiment's control-space direct
+solves.
 """
 
 from __future__ import annotations
@@ -134,30 +135,27 @@ def _solve_normal(stacked: np.ndarray, rhs_matrix: np.ndarray) -> tuple[np.ndarr
     return solution, cond
 
 
-def solve_tensor_normal(
-    pencil_u: GramPencil, pencil_v: GramPencil, rhs: np.ndarray, lam: float = 0.0
-) -> tuple[np.ndarray, float]:
-    """Solve ``gram_u P[:, :, f] gram_v = rhs[:, :, f]`` for every coordinate ``f``.
+def solve_tensor_normal(pencils, rhs: np.ndarray, lam: float = 0.0):
+    """Solve for ``P`` whose product with ``K_i`` along every axis ``i`` is ``rhs``.
 
-    ``gram_u`` and ``gram_v`` are the two pencils at weight ``lam``. One LU
-    solve per factor covers every coordinate; no Kronecker product is ever
-    formed. Returns the solution and the larger condition bound of the two.
-
-    Raises
-    ------
-    RankDeficient
-        If either gram fails the condition gate.
+    ``K_i`` is pencil ``i`` at weight ``lam``: ``K P = rhs`` for one pencil,
+    ``Ku P Kv = rhs`` (the system ``kron(Kv, Ku) vec P = vec rhs``) for two.
+    Axes past the pencils (the point coordinates) ride along. One LU solve
+    per pencil covers every coordinate, and no Kronecker product is ever
+    formed. Returns ``(solution, cond)`` with the largest condition bound,
+    or ``(None, cond)`` with the bound of the first pencil that fails the
+    condition gate.
     """
-    n_u, n_v, ncoord = rhs.shape
-    half, cond_u = pencil_u.solve(rhs.reshape(n_u, n_v * ncoord), lam)
-    if half is None:
-        raise RankDeficient("a stacked factor is numerically rank deficient")
-    half = half.reshape(n_u, n_v, ncoord).transpose(1, 0, 2).reshape(n_v, n_u * ncoord)
-    solution, cond_v = pencil_v.solve(half, lam)
-    if solution is None:
-        raise RankDeficient("a stacked factor is numerically rank deficient")
-    solution = solution.reshape(n_v, n_u, ncoord).transpose(1, 0, 2).copy()
-    return solution, max(cond_u, cond_v)
+    solution = rhs
+    conds = []
+    for axis, pencil in enumerate(pencils):
+        moved = np.moveaxis(solution, axis, 0)
+        flat, cond = pencil.solve(moved.reshape(moved.shape[0], -1), lam)
+        if flat is None:
+            return None, cond
+        conds.append(cond)
+        solution = np.moveaxis(flat.reshape(moved.shape), 0, axis)
+    return np.ascontiguousarray(solution), max(conds)
 
 
 def solve_curve_direct(system: AugmentedCurveSystem) -> DirectSolution:
@@ -173,13 +171,20 @@ def solve_surface_direct(system: AugmentedSurfaceSystem) -> DirectSolution:
     Each coordinate slice solves
     ``gram_u P gram_v = row_stacked^T targets col_stacked`` by
     :func:`solve_tensor_normal`.
+
+    Raises
+    ------
+    RankDeficient
+        If either gram fails the condition gate.
     """
     a_hat = system.row_stacked
     b_hat = system.col_stacked
     rhs = tensor_apply(a_hat.T, system.targets, b_hat.T)
     solution, cond = solve_tensor_normal(
-        GramPencil(a_hat.T @ a_hat), GramPencil(b_hat.T @ b_hat), rhs
+        [GramPencil(a_hat.T @ a_hat), GramPencil(b_hat.T @ b_hat)], rhs
     )
+    if solution is None:
+        raise RankDeficient("a stacked factor is numerically rank deficient")
     residual = tensor_apply(a_hat, solution, b_hat) - system.targets
     return DirectSolution(solution, float(np.sum(residual**2)), cond)
 

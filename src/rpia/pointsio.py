@@ -54,6 +54,8 @@ def load_points(path) -> np.ndarray:
                 raise ParseError(f"{path}: line {lineno}: non-numeric field") from None
             _require_finite(path, lineno, values)
             rows.append(values)
+    if not rows:
+        raise ParseError(f"{path}: no data rows")
     return np.asarray(rows, dtype=float)
 
 

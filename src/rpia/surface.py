@@ -19,12 +19,12 @@ on the small factor grams directly.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .assembly import BlockPartition, SurfaceNormalSystem
-from .driver import StoppingRule, TrajectorySample, iterate, make_rng
+from .driver import FitResult, StoppingRule, iterate, make_rng
 from .errors import DimensionMismatch
 
 
@@ -47,15 +47,6 @@ class SurfaceFitState:
         rhs = np.moveaxis(system.rhs, -1, 0)
         cross = np.vdot(self.control_grid, rhs + self.correlation)
         return math.sqrt(max(system.data_norm_sq - cross, 0.0))
-
-
-@dataclass(frozen=True)
-class SurfaceFitResult:
-    control_grid: np.ndarray      # (n1 + 1, n2 + 1, ncoord)
-    iterations: int
-    converged: bool
-    stop_reason: str
-    trajectory: tuple[TrajectorySample, ...] = field(default_factory=tuple)
 
 
 def init_state(system: SurfaceNormalSystem, grid0, seed) -> SurfaceFitState:
@@ -139,7 +130,7 @@ def run(
     stop: StoppingRule,
     seed,
     trajectory_stride: int = 10,
-) -> SurfaceFitResult:
+) -> FitResult:
     """Iterate until the fitted surface points settle or the cap is hit.
 
     The partitions are those of ``gram_u`` and ``gram_v``. The change
@@ -155,10 +146,7 @@ def run(
     converged, reason, trajectory = iterate(
         state, step, (row_partition, col_partition), _refresh, stop, trajectory_stride
     )
-    return SurfaceFitResult(
-        np.moveaxis(state.control_grid, 0, -1).copy(),
-        state.iteration,
-        converged,
-        reason,
+    return FitResult(
+        np.moveaxis(state.control_grid, 0, -1).copy(), state.iteration, converged, reason,
         trajectory,
     )

@@ -317,6 +317,18 @@ class TestNumericalFailuresSayWhere:
         assert f"error: {named}" in proc.stderr
         assert "RuntimeWarning" not in proc.stdout + proc.stderr
 
+    @pytest.mark.parametrize("command, sizes, counts", [
+        ("spectrum", ["--m", "100", "--n-ctrl", "100"], "101 data points for 101 controls"),
+        ("estimate-lambda", ["--m", "99", "--n-ctrl", "100"], "100 data points for 101 controls"),
+    ])
+    def test_singular_design_gram(self, tmp_path, command, sizes, counts):
+        # the spectrum's Cholesky factor of the design gram does not exist
+        out = ["--out", str(tmp_path / "out")] if command == "spectrum" else []
+        proc = run_cli_process([command, "--config", str(CONFIG_DIR / "rose.yaml"), *sizes, *out])
+        assert proc.returncode == 3, proc.stderr
+        assert f"error: the design gram of the curve is singular: {counts}" in proc.stderr
+        assert "Traceback" not in proc.stderr
+
     def test_vanished_penalty_names_the_outer_iteration(self, runner, tmp_path):
         # on the desk config the direct weight loop runs off from its
         # prior-free start until the fit is all penalty and its norm underflows

@@ -286,8 +286,9 @@ class TestGramStep:
         points = np.random.default_rng(seed).standard_normal((design.shape[0], 2))
         problem = curve_problem(design, 2.0)
         q, rhs = problem.right_hand_side(points)
+        [direction] = problem.directions
         spans = CurveNormalSystem(
-            problem.normal.matrix(lam), problem.design_gram, rhs, float(np.vdot(q, q))
+            direction.normal.matrix(lam), direction.design_gram, rhs, float(np.vdot(q, q))
         )
         dense = augment_curve(design, difference_matrix(design.shape[1], 2.0), points, lam)
         p0 = initial_controls_curve(points, design.shape[1] - 1)

@@ -1,3 +1,4 @@
+import functools
 import json
 from pathlib import Path
 
@@ -8,7 +9,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from rpia import assembly, experiment
-from rpia.assembly import augment_curve, augment_surface, difference_matrix
+from rpia.assembly import (
+    assemble_collocation,
+    augment_curve,
+    augment_surface,
+    difference_matrix,
+)
 from rpia.basis import BasisSpan
 from rpia.config import ExperimentConfig, SweepGrid, load_config
 from rpia.datasets import NoiseSpec, add_noise, fit_error
@@ -16,19 +22,19 @@ from rpia.errors import InvalidConfig, RankDeficient
 from rpia.experiment import (
     build_problem,
     estimate_lambda,
+    initial_controls,
     initial_controls_curve,
-    initial_controls_surface,
     run_experiment,
-    sample_fitted_curve,
-    sample_fitted_surface,
+    sample_fitted,
     sweep_lambda,
     write_outputs,
     write_sweep_outputs,
 )
-from rpia.oracle import solve_curve_direct, solve_surface_direct
+from rpia.oracle import GramPencil, solve_curve_direct, solve_surface_direct, solve_tensor_normal
 from rpia.pointsio import load_grid
 
 from conftest import (
+    assert_close_to_scale,
     banded_designs,
     collocation_design,
     csv_writer_bytes,
@@ -218,6 +224,39 @@ def test_benchmark_pool_seeds_keep_their_recorded_fits(workload, name):
         npt.assert_allclose(outcome.fit_err, want["fit_error"], rtol=1e-6)
 
 
+PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
+
+
+def test_benchmark_reads_the_frozen_problem_attributes(monkeypatch):
+    # The benchmark computes every run's direct-solve gaps from these problem
+    # attributes (perfbench/invocation.py): a missing or changed one would
+    # otherwise show only as a failed benchmark run.
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    from invocation import direct_gaps
+
+    names = {"curve": [("design", "penalty")],
+             "surface": [("design_u", "penalty_u"), ("design_v", "penalty_v")]}
+    for cfg in (desk_curve_config(seeds=(0, 1)), desk_surface_config(seeds=(0,))):
+        result = run_experiment(cfg)
+        problem = result.problem
+        # the stacked route over the frozen attributes agrees with the
+        # problem's own control-space direct solve
+        want = []
+        for outcome in result.outcomes:
+            noisy = add_noise(problem.clean, NoiseSpec(cfg.noise_amplitude, outcome.seed))
+            want.append(_relative_gap(outcome.control_points,
+                                      problem.solve_direct(noisy, outcome.lam)))
+        npt.assert_allclose(direct_gaps(result), want, rtol=1e-8)
+        for (design, penalty), direction in zip(names[cfg.problem], problem.directions):
+            npt.assert_array_equal(
+                getattr(problem, design), assemble_collocation(direction.knots, direction.params)
+            )
+            npt.assert_array_equal(
+                getattr(problem, penalty),
+                difference_matrix(direction.basis.n_basis, cfg.penalty_scale),
+            )
+
+
 def _relative_gap(actual, expected):
     return float(np.linalg.norm(actual - expected) / np.linalg.norm(expected))
 
@@ -259,7 +298,7 @@ class TestControlSpaceDirect:
         penalty = difference_matrix(11, 1.0)
         lam = 5e-10
         curve = curve_problem(design, 1.0)
-        assert curve.normal.condition(lam) <= 1e10
+        assert curve.directions[0].normal.condition(lam) <= 1e10
         data = rng.standard_normal((40, 2))
         want = solve_curve_direct(augment_curve(design, penalty, data, lam)).control_points
         assert _relative_gap(curve.solve_direct(data, lam), want) <= 1e-10
@@ -299,6 +338,80 @@ class TestControlSpaceDirect:
             problem.solve_direct(problem.clean, lam)
 
 
+def kron_all(matrices):
+    """The dense matrix of ``matrices[i]`` applied along axis ``i`` of a tensor,
+    acting on its column-major ``vec``: ``A`` for one, ``kron(B, A)`` for two."""
+    return functools.reduce(lambda acc, matrix: np.kron(matrix, acc), matrices)
+
+
+def vec(tensor):
+    """Column-major ``vec`` of each coordinate slice of a tensor: (size, ncoord)."""
+    return tensor.reshape(-1, tensor.shape[-1], order="F")
+
+
+class TestTensorProblem:
+    """The one problem over one direction (a curve) or two (a surface),
+    against dense Kronecker references."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(designs=st.lists(banded_designs(), min_size=1, max_size=2),
+           scale=st.floats(0.5, 50.0), lam=st.sampled_from([0.0, 1e-6, 0.3, 100.0]),
+           ncoord=st.sampled_from([1, 3]), blank=st.booleans(),
+           seed=st.integers(0, 2**32 - 1))
+    def test_operations_match_dense_kronecker(self, designs, scale, lam, ncoord, blank, seed):
+        rng = np.random.default_rng(seed)
+        if blank:
+            # an empty column in the last direction leaves its normal matrix
+            # singular at weight 0, so the condition gate fails
+            designs[-1][:, rng.integers(designs[-1].shape[1])] = 0.0
+            lam = 0.0
+        make = curve_problem if len(designs) == 1 else surface_problem
+        problem = make(*designs, scale)
+        penalties = [difference_matrix(design.shape[1], scale) for design in designs]
+        data = rng.standard_normal(tuple(d.shape[0] for d in designs) + (ncoord,))
+        controls = rng.standard_normal(tuple(d.shape[1] for d in designs) + (ncoord,))
+        design = kron_all(designs)
+
+        q, rhs = problem.right_hand_side(data)
+        npt.assert_array_equal(q, data)
+        assert_close_to_scale(vec(rhs), design.T @ vec(data))
+        if ncoord == 1:
+            npt.assert_array_equal(problem.right_hand_side(data[..., 0])[1], rhs)
+        assert_close_to_scale(vec(problem.fitted(controls)), design @ vec(controls))
+
+        # each direction's penalty along its axis, the other designs along theirs
+        terms = [
+            kron_all([penalties[i] if j == i else d for j, d in enumerate(designs)])
+            for i in range(len(designs))
+        ]
+        want = sum(np.sum((term @ vec(controls)) ** 2) for term in terms) / problem.n_controls
+        npt.assert_allclose(problem.penalty_norm2(controls), want, rtol=1e-12)
+
+        pencils = [GramPencil(d.T @ d, g.T @ g) for d, g in zip(designs, penalties)]
+        normal = kron_all([pencil.matrix(lam) for pencil in pencils])
+        solution, cond = solve_tensor_normal(pencils, rhs, lam)
+        if blank:
+            assert solution is None and not cond <= 1e12
+            with pytest.raises(RankDeficient):
+                problem.solve_direct(data, lam)
+            return
+        assert cond == max(pencil.condition(lam) for pencil in pencils)
+        want = np.linalg.solve(normal, vec(rhs))
+        assert _relative_gap(vec(solution), want) <= 1e-10
+        want = np.linalg.solve(normal, design.T @ vec(data))
+        assert _relative_gap(vec(problem.solve_direct(data, lam)), want) <= 1e-10
+
+    @pytest.mark.parametrize("axis, named", [(0, "direction u"), (1, "direction v")])
+    def test_singular_design_gram_names_its_direction(self, axis, named):
+        designs = [collocation_design(12, 4), collocation_design(10, 3)]
+        designs[axis][:, 2] = 0.0
+        rows, cols = designs[axis].shape
+        with pytest.raises(RankDeficient, match=(
+            f"design gram of {named} is singular: {rows} data points for {cols} controls"
+        )):
+            surface_problem(*designs, 1.0).spectrum(3)
+
+
 class TestProblemMeasures:
     def test_curve_weight_measure_by_hand(self):
         # fitted points A c = (1, 2, 1) against data (1, 2, 3): misfit 4 over
@@ -320,20 +433,6 @@ class TestProblemMeasures:
         controls = np.ones((2, 2, 1))
         measure = experiment.self_consistent_measure(problem, data)
         assert measure(controls) == (0.25, 0.5)
-
-    def test_surface_penalty_drops_the_doubly_weighted_term(self, rng):
-        a = rng.standard_normal((6, 3))
-        b = rng.standard_normal((5, 4))
-        lu = difference_matrix(3, 1.5)
-        lv = difference_matrix(4, 1.5)
-        controls = rng.standard_normal((3, 4, 3))
-        expected = sum(
-            np.sum((a @ controls[:, :, f] @ lv.T) ** 2)
-            + np.sum((lu @ controls[:, :, f] @ b.T) ** 2)
-            for f in range(3)
-        ) / 12
-        got = surface_problem(a, b, 1.5).penalty_norm2(controls)
-        npt.assert_allclose(got, expected, rtol=1e-13)
 
     @pytest.mark.parametrize("make", [desk_curve_config, desk_surface_config])
     def test_relative_error_measures_fitted_geometry(self, make, rng):
@@ -363,7 +462,7 @@ class TestInitialControls:
 
     def test_surface_rule_indices(self):
         grid = np.arange(5 * 7 * 3, dtype=float).reshape(5, 7, 3)
-        controls = initial_controls_surface(grid, 2, 3)
+        controls = initial_controls(grid, [2, 3])
         npt.assert_array_equal(controls, grid[np.ix_([0, 2, 4], [0, 2, 4, 6])])
 
 
@@ -507,7 +606,7 @@ class TestOutputs:
 
     def test_fitted_curve_sampling_density(self):
         result = run_experiment(desk_curve_config(seeds=(0,)))
-        dense, points = sample_fitted_curve(result.problem, result.outcomes[0].control_points)
+        [dense], points = sample_fitted(result.problem, result.outcomes[0].control_points)
         assert dense.size == 5 * 120 + 1
         assert points.shape == (dense.size, 2)
 
@@ -536,7 +635,7 @@ class TestCsvBytes:
             header, self.trajectory_rows(result)
         )
         first = min(result.outcomes, key=lambda o: o.seed)
-        dense, points = sample_fitted_curve(result.problem, first.control_points)
+        [dense], points = sample_fitted(result.problem, first.control_points)
         rows = [(float(t), *map(float, pt)) for t, pt in zip(dense, points)]
         assert (tmp_path / "fitted_curve.csv").read_bytes() == csv_writer_bytes(
             ["param", "x", "y"], rows
@@ -549,7 +648,7 @@ class TestCsvBytes:
         assert (tmp_path / "trajectory.csv").read_bytes() == csv_writer_bytes(
             header, self.trajectory_rows(result)
         )
-        _, _, sampled = sample_fitted_surface(result.problem, result.outcomes[0].control_points)
+        _, sampled = sample_fitted(result.problem, result.outcomes[0].control_points)
         rows = [
             (h, l, *map(float, sampled[h, l]))
             for h in range(sampled.shape[0]) for l in range(sampled.shape[1])

@@ -1,3 +1,5 @@
+import re
+
 import numpy.testing as npt
 import pytest
 
@@ -51,6 +53,15 @@ class TestPointsRoundTrip:
         path.write_text("x,y\n1.0,2.0,3.0\n")
         with pytest.raises(ParseError, match="line 2"):
             load_points(path)
+
+    @pytest.mark.parametrize("header, load", [
+        ("x,y", load_points), ("row,col,x,y,z", load_grid),
+    ], ids=["points", "grid"])
+    def test_header_only_file_has_no_data_rows(self, tmp_path, header, load):
+        path = tmp_path / "header.csv"
+        path.write_text(header + "\n")
+        with pytest.raises(ParseError, match=re.escape(f"{path}: no data rows")):
+            load(path)
 
     def test_bad_header(self, tmp_path):
         path = tmp_path / "bad.csv"

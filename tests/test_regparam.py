@@ -256,7 +256,7 @@ class TestSelfConsistentCurve:
 
     def test_desk_scale_convergence(self):
         problem, noisy = rose_desk_problem(91.0)
-        alpha = spectrum_decay(problem.design, problem.penalty_scale, 30).alpha
+        alpha = spectrum_decay(problem.design, problem.directions[0].penalty_scale, 30).alpha
         result = weight_loop(problem, noisy, oracle_solve(problem, noisy), alpha, 0.01)
         assert result.lam > 0.0
         assert result.outer_iterations <= 15

@@ -377,7 +377,7 @@ class TestRun:
         num = 0.0
         den = 0.0
         for f in range(3):
-            diff = a @ (result.control_grid[:, :, f] - direct[:, :, f]) @ b.T
+            diff = a @ (result.control_points[:, :, f] - direct[:, :, f]) @ b.T
             ref = a @ direct[:, :, f] @ b.T
             num += np.sum(diff**2)
             den += np.sum(ref**2)
@@ -401,7 +401,7 @@ class TestRun:
         part_u = make_partition(system.row_stacked, 2)
         part_v = make_partition(system.col_stacked, 2)
         result = run(surface_normal_system(system), part_u, part_v, grid0, StoppingRule(1e-8, 0), 4)
-        npt.assert_array_equal(result.control_grid, grid0)
+        npt.assert_array_equal(result.control_points, grid0)
         assert result.iterations == 0
 
     def test_one_coordinate_start_grid_left_unchanged(self, rng):
@@ -425,7 +425,7 @@ class TestRun:
         grid0 = rng.standard_normal((4, 3, 3))
         first = run(surface_normal_system(system), part_u, part_v, grid0, StoppingRule(1e-10, 200), 12)
         second = run(surface_normal_system(system), part_u, part_v, grid0, StoppingRule(1e-10, 200), 12)
-        npt.assert_array_equal(first.control_grid, second.control_grid)
+        npt.assert_array_equal(first.control_points, second.control_points)
         assert first.iterations == second.iterations
 
     def test_coordinate_permutation_equivariance(self, rng):
@@ -445,4 +445,4 @@ class TestRun:
         permuted = run(
             surface_normal_system(perm_system), part_u, part_v, grid0[:, :, perm], rule, 21
         )
-        npt.assert_array_equal(permuted.control_grid, base.control_grid[:, :, perm])
+        npt.assert_array_equal(permuted.control_points, base.control_points[:, :, perm])
