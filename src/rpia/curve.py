@@ -7,11 +7,13 @@ corresponding control points along the block correlation
 ``g = S^T (T - S P) = A^T q - K P``. This is the least-squares
 progressive-iterative form of the iteration, randomized coordinate descent
 on the normal equations, and it needs only n x n arrays: the state keeps the
-controls ``P``, ``g``, the design image ``h = A^T A P`` and the scalar
-``f^2 = |A P|^2``, and a step patches ``g`` and ``h`` on the block's
-coupled window through ``K`` and ``A^T A``. Neither the stacked system nor
-the fitted points are ever formed. All point coordinates share the same
-block draw. The loop around the steps lives in :mod:`rpia.driver`.
+controls ``P``, the scalar ``f^2 = |A P|^2`` and one stacked array
+``[g, h]`` of the correlation and the design image ``h = A^T A P``. The two
+grams that move them are stacked once too, as ``[-K, A^T A]``, so a step
+patches ``g`` and ``h`` on the block's coupled window with one batched
+product and one in-place add. Neither the stacked system nor the fitted
+points are ever formed. All point coordinates share the same block draw.
+The loop around the steps lives in :mod:`rpia.driver`.
 """
 
 from __future__ import annotations
@@ -32,17 +34,29 @@ class CurveFitState:
 
     ``system`` is a :class:`~rpia.assembly.CurveNormalSystem` or anything
     with its fields, such as a dense
-    :class:`~rpia.assembly.AugmentedCurveSystem`.
+    :class:`~rpia.assembly.AugmentedCurveSystem`. ``correlation`` and
+    ``design_image`` are views of ``images``, so writes through them reach
+    the next step.
     """
 
     system: CurveNormalSystem
     control_points: np.ndarray    # P, (n + 1, ncoord)
-    correlation: np.ndarray       # g = A^T q - K P, (n + 1, ncoord)
-    design_image: np.ndarray      # h = A^T A P, (n + 1, ncoord)
+    images: np.ndarray            # [g, h] = [A^T q - K P, A^T A P], (2, n + 1, ncoord)
+    grams: np.ndarray             # [-K, A^T A], (2, n + 1, n + 1)
     fitted_norm_sq: float         # f^2 = |A P|^2
     iteration: int
     rng: np.random.Generator
     last_move_norm: float = 0.0
+
+    @property
+    def correlation(self) -> np.ndarray:
+        """``g = A^T q - K P``."""
+        return self.images[0]
+
+    @property
+    def design_image(self) -> np.ndarray:
+        """``h = A^T A P``."""
+        return self.images[1]
 
     def residual_norm(self) -> float:
         """``|T - S P|``, from ``|T - S P|^2 = |q|^2 - <P, A^T q + g>`` in O(n)."""
@@ -60,7 +74,9 @@ def init_state(system: CurveNormalSystem, p0, seed) -> CurveFitState:
         raise DimensionMismatch(
             f"initial controls have shape {controls.shape}, expected {system.rhs.shape}"
         )
-    state = CurveFitState(system, controls, None, None, 0.0, 0, make_rng(seed))
+    images = np.empty((2,) + controls.shape)
+    grams = np.stack([-system.gram, system.design_gram])
+    state = CurveFitState(system, controls, images, grams, 0.0, 0, make_rng(seed))
     _refresh(state)
     return state
 
@@ -74,8 +90,9 @@ def step(state: CurveFitState, partition: BlockPartition) -> CurveFitState:
     """One randomized block update, applied in place.
 
     The move is ``delta = g[block] / |S[:, block]|^2``. Only the drawn block
-    of control points changes. On the block's coupled window ``w`` the
-    correlation loses ``K[w, block] @ delta`` and the design image gains
+    of control points changes. On the block's coupled window ``w`` one
+    batched product ``[-K, A^T A][:, w, block] @ delta`` gives both patches:
+    the correlation gains ``-K[w, block] @ delta`` and the design image gains
     ``u = (A^T A)[w, block] @ delta``. The fitted points move by ``A delta``,
     with ``|A delta|^2 = <delta, u[block]>``, and ``|A P|^2`` grows by
     ``2 <h[block], delta> + |A delta|^2``.
@@ -83,14 +100,13 @@ def step(state: CurveFitState, partition: BlockPartition) -> CurveFitState:
     t = select_block(state, partition)
     block = partition.spans[t]
     coupled = partition.coupled[t]
-    system = state.system
-    delta = state.correlation[block] / partition.norms_sq[t]
+    images = state.images
+    delta = images[0, block] / partition.norms_sq[t]
     state.control_points[block] += delta
-    state.correlation[coupled] -= system.gram[coupled, block] @ delta
-    image = system.design_gram[coupled, block] @ delta
-    move_sq = max(float(np.vdot(delta, image[partition.inner[t]])), 0.0)
-    state.fitted_norm_sq += 2.0 * float(np.vdot(state.design_image[block], delta)) + move_sq
-    state.design_image[coupled] += image
+    update = state.grams[:, coupled, block] @ delta
+    move_sq = max(float(np.vdot(delta, update[1, partition.inner[t]])), 0.0)
+    state.fitted_norm_sq += 2.0 * float(np.vdot(images[1, block], delta)) + move_sq
+    images[:, coupled] += update
     state.last_move_norm = math.sqrt(move_sq)
     state.iteration += 1
     return state
@@ -98,12 +114,13 @@ def step(state: CurveFitState, partition: BlockPartition) -> CurveFitState:
 
 def _refresh(state: CurveFitState) -> None:
     # Recompute the incrementally maintained quantities from the controls:
-    # at the start, and periodically to shed float drift.
-    system = state.system
+    # at the start, and periodically to shed float drift. In place, so the
+    # correlation and design image views stay views.
     controls = state.control_points
-    state.correlation = system.rhs - system.gram @ controls
-    state.design_image = system.design_gram @ controls
-    state.fitted_norm_sq = float(np.vdot(controls, state.design_image))
+    images = state.images
+    np.matmul(state.grams, controls, out=images)
+    images[0] += state.system.rhs
+    state.fitted_norm_sq = float(np.vdot(controls, images[1]))
 
 
 def run(

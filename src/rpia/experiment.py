@@ -54,7 +54,7 @@ from .datasets import (
 )
 from .driver import StoppingRule
 from .errors import InvalidConfig, OutOfRange, RankDeficient
-from .oracle import GramPencil, solve_curve_direct, solve_tensor_normal
+from .oracle import COND_LIMIT, GramPencil, solve_curve_direct, solve_tensor_normal
 from .pointsio import GridRows, load_grid, load_points, write_csv
 from .regparam import (
     NoiseModel,
@@ -259,21 +259,33 @@ class TensorProblem:
         against ``A^T q`` (or ``A^T Q B``), which is formed once.
 
         A normal matrix that fails its condition gate goes to
-        :meth:`_ill_conditioned`.
+        :meth:`_ill_conditioned`, with the failing direction's axis and
+        condition bound.
         """
         q, rhs = self.right_hand_side(data)
         pencils = [direction.normal for direction in self.directions]
 
         def solve(lam: float) -> np.ndarray:
             lam = require_weight(lam)
-            solution, _ = solve_tensor_normal(pencils, rhs, lam)
-            return self._ill_conditioned(q, lam) if solution is None else solution
+            solution, cond, failed = solve_tensor_normal(pencils, rhs, lam)
+            if solution is None:
+                return self._ill_conditioned(q, lam, failed, cond)
+            return solution
         return solve
 
-    def _ill_conditioned(self, data: np.ndarray, lam: float) -> np.ndarray:
+    def _ill_conditioned(self, data: np.ndarray, lam: float, axis: int, cond: float) -> np.ndarray:
         raise RankDeficient(
-            f"a direction's normal matrix is numerically rank deficient at weight {lam:g}"
+            f"the normal matrix of {self._where(axis)} is numerically rank deficient at "
+            f"weight {lam:g}: condition bound {cond:.3g} exceeds {COND_LIMIT:g}, "
+            f"{self._sizes(axis)}"
         )
+
+    def _where(self, axis: int) -> str:
+        return "the curve" if len(self.directions) == 1 else f"direction {'uv'[axis]}"
+
+    def _sizes(self, axis: int) -> str:
+        basis = self.directions[axis].basis
+        return f"{basis.start.size} data points for {basis.n_basis} controls"
 
     def solve_direct(self, data, lam: float) -> np.ndarray:
         """Penalized minimizer at one weight (see :meth:`direct_solver`)."""
@@ -285,10 +297,8 @@ class TensorProblem:
             try:
                 factors.append(np.linalg.cholesky(direction.design_gram, upper=True))
             except np.linalg.LinAlgError:
-                where = "the curve" if len(self.directions) == 1 else f"direction {'uv'[axis]}"
                 raise RankDeficient(
-                    f"the design gram of {where} is singular: {direction.basis.start.size} "
-                    f"data points for {direction.basis.n_basis} controls"
+                    f"the design gram of {self._where(axis)} is singular: {self._sizes(axis)}"
                 ) from None
         eigs = whitened_spectrum(factors, [d.penalty_scale for d in self.directions])
         return spectral_decay_from_eigenvalues(eigs, head_count)
@@ -310,7 +320,7 @@ class CurveProblem(TensorProblem):
         system = CurveNormalSystem(*grams, self.directions[0].design_gram, rhs, norm_sq)
         return curve_solver.run(system, *partitions, start, stop, rng, trajectory_stride=stride)
 
-    def _ill_conditioned(self, data: np.ndarray, lam: float) -> np.ndarray:
+    def _ill_conditioned(self, data: np.ndarray, lam: float, axis: int, cond: float) -> np.ndarray:
         """The minimizer by the stacked least-squares route of :func:`solve_curve_direct`."""
         system = augment_curve(self.design, self.penalty, data, lam)
         return solve_curve_direct(system).control_points

@@ -28,7 +28,7 @@ from .errors import RankDeficient, TooLarge
 # Beyond this bound on the 2-norm condition number of a normal matrix the
 # direct route is abandoned: for a rank-revealing least-squares solve
 # (curves) or a RankDeficient error (surfaces).
-_COND_LIMIT = 1e12
+COND_LIMIT = 1e12
 
 # Size caps for the exhaustive reference computations.
 _EXPECTATION_CAP = 10_000
@@ -104,7 +104,7 @@ class GramPencil:
         if not lam:
             return _ratio(self._design_range)
         bound = _ratio(self._design_range + lam * self._penalty_range)
-        if bound <= _COND_LIMIT:
+        if bound <= COND_LIMIT:
             return bound
         return _ratio(eigen_range(self.matrix(lam)))
 
@@ -112,7 +112,7 @@ class GramPencil:
         """``(solution, cond)`` for ``(design + lam penalty) X = rhs``; the
         solution is None when the condition bound ``cond`` exceeds the limit."""
         cond = self.condition(lam)
-        if not cond <= _COND_LIMIT:
+        if not cond <= COND_LIMIT:
             return None, cond
         return np.linalg.solve(self.matrix(lam), rhs), cond
 
@@ -142,9 +142,9 @@ def solve_tensor_normal(pencils, rhs: np.ndarray, lam: float = 0.0):
     ``Ku P Kv = rhs`` (the system ``kron(Kv, Ku) vec P = vec rhs``) for two.
     Axes past the pencils (the point coordinates) ride along. One LU solve
     per pencil covers every coordinate, and no Kronecker product is ever
-    formed. Returns ``(solution, cond)`` with the largest condition bound,
-    or ``(None, cond)`` with the bound of the first pencil that fails the
-    condition gate.
+    formed. Returns ``(solution, cond, None)`` with the largest condition
+    bound, or ``(None, cond, axis)`` with the bound and the axis of the first
+    pencil that fails the condition gate.
     """
     solution = rhs
     conds = []
@@ -152,10 +152,10 @@ def solve_tensor_normal(pencils, rhs: np.ndarray, lam: float = 0.0):
         moved = np.moveaxis(solution, axis, 0)
         flat, cond = pencil.solve(moved.reshape(moved.shape[0], -1), lam)
         if flat is None:
-            return None, cond
+            return None, cond, axis
         conds.append(cond)
         solution = np.moveaxis(flat.reshape(moved.shape), 0, axis)
-    return np.ascontiguousarray(solution), max(conds)
+    return np.ascontiguousarray(solution), max(conds), None
 
 
 def solve_curve_direct(system: AugmentedCurveSystem) -> DirectSolution:
@@ -180,11 +180,14 @@ def solve_surface_direct(system: AugmentedSurfaceSystem) -> DirectSolution:
     a_hat = system.row_stacked
     b_hat = system.col_stacked
     rhs = tensor_apply(a_hat.T, system.targets, b_hat.T)
-    solution, cond = solve_tensor_normal(
+    solution, cond, failed = solve_tensor_normal(
         [GramPencil(a_hat.T @ a_hat), GramPencil(b_hat.T @ b_hat)], rhs
     )
     if solution is None:
-        raise RankDeficient("a stacked factor is numerically rank deficient")
+        raise RankDeficient(
+            f"stacked factor {'uv'[failed]} is numerically rank deficient: "
+            f"condition bound {cond:.3g} exceeds {COND_LIMIT:g}"
+        )
     residual = tensor_apply(a_hat, solution, b_hat) - system.targets
     return DirectSolution(solution, float(np.sum(residual**2)), cond)
 

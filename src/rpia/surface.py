@@ -6,11 +6,14 @@ column block of its stacked factor, ``Ah = [A; sqrt(lam) Lu]`` or
 ``Bh = [B; sqrt(lam) Lv]``) and updates the selected control subgrid along
 the block correlation ``g = Ah^T (T - Ah P Bh^T) Bh = A^T Q B - Ku P Kv``
 with the factor grams ``Ku = Ah^T Ah`` and ``Kv = Bh^T Bh``. The state
-keeps only control-space arrays: ``P``, ``g``, the design image
-``h = (A^T A) P (B^T B)`` and the scalar ``f^2 = |A P B^T|^2``. A step
-patches ``g`` and ``h`` on the coupled window of its subgrid; neither the
-stacked factors nor the fitted points are ever formed. The three point
-coordinates evolve under identical block draws.
+keeps only control-space arrays, coordinate first: ``P``, ``A^T Q B``, the
+scalar ``f^2 = |A P B^T|^2`` and one stacked array ``[g, h]`` of the
+correlation and the design image ``h = (A^T A) P (B^T B)``. Each factor's
+two grams are stacked once, as ``[-Ku, A^T A]`` and ``[Kv, B^T B]``, so a
+step patches ``g`` and ``h`` on the coupled window of its subgrid with one
+batched chain of two products and one in-place add; neither the stacked
+factors nor the fitted points are ever formed. The three point coordinates
+evolve under identical block draws.
 
 The Kronecker product of the two factors is never formed; every update works
 on the small factor grams directly.
@@ -30,23 +33,37 @@ from .errors import DimensionMismatch
 
 @dataclass
 class SurfaceFitState:
-    """Mutable iteration state; arrays are coordinate-first internally."""
+    """Mutable iteration state; arrays are coordinate-first internally.
+
+    ``correlation`` and ``design_image`` are views of ``images``, so writes
+    through them reach the next step.
+    """
 
     system: SurfaceNormalSystem
     control_grid: np.ndarray      # P, (ncoord, n1 + 1, n2 + 1)
-    correlation: np.ndarray       # g = A^T Q B - Ku P Kv, same shape
-    design_image: np.ndarray      # h = (A^T A) P (B^T B), same shape
+    rhs: np.ndarray               # A^T Q B, same shape
+    images: np.ndarray            # [g, h] = [A^T Q B - Ku P Kv, (A^T A) P (B^T B)]
+    grams_u: np.ndarray           # [-Ku, A^T A], (2, 1, n1 + 1, n1 + 1)
+    grams_v: np.ndarray           # [Kv, B^T B], (2, 1, n2 + 1, n2 + 1)
     fitted_norm_sq: float         # f^2 = |A P B^T|^2
     iteration: int
     rng: np.random.Generator
     last_move_norm: float = 0.0
 
+    @property
+    def correlation(self) -> np.ndarray:
+        """``g = A^T Q B - Ku P Kv``."""
+        return self.images[0]
+
+    @property
+    def design_image(self) -> np.ndarray:
+        """``h = (A^T A) P (B^T B)``."""
+        return self.images[1]
+
     def residual_norm(self) -> float:
         """``|T - Ah P Bh^T|``, from ``|Q|^2 - <P, A^T Q B + g>`` in O(n)."""
-        system = self.system
-        rhs = np.moveaxis(system.rhs, -1, 0)
-        cross = np.vdot(self.control_grid, rhs + self.correlation)
-        return math.sqrt(max(system.data_norm_sq - cross, 0.0))
+        cross = np.vdot(self.control_grid, self.rhs + self.images[0])
+        return math.sqrt(max(self.system.data_norm_sq - cross, 0.0))
 
 
 def init_state(system: SurfaceNormalSystem, grid0, seed) -> SurfaceFitState:
@@ -59,7 +76,13 @@ def init_state(system: SurfaceNormalSystem, grid0, seed) -> SurfaceFitState:
     # Always a copy: with one coordinate the moved view is already contiguous,
     # and the iteration must not write into the caller's grid.
     controls = np.moveaxis(grid, -1, 0).copy()
-    state = SurfaceFitState(system, controls, None, None, 0.0, 0, make_rng(seed))
+    rhs = np.ascontiguousarray(np.moveaxis(system.rhs, -1, 0))
+    images = np.empty((2,) + controls.shape)
+    grams_u = np.stack([-system.gram_u, system.design_gram_u])[:, None]
+    grams_v = np.stack([system.gram_v, system.design_gram_v])[:, None]
+    state = SurfaceFitState(
+        system, controls, rhs, images, grams_u, grams_v, 0.0, 0, make_rng(seed)
+    )
     _refresh(state)
     return state
 
@@ -83,30 +106,29 @@ def step(
     """One randomized subgrid update, applied in place, all coordinates at once.
 
     The move is ``delta = g[t, s] / (|Ah[:, t]|^2 |Bh[:, s]|^2)``. On the
-    coupled window ``wt x ws`` the correlation loses
-    ``Ku[wt, t] @ delta @ Kv[s, ws]`` and the design image gains
-    ``u = (A^T A)[wt, t] @ delta @ (B^T B)[s, ws]``. The fitted points move by
-    ``A delta B^T``, with ``|A delta B^T|^2 = <delta, u[t, s]>``, and
-    ``|A P B^T|^2`` grows by ``2 <h[t, s], delta> + |A delta B^T|^2``.
+    coupled window ``wt x ws`` one batched chain
+    ``[-Ku, A^T A][wt, t] @ delta @ [Kv, B^T B][s, ws]`` gives both patches:
+    the correlation gains ``-Ku[wt, t] @ delta @ Kv[s, ws]`` and the design
+    image gains ``u = (A^T A)[wt, t] @ delta @ (B^T B)[s, ws]``. The fitted
+    points move by ``A delta B^T``, with
+    ``|A delta B^T|^2 = <delta, u[t, s]>``, and ``|A P B^T|^2`` grows by
+    ``2 <h[t, s], delta> + |A delta B^T|^2``.
     """
     t, s = select_blocks(state, row_partition, col_partition)
     row_block = row_partition.spans[t]
     col_block = col_partition.spans[s]
     wt = row_partition.coupled[t]
     ws = col_partition.coupled[s]
-    system = state.system
+    images = state.images
     scale = row_partition.norms_sq[t] * col_partition.norms_sq[s]
-    delta = state.correlation[:, row_block, col_block] / scale
+    delta = images[0, :, row_block, col_block] / scale
     state.control_grid[:, row_block, col_block] += delta
-    state.correlation[:, wt, ws] -= (
-        system.gram_u[wt, row_block] @ delta @ system.gram_v[col_block, ws]
-    )
-    image = system.design_gram_u[wt, row_block] @ delta @ system.design_gram_v[col_block, ws]
-    inside = image[:, row_partition.inner[t], col_partition.inner[s]]
+    update = state.grams_u[:, :, wt, row_block] @ delta @ state.grams_v[:, :, col_block, ws]
+    inside = update[1, :, row_partition.inner[t], col_partition.inner[s]]
     move_sq = max(float(np.vdot(delta, inside)), 0.0)
-    before = state.design_image[:, row_block, col_block]
+    before = images[1, :, row_block, col_block]
     state.fitted_norm_sq += 2.0 * float(np.vdot(before, delta)) + move_sq
-    state.design_image[:, wt, ws] += image
+    images[:, :, wt, ws] += update
     state.last_move_norm = math.sqrt(move_sq)
     state.iteration += 1
     return state
@@ -114,12 +136,13 @@ def step(
 
 def _refresh(state: SurfaceFitState) -> None:
     # Recompute the incrementally maintained quantities from the controls:
-    # at the start, and periodically to shed float drift.
-    system = state.system
+    # at the start, and periodically to shed float drift. In place, so the
+    # correlation and design image views stay views.
     grid = state.control_grid
-    state.correlation = np.moveaxis(system.rhs, -1, 0) - system.gram_u @ grid @ system.gram_v
-    state.design_image = system.design_gram_u @ grid @ system.design_gram_v
-    state.fitted_norm_sq = float(np.vdot(grid, state.design_image))
+    images = state.images
+    np.matmul(state.grams_u @ grid, state.grams_v, out=images)
+    images[0] += state.rhs
+    state.fitted_norm_sq = float(np.vdot(grid, images[1]))
 
 
 def run(

@@ -329,6 +329,21 @@ class TestNumericalFailuresSayWhere:
         assert f"error: the design gram of the curve is singular: {counts}" in proc.stderr
         assert "Traceback" not in proc.stderr
 
+    def test_ill_conditioned_surface_direction(self):
+        # 21 rows for 21 controls along u pass the spectrum's Cholesky, but
+        # the reference solve's condition gate refuses that direction
+        proc = run_cli_process([
+            "estimate-lambda", "--config", str(CONFIG_DIR / "boy_a40.yaml"),
+            "--m", "20", "--n-ctrl", "20", "--n-ctrl-v", "10",
+        ])
+        assert proc.returncode == 3, proc.stderr
+        assert re.search(
+            r"error: the normal matrix of direction u is numerically rank deficient at "
+            r"weight 0: condition bound \S+ exceeds 1e\+12, 21 data points for 21 controls",
+            proc.stderr,
+        ), proc.stderr
+        assert "Traceback" not in proc.stderr
+
     def test_vanished_penalty_names_the_outer_iteration(self, runner, tmp_path):
         # on the desk config the direct weight loop runs off from its
         # prior-free start until the fit is all penalty and its norm underflows

@@ -13,8 +13,9 @@ from rpia.assembly import (
     make_partition,
 )
 from rpia.basis import build_knots, chord_length_params
-from rpia.curve import StoppingRule, init_state, run, select_block, step
+from rpia.curve import StoppingRule, _refresh, init_state, run, select_block, step
 from rpia.datasets import rose_curve
+from rpia.driver import REFRESH_EVERY
 from rpia.errors import DimensionMismatch
 from rpia.experiment import initial_controls_curve
 from rpia.oracle import solve_curve_direct
@@ -299,6 +300,100 @@ class TestGramStep:
         assert_close_to_scale(got.control_points, want.control_points)
 
 
+def two_product_steps(system, partition, p0, seed, n_steps):
+    """The block step with one gram product for ``g`` through ``K`` and another
+    for ``h`` through ``A^T A``, refreshed at the solver's period. Yields
+    ``(P, g, h, |A P|^2, |A delta|)`` after each step."""
+    rng = philox_stream(seed)
+    controls = np.array(p0, dtype=float)
+    correlation = system.rhs - system.gram @ controls
+    image = system.design_gram @ controls
+    norm_sq = float(np.vdot(controls, image))
+    for k in range(1, n_steps + 1):
+        t = partition.block_at(rng.random())
+        block, coupled = partition.spans[t], partition.coupled[t]
+        delta = correlation[block] / partition.norms_sq[t]
+        controls[block] += delta
+        correlation[coupled] -= system.gram[coupled, block] @ delta
+        patch = system.design_gram[coupled, block] @ delta
+        move_sq = max(float(np.vdot(delta, patch[partition.inner[t]])), 0.0)
+        norm_sq += 2.0 * float(np.vdot(image[block], delta)) + move_sq
+        image[coupled] += patch
+        if k % REFRESH_EVERY == 0:
+            correlation = system.rhs - system.gram @ controls
+            image = system.design_gram @ controls
+            norm_sq = float(np.vdot(controls, image))
+        yield controls, correlation, image, norm_sq, np.sqrt(move_sq)
+
+
+@st.composite
+def normal_systems_with_partitions(draw):
+    """A dense stacked system or the span-built normal system of a drawn
+    design, with a partition of its gram."""
+    block_size = draw(st.integers(1, 6))
+    if draw(st.booleans()):
+        system = draw(curve_systems())
+        return system, make_partition(system.stacked, block_size)
+    design = draw(designs())
+    lam = draw(penalty_weights(design))
+    points = np.random.default_rng(draw(st.integers(0, 2**32 - 1))).standard_normal(
+        (design.shape[0], draw(st.sampled_from([1, 2])))
+    )
+    problem = curve_problem(design, 2.0)
+    q, rhs = problem.right_hand_side(points)
+    [direction] = problem.directions
+    system = CurveNormalSystem(
+        direction.normal.matrix(lam), direction.design_gram, rhs, float(np.vdot(q, q))
+    )
+    return system, gram_partition(system.gram, block_size)
+
+
+class TestFusedStep:
+    @settings(max_examples=20, deadline=None)
+    @given(case=normal_systems_with_partitions(), seed=st.integers(0, 2**32 - 1),
+           n_steps=st.integers(REFRESH_EVERY - 2, REFRESH_EVERY + 25))
+    def test_equals_two_product_steps_bitwise(self, case, seed, n_steps):
+        # one stacked product [-K, A^T A] @ delta patches g and h with the
+        # same round-off as the two products it replaces, refresh included
+        system, partition = case
+        p0 = np.random.default_rng(seed).standard_normal(system.rhs.shape)
+        state = init_state(system, p0, seed)
+        for controls, correlation, image, norm_sq, move in two_product_steps(
+            system, partition, p0, seed, n_steps
+        ):
+            step(state, partition)
+            if state.iteration % REFRESH_EVERY == 0:
+                _refresh(state)
+            npt.assert_array_equal(state.control_points, controls)
+            npt.assert_array_equal(state.correlation, correlation)
+            npt.assert_array_equal(state.design_image, image)
+            assert state.fitted_norm_sq == norm_sq
+            assert state.last_move_norm == move
+        assert state.iteration == n_steps
+
+    def test_correlation_and_design_image_stay_views_after_refresh(self, rng):
+        system = random_curve_system(rng, m_rows=16, n_cols=7, lam=0.25)
+        partition = make_partition(system.stacked, 3)
+        state = init_state(system, rng.standard_normal((7, 2)), 8)
+        for _ in range(5):
+            step(state, partition)
+        _refresh(state)
+        assert state.correlation.base is state.images
+        assert state.design_image.base is state.images
+        # a zeroed design image reaches the step: |A P|^2 grows by |A delta|^2 only
+        state.design_image[:] = 0.0
+        before = state.fitted_norm_sq
+        step(state, partition)
+        npt.assert_allclose(state.fitted_norm_sq - before, state.last_move_norm**2,
+                            rtol=1e-12, atol=1e-14 * before)
+        # a zeroed correlation reaches the step: the drawn block does not move
+        state.correlation[:] = 0.0
+        controls = state.control_points.copy()
+        step(state, partition)
+        npt.assert_array_equal(state.control_points, controls)
+        assert state.last_move_norm == 0.0
+
+
 class TestRun:
     def test_converges_to_direct_solution_on_clean_data(self):
         points = rose_curve(60).points
@@ -382,8 +477,6 @@ class TestResidualConsistency:
         system = random_curve_system(rng, m_rows=16, n_cols=7, lam=0.25)
         partition = make_partition(system.stacked, 3)
         state = init_state(system, rng.standard_normal((7, 2)), 77)
-        from rpia.curve import _refresh
-
         for k in range(1, 1201):
             step(state, partition)
             if k % 500 == 0:

@@ -323,12 +323,18 @@ class TestControlSpaceDirect:
         assert _relative_gap(got, want) <= 1e-6
 
     def test_ill_conditioned_surface_is_rank_deficient(self, rng):
+        # the refusal names the direction that fails the gate, either one
         u, _ = np.linalg.qr(rng.standard_normal((12, 4)))
-        design_u = u @ np.diag([1.0, 1e-2, 1e-4, 1e-7])
-        design_v = rng.standard_normal((6, 3))
-        problem = surface_problem(design_u, design_v, 1.0)
-        with pytest.raises(RankDeficient):
-            problem.solve_direct(rng.standard_normal((12, 6, 3)), 0.0)
+        ill = u @ np.diag([1.0, 1e-2, 1e-4, 1e-7])
+        fine = rng.standard_normal((6, 3))
+        for named, designs in (("u", [ill, fine]), ("v", [fine, ill])):
+            problem = surface_problem(*designs, 1.0)
+            data = rng.standard_normal((len(designs[0]), len(designs[1]), 3))
+            with pytest.raises(RankDeficient, match=(
+                rf"the normal matrix of direction {named} is numerically rank deficient at "
+                r"weight 0: condition bound \S+ exceeds 1e\+12, 12 data points for 4 controls"
+            )):
+                problem.solve_direct(data, 0.0)
 
     @pytest.mark.parametrize("lam", [np.nan, np.inf, -1.0])
     @pytest.mark.parametrize("make", [desk_curve_config, desk_surface_config])
@@ -406,12 +412,19 @@ class TestTensorProblem:
         # the Kronecker products in extended precision, so the reference
         # system is the one the axis-by-axis solves hold
         normal = kron_all([pencil.matrix(lam).astype(np.longdouble) for pencil in pencils])
-        solution, cond = solve_tensor_normal(pencils, rhs, lam)
+        solution, cond, failed = solve_tensor_normal(pencils, rhs, lam)
         if blank:
             assert solution is None and not cond <= 1e12
-            with pytest.raises(RankDeficient):
+            assert failed == min(
+                axis for axis, pencil in enumerate(pencils) if not pencil.condition(lam) <= 1e12
+            )
+            # a surface names the direction that failed; a curve's stacked
+            # least-squares fallback finds the rank deficiency itself
+            named = f"direction {'uv'[failed]}" if len(designs) == 2 else "rank"
+            with pytest.raises(RankDeficient, match=named):
                 problem.solve_direct(data, lam)
             return
+        assert failed is None
         assert cond == max(pencil.condition(lam) for pencil in pencils)
         want = refined_solve(normal, vec(rhs))
         assert _relative_gap(vec(solution), want) <= 1e-10

@@ -16,9 +16,10 @@ from rpia.assembly import (
 from rpia.basis import build_knots, surface_params
 from rpia.curve import StoppingRule
 from rpia.datasets import boy_surface
+from rpia.driver import REFRESH_EVERY
 from rpia.errors import DimensionMismatch
 from rpia.oracle import solve_surface_direct
-from rpia.surface import init_state, run, select_blocks, step
+from rpia.surface import _refresh, init_state, run, select_blocks, step
 
 from conftest import (
     assert_close_to_scale,
@@ -322,6 +323,94 @@ class TestGramStep:
         npt.assert_allclose(state.fitted_norm_sq, norm_sq, rtol=0, atol=1e-10 * max(1.0, norm_sq))
 
 
+def two_product_steps(system, part_u, part_v, grid0, seed, n_steps):
+    """The subgrid step with one product chain for ``g`` through ``Ku`` and
+    ``Kv`` and another for ``h`` through ``A^T A`` and ``B^T B``, refreshed at
+    the solver's period. Yields ``(P, g, h, |A P B^T|^2, |A delta B^T|,
+    residual norm)`` after each step, coordinate first."""
+    rng = philox_stream(seed)
+    rhs = np.moveaxis(system.rhs, -1, 0)
+    grid = np.moveaxis(np.asarray(grid0, dtype=float), -1, 0).copy()
+
+    def refresh():
+        correlation = rhs - system.gram_u @ grid @ system.gram_v
+        image = system.design_gram_u @ grid @ system.design_gram_v
+        return correlation, image, float(np.vdot(grid, image))
+
+    correlation, image, norm_sq = refresh()
+    for k in range(1, n_steps + 1):
+        t = part_u.block_at(rng.random())
+        s = part_v.block_at(rng.random())
+        rows, cols = part_u.spans[t], part_v.spans[s]
+        wt, ws = part_u.coupled[t], part_v.coupled[s]
+        delta = correlation[:, rows, cols] / (part_u.norms_sq[t] * part_v.norms_sq[s])
+        grid[:, rows, cols] += delta
+        correlation[:, wt, ws] -= system.gram_u[wt, rows] @ delta @ system.gram_v[cols, ws]
+        patch = system.design_gram_u[wt, rows] @ delta @ system.design_gram_v[cols, ws]
+        inside = patch[:, part_u.inner[t], part_v.inner[s]]
+        move_sq = max(float(np.vdot(delta, inside)), 0.0)
+        norm_sq += 2.0 * float(np.vdot(image[:, rows, cols], delta)) + move_sq
+        image[:, wt, ws] += patch
+        if k % REFRESH_EVERY == 0:
+            correlation, image, norm_sq = refresh()
+        cross = np.vdot(grid, rhs + correlation)
+        residual = np.sqrt(max(system.data_norm_sq - cross, 0.0))
+        yield grid, correlation, image, norm_sq, np.sqrt(move_sq), residual
+
+
+class TestFusedStep:
+    @settings(max_examples=15, deadline=None)
+    @given(system=surface_systems(), seed=st.integers(0, 2**32 - 1),
+           n_steps=st.integers(REFRESH_EVERY - 2, REFRESH_EVERY + 25), data=st.data())
+    def test_equals_two_product_steps_bitwise(self, system, seed, n_steps, data):
+        # one batched chain [-Ku, A^T A] @ delta @ [Kv, B^T B] patches g and
+        # h with the same round-off as the two chains it replaces, refresh
+        # and residual norm included
+        part_u, part_v = (
+            make_partition(factor, data.draw(st.integers(1, 6)))
+            for factor in (system.row_stacked, system.col_stacked)
+        )
+        normal = surface_normal_system(system)
+        grid0 = np.random.default_rng(seed).standard_normal(normal.rhs.shape)
+        state = init_state(normal, grid0, seed)
+        for grid, correlation, image, norm_sq, move, residual in two_product_steps(
+            normal, part_u, part_v, grid0, seed, n_steps
+        ):
+            step(state, part_u, part_v)
+            if state.iteration % REFRESH_EVERY == 0:
+                _refresh(state)
+            npt.assert_array_equal(state.control_grid, grid)
+            npt.assert_array_equal(state.correlation, correlation)
+            npt.assert_array_equal(state.design_image, image)
+            assert state.fitted_norm_sq == norm_sq
+            assert state.last_move_norm == move
+            assert state.residual_norm() == residual
+        assert state.iteration == n_steps
+
+    def test_correlation_and_design_image_stay_views_after_refresh(self, rng):
+        system = random_surface_system(rng, rows=(5, 4), cols=(4, 3), lam=0.2)
+        part_u = make_partition(system.row_stacked, 2)
+        part_v = make_partition(system.col_stacked, 2)
+        state = init_state(surface_normal_system(system), rng.standard_normal((4, 3, 3)), 5)
+        for _ in range(5):
+            step(state, part_u, part_v)
+        _refresh(state)
+        assert state.correlation.base is state.images
+        assert state.design_image.base is state.images
+        # a zeroed design image reaches the step: |A P B^T|^2 grows by the move only
+        state.design_image[:] = 0.0
+        before = state.fitted_norm_sq
+        step(state, part_u, part_v)
+        npt.assert_allclose(state.fitted_norm_sq - before, state.last_move_norm**2,
+                            rtol=1e-12, atol=1e-14 * before)
+        # a zeroed correlation reaches the step: the drawn subgrid does not move
+        state.correlation[:] = 0.0
+        grid = state.control_grid.copy()
+        step(state, part_u, part_v)
+        npt.assert_array_equal(state.control_grid, grid)
+        assert state.last_move_norm == 0.0
+
+
 @pytest.fixture(scope="module")
 def small_problem():
     grid = boy_surface(16, 14).grid
@@ -341,8 +430,6 @@ class TestResidualConsistency:
         part_u = make_partition(system.row_stacked, 2)
         part_v = make_partition(system.col_stacked, 2)
         state = init_state(surface_normal_system(system), rng.standard_normal((4, 3, 3)), 31)
-        from rpia.surface import _refresh
-
         for k in range(1, 1201):
             step(state, part_u, part_v)
             if k % 500 == 0:
