@@ -114,8 +114,8 @@ def step(state: CurveFitState, partition: BlockPartition) -> CurveFitState:
 
 def _refresh(state: CurveFitState) -> None:
     # Recompute the incrementally maintained quantities from the controls:
-    # at the start, and periodically to shed float drift. In place, so the
-    # correlation and design image views stay views.
+    # at the start, and periodically to shed float drift. In place, so arrays
+    # read through ``correlation`` and ``design_image`` stay live.
     controls = state.control_points
     images = state.images
     np.matmul(state.grams, controls, out=images)

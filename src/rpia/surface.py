@@ -136,8 +136,8 @@ def step(
 
 def _refresh(state: SurfaceFitState) -> None:
     # Recompute the incrementally maintained quantities from the controls:
-    # at the start, and periodically to shed float drift. In place, so the
-    # correlation and design image views stay views.
+    # at the start, and periodically to shed float drift. In place, so arrays
+    # read through ``correlation`` and ``design_image`` stay live.
     grid = state.control_grid
     images = state.images
     np.matmul(state.grams_u @ grid, state.grams_v, out=images)

@@ -377,9 +377,12 @@ class TestFusedStep:
         state = init_state(system, rng.standard_normal((7, 2)), 8)
         for _ in range(5):
             step(state, partition)
+        held = state.images
         _refresh(state)
-        assert state.correlation.base is state.images
-        assert state.design_image.base is state.images
+        # the refresh writes in place: arrays read before it stay live
+        assert state.images is held
+        assert state.correlation.base is held
+        assert state.design_image.base is held
         # a zeroed design image reaches the step: |A P|^2 grows by |A delta|^2 only
         state.design_image[:] = 0.0
         before = state.fitted_norm_sq

@@ -394,9 +394,12 @@ class TestFusedStep:
         state = init_state(surface_normal_system(system), rng.standard_normal((4, 3, 3)), 5)
         for _ in range(5):
             step(state, part_u, part_v)
+        held = state.images
         _refresh(state)
-        assert state.correlation.base is state.images
-        assert state.design_image.base is state.images
+        # the refresh writes in place: arrays read before it stay live
+        assert state.images is held
+        assert state.correlation.base is held
+        assert state.design_image.base is held
         # a zeroed design image reaches the step: |A P B^T|^2 grows by the move only
         state.design_image[:] = 0.0
         before = state.fitted_norm_sq
