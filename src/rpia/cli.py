@@ -39,7 +39,7 @@ from .experiment import (
     write_outputs,
     write_sweep_outputs,
 )
-from .pointsio import save_grid, save_points, write_csv
+from .pointsio import Table, save_grid, save_points, write_csv
 
 _CONFIG_ERRORS = (InvalidConfig,)
 _IO_ERRORS = (ParseError, IncompleteGrid, OSError)
@@ -249,8 +249,9 @@ def spectrum(config_path, seeds, out_dir, **overrides):
     decay = problem_spectrum(problem, cfg.head_count)
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    rows = [(k + 1, float(v)) for k, v in enumerate(decay.eigenvalues)]
-    write_csv(out / "spectrum.csv", ["k", "eigenvalue"], rows)
+    eigenvalues = decay.eigenvalues
+    write_csv(out / "spectrum.csv", ["k", "eigenvalue"],
+              Table(np.arange(1, eigenvalues.size + 1), eigenvalues))
     click.echo(
         f"alpha = {decay.alpha:.4f} over {decay.head_count} leading eigenvalues "
         f"(log-log fit rms {decay.fit_residual:.4f})"

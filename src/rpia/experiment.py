@@ -55,7 +55,7 @@ from .datasets import (
 from .driver import StoppingRule
 from .errors import InvalidConfig, OutOfRange, RankDeficient
 from .oracle import COND_LIMIT, GramPencil, solve_curve_direct, solve_tensor_normal
-from .pointsio import GridRows, load_grid, load_points, write_csv
+from .pointsio import Table, load_grid, load_points, save_grid, write_csv
 from .regparam import (
     NoiseModel,
     SelfConsistentResult,
@@ -328,11 +328,7 @@ class CurveProblem(TensorProblem):
     def write_fitted(self, out: Path, controls) -> str:
         [dense], points = sample_fitted(self, controls)
         header = ["param"] + ["x", "y", "z"][: points.shape[1]]
-        write_csv(
-            out / "fitted_curve.csv",
-            header,
-            [(float(t), *map(float, pt)) for t, pt in zip(dense, points)],
-        )
+        write_csv(out / "fitted_curve.csv", header, Table(dense, *points.T))
         return "fitted_curve.csv"
 
 
@@ -356,7 +352,7 @@ class SurfaceProblem(TensorProblem):
 
     def write_fitted(self, out: Path, controls) -> str:
         _, sampled = sample_fitted(self, controls)
-        write_csv(out / "fitted_surface.csv", ["row", "col", "x", "y", "z"], GridRows(sampled))
+        save_grid(out / "fitted_surface.csv", sampled)
         return "fitted_surface.csv"
 
 
@@ -738,17 +734,20 @@ def write_outputs(result: ExperimentResult, out_dir) -> list[str]:
     (out / "summary.txt").write_text(_summary_text(result))
     written.append("summary.txt")
 
-    rows = []
-    for outcome in result.outcomes:
-        for sample in outcome.trajectory:
-            rows.append(
-                (outcome.seed, sample.iteration, sample.rel_change, sample.residual_norm)
-            )
-    write_csv(out / "trajectory.csv", ["seed", "iteration", "rel_change", "residual_norm"], rows)
-    written.append("trajectory.csv")
-
+    # The fitted geometry is written first: sampling it is the write phase's
+    # memory peak (a dense collocation matrix per direction), and the numpy
+    # code the table writer pages in would otherwise sit on top of it.
     first = min(result.outcomes, key=lambda o: o.seed)
-    written.append(result.problem.write_fitted(out, first.control_points))
+    fitted = result.problem.write_fitted(out, first.control_points)
+    samples = [(o.seed, sample) for o in result.outcomes for sample in o.trajectory]
+    table = Table(
+        np.array([seed for seed, _ in samples], dtype=int),
+        np.array([sample.iteration for _, sample in samples], dtype=int),
+        np.array([sample.rel_change for _, sample in samples], dtype=float),
+        np.array([sample.residual_norm for _, sample in samples], dtype=float),
+    )
+    write_csv(out / "trajectory.csv", ["seed", "iteration", "rel_change", "residual_norm"], table)
+    written += ["trajectory.csv", fitted]
     return written
 
 
@@ -758,6 +757,6 @@ def write_sweep_outputs(report: SweepReport, out_dir) -> str:
     write_csv(
         out / "sweep.csv",
         ["lambda", "mean_error", "std_error", "is_estimated_optimal"],
-        report.rows(),
+        Table(*map(np.array, zip(*report.rows()))),
     )
     return "sweep.csv"

@@ -10,7 +10,7 @@ import pytest
 from click.testing import CliRunner
 
 import rpia
-from rpia import cli, errors
+from rpia import cli, errors, pointsio
 from rpia.cli import main
 from rpia.config import load_config
 from rpia.datasets import boy_surface, rose_curve
@@ -264,6 +264,64 @@ class TestOtherCommands:
         report = json.loads((out_dir / "report.json").read_text())
         assert report["lambda_mode"] == "self-consistent"
         assert "lambda_trajectory" in report["per_seed"][0]
+
+
+class TestWriteCsvRowCounts:
+    """The benchmark counts ``pointsio.rows_written`` as ``len`` of
+    :func:`rpia.pointsio.write_csv`'s third argument; for every table a
+    command writes, that must be the file's count of data lines."""
+
+    @pytest.fixture
+    def calls(self, monkeypatch):
+        # Wrapped as the benchmark's tracer wraps it: every rpia module's
+        # name for the function is replaced.
+        original = pointsio.write_csv
+        calls = []
+
+        def counting(*args, **kwargs):
+            original(*args, **kwargs)
+            calls.append((Path(args[0]), len(args[2])))
+
+        for name, module in list(sys.modules.items()):
+            if module is not None and (name == "rpia" or name.startswith("rpia.")):
+                for attr, value in list(vars(module).items()):
+                    if value is original:
+                        monkeypatch.setattr(module, attr, counting)
+        return calls
+
+    def test_every_table_counts_its_data_lines(self, runner, tmp_path, calls):
+        cfg = write_desk_config(tmp_path / "cfg.yaml")
+        quiet = write_desk_config(tmp_path / "quiet.yaml", trajectory_stride=0)
+        surface = ["--problem", "surface", "--generator", "boy", "--m", "6", "--p", "5",
+                   "--n-ctrl", "3", "--n-ctrl-v", "3", "--max-iter", "200", "--seeds", "0"]
+        commands = {
+            "curve": ["fit", "--config", str(cfg)],
+            "quiet": ["fit", "--config", str(quiet), "--seeds", "0"],
+            "surface": ["fit", *surface],
+            "sweep": ["sweep", "--config", str(cfg), "--lo", "1e-8", "--hi", "1e-5",
+                      "--points", "3", "--seeds", "0"],
+            "spectrum": ["spectrum", "--config", str(cfg)],
+        }
+        for name, command in commands.items():
+            result = runner.invoke(main, [*command, "--out", str(tmp_path / name)])
+            assert result.exit_code == 0, result.output
+        for generator, size in ("rose", ["--m", "30"]), ("boy", ["--m", "6", "--p", "5"]):
+            out = str(tmp_path / f"{generator}.csv")
+            result = runner.invoke(main, ["gen-data", "--generator", generator, *size, "--out", out])
+            assert result.exit_code == 0, result.output
+        written = sorted(str(path.relative_to(tmp_path)) for path, _ in calls)
+        assert written == sorted([
+            "curve/trajectory.csv", "curve/fitted_curve.csv",
+            "quiet/trajectory.csv", "quiet/fitted_curve.csv",
+            "surface/trajectory.csv", "surface/fitted_surface.csv",
+            "sweep/sweep.csv", "spectrum/spectrum.csv", "rose.csv", "boy.csv",
+        ])
+        for path, rows in calls:
+            lines = path.read_bytes().split(b"\r\n")
+            assert lines[-1] == b""
+            assert rows == len(lines) - 2, path  # less the header and the final CR LF
+            if path == tmp_path / "quiet" / "trajectory.csv":
+                assert rows == 0  # no trajectory samples: the header only
 
 
 def run_cli_process(args):

@@ -707,3 +707,13 @@ class TestCsvBytes:
         write_sweep_outputs(report, tmp_path)
         header = ["lambda", "mean_error", "std_error", "is_estimated_optimal"]
         assert (tmp_path / "sweep.csv").read_bytes() == csv_writer_bytes(header, report.rows())
+        lines = (tmp_path / "sweep.csv").read_bytes().split(b"\r\n")[1:-1]
+        flags = [line.rsplit(b",", 1)[1] for line in lines]
+        assert flags == [b"0", b"0", b"0", b"1"]  # the integer column, as %s wrote it
+
+    def test_empty_trajectory_writes_the_header_only(self, tmp_path):
+        result = run_experiment(desk_curve_config(seeds=(0,), trajectory_stride=0))
+        write_outputs(result, tmp_path)
+        assert (tmp_path / "trajectory.csv").read_bytes() == csv_writer_bytes(
+            ["seed", "iteration", "rel_change", "residual_norm"], []
+        )

@@ -1,8 +1,14 @@
+import math
 import re
+import tracemalloc
 
+import numpy as np
 import numpy.testing as npt
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from rpia import pointsio
 from rpia.config import (
     GENERATORS,
     INNER_SOLVERS,
@@ -14,7 +20,7 @@ from rpia.config import (
 )
 from rpia.datasets import boy_surface, rose_curve
 from rpia.errors import IncompleteGrid, InvalidConfig, ParseError
-from rpia.pointsio import load_grid, load_points, save_grid, save_points
+from rpia.pointsio import Table, load_grid, load_points, save_grid, save_points, write_csv
 
 from conftest import csv_writer_bytes
 
@@ -108,6 +114,125 @@ class TestPointsRoundTrip:
         path.write_text("row,col,x,y,z\n-1,0,1,1,1\n1,0,2,2,2\n")
         with pytest.raises(ParseError, match="line 2: negative grid index"):
             load_grid(path)
+
+
+def formatted(values) -> bytes:
+    """A one-column float table's lines as the writer lays them out."""
+    return pointsio._format_rows([np.asarray(values, dtype=float)], {}).tobytes()
+
+
+def percent_g17(values) -> bytes:
+    """The same lines formatted one value at a time by Python."""
+    return "".join("%.17g\r\n" % v for v in np.asarray(values, dtype=float).tolist()).encode()
+
+
+class TestFloatFormat:
+    """The vectorized ``%.17g`` equals ``'%.17g' % v`` byte for byte."""
+
+    @settings(max_examples=400)
+    @given(st.floats())
+    def test_any_float(self, value):
+        assert formatted([value]) == percent_g17([value])
+
+    @settings(max_examples=150)
+    @given(st.lists(
+        st.one_of(st.floats(), st.floats(1e-6, 1e17), st.floats(-1e17, -1e-6)),
+        min_size=1, max_size=80,
+    ))
+    def test_arrays_mixing_fast_and_fallback_values(self, values):
+        assert formatted(values) == percent_g17(values)
+
+    def test_log_uniform_sample(self):
+        rng = np.random.default_rng(7)
+        values = 10 ** rng.uniform(-8, 19, 50_000) * rng.choice([-1.0, 1.0], 50_000)
+        assert formatted(values) == percent_g17(values)
+
+    def test_neighbours_of_powers_of_ten(self):
+        powers = np.array([10.0**m for m in range(-8, 19)] + [float(10**m) for m in range(19)])
+        below, above = np.nextafter(powers, 0.0), np.nextafter(powers, np.inf)
+        values = np.concatenate([powers, below, above, np.nextafter(below, 0.0)])
+        assert formatted(values) == percent_g17(values)
+        assert formatted(-values) == percent_g17(-values)
+
+    def test_values_rounding_up_to_the_next_power_of_ten(self):
+        # Nines past double precision round to a power of ten (1e+17 for the
+        # first); their neighbours keep all seventeen digits.
+        nines = np.array(
+            [99999999999999999.0, 9999999999999999.9]
+            + [float(f"9.99999999999999999e{m}") for m in range(-8, 18)]
+        )
+        values = np.concatenate([nines, np.nextafter(nines, 0.0)])
+        assert formatted(values) == percent_g17(values)
+
+    def test_exact_ties_round_half_to_even(self):
+        # q / 4 is exact; at 16 integer digits a quarter is a tie at the
+        # seventeenth digit.
+        q = np.random.default_rng(3).integers(2**50, 2**53, 50_000)
+        values = np.concatenate([q / 4.0, [2**50 + 0.25, 2**50 + 0.75]])
+        assert formatted(values) == percent_g17(values)
+        assert formatted([1125899906842624.25, 1125899906842624.75]) == (
+            b"1125899906842624.2\r\n1125899906842624.8\r\n"
+        )
+
+    @pytest.mark.parametrize("value, text", [
+        (1e-5, "1.0000000000000001e-05"),
+        (1e-6, "9.9999999999999995e-07"),
+        (0.0001, "0.0001"),
+        (1.5e-6, "1.5e-06"),
+        (-0.00012, "-0.00012"),
+        (123.0, "123"),
+        (1e16, "10000000000000000"),
+        (0.5, "0.5"),
+    ])
+    def test_formats_at_the_ends_of_the_fast_range(self, value, text):
+        assert formatted([value]) == percent_g17([value]) == (text + "\r\n").encode()
+
+
+class TestWriteCsv:
+    def test_non_finite_integer_and_text_columns_match_csv_writer(self, tmp_path):
+        floats = [math.nan, math.inf, -math.inf, 0.0, -0.0, 5e-324, 1.5, -2.5e-7, 1e300]
+        ints = [0, 1, -7, 10**17, -(10**17), 2**63 - 1, 42, 1, 0]
+        flags = [True, False] * 4 + [True]
+        path = tmp_path / "table.csv"
+        write_csv(path, ["value", "count", "flag"], Table(floats, ints, flags))
+        assert path.read_bytes() == csv_writer_bytes(
+            ["value", "count", "flag"], list(zip(floats, ints, flags))
+        )
+
+    def test_numeric_columns_of_any_width(self, tmp_path):
+        # Each dtype is formatted on its own: a float32 as the double it
+        # widens to, a uint64 past the int64 range in full.
+        columns = [
+            np.array([0.1, -3.25, np.nan], np.float32),
+            np.array([2**64 - 1, 7, 0], np.uint64),
+            np.array([-5, 2**62, 0], np.int64),
+            np.array([65535, 300, 1], np.uint16),
+        ]
+        path = tmp_path / "table.csv"
+        write_csv(path, ["a", "b", "c", "d"], Table(*columns))
+        rows = [(float(a), b, c, d) for a, b, c, d in zip(*(col.tolist() for col in columns))]
+        assert path.read_bytes() == csv_writer_bytes(["a", "b", "c", "d"], rows)
+
+    def test_empty_table_writes_the_header_only(self, tmp_path):
+        path = tmp_path / "empty.csv"
+        write_csv(path, ["seed", "rel_change"], Table(np.array([], int), np.array([])))
+        assert path.read_bytes() == csv_writer_bytes(["seed", "rel_change"], [])
+
+    def test_columns_of_different_shapes_are_refused(self):
+        with pytest.raises(ValueError, match="one shape"):
+            Table(np.zeros(3), np.zeros(4))
+
+    def test_writing_a_grid_keeps_memory_bounded(self, tmp_path):
+        # Rows are formatted a chunk at a time: the work arrays stay far
+        # below the table's own size (301 x 301 x 3 floats, 2.1 MB).
+        grid = np.random.default_rng(0).standard_normal((301, 301, 3))
+        tracemalloc.start()
+        try:
+            save_grid(tmp_path / "grid.csv", grid)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 * 2**20
 
 
 class TestConfig:
