@@ -13,7 +13,14 @@ grams that move them are stacked once too, as ``[-K, A^T A]``, so a step
 patches ``g`` and ``h`` on the block's coupled window with one batched
 product and one in-place add. Neither the stacked system nor the fitted
 points are ever formed. All point coordinates share the same block draw.
-The loop around the steps lives in :mod:`rpia.driver`.
+
+What a step reads of its block is one step-table entry: the views of ``g``,
+``P`` and ``h`` on the block and of ``[g, h]`` on its coupled window, the
+contiguous gram slab, a preallocated update buffer and the block's scale.
+``run`` keeps a table of these, built on first draw; ``step`` draws one
+block with one scalar draw and builds its entry with the same builder, so
+both apply the one step body. The loop around the steps, with the block
+draws made one chunk per refresh interval, lives in :mod:`rpia.driver`.
 """
 
 from __future__ import annotations
@@ -24,7 +31,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .assembly import BlockPartition, CurveNormalSystem
-from .driver import FitResult, StoppingRule, iterate, make_rng
+from .driver import FitResult, StepTable, StoppingRule, iterate, make_rng
 from .errors import DimensionMismatch
 
 
@@ -86,8 +93,37 @@ def select_block(state: CurveFitState, partition: BlockPartition) -> int:
     return partition.block_at(state.rng.random())
 
 
+def _entry(state: CurveFitState, partition: BlockPartition, t: int) -> tuple:
+    """Block ``t``'s step-table entry: views of ``g``, ``P`` and ``h`` on the
+    block and of ``[g, h]`` on its coupled window, the contiguous slab
+    ``[-K, A^T A][:, w, block]``, an update buffer with its view on the
+    block, and the block's squared norm. The views stay live: the state's
+    arrays are only ever written in place."""
+    block, coupled = partition.spans[t], partition.coupled[t]
+    images = state.images
+    slab = np.ascontiguousarray(state.grams[:, coupled, block])
+    update = np.empty(images[:, coupled].shape)
+    return (
+        images[0, block], state.control_points[block], images[1, block], images[:, coupled],
+        slab, update, update[1, partition.inner[t]], float(partition.norms_sq[t]),
+    )
+
+
+def _body(state: CurveFitState, entry: tuple) -> None:
+    """One block update from the block's table entry (see :func:`step`)."""
+    correlation, controls, image, window, slab, update, inner, scale = entry
+    delta = correlation / scale
+    controls += delta
+    np.matmul(slab, delta, out=update)
+    move_sq = max(float(np.vdot(delta, inner)), 0.0)
+    state.fitted_norm_sq += 2.0 * float(np.vdot(image, delta)) + move_sq
+    window += update
+    state.last_move_norm = math.sqrt(move_sq)
+    state.iteration += 1
+
+
 def step(state: CurveFitState, partition: BlockPartition) -> CurveFitState:
-    """One randomized block update, applied in place.
+    """One randomized block update, applied in place, with one scalar draw.
 
     The move is ``delta = g[block] / |S[:, block]|^2``. Only the drawn block
     of control points changes. On the block's coupled window ``w`` one
@@ -97,18 +133,7 @@ def step(state: CurveFitState, partition: BlockPartition) -> CurveFitState:
     with ``|A delta|^2 = <delta, u[block]>``, and ``|A P|^2`` grows by
     ``2 <h[block], delta> + |A delta|^2``.
     """
-    t = select_block(state, partition)
-    block = partition.spans[t]
-    coupled = partition.coupled[t]
-    images = state.images
-    delta = images[0, block] / partition.norms_sq[t]
-    state.control_points[block] += delta
-    update = state.grams[:, coupled, block] @ delta
-    move_sq = max(float(np.vdot(delta, update[1, partition.inner[t]])), 0.0)
-    state.fitted_norm_sq += 2.0 * float(np.vdot(images[1, block], delta)) + move_sq
-    images[:, coupled] += update
-    state.last_move_norm = math.sqrt(move_sq)
-    state.iteration += 1
+    _body(state, _entry(state, partition, select_block(state, partition)))
     return state
 
 
@@ -152,7 +177,8 @@ def run(
     if not partition.covers(system.design_gram):
         raise DimensionMismatch("the design gram has nonzeros outside the gram's coupled windows")
     state = init_state(system, p0, seed)
+    table = StepTable(lambda t: _entry(state, partition, t))
     converged, reason, trajectory = iterate(
-        state, step, (partition,), _refresh, stop, trajectory_stride
+        state, _body, table, (partition,), _refresh, stop, trajectory_stride
     )
     return FitResult(state.control_points, state.iteration, converged, reason, trajectory)

@@ -43,7 +43,7 @@ class InsufficientSpectrum(FittingError):
 
 
 class NonConvergence(FittingError):
-    """An iteration hit its cap without meeting its convergence test."""
+    """An iteration hit its cap, or ran off, without meeting its convergence test."""
 
 
 class ZeroPenalty(FittingError):

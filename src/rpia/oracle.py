@@ -108,6 +108,16 @@ class GramPencil:
             return bound
         return _ratio(eigen_range(self.matrix(lam)))
 
+    def all_penalty_weight(self) -> float:
+        """The weight past which the matrix is all penalty in floating point:
+        beyond it ``lam g_min > a_max / eps``, so adding the design changes no
+        eigenvalue of ``lam * penalty``. Infinite when the penalty's range does
+        not show it positive definite."""
+        low = self._penalty_range[0]
+        if not low > 0.0:
+            return np.inf
+        return float(self._design_range[1] / (np.finfo(float).eps * low))
+
     def solve(self, rhs: np.ndarray, lam: float = 0.0):
         """``(solution, cond)`` for ``(design + lam penalty) X = rhs``; the
         solution is None when the condition bound ``cond`` exceeds the limit."""

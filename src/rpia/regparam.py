@@ -21,6 +21,7 @@ of :mod:`rpia.experiment` derive from their fitted points and penalty norm.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Callable, Optional
 
@@ -179,6 +180,7 @@ def self_consistent(
     alpha: float,
     eps_lambda: float = 0.01,
     max_outer: int = 50,
+    max_weight: float = math.inf,
 ) -> SelfConsistentResult:
     """Prior-free fixed-point iteration for the smoothing weight.
 
@@ -201,7 +203,11 @@ def self_consistent(
         If a fit's penalty vanishes (the update is undefined); the message
         names the outer iteration, its weight and the starting weight.
     NonConvergence
-        If the weights have not settled after ``max_outer`` fits.
+        If the weights have not settled after ``max_outer`` fits, or if a
+        weight passes ``max_weight``, the level where the fit is all penalty
+        (the experiment passes its directions' smallest
+        :meth:`~rpia.oracle.GramPencil.all_penalty_weight`); the message names
+        the outer iteration, the weight and the level.
     """
     if eps_lambda <= 0.0:
         raise InvalidConfig("eps_lambda must be positive")
@@ -216,6 +222,12 @@ def self_consistent(
                 f"weight {lam:.6e} (the loop started at {iterates[0].lam:.6e})"
             )
         lam_next = float((misfit / (pen * n_count)) ** (alpha / (alpha + 1.0)))
+        if lam_next > max_weight:
+            raise NonConvergence(
+                f"weight iteration diverged at outer iteration {k}: weight {lam_next:.6e} "
+                f"passed {max_weight:.6e}, beyond which the fit is all penalty "
+                f"(the loop started at {iterates[0].lam:.6e})"
+            )
         iterates.append(LambdaIterate(k, lam_next, misfit, pen))
         converged = abs(lam_next - lam) <= eps_lambda * lam
         lam = lam_next

@@ -17,6 +17,17 @@ evolve under identical block draws.
 
 The Kronecker product of the two factors is never formed; every update works
 on the small factor grams directly.
+
+What a step reads of its subgrid is one step-table entry: the views of
+``g``, ``P`` and ``h`` on the subgrid and of ``[g, h]`` on its coupled
+window, each factor's contiguous gram slab and the subgrid's scale. ``run``
+keys its table by the drawn pair ``(t, s)`` and builds an entry on its first
+draw, so a run holds at most one entry per step it makes, however many
+block pairs the partitions have (6 561 at 401 x 401 controls in blocks of
+5); the slabs are built once per factor block and shared. ``step`` draws
+with two scalar draws and builds its entry with the same builder, so both
+apply the one step body. The loop around the steps, with the block draws
+made one chunk per refresh interval, lives in :mod:`rpia.driver`.
 """
 
 from __future__ import annotations
@@ -27,7 +38,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .assembly import BlockPartition, SurfaceNormalSystem
-from .driver import FitResult, StoppingRule, iterate, make_rng
+from .driver import FitResult, StepTable, StoppingRule, iterate, make_rng
 from .errors import DimensionMismatch
 
 
@@ -98,12 +109,57 @@ def select_blocks(
     return t, s
 
 
+def _row(state: SurfaceFitState, partition: BlockPartition, t: int) -> tuple:
+    """Row block ``t``: its span, window, inner slice, squared norm and the
+    contiguous slab ``[-Ku, A^T A][:, :, wt, t]``."""
+    span, window = partition.spans[t], partition.coupled[t]
+    slab = np.ascontiguousarray(state.grams_u[:, :, window, span])
+    return span, window, partition.inner[t], partition.norms_sq[t], slab
+
+
+def _column(state: SurfaceFitState, partition: BlockPartition, s: int) -> tuple:
+    """Column block ``s``: as :func:`_row`, with the slab ``[Kv, B^T B][:, :, s, ws]``."""
+    span, window = partition.spans[s], partition.coupled[s]
+    slab = np.ascontiguousarray(state.grams_v[:, :, span, window])
+    return span, window, partition.inner[s], partition.norms_sq[s], slab
+
+
+def _entry(state: SurfaceFitState, row: tuple, column: tuple) -> tuple:
+    """The subgrid's step-table entry from its row and column blocks: views
+    of ``g``, ``P`` and ``h`` on the subgrid and of ``[g, h]`` on its coupled
+    window, both slabs, the index of the subgrid in the update, and the
+    scale. The views stay live: the state's arrays are only ever written in
+    place."""
+    row_block, wt, inner_t, norm_t, slab_u = row
+    col_block, ws, inner_s, norm_s, slab_v = column
+    images = state.images
+    return (
+        images[0, :, row_block, col_block], state.control_grid[:, row_block, col_block],
+        images[1, :, row_block, col_block], images[:, :, wt, ws], slab_u, slab_v,
+        (1, slice(None), inner_t, inner_s), float(norm_t * norm_s),
+    )
+
+
+def _body(state: SurfaceFitState, entry: tuple) -> None:
+    """One subgrid update from the subgrid's table entry (see :func:`step`)."""
+    correlation, controls, image, window, slab_u, slab_v, inside, scale = entry
+    delta = correlation / scale
+    controls += delta
+    update = slab_u @ delta @ slab_v
+    move_sq = max(float(np.vdot(delta, update[inside])), 0.0)
+    state.fitted_norm_sq += 2.0 * float(np.vdot(image, delta)) + move_sq
+    window += update
+    state.last_move_norm = math.sqrt(move_sq)
+    state.iteration += 1
+
+
 def step(
     state: SurfaceFitState,
     row_partition: BlockPartition,
     col_partition: BlockPartition,
 ) -> SurfaceFitState:
-    """One randomized subgrid update, applied in place, all coordinates at once.
+    """One randomized subgrid update, applied in place, all coordinates at
+    once, with two scalar draws.
 
     The move is ``delta = g[t, s] / (|Ah[:, t]|^2 |Bh[:, s]|^2)``. On the
     coupled window ``wt x ws`` one batched chain
@@ -115,22 +171,7 @@ def step(
     ``2 <h[t, s], delta> + |A delta B^T|^2``.
     """
     t, s = select_blocks(state, row_partition, col_partition)
-    row_block = row_partition.spans[t]
-    col_block = col_partition.spans[s]
-    wt = row_partition.coupled[t]
-    ws = col_partition.coupled[s]
-    images = state.images
-    scale = row_partition.norms_sq[t] * col_partition.norms_sq[s]
-    delta = images[0, :, row_block, col_block] / scale
-    state.control_grid[:, row_block, col_block] += delta
-    update = state.grams_u[:, :, wt, row_block] @ delta @ state.grams_v[:, :, col_block, ws]
-    inside = update[1, :, row_partition.inner[t], col_partition.inner[s]]
-    move_sq = max(float(np.vdot(delta, inside)), 0.0)
-    before = images[1, :, row_block, col_block]
-    state.fitted_norm_sq += 2.0 * float(np.vdot(before, delta)) + move_sq
-    images[:, :, wt, ws] += update
-    state.last_move_norm = math.sqrt(move_sq)
-    state.iteration += 1
+    _body(state, _entry(state, _row(state, row_partition, t), _column(state, col_partition, s)))
     return state
 
 
@@ -166,8 +207,11 @@ def run(
             and col_partition.covers(system.design_gram_v)):
         raise DimensionMismatch("a design gram has nonzeros outside its gram's coupled windows")
     state = init_state(system, grid0, seed)
+    rows = [_row(state, row_partition, t) for t in range(len(row_partition))]
+    columns = [_column(state, col_partition, s) for s in range(len(col_partition))]
+    table = StepTable(lambda t, s: _entry(state, rows[t], columns[s]))
     converged, reason, trajectory = iterate(
-        state, step, (row_partition, col_partition), _refresh, stop, trajectory_stride
+        state, _body, table, (row_partition, col_partition), _refresh, stop, trajectory_stride
     )
     return FitResult(
         np.moveaxis(state.control_grid, 0, -1).copy(), state.iteration, converged, reason,

@@ -2,6 +2,7 @@
 
 import csv
 import io
+import math
 
 import numpy as np
 import numpy.testing as npt
@@ -16,6 +17,7 @@ from rpia.assembly import (
     difference_matrix,
 )
 from rpia.basis import BasisSpan, build_knots
+from rpia.driver import REFRESH_EVERY, TrajectorySample
 from rpia.experiment import CurveProblem, SurfaceProblem
 
 
@@ -242,6 +244,46 @@ def csv_writer_bytes(header, rows) -> bytes:
     for row in rows:
         writer.writerow(["%.17g" % v if isinstance(v, float) else v for v in row])
     return buffer.getvalue().encode()
+
+
+def scalar_draw_run(state, step, partitions, refresh, stop, trajectory_stride):
+    """A run as a loop of ``step`` calls, each making its own scalar draws,
+    with the driver's stop rule, trajectory samples and refresh period.
+    Returns ``(converged, stop_reason, trajectory)``."""
+    trajectory = []
+    quiet_steps = 0
+    for _ in range(stop.max_iter):
+        previous_norm = math.sqrt(max(state.fitted_norm_sq, 0.0))
+        step(state, *partitions)
+        rel = state.last_move_norm / previous_norm if previous_norm > 0.0 else state.last_move_norm
+        if trajectory_stride and state.iteration % trajectory_stride == 0:
+            trajectory.append(TrajectorySample(state.iteration, rel, state.residual_norm()))
+        quiet_steps = quiet_steps + 1 if rel < stop.tol else 0
+        if quiet_steps >= stop.patience:
+            return True, "tol", tuple(trajectory)
+        if state.iteration % REFRESH_EVERY == 0:
+            refresh(state)
+    return False, "max_iter", tuple(trajectory)
+
+
+def same_stream(first, second, n_draws=8):
+    """Whether two generators' next ``n_draws`` uniforms agree; neither moves."""
+    copies = []
+    for rng in (first, second):
+        copy = np.random.Generator(np.random.Philox(0))
+        copy.bit_generator.state = rng.bit_generator.state
+        copies.append(copy.random(n_draws))
+    return np.array_equal(*copies)
+
+
+# Caps at and around the refresh period (the run's draw chunk), and one that
+# is not a multiple of it; tolerances from never met to met mid-chunk.
+replay_caps = st.one_of(
+    st.sampled_from([REFRESH_EVERY - 1, REFRESH_EVERY, REFRESH_EVERY + 1]),
+    st.integers(1, 3 * REFRESH_EVERY),
+)
+replay_tolerances = st.sampled_from([0.0, 1e-3, 1e-6, 1e-9])
+replay_strides = st.sampled_from([0, 1, 7, 10])
 
 
 def assert_close_to_scale(actual, expected, tol=1e-13):

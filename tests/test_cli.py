@@ -402,21 +402,46 @@ class TestNumericalFailuresSayWhere:
         ), proc.stderr
         assert "Traceback" not in proc.stderr
 
-    def test_vanished_penalty_names_the_outer_iteration(self, runner, tmp_path):
+    def test_diverging_weight_loop_names_the_all_penalty_level(self, runner, tmp_path):
         # on the desk config the direct weight loop runs off from its
-        # prior-free start until the fit is all penalty and its norm underflows
+        # prior-free start; it stops once the weight passes the level where
+        # the fit is all penalty, long before the penalty norm underflows
         cfg = write_desk_config(tmp_path / "cfg.yaml", inner_solver="direct")
         result = runner.invoke(
             main, ["self-consistent", "--config", str(cfg), "--out", str(tmp_path / "out")]
         )
         assert result.exit_code == 3
         found = re.search(
-            r"error: penalty norm of the fit vanished at outer iteration (\d+), "
-            r"weight (\S+) \(the loop started at (\S+)\)", result.output,
+            r"error: weight iteration diverged at outer iteration (\d+): weight (\S+) "
+            r"passed (\S+), beyond which the fit is all penalty "
+            r"\(the loop started at (\S+)\)", result.output,
         )
         assert found, result.output
-        outer, weight, start = int(found[1]), float(found[2]), float(found[3])
-        assert outer > 1 and weight > 1e6 * start > 0.0
+        outer = int(found[1])
+        weight, level, start = map(float, found.groups()[1:])
+        assert outer > 1 and weight > level > 1e6 * start > 0.0
+        assert level < 1e30
+
+    @pytest.mark.parametrize("n_ctrl, controls", [("99", 100), ("88", 89)])
+    def test_spectrum_refuses_a_design_the_solves_refuse(self, tmp_path, n_ctrl, controls):
+        # the design gram has a Cholesky factor, but the spectrum now passes
+        # it through the solves' condition gate: at n_ctrl 99 it used to
+        # write a spectrum (alpha about 4.1) that estimate-lambda and fit refuse
+        out_dir = tmp_path / "out"
+        proc = run_cli_process([
+            "spectrum", "--config", str(CONFIG_DIR / "rose.yaml"), "--m", "100",
+            "--n-ctrl", n_ctrl, "--out", str(out_dir),
+        ])
+        assert proc.returncode == 3, proc.stderr
+        found = re.search(
+            r"error: the normal matrix of the curve is numerically rank deficient at weight 0: "
+            rf"condition bound (\S+) exceeds 1e\+12, 101 data points for {controls} controls",
+            proc.stderr,
+        )
+        assert found, proc.stderr
+        assert float(found[1]) > 1e12
+        assert "Traceback" not in proc.stderr
+        assert not (out_dir / "spectrum.csv").exists()
 
 
 CAPPED_WARNING = "fits stopped at max_iter=20 before meeting the tolerance"

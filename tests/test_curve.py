@@ -27,6 +27,11 @@ from conftest import (
     designs,
     penalty_weights,
     random_curve_system,
+    replay_caps,
+    replay_strides,
+    replay_tolerances,
+    same_stream,
+    scalar_draw_run,
 )
 
 
@@ -395,6 +400,68 @@ class TestFusedStep:
         step(state, partition)
         npt.assert_array_equal(state.control_points, controls)
         assert state.last_move_norm == 0.0
+
+
+class TestRunReplaysSteps:
+    """``run`` draws its blocks one chunk per refresh interval; a loop of
+    ``step`` calls, each with its own scalar draw, gives the same fit bit for
+    bit."""
+
+    def assert_run_replays_steps(self, system, partition, p0, stop, seed, stride):
+        result = run(system, partition, p0, stop, seed, trajectory_stride=stride)
+        state = init_state(system, p0, seed)
+        converged, reason, trajectory = scalar_draw_run(
+            state, step, (partition,), _refresh, stop, stride
+        )
+        assert (result.iterations, result.converged, result.stop_reason) == (
+            state.iteration, converged, reason
+        )
+        npt.assert_array_equal(result.control_points, state.control_points)
+        assert result.trajectory == trajectory
+        return result
+
+    @settings(max_examples=25, deadline=None)
+    @given(case=normal_systems_with_partitions(), seed=st.integers(0, 2**32 - 1),
+           max_iter=replay_caps, tol=replay_tolerances, stride=replay_strides)
+    def test_run_equals_scalar_draw_steps(self, case, seed, max_iter, tol, stride):
+        system, partition = case
+        p0 = np.random.default_rng(seed).standard_normal(system.rhs.shape)
+        self.assert_run_replays_steps(system, partition, p0, StoppingRule(tol, max_iter), seed,
+                                      stride)
+
+    @pytest.mark.parametrize("max_iter, tol, iterations", [
+        (REFRESH_EVERY - 1, 0.0, REFRESH_EVERY - 1),
+        (REFRESH_EVERY, 0.0, REFRESH_EVERY),
+        (REFRESH_EVERY + 1, 0.0, REFRESH_EVERY + 1),
+        (2 * REFRESH_EVERY + 37, 0.0, 2 * REFRESH_EVERY + 37),
+        (3 * REFRESH_EVERY, 1e-7, None),
+    ])
+    def test_chunk_edges(self, rng, max_iter, tol, iterations):
+        # caps at, one short of and one past the chunk, one that is not a
+        # multiple of it, and a tolerance met in the middle of a chunk
+        system = random_curve_system(rng, m_rows=30, n_cols=12, lam=0.05)
+        partition = make_partition(system.stacked, 3)
+        p0 = rng.standard_normal((12, 2))
+        result = self.assert_run_replays_steps(
+            system, partition, p0, StoppingRule(tol, max_iter), 5, 7
+        )
+        if iterations is None:
+            assert result.stop_reason == "tol"
+            assert REFRESH_EVERY < result.iterations < 3 * REFRESH_EVERY
+            assert result.iterations % REFRESH_EVERY != 0
+        else:
+            assert (result.iterations, result.stop_reason) == (iterations, "max_iter")
+
+    def test_step_on_a_dense_system_makes_one_draw(self, rng):
+        system = random_curve_system(rng, m_rows=16, n_cols=7, lam=0.25)
+        partition = make_partition(system.stacked, 3)
+        state = init_state(system, rng.standard_normal((7, 2)), 8)
+        for _ in range(20):
+            replay = philox_stream(0)
+            replay.bit_generator.state = state.rng.bit_generator.state
+            replay.random()
+            step(state, partition)
+            assert same_stream(state.rng, replay)
 
 
 class TestRun:

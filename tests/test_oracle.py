@@ -61,6 +61,18 @@ class TestGramPencil:
         residual = np.linalg.norm(matrix @ solution - np.eye(6))
         assert residual <= 1e-12 * np.linalg.norm(matrix) * np.linalg.norm(solution)
 
+    def test_all_penalty_weight(self):
+        # past lam g_min > a_max / eps the design changes no digit of the matrix
+        design = np.diag([0.5, 1.0, 2.0, 3.0, 4.0])
+        penalty = np.diag([2.0, 3.0, 4.0, 5.0, 6.0])
+        pencil = GramPencil(design, penalty)
+        level = pencil.all_penalty_weight()
+        npt.assert_allclose(level, 4.0 / (np.finfo(float).eps * 2.0), rtol=1e-12)
+        assert np.array_equal(pencil.matrix(4.0 * level), 4.0 * level * penalty)
+        assert not np.array_equal(pencil.matrix(level / 8.0), level / 8.0 * penalty)
+        # a penalty with a null vector has no such weight
+        assert GramPencil(design, np.diag([0.0, 1.0, 1.0, 1.0, 1.0])).all_penalty_weight() == np.inf
+
     @settings(max_examples=200, deadline=None)
     @given(design=designs(), rows=st.integers(1, 16), lam=st.floats(0.0, 1e6),
            seed=st.integers(0, 2**32 - 1))

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import numpy.testing as npt
 import pytest
@@ -249,6 +251,27 @@ class TestSelfConsistentCurve:
 
         with pytest.raises(NonConvergence):
             weight_loop(problem, data, oscillating, alpha=2.0, max_outer=6)
+
+    def test_weight_past_the_all_penalty_level_is_named(self):
+        # a loop whose weight runs off stops at the first weight past the
+        # level, before solving there
+        problem = curve_problem(np.eye(2), 1.0)
+        data = np.array([[2.0], [0.0]])
+        start = 2.0 ** (-2.0 / 3.0)
+        solved = []
+
+        def solve(lam):
+            solved.append(lam)
+            return np.array([[0.0], [1e-3 / lam]])
+
+        with pytest.raises(NonConvergence, match=(
+            r"diverged at outer iteration (\d+): weight (\S+) passed 1\.000000e\+06, "
+            rf"beyond which the fit is all penalty \(the loop started at {start:.6e}\)"
+        )) as refused:
+            self_consistent(solve, self_consistent_measure(problem, data), problem.n_controls,
+                            2.0, max_weight=1e6)
+        weight = float(re.search(r"weight (\S+) passed", str(refused.value))[1])
+        assert weight > 1e6 >= max(solved)
 
     def test_non_positive_eps_lambda(self):
         with pytest.raises(InvalidConfig, match="eps_lambda"):

@@ -19,11 +19,19 @@ from rpia.datasets import boy_surface
 from rpia.driver import REFRESH_EVERY
 from rpia.errors import DimensionMismatch
 from rpia.oracle import solve_surface_direct
+from rpia import surface as surface_module
+from rpia.driver import StepTable
 from rpia.surface import _refresh, init_state, run, select_blocks, step
 
 from conftest import (
     assert_close_to_scale,
+    collocation_design,
     random_surface_system,
+    replay_caps,
+    replay_strides,
+    replay_tolerances,
+    same_stream,
+    scalar_draw_run,
     surface_normal_system,
     surface_systems,
 )
@@ -536,3 +544,99 @@ class TestRun:
             surface_normal_system(perm_system), part_u, part_v, grid0[:, :, perm], rule, 21
         )
         npt.assert_array_equal(permuted.control_points, base.control_points[:, :, perm])
+
+
+class TestRunReplaysSteps:
+    """``run`` draws its block pairs one chunk per refresh interval; a loop of
+    ``step`` calls, each with its own two scalar draws, gives the same fit
+    bit for bit."""
+
+    def assert_run_replays_steps(self, normal, part_u, part_v, grid0, stop, seed, stride):
+        result = run(normal, part_u, part_v, grid0, stop, seed, trajectory_stride=stride)
+        state = init_state(normal, grid0, seed)
+        converged, reason, trajectory = scalar_draw_run(
+            state, step, (part_u, part_v), _refresh, stop, stride
+        )
+        assert (result.iterations, result.converged, result.stop_reason) == (
+            state.iteration, converged, reason
+        )
+        npt.assert_array_equal(result.control_points, np.moveaxis(state.control_grid, 0, -1))
+        assert result.trajectory == trajectory
+        return result
+
+    @settings(max_examples=20, deadline=None)
+    @given(system=surface_systems(), seed=st.integers(0, 2**32 - 1), max_iter=replay_caps,
+           tol=replay_tolerances, stride=replay_strides, data=st.data())
+    def test_run_equals_scalar_draw_steps(self, system, seed, max_iter, tol, stride, data):
+        part_u, part_v = (
+            make_partition(factor, data.draw(st.integers(1, 6)))
+            for factor in (system.row_stacked, system.col_stacked)
+        )
+        normal = surface_normal_system(system)
+        grid0 = np.random.default_rng(seed).standard_normal(normal.rhs.shape)
+        self.assert_run_replays_steps(
+            normal, part_u, part_v, grid0, StoppingRule(tol, max_iter), seed, stride
+        )
+
+    @pytest.mark.parametrize("max_iter, tol, iterations", [
+        (REFRESH_EVERY - 1, 0.0, REFRESH_EVERY - 1),
+        (REFRESH_EVERY, 0.0, REFRESH_EVERY),
+        (REFRESH_EVERY + 1, 0.0, REFRESH_EVERY + 1),
+        (2 * REFRESH_EVERY + 37, 0.0, 2 * REFRESH_EVERY + 37),
+        (3 * REFRESH_EVERY, 1e-3, None),
+    ])
+    def test_chunk_edges(self, rng, max_iter, tol, iterations):
+        # caps at, one short of and one past the chunk, one that is not a
+        # multiple of it, and a tolerance met in the middle of a chunk
+        system = random_surface_system(rng, rows=(9, 7), cols=(8, 6), lam=0.05)
+        part_u = make_partition(system.row_stacked, 2)
+        part_v = make_partition(system.col_stacked, 3)
+        grid0 = rng.standard_normal((7, 6, 3))
+        result = self.assert_run_replays_steps(
+            surface_normal_system(system), part_u, part_v, grid0, StoppingRule(tol, max_iter),
+            5, 7,
+        )
+        if iterations is None:
+            assert result.stop_reason == "tol"
+            assert REFRESH_EVERY < result.iterations < 3 * REFRESH_EVERY
+            assert result.iterations % REFRESH_EVERY != 0
+        else:
+            assert (result.iterations, result.stop_reason) == (iterations, "max_iter")
+
+    def test_step_makes_two_draws(self, rng):
+        system = random_surface_system(rng, rows=(5, 4), cols=(4, 3), lam=0.2)
+        part_u = make_partition(system.row_stacked, 2)
+        part_v = make_partition(system.col_stacked, 2)
+        state = init_state(surface_normal_system(system), rng.standard_normal((4, 3, 3)), 5)
+        for _ in range(20):
+            replay = philox_stream(0)
+            replay.bit_generator.state = state.rng.bit_generator.state
+            replay.random(2)
+            step(state, part_u, part_v)
+            assert same_stream(state.rng, replay)
+
+
+class TestStepTable:
+    def test_a_capped_run_builds_at_most_one_entry_per_step(self, monkeypatch):
+        # 401 x 401 controls in blocks of 5: 81 x 81 = 6 561 block pairs, of
+        # which a 50-step run may build no more than it draws
+        design = collocation_design(802, 400)
+        design_gram = design.T @ design
+        gram = design_gram + 1e-3 * difference_matrix(401, 1.0) @ difference_matrix(401, 1.0)
+        rhs = np.random.default_rng(0).standard_normal((401, 401, 1))
+        system = SurfaceNormalSystem(gram, gram, design_gram, design_gram, rhs, 1.0)
+        partition = gram_partition(gram, 5)
+        assert len(partition) ** 2 == 6561
+        tables = []
+
+        class RecordedTable(StepTable):
+            def __init__(self, build):
+                super().__init__(build)
+                tables.append(self)
+
+        monkeypatch.setattr(surface_module, "StepTable", RecordedTable)
+        result = run(system, partition, partition, np.zeros((401, 401, 1)),
+                     StoppingRule(0.0, 50), 3)
+        assert result.iterations == 50
+        [table] = tables
+        assert 0 < len(table) <= 50
