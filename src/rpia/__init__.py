@@ -1,8 +1,9 @@
 """Noisy B-spline fitting by randomized block iteration with Tikhonov smoothing.
 
 The package splits into: basis evaluation and parametrization (`basis`),
-problem assembly (`assembly`), the randomized solvers (`curve`, `surface`)
-and the iteration driver they share (`driver`), the smoothing-weight
+problem assembly and normal systems (`assembly`), the randomized block kernel
+and its iteration driver (`driver`) with the curve and surface entries to it
+(`curve`, `surface`), the smoothing-weight
 machinery (`regparam`), deterministic reference solvers (`oracle`), example
 geometries and the noise model (`datasets`), and the experiment harness
 behind the CLI (`config`, `experiment`, `pointsio`, `cli`).
@@ -12,8 +13,7 @@ from .assembly import (
     AugmentedCurveSystem,
     AugmentedSurfaceSystem,
     BlockPartition,
-    CurveNormalSystem,
-    SurfaceNormalSystem,
+    NormalSystem,
     assemble_collocation,
     augment_curve,
     augment_surface,
@@ -68,19 +68,18 @@ __all__ = [
     "AugmentedSurfaceSystem",
     "BasisSpan",
     "BlockPartition",
-    "CurveNormalSystem",
     "DirectSolution",
     "FitResult",
     "KnotVector",
     "LambdaIterate",
     "NoiseModel",
     "NoiseSpec",
+    "NormalSystem",
     "SampledCurve",
     "SampledSurface",
     "SelfConsistentResult",
     "SpectralDecayFit",
     "StoppingRule",
-    "SurfaceNormalSystem",
     "add_noise",
     "assemble_collocation",
     "augment_curve",

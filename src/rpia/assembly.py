@@ -5,16 +5,17 @@ on its stacked ("augmented") form: the design matrix with ``sqrt(lam)``
 times the penalty matrix appended below it, and zero-padded targets. The
 randomized solvers never touch that stack. They read the fit's normal
 system in control space: the gram ``K = A^T A + lam G^T G``, the design gram
-``A^T A``, the right-hand side ``A^T q`` and ``|q|^2``. The experiment builds
-those fields from the B-spline spans (:class:`CurveNormalSystem`,
-:class:`SurfaceNormalSystem`); a dense :class:`AugmentedCurveSystem` derives
-the same fields from its stack, for the oracles and the reference tests.
+``A^T A``, the right-hand side ``A^T q`` and ``|q|^2``. A surface's normal
+matrix is the Kronecker product of two such factor grams, so one
+:class:`NormalSystem` holds one factor's grams (a curve) or two (a surface).
+The experiment builds its fields from the B-spline spans; a dense
+:class:`AugmentedCurveSystem` derives the same fields from its stack, for the
+oracles and the reference tests.
 """
 
 from __future__ import annotations
 
 import math
-from bisect import bisect_right
 from dataclasses import dataclass, field
 from functools import cached_property
 
@@ -96,39 +97,22 @@ def difference_eigenpairs(size: int, scale: float) -> tuple[np.ndarray, np.ndarr
 
 
 @dataclass(frozen=True)
-class CurveNormalSystem:
-    """A penalized curve fit in control space: what the randomized solver reads.
+class NormalSystem:
+    """A penalized fit in control space: what the randomized solver reads.
 
-    ``gram`` is ``K = A^T A + lam G^T G`` and ``design_gram`` is ``A^T A``,
-    both (n+1) x (n+1); ``rhs`` is ``A^T q``, one column per point
-    coordinate; ``data_norm_sq`` is ``|q|^2``. The solver patches ``A^T A``
-    on the coupled windows of ``K``'s partition, so ``A^T A`` may have no
-    nonzero outside them (:meth:`BlockPartition.covers`).
+    ``grams`` holds one normal matrix per direction, ``(K,)`` for a curve and
+    ``(Ku, Kv)`` for a surface, with ``K = A^T A + lam G^T G`` of that
+    direction's design ``A`` and penalty ``G``; a surface's stacked system
+    has the normal matrix ``kron(Kv, Ku)``. ``design_grams`` holds the
+    matching ``A^T A``. ``rhs`` is ``A^T q``, (n+1, ncoord), or
+    ``A^T Q B``, (n1+1, n2+1, ncoord), and ``data_norm_sq`` is ``|q|^2``.
+    The solver patches each design gram on the coupled windows of its gram's
+    partition, so a design gram may have no nonzero outside them
+    (:meth:`BlockPartition.covers`).
     """
 
-    gram: np.ndarray
-    design_gram: np.ndarray
-    rhs: np.ndarray
-    data_norm_sq: float
-
-
-@dataclass(frozen=True)
-class SurfaceNormalSystem:
-    """A penalized tensor surface fit in control space.
-
-    With the row design ``A``, column design ``B`` and penalties ``Lu``,
-    ``Lv``: ``gram_u = A^T A + lam Lu^T Lu``, ``gram_v = B^T B + lam Lv^T Lv``
-    (so the stacked system's normal matrix is ``kron(gram_v, gram_u)``), the
-    design grams ``A^T A`` and ``B^T B``, ``rhs = A^T Q B`` of shape
-    (n1+1, n2+1, ncoord) and ``data_norm_sq = |Q|^2``. Each design gram
-    may have no nonzero outside the coupled windows of its factor gram's
-    partition (:meth:`BlockPartition.covers`).
-    """
-
-    gram_u: np.ndarray
-    gram_v: np.ndarray
-    design_gram_u: np.ndarray
-    design_gram_v: np.ndarray
+    grams: tuple
+    design_grams: tuple
     rhs: np.ndarray
     data_norm_sq: float
 
@@ -139,9 +123,10 @@ class AugmentedCurveSystem:
 
     ``stacked`` is ((m+1)+(n+1)) x (n+1) in Fortran order so column blocks
     slice to views; ``targets`` carries one column per point coordinate and is
-    zero below row ``data_rows``. The fields of a :class:`CurveNormalSystem`
-    (``gram``, ``design_gram``, ``rhs``, ``data_norm_sq``) are built from the
-    stack on first use, so the randomized solver runs on either.
+    zero below row ``data_rows``. The fields of a one-direction
+    :class:`NormalSystem` (``grams``, ``design_grams``, ``rhs``,
+    ``data_norm_sq``) are built from the stack on first use, so the
+    randomized solver runs on either.
     """
 
     stacked: np.ndarray
@@ -163,14 +148,14 @@ class AugmentedCurveSystem:
         return self.stacked.shape[1]
 
     @cached_property
-    def gram(self) -> np.ndarray:
-        """``S^T S = A^T A + lam G^T G`` of the stacked matrix ``S``; banded."""
-        return self.stacked.T @ self.stacked
+    def grams(self) -> tuple:
+        """``(S^T S,)``, ``S^T S = A^T A + lam G^T G`` of the stacked matrix ``S``; banded."""
+        return (self.stacked.T @ self.stacked,)
 
     @cached_property
-    def design_gram(self) -> np.ndarray:
-        """``A^T A``."""
-        return self.design.T @ self.design
+    def design_grams(self) -> tuple:
+        """``(A^T A,)``."""
+        return (self.design.T @ self.design,)
 
     @cached_property
     def rhs(self) -> np.ndarray:
@@ -290,7 +275,9 @@ class BlockPartition:
     update moves ``K @ x`` only inside it; ``inner[t]`` is where the block
     lies within that window. The solvers patch ``A^T A @ x`` on the same
     windows, which is exact only when the design gram's nonzeros lie inside
-    them (:meth:`covers`); ``run`` checks this.
+    them (:meth:`covers`); ``run`` checks this. ``cumulative`` holds the
+    running sums of ``probabilities``, the last set to exactly 1: a uniform
+    ``u`` in [0, 1) draws the block ``searchsorted(cumulative, u, "right")``.
     """
 
     spans: tuple[slice, ...]
@@ -300,7 +287,6 @@ class BlockPartition:
     coupled: tuple[slice, ...]
     inner: tuple[slice, ...] = field(init=False, repr=False)
     cumulative: np.ndarray = field(init=False, repr=False)
-    _bounds: list = field(init=False, repr=False)
 
     def __post_init__(self):
         inner = tuple(
@@ -311,18 +297,9 @@ class BlockPartition:
         cumulative[-1] = 1.0
         object.__setattr__(self, "inner", inner)
         object.__setattr__(self, "cumulative", cumulative)
-        object.__setattr__(self, "_bounds", cumulative.tolist())
 
     def __len__(self) -> int:
         return len(self.spans)
-
-    def block_at(self, u: float) -> int:
-        """The block whose cumulative-probability interval holds ``u`` in [0, 1).
-
-        Same answer as ``np.searchsorted(cumulative, u, side="right")``; a
-        bisection on a Python list is an order of magnitude cheaper per call.
-        """
-        return bisect_right(self._bounds, u)
 
     def covers(self, matrix) -> bool:
         """Whether every nonzero of ``matrix[:, spans[t]]`` lies in ``coupled[t]``.

@@ -19,7 +19,8 @@ PROBLEMS = ("curve", "surface")
 GENERATORS = ("rose", "blob", "boy", "file")
 INNER_SOLVERS = ("direct", "rpia")
 
-# Integer fields; those in the second tuple may also be left unset (None).
+# Integer fields; those in the second tuple may also be left unset (None),
+# and are the second direction's sizes, which only a surface may set.
 _INTEGER_FIELDS = ("m", "n_ctrl", "block_size", "max_iter", "head_count", "trajectory_stride")
 _OPTIONAL_INTEGER_FIELDS = ("p", "n_ctrl_v", "block_size_v")
 
@@ -125,6 +126,11 @@ class ExperimentConfig:
         if self.problem == "surface":
             if (self.p or 0) < 1 or (self.n_ctrl_v or 0) < 3:
                 raise InvalidConfig("surface runs need positive p and n_ctrl_v >= 3")
+        else:
+            for name in _OPTIONAL_INTEGER_FIELDS:
+                if getattr(self, name) is not None:
+                    raise InvalidConfig(f"{name} sizes a surface's second direction; "
+                                        "a curve config cannot set it")
         if isinstance(self.lam, str) and self.lam not in _LAMBDA_MODES:
             raise InvalidConfig(
                 f"lambda must be a number, a sweep grid, or one of {_LAMBDA_MODES}"

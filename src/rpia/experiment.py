@@ -26,8 +26,7 @@ import numpy as np
 from . import curve as curve_solver
 from . import surface as surface_solver
 from .assembly import (
-    CurveNormalSystem,
-    SurfaceNormalSystem,
+    NormalSystem,
     assemble_collocation,
     augment_curve,
     difference_matrix,
@@ -159,8 +158,8 @@ class Direction:
 class TensorProblem:
     """A penalized tensor-product fit over one direction (a curve) or two (a surface).
 
-    The subclasses add the randomized kernel, the curve's fallback for an
-    ill-conditioned normal matrix and the fitted-geometry file.
+    The subclasses add the curve's fallback for an ill-conditioned normal
+    matrix and the fitted-geometry file.
     """
 
     clean: np.ndarray
@@ -243,15 +242,16 @@ class TensorProblem:
         def solve(lam: float):
             grams = self._normal_matrices(require_weight(lam))
             partitions = [gram_partition(g, size) for g, size in zip(grams, block_sizes)]
-            result = self._kernel(
-                grams, rhs, norm_sq, partitions, start, _stop_rule(cfg), solver_rng(seed), stride
+            design_grams = tuple(direction.design_gram for direction in self.directions)
+            system = NormalSystem(tuple(grams), design_grams, rhs, norm_sq)
+            # looked up at call time, so a wrapped ``run`` sees every fit
+            solver = (curve_solver, surface_solver)[len(self.directions) - 1]
+            result = solver.run(
+                system, *partitions, start, _stop_rule(cfg), solver_rng(seed),
+                trajectory_stride=stride,
             )
             return result.control_points, result
         return solve
-
-    def _kernel(self, grams, rhs, norm_sq, partitions, start, stop, rng, stride):
-        """The randomized solver's run on the normal system with these grams."""
-        raise NotImplementedError
 
     def direct_solver(self, data):
         """The weight-to-minimizer map for one data set: ``lam`` to the solution
@@ -334,10 +334,6 @@ class CurveProblem(TensorProblem):
     def __init__(self, clean, params, knots, basis, penalty_scale):
         super().__init__(clean, (Direction(params, knots, basis, penalty_scale),))
 
-    def _kernel(self, grams, rhs, norm_sq, partitions, start, stop, rng, stride):
-        system = CurveNormalSystem(*grams, self.directions[0].design_gram, rhs, norm_sq)
-        return curve_solver.run(system, *partitions, start, stop, rng, trajectory_stride=stride)
-
     def _ill_conditioned(self, data: np.ndarray, lam: float, axis: int, cond: float) -> np.ndarray:
         """The minimizer by the stacked least-squares route of :func:`solve_curve_direct`."""
         system = augment_curve(self.design, self.penalty, data, lam)
@@ -362,11 +358,6 @@ class SurfaceProblem(TensorProblem):
             Direction(params_u, knots_u, basis_u, penalty_scale),
             Direction(params_v, knots_v, basis_v, penalty_scale),
         ))
-
-    def _kernel(self, grams, rhs, norm_sq, partitions, start, stop, rng, stride):
-        design_grams = [direction.design_gram for direction in self.directions]
-        system = SurfaceNormalSystem(*grams, *design_grams, rhs, norm_sq)
-        return surface_solver.run(system, *partitions, start, stop, rng, trajectory_stride=stride)
 
     def write_fitted(self, out: Path, controls) -> str:
         _, sampled = sample_fitted(self, controls)

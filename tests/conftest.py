@@ -10,7 +10,7 @@ import pytest
 from hypothesis import strategies as st
 
 from rpia.assembly import (
-    SurfaceNormalSystem,
+    NormalSystem,
     assemble_collocation,
     augment_curve,
     augment_surface,
@@ -129,9 +129,9 @@ def random_surface_system(rng, rows=(3, 3), cols=(2, 3), lam=0.2):
 def surface_normal_system(system):
     """The control-space fields of a stacked surface system, from its dense factors."""
     row, col = system.row_stacked, system.col_stacked
-    return SurfaceNormalSystem(
-        row.T @ row, col.T @ col,
-        system.design_u.T @ system.design_u, system.design_v.T @ system.design_v,
+    return NormalSystem(
+        (row.T @ row, col.T @ col),
+        (system.design_u.T @ system.design_u, system.design_v.T @ system.design_v),
         np.stack([row.T @ t @ col for t in np.moveaxis(system.targets, -1, 0)], axis=-1),
         float(np.vdot(system.data, system.data)),
     )

@@ -375,22 +375,6 @@ class TestGramPartition:
         assert gram_partition(np.eye(4), 4).covers(coupled)
 
 
-class TestBlockAt:
-    @settings(max_examples=100, deadline=None)
-    @given(
-        weights=st.lists(st.floats(1e-6, 1e3), min_size=1, max_size=30),
-        block_size=st.integers(1, 4),
-        data=st.data(),
-    )
-    def test_matches_searchsorted_on_and_off_boundaries(self, weights, block_size, data):
-        part = make_partition(np.diag(np.sqrt(weights)), block_size)
-        boundary = data.draw(st.sampled_from([0.0, *part.cumulative[:-1].tolist()]))
-        interior = data.draw(st.floats(0.0, 1.0, exclude_max=True))
-        for u in (boundary, np.nextafter(boundary, 0.0), np.nextafter(boundary, 1.0), interior):
-            expected = int(np.searchsorted(part.cumulative, u, side="right"))
-            assert part.block_at(float(u)) == expected
-
-
 class TestFullColumnRank:
     def test_stacked_smallest_singular_value_positive(self):
         points = rose_curve(120).points

@@ -181,6 +181,26 @@ class TestFit:
         assert result.exit_code == 2
         assert "block_size_v" in result.output
 
+    def test_surface_keys_in_a_curve_config_exit_code(self, runner, tmp_path):
+        # p, n_ctrl_v and block_size_v size a surface's second direction; a
+        # curve fit would drop them, so the config is refused
+        cfg = write_desk_config(tmp_path / "cfg.yaml", p=5, n_ctrl_v=9, block_size_v=7)
+        result = runner.invoke(main, ["fit", "--config", str(cfg), "--out", str(tmp_path / "out")])
+        assert result.exit_code == 2
+        assert "error: p " in result.output
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("option, key", [
+        ("--p", "p"), ("--n-ctrl-v", "n_ctrl_v"), ("--block-size-v", "block_size_v"),
+    ])
+    def test_surface_option_on_a_curve_config_exit_code(self, runner, tmp_path, option, key):
+        result = runner.invoke(main, [
+            "fit", "--config", str(CONFIG_DIR / "rose.yaml"), option, "10",
+            "--out", str(tmp_path / "out"),
+        ])
+        assert result.exit_code == 2
+        assert f"error: {key} " in result.output
+
     @pytest.mark.parametrize("error", LIBRARY_ERRORS, ids=lambda cls: cls.__name__)
     def test_every_library_error_maps_to_its_exit_code(self, runner, monkeypatch, error):
         def failing_build(cfg):

@@ -5,7 +5,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from rpia.assembly import (
-    CurveNormalSystem,
+    AugmentedCurveSystem,
+    NormalSystem,
     assemble_collocation,
     augment_curve,
     difference_matrix,
@@ -13,9 +14,9 @@ from rpia.assembly import (
     make_partition,
 )
 from rpia.basis import build_knots, chord_length_params
-from rpia.curve import StoppingRule, _refresh, init_state, run, select_block, step
+from rpia.curve import StoppingRule, init_state, run, step
 from rpia.datasets import rose_curve
-from rpia.driver import REFRESH_EVERY
+from rpia.driver import REFRESH_EVERY, _refresh, draw_blocks
 from rpia.errors import DimensionMismatch
 from rpia.experiment import initial_controls_curve
 from rpia.oracle import solve_curve_direct
@@ -72,22 +73,18 @@ class TestSelectBlock:
         system = random_curve_system(rng)
         partition = make_partition(system.stacked, system.n_controls)
         state = init_state(system, np.zeros((system.n_controls, 2)), 11)
-        assert all(select_block(state, partition) == 0 for _ in range(50))
+        assert all(blocks == (0,) for blocks in draw_blocks(state.rng, (partition,), 50))
 
     def test_three_to_one_frequencies(self):
         # two blocks with squared norms 3 and 1
         stacked = np.asfortranarray(
             np.diag([np.sqrt(2.0), 1.0, np.sqrt(0.5), np.sqrt(0.5)])
         )
-        from rpia.assembly import AugmentedCurveSystem
-
         system = AugmentedCurveSystem(stacked, np.zeros((4, 1)), 0.0, 4)
         partition = make_partition(stacked, 2)
         npt.assert_allclose(partition.probabilities, [0.75, 0.25])
         state = init_state(system, np.zeros((4, 1)), 2024)
-        draws = np.fromiter(
-            (select_block(state, partition) for _ in range(100_000)), dtype=int
-        )
+        draws = np.array(list(draw_blocks(state.rng, (partition,), 100_000)))[:, 0]
         freq = np.mean(draws == 0)
         assert abs(freq - 0.75) < 0.01
 
@@ -99,10 +96,8 @@ class TestSelectBlock:
         system = augment_curve(design, difference_matrix(101, 1600.0), points, 1.646e-6)
         partition = make_partition(system.stacked, 5)
         assert len(partition) == 21
-        # vectorized draws through the same inverse-CDF transform select_block uses
         n_draws = 1_000_000
-        u = philox_stream(99).random(n_draws)
-        draws = np.searchsorted(partition.cumulative, u, side="right")
+        draws = np.array(list(draw_blocks(philox_stream(99), (partition,), n_draws)))[:, 0]
         counts = np.bincount(draws, minlength=21)
         expected = n_draws * partition.probabilities
         chi2 = float(np.sum((counts - expected) ** 2 / expected))
@@ -293,13 +288,13 @@ class TestGramStep:
         problem = curve_problem(design, 2.0)
         q, rhs = problem.right_hand_side(points)
         [direction] = problem.directions
-        spans = CurveNormalSystem(
-            direction.normal.matrix(lam), direction.design_gram, rhs, float(np.vdot(q, q))
+        spans = NormalSystem(
+            (direction.normal.matrix(lam),), (direction.design_gram,), rhs, float(np.vdot(q, q))
         )
         dense = augment_curve(design, difference_matrix(design.shape[1], 2.0), points, lam)
         p0 = initial_controls_curve(points, design.shape[1] - 1)
         rule = StoppingRule(1e-8, n_steps, patience=n_steps + 1)
-        got = run(spans, gram_partition(spans.gram, block_size), p0, rule, seed)
+        got = run(spans, gram_partition(spans.grams[0], block_size), p0, rule, seed)
         want = run(dense, make_partition(dense.stacked, block_size), p0, rule, seed)
         assert got.iterations == want.iterations == n_steps
         assert_close_to_scale(got.control_points, want.control_points)
@@ -310,23 +305,24 @@ def two_product_steps(system, partition, p0, seed, n_steps):
     for ``h`` through ``A^T A``, refreshed at the solver's period. Yields
     ``(P, g, h, |A P|^2, |A delta|)`` after each step."""
     rng = philox_stream(seed)
+    [gram], [design_gram] = system.grams, system.design_grams
     controls = np.array(p0, dtype=float)
-    correlation = system.rhs - system.gram @ controls
-    image = system.design_gram @ controls
+    correlation = system.rhs - gram @ controls
+    image = design_gram @ controls
     norm_sq = float(np.vdot(controls, image))
     for k in range(1, n_steps + 1):
-        t = partition.block_at(rng.random())
+        t = int(np.searchsorted(partition.cumulative, rng.random(), side="right"))
         block, coupled = partition.spans[t], partition.coupled[t]
         delta = correlation[block] / partition.norms_sq[t]
         controls[block] += delta
-        correlation[coupled] -= system.gram[coupled, block] @ delta
-        patch = system.design_gram[coupled, block] @ delta
+        correlation[coupled] -= gram[coupled, block] @ delta
+        patch = design_gram[coupled, block] @ delta
         move_sq = max(float(np.vdot(delta, patch[partition.inner[t]])), 0.0)
         norm_sq += 2.0 * float(np.vdot(image[block], delta)) + move_sq
         image[coupled] += patch
         if k % REFRESH_EVERY == 0:
-            correlation = system.rhs - system.gram @ controls
-            image = system.design_gram @ controls
+            correlation = system.rhs - gram @ controls
+            image = design_gram @ controls
             norm_sq = float(np.vdot(controls, image))
         yield controls, correlation, image, norm_sq, np.sqrt(move_sq)
 
@@ -347,10 +343,10 @@ def normal_systems_with_partitions(draw):
     problem = curve_problem(design, 2.0)
     q, rhs = problem.right_hand_side(points)
     [direction] = problem.directions
-    system = CurveNormalSystem(
-        direction.normal.matrix(lam), direction.design_gram, rhs, float(np.vdot(q, q))
+    system = NormalSystem(
+        (direction.normal.matrix(lam),), (direction.design_gram,), rhs, float(np.vdot(q, q))
     )
-    return system, gram_partition(system.gram, block_size)
+    return system, gram_partition(system.grams[0], block_size)
 
 
 class TestFusedStep:
@@ -486,9 +482,9 @@ class TestRun:
         # gram's coupling of columns 0 and 3
         design_gram = np.eye(4)
         design_gram[0, 3] = design_gram[3, 0] = 0.5
-        system = CurveNormalSystem(np.eye(4), design_gram, np.ones((4, 1)), 4.0)
+        system = NormalSystem((np.eye(4),), (design_gram,), np.ones((4, 1)), 4.0)
         with pytest.raises(DimensionMismatch, match="coupled windows"):
-            run(system, gram_partition(system.gram, 1), np.zeros((4, 1)),
+            run(system, gram_partition(np.eye(4), 1), np.zeros((4, 1)),
                 StoppingRule(1e-8, 10), 0)
 
     def test_zero_iterations_returns_start(self, rng):

@@ -8,6 +8,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import rpia.curve
+import rpia.surface
 from rpia import assembly, experiment
 from rpia.assembly import (
     assemble_collocation,
@@ -255,6 +257,25 @@ def test_benchmark_reads_the_frozen_problem_attributes(monkeypatch):
                 getattr(problem, penalty),
                 difference_matrix(direction.basis.n_basis, cfg.penalty_scale),
             )
+
+
+@pytest.mark.parametrize("make, kind", [(desk_curve_config, "curve"),
+                                        (desk_surface_config, "surface")])
+def test_benchmark_sees_every_randomized_fit(monkeypatch, make, kind):
+    # The benchmark times the solvers by wrapping rpia.curve.run and
+    # rpia.surface.run (perfbench/tracer.py): a fit that reached the kernel
+    # some other way would leave its curve.* or surface.* layer reading 0.
+    calls = {"curve": [], "surface": []}
+    for name, module in (("curve", rpia.curve), ("surface", rpia.surface)):
+        def recording(*args, _run=module.run, _calls=calls[name], **kwargs):
+            result = _run(*args, **kwargs)
+            _calls.append(result.iterations)
+            return result
+        monkeypatch.setattr(module, "run", recording)
+    cfg = make(max_iter=50)
+    outcomes = run_experiment(cfg).outcomes
+    assert calls[kind] == [o.iterations for o in outcomes] and len(outcomes) == len(cfg.seeds)
+    assert calls["surface" if kind == "curve" else "curve"] == []
 
 
 def _relative_gap(actual, expected):

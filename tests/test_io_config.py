@@ -281,6 +281,14 @@ class TestConfig:
             config_from_mapping({"problem": "surface", "generator": "boy", "p": 8,
                                  "n_ctrl_v": 4, "block_size_v": value})
 
+    @pytest.mark.parametrize("key, value", [("p", 5), ("n_ctrl_v", 9), ("block_size_v", 7)])
+    def test_curve_refuses_surface_keys(self, key, value):
+        # a curve has one direction: these keys would be dropped without a word
+        with pytest.raises(InvalidConfig, match=key):
+            config_from_mapping({"problem": "curve", "generator": "rose", key: value})
+        with pytest.raises(InvalidConfig, match=key):
+            ExperimentConfig().with_overrides(**{key: value})
+
     @pytest.mark.parametrize("value", [float("nan"), float("inf")])
     @pytest.mark.parametrize(
         "field", ["lambda", "noise_amplitude", "penalty_scale", "tolerance", "eps_lambda"]

@@ -6,8 +6,9 @@ from hypothesis import strategies as st
 
 from rpia.assembly import (
     AugmentedSurfaceSystem,
-    SurfaceNormalSystem,
+    NormalSystem,
     assemble_collocation,
+    augment_curve,
     augment_surface,
     difference_matrix,
     gram_partition,
@@ -16,16 +17,17 @@ from rpia.assembly import (
 from rpia.basis import build_knots, surface_params
 from rpia.curve import StoppingRule
 from rpia.datasets import boy_surface
-from rpia.driver import REFRESH_EVERY
+from rpia import curve, driver, surface
+from rpia.driver import REFRESH_EVERY, StepTable, _refresh, draw_blocks
 from rpia.errors import DimensionMismatch
 from rpia.oracle import solve_surface_direct
-from rpia import surface as surface_module
-from rpia.driver import StepTable
-from rpia.surface import _refresh, init_state, run, select_blocks, step
+from rpia.surface import init_state, run, step
 
 from conftest import (
     assert_close_to_scale,
     collocation_design,
+    designs,
+    penalty_weights,
     random_surface_system,
     replay_caps,
     replay_strides,
@@ -67,9 +69,41 @@ class TestInitState:
                 system.row_stacked.T @ system.targets[:, :, f] @ system.col_stacked,
             )
         npt.assert_allclose(state.residual_norm(), np.linalg.norm(system.targets), rtol=1e-15)
-        npt.assert_array_equal(state.design_image, np.zeros_like(state.control_grid))
+        npt.assert_array_equal(state.design_image, np.zeros_like(state.control_points))
         assert state.fitted_norm_sq == 0.0
         assert state.iteration == 0
+
+    @settings(max_examples=40, deadline=None)
+    @given(kind=st.sampled_from(["curve, 1-D", "curve, 1", "curve, 3", "surface"]),
+           seed=st.integers(0, 2**32 - 1), data=st.data())
+    def test_never_aliases_the_start(self, kind, seed, data):
+        # the state's controls are its own: steps never write into the
+        # caller's start, whatever its layout (a surface: 1 or 3 coordinates)
+        rng = np.random.default_rng(seed)
+        if kind == "surface":
+            stacked = data.draw(surface_systems())
+            system = surface_normal_system(stacked)
+            start = rng.standard_normal(system.rhs.shape)
+            module, partitions = surface, [
+                make_partition(factor, 2) for factor in (stacked.row_stacked, stacked.col_stacked)
+            ]
+        else:
+            design = data.draw(designs())
+            width = 3 if kind == "curve, 3" else 1
+            system = augment_curve(
+                design, difference_matrix(design.shape[1], 2.0),
+                rng.standard_normal((design.shape[0], width)), data.draw(penalty_weights(design)),
+            )
+            start = rng.standard_normal((system.n_controls, width))
+            if kind == "curve, 1-D":
+                start = start[:, 0]
+            module, partitions = curve, [make_partition(system.stacked, 2)]
+        before = start.copy()
+        state = module.init_state(system, start, seed)
+        assert not np.shares_memory(state.control_points, start)
+        for _ in range(5):
+            module.step(state, *partitions)
+        npt.assert_array_equal(start, before)
 
     def test_shape_check(self, rng):
         system = random_surface_system(rng)
@@ -83,7 +117,7 @@ class TestSelectBlocks:
         part_u = make_partition(system.row_stacked, system.row_stacked.shape[1])
         part_v = make_partition(system.col_stacked, system.col_stacked.shape[1])
         state = init_state(surface_normal_system(system), np.zeros((*system.n_controls, 3)), 2)
-        assert all(select_blocks(state, part_u, part_v) == (0, 0) for _ in range(20))
+        assert all(blocks == (0, 0) for blocks in draw_blocks(state.rng, (part_u, part_v), 20))
 
     def test_joint_frequency_product_of_marginals(self):
         # row blocks with squared norms 1:3, column blocks 1:1
@@ -99,11 +133,8 @@ class TestSelectBlocks:
         npt.assert_allclose(part_u.probabilities, [0.25, 0.75])
         npt.assert_allclose(part_v.probabilities, [0.5, 0.5])
         state = init_state(surface_normal_system(system), np.zeros((4, 4, 3)), 777)
-        hits = 0
         n_draws = 100_000
-        for _ in range(n_draws):
-            if select_blocks(state, part_u, part_v) == (1, 0):
-                hits += 1
+        hits = sum(blocks == (1, 0) for blocks in draw_blocks(state.rng, (part_u, part_v), n_draws))
         assert abs(hits / n_draws - 0.375) < 0.01
 
     def test_marginals_chi_squared_on_surface_partition(self):
@@ -119,10 +150,8 @@ class TestSelectBlocks:
         assert len(part_u) == 5 and len(part_v) == 5
         n_draws = 200_000
         for part, seed in ((part_u, 5), (part_v, 6)):
-            u = philox_stream(seed).random(n_draws)
-            counts = np.bincount(
-                np.searchsorted(part.cumulative, u, side="right"), minlength=len(part)
-            )
+            draws = np.array(list(draw_blocks(philox_stream(seed), (part,), n_draws)))[:, 0]
+            counts = np.bincount(draws, minlength=len(part))
             expected = n_draws * part.probabilities
             chi2 = float(np.sum((counts - expected) ** 2 / expected))
             # chi-squared on 4 degrees of freedom: 18.5 is the 99.9% point
@@ -141,9 +170,9 @@ class TestStep:
         state = init_state(surface_normal_system(system), exact, 3)
         part_u = make_partition(system.row_stacked, 2)
         part_v = make_partition(system.col_stacked, 1)
-        before = state.control_grid.copy()
+        before = state.control_points.copy()
         step(state, part_u, part_v)
-        npt.assert_allclose(state.control_grid, before, atol=1e-12)
+        npt.assert_allclose(state.control_points, before, atol=1e-12)
 
     def test_single_block_closed_form(self, rng):
         system = random_surface_system(rng, rows=(4, 3), cols=(3, 2), lam=0.3)
@@ -158,7 +187,7 @@ class TestStep:
             expected = grid0[:, :, f] + (
                 system.row_stacked.T @ residual0[f] @ system.col_stacked
             ) / scale
-            npt.assert_allclose(state.control_grid[f], expected, atol=1e-13)
+            npt.assert_allclose(state.control_points[f], expected, atol=1e-13)
 
     def test_matches_straight_line_reimplementation(self, rng):
         system = random_surface_system(rng, rows=(3, 3), cols=(2, 3), lam=0.15)
@@ -189,7 +218,7 @@ class TestStep:
         for f in range(3):
             residual_f = system.targets[:, :, f] - system.row_stacked @ grid0[:, :, f] @ system.col_stacked.T
             expected[t, s, f] += float(a_col @ residual_f @ b_col) / scale
-        got = np.moveaxis(state.control_grid, 0, -1)
+        got = np.moveaxis(state.control_points, 0, -1)
         npt.assert_allclose(got, expected, atol=1e-13)
 
     def test_block_locality_bitwise(self, rng):
@@ -198,7 +227,7 @@ class TestStep:
         part_v = make_partition(system.col_stacked, 2)
         state = init_state(surface_normal_system(system), rng.standard_normal((4, 3, 3)), 55)
         for _ in range(20):
-            before = state.control_grid.copy()
+            before = state.control_points.copy()
             snapshot = state.rng.bit_generator.state
             step(state, part_u, part_v)
             replay = philox_stream(0)
@@ -208,7 +237,7 @@ class TestStep:
             mask = np.ones((4, 3), dtype=bool)
             mask[np.ix_(part_u.blocks[t], part_v.blocks[s])] = False
             for f in range(3):
-                npt.assert_array_equal(state.control_grid[f][mask], before[f][mask])
+                npt.assert_array_equal(state.control_points[f][mask], before[f][mask])
 
 
 class TestWindowedStep:
@@ -223,9 +252,9 @@ class TestWindowedStep:
         grid0 = np.random.default_rng(seed).standard_normal((*system.n_controls, ncoord))
         state = init_state(surface_normal_system(system), grid0, seed)
         a, b = system.design_u, system.design_v
-        fitted = np.stack([a @ g @ b.T for g in state.control_grid])
+        fitted = np.stack([a @ g @ b.T for g in state.control_points])
         for _ in range(8):
-            controls = state.control_grid.copy()
+            controls = state.control_points.copy()
             residual = stacked_residual(system, controls)
             replay = philox_stream(0)
             replay.bit_generator.state = state.rng.bit_generator.state
@@ -247,7 +276,7 @@ class TestWindowedStep:
                 top = move[: system.data_rows, : system.data_cols]
                 fitted[f] += top
                 move_sq += np.sum(top**2)
-            assert_close_to_scale(state.control_grid, controls)
+            assert_close_to_scale(state.control_points, controls)
             assert_close_to_scale(
                 state.correlation,
                 np.stack([system.row_stacked.T @ r @ system.col_stacked for r in residual]),
@@ -289,9 +318,9 @@ class TestGramStep:
         expected = start.copy()
         for f, r in enumerate(stacked_residual(system, start)):
             delta = a_cols.T @ r @ b_cols / scale
-            assert_close_to_scale(state.control_grid[f][cells] - start[f][cells], delta, tol=1e-12)
+            assert_close_to_scale(state.control_points[f][cells] - start[f][cells], delta, tol=1e-12)
             expected[f][cells] += delta
-        assert_close_to_scale(state.control_grid, expected, tol=1e-12)
+        assert_close_to_scale(state.control_points, expected, tol=1e-12)
         assert_close_to_scale(state.correlation, correlation_of(system, expected), tol=1e-12)
 
     @settings(max_examples=60, deadline=None)
@@ -305,7 +334,7 @@ class TestGramStep:
         state = init_state(surface_normal_system(system), grid0, seed)
         for _ in range(n_steps):
             step(state, part_u, part_v)
-        truth = np.linalg.norm(stacked_residual(system, state.control_grid))
+        truth = np.linalg.norm(stacked_residual(system, state.control_points))
         npt.assert_allclose(state.residual_norm(), truth, rtol=1e-12)
 
 
@@ -323,7 +352,7 @@ class TestGramStep:
         for _ in range(n_steps):
             step(state, part_u, part_v)
         a, b = system.design_u, system.design_v
-        fitted = np.stack([a @ g @ b.T for g in state.control_grid])
+        fitted = np.stack([a @ g @ b.T for g in state.control_points])
         assert_close_to_scale(
             state.design_image, np.stack([a.T @ x @ b for x in fitted]), tol=1e-10
         )
@@ -337,24 +366,25 @@ def two_product_steps(system, part_u, part_v, grid0, seed, n_steps):
     the solver's period. Yields ``(P, g, h, |A P B^T|^2, |A delta B^T|,
     residual norm)`` after each step, coordinate first."""
     rng = philox_stream(seed)
+    (gram_u, gram_v), (design_gram_u, design_gram_v) = system.grams, system.design_grams
     rhs = np.moveaxis(system.rhs, -1, 0)
     grid = np.moveaxis(np.asarray(grid0, dtype=float), -1, 0).copy()
 
     def refresh():
-        correlation = rhs - system.gram_u @ grid @ system.gram_v
-        image = system.design_gram_u @ grid @ system.design_gram_v
+        correlation = rhs - gram_u @ grid @ gram_v
+        image = design_gram_u @ grid @ design_gram_v
         return correlation, image, float(np.vdot(grid, image))
 
     correlation, image, norm_sq = refresh()
     for k in range(1, n_steps + 1):
-        t = part_u.block_at(rng.random())
-        s = part_v.block_at(rng.random())
+        t = int(np.searchsorted(part_u.cumulative, rng.random(), side="right"))
+        s = int(np.searchsorted(part_v.cumulative, rng.random(), side="right"))
         rows, cols = part_u.spans[t], part_v.spans[s]
         wt, ws = part_u.coupled[t], part_v.coupled[s]
         delta = correlation[:, rows, cols] / (part_u.norms_sq[t] * part_v.norms_sq[s])
         grid[:, rows, cols] += delta
-        correlation[:, wt, ws] -= system.gram_u[wt, rows] @ delta @ system.gram_v[cols, ws]
-        patch = system.design_gram_u[wt, rows] @ delta @ system.design_gram_v[cols, ws]
+        correlation[:, wt, ws] -= gram_u[wt, rows] @ delta @ gram_v[cols, ws]
+        patch = design_gram_u[wt, rows] @ delta @ design_gram_v[cols, ws]
         inside = patch[:, part_u.inner[t], part_v.inner[s]]
         move_sq = max(float(np.vdot(delta, inside)), 0.0)
         norm_sq += 2.0 * float(np.vdot(image[:, rows, cols], delta)) + move_sq
@@ -387,7 +417,7 @@ class TestFusedStep:
             step(state, part_u, part_v)
             if state.iteration % REFRESH_EVERY == 0:
                 _refresh(state)
-            npt.assert_array_equal(state.control_grid, grid)
+            npt.assert_array_equal(state.control_points, grid)
             npt.assert_array_equal(state.correlation, correlation)
             npt.assert_array_equal(state.design_image, image)
             assert state.fitted_norm_sq == norm_sq
@@ -416,9 +446,9 @@ class TestFusedStep:
                             rtol=1e-12, atol=1e-14 * before)
         # a zeroed correlation reaches the step: the drawn subgrid does not move
         state.correlation[:] = 0.0
-        grid = state.control_grid.copy()
+        grid = state.control_points.copy()
         step(state, part_u, part_v)
-        npt.assert_array_equal(state.control_grid, grid)
+        npt.assert_array_equal(state.control_points, grid)
         assert state.last_move_norm == 0.0
 
 
@@ -446,14 +476,14 @@ class TestResidualConsistency:
             if k % 500 == 0:
                 _refresh(state)
             if k % 200 == 0:
-                truth = correlation_of(system, state.control_grid)
+                truth = correlation_of(system, state.control_points)
                 for f in range(3):
                     gap = np.linalg.norm(state.correlation[f] - truth[f])
                     assert gap <= 1e-10 * max(np.linalg.norm(truth[f]), 1.0)
-                residual = np.linalg.norm(stacked_residual(system, state.control_grid))
+                residual = np.linalg.norm(stacked_residual(system, state.control_points))
                 assert abs(state.residual_norm() - residual) <= 1e-10 * max(residual, 1.0)
                 a, b = system.design_u, system.design_v
-                fitted = np.stack([a @ g @ b.T for g in state.control_grid])
+                fitted = np.stack([a @ g @ b.T for g in state.control_points])
                 image = np.stack([a.T @ x @ b for x in fitted])
                 gap = np.linalg.norm(state.design_image - image)
                 assert gap <= 1e-10 * max(np.linalg.norm(image), 1.0)
@@ -486,11 +516,11 @@ class TestRun:
         # one-column windows of a diagonal column gram
         design_gram_v = np.eye(4)
         design_gram_v[0, 3] = design_gram_v[3, 0] = 0.5
-        system = SurfaceNormalSystem(
-            np.eye(3), np.eye(4), np.eye(3), design_gram_v, np.ones((3, 4, 1)), 12.0
+        system = NormalSystem(
+            (np.eye(3), np.eye(4)), (np.eye(3), design_gram_v), np.ones((3, 4, 1)), 12.0
         )
         with pytest.raises(DimensionMismatch, match="coupled windows"):
-            run(system, gram_partition(system.gram_u, 3), gram_partition(system.gram_v, 1),
+            run(system, gram_partition(np.eye(3), 3), gram_partition(np.eye(4), 1),
                 np.zeros((3, 4, 1)), StoppingRule(1e-8, 10), 0)
 
     def test_zero_iterations_returns_start(self, rng):
@@ -560,7 +590,7 @@ class TestRunReplaysSteps:
         assert (result.iterations, result.converged, result.stop_reason) == (
             state.iteration, converged, reason
         )
-        npt.assert_array_equal(result.control_points, np.moveaxis(state.control_grid, 0, -1))
+        npt.assert_array_equal(result.control_points, np.moveaxis(state.control_points, 0, -1))
         assert result.trajectory == trajectory
         return result
 
@@ -624,7 +654,7 @@ class TestStepTable:
         design_gram = design.T @ design
         gram = design_gram + 1e-3 * difference_matrix(401, 1.0) @ difference_matrix(401, 1.0)
         rhs = np.random.default_rng(0).standard_normal((401, 401, 1))
-        system = SurfaceNormalSystem(gram, gram, design_gram, design_gram, rhs, 1.0)
+        system = NormalSystem((gram, gram), (design_gram, design_gram), rhs, 1.0)
         partition = gram_partition(gram, 5)
         assert len(partition) ** 2 == 6561
         tables = []
@@ -634,7 +664,7 @@ class TestStepTable:
                 super().__init__(build)
                 tables.append(self)
 
-        monkeypatch.setattr(surface_module, "StepTable", RecordedTable)
+        monkeypatch.setattr(driver, "StepTable", RecordedTable)
         result = run(system, partition, partition, np.zeros((401, 401, 1)),
                      StoppingRule(0.0, 50), 3)
         assert result.iterations == 50
