@@ -14,6 +14,7 @@ All functions here are pure; none hold state.
 
 from __future__ import annotations
 
+import math
 import warnings
 from dataclasses import dataclass
 
@@ -22,6 +23,14 @@ import numpy as np
 from .errors import DegenerateData, DuplicatePointWarning, InvalidConfig, OutOfDomain
 
 DEGREE = 3
+
+# Bytes of output rows that one block of ``BasisSpan.apply`` writes, and so
+# the size of its one temporary (see ``tests/test_experiment.py`` for the
+# traced peaks this keeps).
+APPLY_CHUNK_BYTES = 1 << 15
+
+# Parameters that one pass of ``eval_basis``'s recurrence evaluates at once.
+EVAL_CHUNK = 1024
 
 
 @dataclass(frozen=True)
@@ -98,9 +107,31 @@ class BasisSpan:
         return matrix
 
     def apply(self, x, axis: int = 0) -> np.ndarray:
-        """``A @ x`` along ``axis`` of ``x``, which has ``n_basis`` entries there."""
+        """``A @ x`` along ``axis`` of ``x``, which has ``n_basis`` entries there.
+
+        The output is written in blocks of rows, each under
+        ``APPLY_CHUNK_BYTES``: one pass per run offset ``j`` gathers the
+        entries ``start + j`` of the block's rows, scales them by
+        ``values[:, j]`` and adds them into the zeroed output. Each entry is
+        then ``((0 + v0 x0) + v1 x1) + ...`` in run order, as ``np.einsum``
+        sums it when ``x`` has another axis with two or more entries (as
+        every fit's coordinate axis does). The output keeps ``axis`` first in
+        memory, so sums over it run in the same order as ``einsum``'s.
+        """
         x = np.moveaxis(np.asarray(x, dtype=float), axis, 0)
-        out = np.einsum("kw,kw...->k...", self.values, x.take(self._columns(), axis=0))
+        # ``take`` gathers fastest but first copies an array that is not
+        # contiguous; indexing reads any layout in place.
+        contiguous = x.flags.c_contiguous
+        rows = self.start.size
+        out = np.zeros((rows,) + x.shape[1:])
+        chunk = max(1, APPLY_CHUNK_BYTES // max(out.itemsize * math.prod(x.shape[1:]), 1))
+        values = self.values.reshape(self.values.shape + (1,) * (x.ndim - 1))
+        for lo in range(0, rows, chunk):
+            block, start = out[lo: lo + chunk], self.start[lo: lo + chunk]
+            for j in range(values.shape[1]):
+                term = x.take(start + j, axis=0) if contiguous else x[start + j]
+                term *= values[lo: lo + chunk, j]
+                block += term
         return np.moveaxis(out, 0, axis)
 
     def apply_transpose(self, y, axis: int = 0) -> np.ndarray:
@@ -269,7 +300,8 @@ def eval_basis(knots: KnotVector, params) -> BasisSpan:
     Each parameter's span is the largest ``s`` with ``knots[s] <= x <
     knots[s + 1]`` (right-continuous); ``x = 1`` falls into the last
     nontrivial span. The values come from the triangular recurrence, run on
-    all parameters at once.
+    blocks of ``EVAL_CHUNK`` parameters at a time, so its temporaries stay
+    small however many parameters there are.
 
     Parameters
     ----------
@@ -296,8 +328,17 @@ def eval_basis(knots: KnotVector, params) -> BasisSpan:
     t, d = knots.knots, knots.degree
     span = np.clip(np.searchsorted(t, x, side="right") - 1, d, t.size - d - 2)
     values = np.empty((x.size, d + 1))
-    left = np.empty((x.size, d + 1))
-    right = np.empty((x.size, d + 1))
+    for lo in range(0, x.size, EVAL_CHUNK):
+        block = slice(lo, lo + EVAL_CHUNK)
+        _triangle(t, d, x[block], span[block], values[block])
+    return BasisSpan(span - d, values, knots.n_basis)
+
+
+def _triangle(t: np.ndarray, d: int, x: np.ndarray, span: np.ndarray, values: np.ndarray):
+    """The triangular recurrence at parameters ``x`` in knot spans ``span``,
+    written into ``values`` (one row per parameter)."""
+    left = np.empty_like(values)
+    right = np.empty_like(values)
     values[:, 0] = 1.0
     for j in range(1, d + 1):
         left[:, j] = x - t[span + 1 - j]
@@ -308,4 +349,3 @@ def eval_basis(knots: KnotVector, params) -> BasisSpan:
             values[:, r] = saved + right[:, r + 1] * temp
             saved = left[:, j - r] * temp
         values[:, j] = saved
-    return BasisSpan(span - d, values, knots.n_basis)

@@ -27,7 +27,6 @@ from . import curve as curve_solver
 from . import surface as surface_solver
 from .assembly import (
     NormalSystem,
-    assemble_collocation,
     augment_curve,
     difference_matrix,
     gram_partition,
@@ -169,6 +168,11 @@ class TensorProblem:
     def reference_controls(self) -> np.ndarray:
         """The unpenalized least-squares fit of the clean data."""
         return self.solve_direct(self.clean, 0.0)
+
+    @cached_property
+    def reference_fitted(self) -> np.ndarray:
+        """The reference controls' fitted points: what every fit error is measured against."""
+        return self.fitted(self.reference_controls)
 
     @property
     def n_controls(self) -> int:
@@ -413,7 +417,7 @@ def estimate_lambda(problem, cfg: ExperimentConfig) -> tuple[float, dict]:
     decay = problem_spectrum(problem, cfg.head_count)
     clean = problem.clean
     sigma2 = NoiseSpec(cfg.noise_amplitude, 0).per_entry_variance(clean.size)
-    residual = problem.fitted(problem.reference_controls) - clean
+    residual = problem.reference_fitted - clean
     n_count = problem.n_controls
     noise = NoiseModel(sigma2, float(np.sum(residual**2)))
     pen_n = problem.penalty_norm2(problem.reference_controls)
@@ -446,7 +450,7 @@ class SeedOutcome:
 
 def _relative_error(problem, controls) -> float:
     """Fit error of ``controls`` against the clean reference fit, in geometry space."""
-    return fit_error(problem.fitted(controls), problem.fitted(problem.reference_controls))
+    return fit_error(problem.fitted(controls), problem.reference_fitted)
 
 
 def self_consistent_measure(problem, data):
@@ -564,9 +568,6 @@ class FitReport:
             "per_seed": self.per_seed,
             "wall_time_total": self.wall_time_total,
         }
-
-    def to_json(self) -> str:
-        return json.dumps(self.to_dict(), sort_keys=True, indent=2)
 
 
 @dataclass
@@ -701,11 +702,15 @@ def sweep_lambda(cfg: ExperimentConfig) -> tuple[SweepReport, TensorProblem]:
 
 def sample_fitted(problem: TensorProblem, controls: np.ndarray, density: int = 5):
     """Fitted geometry sampled at ``density`` times the data density per
-    direction: the sample parameters of each direction, and the points."""
+    direction: the sample parameters of each direction, and the points.
+
+    Each direction's basis is evaluated as spans at its sample parameters and
+    applied along its axis, as :meth:`TensorProblem.fitted` applies the
+    fit's, so no dense collocation matrix is formed."""
     dense, points = [], controls
     for axis, direction in enumerate(problem.directions):
         params = np.linspace(0.0, 1.0, density * (problem.clean.shape[axis] - 1) + 1)
-        points = _along(assemble_collocation(direction.knots, params), points, axis)
+        points = eval_basis(direction.knots, params).apply(points, axis=axis)
         dense.append(params)
     return dense, points
 
@@ -739,14 +744,16 @@ def write_outputs(result: ExperimentResult, out_dir) -> list[str]:
     out.mkdir(parents=True, exist_ok=True)
     written = []
 
-    (out / "report.json").write_text(result.report.to_json() + "\n")
+    with open(out / "report.json", "w") as handle:
+        json.dump(result.report.to_dict(), handle, sort_keys=True, indent=2)
+        handle.write("\n")
     written.append("report.json")
     (out / "summary.txt").write_text(_summary_text(result))
     written.append("summary.txt")
 
-    # The fitted geometry is written first: sampling it is the write phase's
-    # memory peak (a dense collocation matrix per direction), and the numpy
-    # code the table writer pages in would otherwise sit on top of it.
+    # The fitted geometry is written first: on a surface the sampled grid is
+    # the write phase's largest array, and the numpy code the table writer
+    # pages in would otherwise sit on top of it.
     first = min(result.outcomes, key=lambda o: o.seed)
     fitted = result.problem.write_fitted(out, first.control_points)
     samples = [(o.seed, sample) for o in result.outcomes for sample in o.trajectory]

@@ -1,10 +1,14 @@
+from unittest import mock
+
 import numpy as np
 import numpy.testing as npt
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from rpia import basis
 from rpia.basis import (
+    EVAL_CHUNK,
     BasisSpan,
     KnotVector,
     build_knots,
@@ -231,9 +235,75 @@ class TestEvalBasis:
         npt.assert_array_equal(span.start, start)
         assert span.values.tobytes() == values.tobytes()
 
+    def test_blocks_of_the_recurrence_join_bit_for_bit(self, knots):
+        # More parameters than one block of the recurrence takes, the last
+        # block ragged: every value is the per-parameter reference's.
+        params = np.linspace(0.0, 1.0, 2 * EVAL_CHUNK + EVAL_CHUNK // 2 + 1)
+        span = eval_basis(knots, params)
+        start, values = pointwise_basis(knots, params)
+        npt.assert_array_equal(span.start, start)
+        assert span.values.tobytes() == values.tobytes()
+
+
+def einsum_apply(span, x, axis):
+    """``A @ x`` along ``axis`` as one einsum over every row's gathered run."""
+    x = np.moveaxis(x, axis, 0)
+    runs = x.take(span.start[:, None] + np.arange(span.values.shape[1]), axis=0)
+    return np.moveaxis(np.einsum("kw,kw...->k...", span.values, runs), 0, axis)
+
+
+@st.composite
+def spans_and_operands(draw):
+    """A random span (some run entries exactly 0), an operand for it along
+    axis 0 (0 to 2 trailing axes), 1 (one leading, 0 to 2 trailing) or -1
+    (0 to 2 leading), some entries -0.0, and a byte budget for ``apply``'s
+    row blocks, from one row per block up."""
+    n_basis = draw(st.integers(1, 10))
+    width = draw(st.integers(1, min(n_basis, 5)))
+    rows = draw(st.integers(0, 30))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    values = rng.standard_normal((rows, width)) * (rng.random((rows, width)) > 0.2)
+    span = BasisSpan(rng.integers(0, n_basis - width + 1, size=rows), values, n_basis)
+    axis = draw(st.sampled_from([0, 1, -1]))
+    sizes = st.lists(st.integers(1, 4), max_size=2)
+    lead = {0: [], 1: [draw(st.integers(1, 4))], -1: draw(sizes)}[axis]
+    trailing = [] if axis == -1 else draw(sizes)
+    x = rng.standard_normal(lead + [n_basis] + trailing)
+    x[rng.random(x.shape) < 0.1] = -0.0
+    budget = draw(st.sampled_from([1, 24, 200, basis.APPLY_CHUNK_BYTES]))
+    return span, x, axis, budget
+
 
 class TestSpanProducts:
     """Gathers and scatter-adds along the runs against the dense matrix."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(spans_and_operands())
+    def test_apply_is_the_einsum_bit_for_bit(self, case):
+        # Every entry is summed in run order into a zeroed output, in any row
+        # block: einsum's order wherever x has another axis of two or more
+        # entries, as a fit's coordinate axis is. The output keeps einsum's
+        # memory layout too, so sums over it round alike.
+        span, x, axis, budget = case
+        with mock.patch.object(basis, "APPLY_CHUNK_BYTES", budget):
+            out = span.apply(x, axis=axis)
+        want = einsum_apply(span, x, axis)
+        assert out.shape == want.shape
+        assert np.moveaxis(out, axis, 0).flags.c_contiguous
+        if any(size > 1 for i, size in enumerate(x.shape) if i != axis % x.ndim):
+            assert out.tobytes() == want.tobytes()
+            return
+        # A lone vector: einsum sums each run across vector lanes, in an order
+        # the CPU's instruction set fixes, and apply still sums in run order.
+        vector, out = x.reshape(-1), out.reshape(-1)
+        for i, (start, run) in enumerate(zip(span.start, span.values)):
+            total = 0.0
+            for j, value in enumerate(run):
+                total += float(value) * float(vector[start + j])
+            assert out[i].tobytes() == np.float64(total).tobytes()
+        width = span.values.shape[1]
+        bound = 2 * width * np.finfo(float).eps * np.abs(span.values).sum(axis=1)
+        assert np.all(np.abs(out - want.reshape(-1)) <= bound * np.max(np.abs(vector)))
 
     @settings(max_examples=60, deadline=None)
     @given(clamped_knots_and_params(), st.sampled_from([None, 1, 3]),

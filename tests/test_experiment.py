@@ -1,5 +1,6 @@
 import functools
 import json
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -204,6 +205,78 @@ def test_randomized_fits_form_no_data_space_matrix(no_data_space_matrix):
     ]
     for cfg in configs:
         assert all(o.iterations > 0 for o in run_experiment(cfg).outcomes)
+
+
+def test_bundles_form_no_data_space_matrix(no_data_space_matrix, tmp_path):
+    # Writing the bundle samples the fitted geometry through spans as well.
+    for cfg, fitted in ((desk_curve_config(seeds=(0,)), "fitted_curve.csv"),
+                        (desk_surface_config(seeds=(0,)), "fitted_surface.csv")):
+        result = run_experiment(cfg)
+        assert fitted in write_outputs(result, tmp_path / cfg.problem)
+
+
+def test_the_reference_fit_is_computed_once_per_problem(monkeypatch):
+    # The estimate and every seed's fit error read the same fitted points
+    # of the clean reference fit.
+    reference_fits = []
+    fitted = experiment.TensorProblem.fitted
+
+    def counting(self, controls):
+        if vars(self).get("reference_controls") is controls:
+            reference_fits.append(controls)
+        return fitted(self, controls)
+
+    monkeypatch.setattr(experiment.TensorProblem, "fitted", counting)
+    result = run_experiment(desk_curve_config(lam="estimate", seeds=(0, 1, 2)))
+    assert len(reference_fits) == 1
+    problem = result.problem
+    assert problem.reference_fitted.tobytes() == fitted(
+        problem, problem.reference_controls
+    ).tobytes()
+
+
+def dense_sample(problem, controls, density=5):
+    """The fitted geometry at ``density`` times the data density per direction,
+    through each direction's dense collocation matrix."""
+    points = controls
+    for axis, direction in enumerate(problem.directions):
+        params = np.linspace(0.0, 1.0, density * (problem.clean.shape[axis] - 1) + 1)
+        matrix = assemble_collocation(direction.knots, params)
+        points = np.moveaxis(np.tensordot(matrix, points, axes=(1, axis)), 0, axis)
+    return points
+
+
+@pytest.mark.parametrize("name", ["rose", "blob", "boy_a40", "boy_a100"])
+def test_sampled_geometry_matches_the_dense_product(name):
+    # Sampling sums each point's four basis terms in run order, where the
+    # dense product went through BLAS: the clean reference fit and every
+    # seed's penalized fit agree to 4e-16 of the coordinate scale.
+    cfg = load_config(CONFIG_DIR / f"{name}.yaml")
+    problem = build_problem(cfg)
+    fits = [problem.reference_controls] + [
+        problem.solve_direct(add_noise(problem.clean, NoiseSpec(cfg.noise_amplitude, seed)),
+                             cfg.lam)
+        for seed in cfg.seeds
+    ]
+    for controls in fits:
+        _, points = sample_fitted(problem, controls)
+        assert_close_to_scale(points, dense_sample(problem, controls), 4e-16)
+
+
+@pytest.mark.parametrize("name, bound_mib", [("rose", 0.5), ("boy_a40", 2.45)])
+def test_sampling_the_fitted_geometry_stays_small(name, bound_mib):
+    # Python-traced peak of one sampling. Through a dense collocation matrix
+    # per direction rose's read 4.40 MiB; boy_a40's 301 x 301 x 3 output
+    # alone is 2.07 MiB, and an einsum over gathered runs read 11.0 MiB.
+    problem = build_problem(load_config(CONFIG_DIR / f"{name}.yaml"))
+    controls = problem.reference_controls
+    tracemalloc.start()
+    try:
+        sample_fitted(problem, controls)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < bound_mib * 2**20
 
 
 BASELINE = Path(__file__).resolve().parents[1] / "perfbench" / "baseline.json"
@@ -662,8 +735,9 @@ class TestOutputs:
         assert set(files) == {
             "report.json", "summary.txt", "trajectory.csv", "fitted_curve.csv"
         }
-        report = json.loads((tmp_path / "report.json").read_text())
-        assert report["lambda_used"] == 1e-6
+        text = (tmp_path / "report.json").read_text()
+        assert text == json.dumps(result.report.to_dict(), sort_keys=True, indent=2) + "\n"
+        assert json.loads(text)["lambda_used"] == 1e-6
         fitted = np.loadtxt(tmp_path / "fitted_curve.csv", delimiter=",", skiprows=1)
         assert fitted.shape == (5 * 120 + 1, 3)  # param, x, y
         trajectory = (tmp_path / "trajectory.csv").read_text().splitlines()
