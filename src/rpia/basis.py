@@ -116,20 +116,19 @@ class BasisSpan:
         then ``((0 + v0 x0) + v1 x1) + ...`` in run order, as ``np.einsum``
         sums it when ``x`` has another axis with two or more entries (as
         every fit's coordinate axis does). The output keeps ``axis`` first in
-        memory, so sums over it run in the same order as ``einsum``'s.
+        memory, so sums over it run in the same order as ``einsum``'s. The
+        sums run in ``x``'s float type when it is wider than double.
         """
-        x = np.moveaxis(np.asarray(x, dtype=float), axis, 0)
-        # ``take`` gathers fastest but first copies an array that is not
-        # contiguous; indexing reads any layout in place.
-        contiguous = x.flags.c_contiguous
+        x = np.asarray(x)
+        x = np.moveaxis(x.astype(np.result_type(x, float), copy=False), axis, 0)
         rows = self.start.size
-        out = np.zeros((rows,) + x.shape[1:])
+        out = np.zeros((rows,) + x.shape[1:], dtype=x.dtype)
         chunk = max(1, APPLY_CHUNK_BYTES // max(out.itemsize * math.prod(x.shape[1:]), 1))
         values = self.values.reshape(self.values.shape + (1,) * (x.ndim - 1))
         for lo in range(0, rows, chunk):
             block, start = out[lo: lo + chunk], self.start[lo: lo + chunk]
             for j in range(values.shape[1]):
-                term = x.take(start + j, axis=0) if contiguous else x[start + j]
+                term = x[start + j]
                 term *= values[lo: lo + chunk, j]
                 block += term
         return np.moveaxis(out, 0, axis)

@@ -34,6 +34,7 @@ from .assembly import (
     require_weight,
 )
 from .basis import (
+    APPLY_CHUNK_BYTES,
     BasisSpan,
     KnotVector,
     build_knots,
@@ -706,13 +707,29 @@ def sample_fitted(problem: TensorProblem, controls: np.ndarray, density: int = 5
 
     Each direction's basis is evaluated as spans at its sample parameters and
     applied along its axis, as :meth:`TensorProblem.fitted` applies the
-    fit's, so no dense collocation matrix is formed."""
-    dense, points = [], controls
-    for axis, direction in enumerate(problem.directions):
-        params = np.linspace(0.0, 1.0, density * (problem.clean.shape[axis] - 1) + 1)
-        points = eval_basis(direction.knots, params).apply(points, axis=axis)
-        dense.append(params)
-    return dense, points
+    fit's, so no dense collocation matrix is formed. The sums run in
+    ``np.longdouble`` and each coordinate is rounded to double once, so
+    where long double is wider than double (x86: a 64-bit significand) a
+    sample lies within about half an ulp of the exact product; run-order sums
+    in double lie several times further from it. The points are computed in
+    blocks of the first direction's samples, each under ``APPLY_CHUNK_BYTES``
+    in extended precision, so only the double output is held whole.
+    """
+    params = [np.linspace(0.0, 1.0, density * (size - 1) + 1)
+              for size in problem.clean.shape[: len(problem.directions)]]
+    first, *rest = [eval_basis(direction.knots, grid)
+                    for direction, grid in zip(problem.directions, params)]
+    extended = np.asarray(controls, dtype=np.longdouble)
+    points = np.empty(tuple(grid.size for grid in params) + extended.shape[len(params):])
+    row_bytes = np.dtype(np.longdouble).itemsize * math.prod(points.shape[1:])
+    chunk = max(1, APPLY_CHUNK_BYTES // row_bytes)
+    for lo in range(0, points.shape[0], chunk):
+        rows = slice(lo, lo + chunk)
+        block = BasisSpan(first.start[rows], first.values[rows], first.n_basis).apply(extended)
+        for axis, basis in enumerate(rest, start=1):
+            block = basis.apply(block, axis=axis)
+        points[rows] = block
+    return params, points
 
 
 def _summary_text(result: ExperimentResult) -> str:

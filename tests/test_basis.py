@@ -306,6 +306,22 @@ class TestSpanProducts:
         assert np.all(np.abs(out - want.reshape(-1)) <= bound * np.max(np.abs(vector)))
 
     @settings(max_examples=60, deadline=None)
+    @given(spans_and_operands())
+    def test_apply_sums_in_a_wider_float_type(self, case):
+        # Sampling passes long double controls: every run-order sum stays in
+        # that type.
+        span, x, axis, budget = case
+        wide = x.astype(np.longdouble)
+        with mock.patch.object(basis, "APPLY_CHUNK_BYTES", budget):
+            out = span.apply(wide, axis=axis)
+        moved = np.moveaxis(wide, axis, 0)
+        want = np.zeros((span.start.size,) + moved.shape[1:], dtype=np.longdouble)
+        for j in range(span.values.shape[1]):
+            want += span.values[:, j].reshape((-1,) + (1,) * (moved.ndim - 1)) * moved[span.start + j]
+        assert out.dtype == np.longdouble
+        assert out.tobytes() == np.moveaxis(want, 0, axis).tobytes()
+
+    @settings(max_examples=60, deadline=None)
     @given(clamped_knots_and_params(), st.sampled_from([None, 1, 3]),
            st.integers(0, 2**32 - 1))
     def test_products_match_dense(self, case, columns, seed):

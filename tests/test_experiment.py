@@ -235,32 +235,62 @@ def test_the_reference_fit_is_computed_once_per_problem(monkeypatch):
     ).tobytes()
 
 
-def dense_sample(problem, controls, density=5):
+def dense_sample(problem, controls, density=5, dtype=float):
     """The fitted geometry at ``density`` times the data density per direction,
-    through each direction's dense collocation matrix."""
-    points = controls
+    through each direction's dense collocation matrix, in ``dtype``."""
+    points = np.asarray(controls, dtype=dtype)
     for axis, direction in enumerate(problem.directions):
         params = np.linspace(0.0, 1.0, density * (problem.clean.shape[axis] - 1) + 1)
-        matrix = assemble_collocation(direction.knots, params)
+        matrix = assemble_collocation(direction.knots, params).astype(dtype)
         points = np.moveaxis(np.tensordot(matrix, points, axes=(1, axis)), 0, axis)
     return points
 
 
-@pytest.mark.parametrize("name", ["rose", "blob", "boy_a40", "boy_a100"])
-def test_sampled_geometry_matches_the_dense_product(name):
-    # Sampling sums each point's four basis terms in run order, where the
-    # dense product went through BLAS: the clean reference fit and every
-    # seed's penalized fit agree to 4e-16 of the coordinate scale.
+def penalized_fits(name):
+    """The problem of a shipped config, and the clean reference fit followed by
+    each seed's direct fit: at the config's weight, or, for a self-consistent
+    config, at the weight the seed's iteration converged to."""
     cfg = load_config(CONFIG_DIR / f"{name}.yaml")
-    problem = build_problem(cfg)
-    fits = [problem.reference_controls] + [
-        problem.solve_direct(add_noise(problem.clean, NoiseSpec(cfg.noise_amplitude, seed)),
-                             cfg.lam)
-        for seed in cfg.seeds
-    ]
+    if cfg.lam == "self-consistent":
+        result = run_experiment(cfg)
+        problem = result.problem
+        fits = [outcome.control_points for outcome in result.outcomes]
+    else:
+        problem = build_problem(cfg)
+        fits = [problem.solve_direct(add_noise(problem.clean, NoiseSpec(cfg.noise_amplitude, seed)),
+                                     cfg.lam)
+                for seed in cfg.seeds]
+    return problem, [problem.reference_controls] + fits
+
+
+SHIPPED_FITS = ["rose", "blob", "boy_a40", "boy_a100",
+                "rose_adaptive", "blob_adaptive", "boy_a40_adaptive", "boy_a100_adaptive"]
+
+
+@pytest.mark.parametrize("name", SHIPPED_FITS)
+def test_sampled_geometry_matches_the_dense_product(name):
+    # The samples are rounded once from extended-precision sums, where the
+    # dense product went through BLAS: they agree to 4e-16 of the coordinate
+    # scale on the clean reference fit and every seed's penalized fit.
+    problem, fits = penalized_fits(name)
     for controls in fits:
         _, points = sample_fitted(problem, controls)
         assert_close_to_scale(points, dense_sample(problem, controls), 4e-16)
+
+
+@pytest.mark.skipif(np.finfo(np.longdouble).nmant <= np.finfo(float).nmant,
+                    reason="long double is no wider than double on this platform")
+@pytest.mark.parametrize("name", ["rose", "boy_a40_adaptive"])
+def test_sampled_geometry_is_rounded_once(name):
+    # Each sampled coordinate is the extended-precision product rounded to
+    # double: within half an ulp of it, plus the extended sums' own error.
+    problem, fits = penalized_fits(name)
+    for controls in fits:
+        _, points = sample_fitted(problem, controls)
+        exact = dense_sample(problem, controls, dtype=np.longdouble)
+        error = np.abs(points - exact)
+        bound = np.spacing(np.abs(exact.astype(float))) / 2 + 1e-18 * np.max(np.abs(exact))
+        assert np.all(error <= bound)
 
 
 @pytest.mark.parametrize("name, bound_mib", [("rose", 0.5), ("boy_a40", 2.45)])
