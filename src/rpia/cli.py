@@ -22,10 +22,9 @@ from .config import (
     GENERATORS,
     INNER_SOLVERS,
     PROBLEMS,
-    ExperimentConfig,
     SweepGrid,
     config_from_mapping,
-    load_config,
+    read_config,
 )
 from .datasets import NoiseSpec, add_noise, blob_curve, boy_surface, rose_curve
 from .errors import FittingError, IncompleteGrid, InvalidConfig, ParseError
@@ -76,12 +75,6 @@ def _guarded(fn):
     return wrapper
 
 
-def _base_config(config_path) -> ExperimentConfig:
-    if config_path is None:
-        return ExperimentConfig()
-    return load_config(config_path)
-
-
 def _parse_seed_list(raw: str) -> tuple[int, ...]:
     try:
         seeds = tuple(int(part) for part in raw.split(",") if part.strip())
@@ -122,11 +115,19 @@ def _with_shared_options(fn):
     return fn
 
 
-def _merged_config(config_path, seeds, **overrides) -> ExperimentConfig:
-    cfg = _base_config(config_path)
+# The config-file key of each option whose parameter name differs from it.
+_CONFIG_KEYS = {"input_path": "input", "lam": "lambda"}
+
+
+def _merged_config(config_path, seeds, **flags):
+    """The config file's mapping with the given flags over it, built once, so
+    that defaults which follow other fields (the seed list follows the
+    problem kind) see the flags too."""
+    mapping = read_config(config_path) if config_path is not None else {}
     if seeds is not None:
-        overrides["seeds"] = _parse_seed_list(seeds)
-    return cfg.with_overrides(**overrides)
+        flags["seeds"] = _parse_seed_list(seeds)
+    mapping.update({_CONFIG_KEYS.get(k, k): v for k, v in flags.items() if v is not None})
+    return config_from_mapping(mapping)
 
 
 def _warn_capped(capped: int, fits: int, max_iter: int) -> None:
@@ -153,9 +154,7 @@ def main():
 @_guarded
 def fit(config_path, seeds, lam, out_dir, **overrides):
     """Run a multi-seed fitting experiment and write the report bundle."""
-    cfg = _merged_config(config_path, seeds, **overrides)
-    if lam is not None:
-        cfg = replace(cfg, lam=config_from_mapping({"lambda": lam}).lam)
+    cfg = _merged_config(config_path, seeds, lam=lam, **overrides)
     if isinstance(cfg.lam, SweepGrid):
         raise InvalidConfig("the fit command does not take sweep grids; use sweep")
     result = run_experiment(cfg)

@@ -224,13 +224,21 @@ def config_from_mapping(mapping: dict) -> ExperimentConfig:
     return ExperimentConfig(**kwargs)
 
 
-def load_config(path) -> ExperimentConfig:
-    """Parse a YAML config file into a validated :class:`ExperimentConfig`."""
+def read_config(path) -> dict:
+    """Parse a YAML config file into its mapping of config keys (an empty
+    file is an empty mapping); :func:`config_from_mapping` builds it."""
     try:
         with open(path) as handle:
             raw = yaml.safe_load(handle)
     except yaml.YAMLError as exc:
         raise InvalidConfig(f"{path}: not valid YAML: {exc}") from exc
     if raw is None:
-        raw = {}
-    return config_from_mapping(raw)
+        return {}
+    if not isinstance(raw, dict):
+        raise InvalidConfig("config root must be a mapping")
+    return raw
+
+
+def load_config(path) -> ExperimentConfig:
+    """Parse a YAML config file into a validated :class:`ExperimentConfig`."""
+    return config_from_mapping(read_config(path))

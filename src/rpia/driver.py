@@ -111,7 +111,9 @@ class FitResult:
 
 
 def make_rng(seed) -> np.random.Generator:
-    """Philox stream keyed by ``seed``; a Generator is used as given."""
+    """Philox stream seeded by ``seed`` (numpy derives its key through a
+    ``SeedSequence``, so the key is not ``seed`` itself); a Generator is used
+    as given."""
     if isinstance(seed, np.random.Generator):
         return seed
     return np.random.Generator(np.random.Philox(seed))

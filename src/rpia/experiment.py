@@ -5,9 +5,11 @@ evaluate the collocation (as spans) once, pick the smoothing weight (fixed,
 rule-estimated, or self-consistent per seed), fit each seed's noisy draw
 independently, and aggregate the relative fit errors.
 
-Randomness bookkeeping: the noise draw for seed ``s`` uses the Philox stream
-with key ``s``; the solver's block draws use the same key jumped one stride,
-so the two never overlap. Everything downstream is a pure function of the
+Randomness bookkeeping: the noise draw for seed ``s`` uses ``Philox(s)``,
+whose key numpy derives from ``s`` through a ``SeedSequence``; the solver's
+block draws use ``Philox(key=s)``, the key ``s`` itself, jumped once (moved
+on as if 2**128 numbers had been drawn). The two are different streams, and
+their first draws differ. Everything downstream is a pure function of the
 config, which is what makes report files byte-reproducible.
 """
 
@@ -16,7 +18,7 @@ from __future__ import annotations
 import json
 import math
 import time
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields
 from functools import cached_property
 from pathlib import Path
 from typing import Optional
@@ -51,13 +53,12 @@ from .datasets import (
     fit_error,
     rose_curve,
 )
-from .driver import StoppingRule
+from .driver import FitResult, StoppingRule
 from .errors import InvalidConfig, OutOfRange, RankDeficient
 from .oracle import COND_LIMIT, GramPencil, solve_curve_direct, solve_tensor_normal
 from .pointsio import Table, load_grid, load_points, save_grid, write_csv
 from .regparam import (
     NoiseModel,
-    SelfConsistentResult,
     optimal_lambda,
     self_consistent,
     spectral_decay_from_eigenvalues,
@@ -66,7 +67,7 @@ from .regparam import (
 
 
 def solver_rng(seed: int) -> np.random.Generator:
-    """Block-draw stream for one fit: the seed's Philox stream, jumped once."""
+    """Block-draw stream for one fit: Philox keyed by the seed itself, jumped once."""
     return np.random.Generator(np.random.Philox(key=seed).jumped(1))
 
 
@@ -83,10 +84,6 @@ def initial_controls(data: np.ndarray, bounds) -> np.ndarray:
 def initial_controls_curve(data: np.ndarray, n_ctrl: int) -> np.ndarray:
     """:func:`initial_controls` for a curve with ``n_ctrl + 1`` control points."""
     return initial_controls(data, [n_ctrl])
-
-
-def _stop_rule(cfg: ExperimentConfig) -> StoppingRule:
-    return StoppingRule(cfg.tolerance, cfg.max_iter)
 
 
 # A fit is the tensor product of one curve fit per parameter direction: a
@@ -243,6 +240,7 @@ class TensorProblem:
         norm_sq = float(np.vdot(q, q))
         start = initial_controls(q, [d.basis.n_basis - 1 for d in self.directions])
         block_sizes = (cfg.block_size, cfg.block_size_v or cfg.block_size)
+        stop = StoppingRule(cfg.tolerance, cfg.max_iter)
 
         def solve(lam: float):
             grams = self._normal_matrices(require_weight(lam))
@@ -252,7 +250,7 @@ class TensorProblem:
             # looked up at call time, so a wrapped ``run`` sees every fit
             solver = (curve_solver, surface_solver)[len(self.directions) - 1]
             result = solver.run(
-                system, *partitions, start, _stop_rule(cfg), solver_rng(seed),
+                system, *partitions, start, stop, solver_rng(seed),
                 trajectory_stride=stride,
             )
             return result.control_points, result
@@ -336,9 +334,6 @@ class CurveProblem(TensorProblem):
     design = _direction_attribute(0, "design")      # A
     penalty = _direction_attribute(0, "penalty")    # G
 
-    def __init__(self, clean, params, knots, basis, penalty_scale):
-        super().__init__(clean, (Direction(params, knots, basis, penalty_scale),))
-
     def _ill_conditioned(self, data: np.ndarray, lam: float, axis: int, cond: float) -> np.ndarray:
         """The minimizer by the stacked least-squares route of :func:`solve_curve_direct`."""
         system = augment_curve(self.design, self.penalty, data, lam)
@@ -356,13 +351,6 @@ class SurfaceProblem(TensorProblem):
     design_v = _direction_attribute(1, "design")    # B
     penalty_u = _direction_attribute(0, "penalty")  # Lu
     penalty_v = _direction_attribute(1, "penalty")  # Lv
-
-    def __init__(self, clean, params_u, params_v, knots_u, knots_v, basis_u, basis_v,
-                 penalty_scale):
-        super().__init__(clean, (
-            Direction(params_u, knots_u, basis_u, penalty_scale),
-            Direction(params_v, knots_v, basis_v, penalty_scale),
-        ))
 
     def write_fitted(self, out: Path, controls) -> str:
         _, sampled = sample_fitted(self, controls)
@@ -386,22 +374,21 @@ def load_dataset(cfg: ExperimentConfig) -> np.ndarray:
 def build_problem(cfg: ExperimentConfig) -> TensorProblem:
     """Parametrize the clean data and evaluate the seed-independent matrices.
 
-    The collocation matrices are kept as spans (no dense m x n matrix). The
-    reference controls, the unpenalized least-squares fit of the clean data
-    that every reported error is relative to, are solved on first use.
+    Each direction's knots and collocation spans are built alike (no dense
+    m x n matrix). The reference controls, the unpenalized least-squares fit
+    of the clean data that every reported error is relative to, are solved
+    on first use.
     """
     clean = load_dataset(cfg)
     if cfg.problem == "curve":
-        params = chord_length_params(clean)
-        knots = build_knots(params, cfg.n_ctrl)
-        return CurveProblem(clean, params, knots, eval_basis(knots, params), cfg.penalty_scale)
-    params_u, params_v = surface_params(clean)
-    knots_u = build_knots(params_u, cfg.n_ctrl)
-    knots_v = build_knots(params_v, cfg.n_ctrl_v)
-    return SurfaceProblem(
-        clean, params_u, params_v, knots_u, knots_v,
-        eval_basis(knots_u, params_u), eval_basis(knots_v, params_v), cfg.penalty_scale,
-    )
+        kind, params, sizes = CurveProblem, [chord_length_params(clean)], [cfg.n_ctrl]
+    else:
+        kind, params, sizes = SurfaceProblem, surface_params(clean), [cfg.n_ctrl, cfg.n_ctrl_v]
+    directions = []
+    for grid, n_ctrl in zip(params, sizes):
+        knots = build_knots(grid, n_ctrl)
+        directions.append(Direction(grid, knots, eval_basis(knots, grid), cfg.penalty_scale))
+    return kind(clean, tuple(directions))
 
 
 def problem_spectrum(problem, head_count: int):
@@ -469,58 +456,45 @@ def self_consistent_measure(problem, data):
     return measure
 
 
-def _fit_fixed(problem, cfg, lam: float, seed: int, noisy) -> SeedOutcome:
-    start = time.perf_counter()
-    controls, result = problem.randomized_solver(noisy, cfg, seed, cfg.trajectory_stride)(lam)
-    return SeedOutcome(
-        seed, lam, _relative_error(problem, controls), result.iterations,
-        result.converged, result.stop_reason, time.perf_counter() - start, controls,
-        result.trajectory,
-    )
+def run_seed(problem, cfg: ExperimentConfig, lam_choice, seed: int, alpha=None) -> SeedOutcome:
+    """Fit one noisy draw end to end: at the weight ``lam_choice``, or, for
+    ``"self-consistent"``, at the weight the loop settles on for this draw.
 
-
-def _inner_solver(problem, cfg, seed: int, noisy):
-    """The weight-to-controls map the self-consistent loop solves with.
-
-    Also returns a one-entry list that holds how the latest solve stopped,
-    ``(converged, stop_reason)``: the randomized solver's, or ``(True,
-    "direct")`` for a direct solve.
+    Every randomized fit of the draw goes through its one weight-to-fit map.
+    A self-consistent seed reports its outer iterations and how its last
+    inner solve stopped: the randomized solver's stop, or ``"direct"``.
     """
-    stopped = [(True, "direct")]
-    if cfg.inner_solver == "direct":
+    noisy = add_noise(problem.clean, NoiseSpec(cfg.noise_amplitude, seed))
+    start = time.perf_counter()
+    adaptive = lam_choice == "self-consistent"
+    results = []                      # each randomized fit's result, latest last
+    if adaptive and cfg.inner_solver == "direct":
         solve = problem.direct_solver(noisy)
     else:
-        fit = problem.randomized_solver(noisy, cfg, seed, 0)
+        fit = problem.randomized_solver(noisy, cfg, seed, 0 if adaptive else cfg.trajectory_stride)
 
         def solve(lam: float) -> np.ndarray:
             controls, result = fit(lam)
-            stopped[0] = (result.converged, result.stop_reason)
+            results.append(result)
             return controls
-    return solve, stopped
-
-
-def _fit_self_consistent(problem, cfg, seed: int, noisy, alpha: float) -> SeedOutcome:
-    start = time.perf_counter()
-    solve, stopped = _inner_solver(problem, cfg, seed, noisy)
-    max_weight = min(direction.normal.all_penalty_weight() for direction in problem.directions)
-    sc: SelfConsistentResult = self_consistent(
-        solve, self_consistent_measure(problem, noisy), problem.n_controls,
-        alpha, cfg.eps_lambda, max_weight=max_weight,
-    )
-    converged, reason = stopped[0]
+    if adaptive:
+        max_weight = min(direction.normal.all_penalty_weight() for direction in problem.directions)
+        sc = self_consistent(
+            solve, self_consistent_measure(problem, noisy), problem.n_controls,
+            alpha, cfg.eps_lambda, max_weight=max_weight,
+        )
+        lam, controls, iterates = sc.lam, sc.control_points, sc.iterates
+        iterations = sc.outer_iterations
+    else:
+        lam, iterates = float(lam_choice), None
+        controls = solve(lam)
+        iterations = results[-1].iterations
+    # how the last solve stopped: a direct solve always meets its equations
+    last = results[-1] if results else FitResult(controls, 0, True, "direct")
     return SeedOutcome(
-        seed, sc.lam, _relative_error(problem, sc.control_points),
-        sc.outer_iterations, converged, reason, time.perf_counter() - start,
-        sc.control_points, lambda_iterates=sc.iterates,
+        seed, lam, _relative_error(problem, controls), iterations, last.converged,
+        last.stop_reason, time.perf_counter() - start, controls, last.trajectory, iterates,
     )
-
-
-def run_seed(problem, cfg: ExperimentConfig, lam_choice, seed: int, alpha=None) -> SeedOutcome:
-    """Fit one noisy draw end to end."""
-    noisy = add_noise(problem.clean, NoiseSpec(cfg.noise_amplitude, seed))
-    if lam_choice == "self-consistent":
-        return _fit_self_consistent(problem, cfg, seed, noisy, alpha)
-    return _fit_fixed(problem, cfg, float(lam_choice), seed, noisy)
 
 
 def _run_seeds(problem, cfg, lam_choice, alpha=None) -> list[SeedOutcome]:
@@ -532,10 +506,10 @@ def capped_count(outcomes) -> int:
     return sum(o.stop_reason == "max_iter" for o in outcomes)
 
 
-def _aggregate(outcomes: list[SeedOutcome]) -> tuple[float, float]:
-    # Aggregate in seed-sorted order so the statistics are independent of
-    # the order the seeds were listed or finished.
-    errors = np.asarray([o.fit_err for o in sorted(outcomes, key=lambda o: o.seed)])
+def _aggregate(errors) -> tuple[float, float]:
+    # The errors come in seed-sorted order, so the statistics do not depend
+    # on the order the seeds were listed in.
+    errors = np.asarray(errors)
     return float(errors.mean()), float(errors.std())
 
 
@@ -556,19 +530,8 @@ class FitReport:
     wall_time_total: float = 0.0
 
     def to_dict(self) -> dict:
-        return {
-            "problem": self.problem,
-            "generator": self.generator,
-            "lambda_mode": self.lambda_mode,
-            "lambda_used": self.lambda_used,
-            "mean_fit_error": self.mean_fit_error,
-            "std_fit_error": self.std_fit_error,
-            "seeds": list(self.seeds),
-            "spectral_alpha": self.spectral_alpha,
-            "estimate_info": self.estimate_info,
-            "per_seed": self.per_seed,
-            "wall_time_total": self.wall_time_total,
-        }
+        # shallow: dataclasses.asdict would deep-copy every trajectory sample
+        return {f.name: getattr(self, f.name) for f in fields(self)}
 
 
 @dataclass
@@ -621,11 +584,12 @@ def run_experiment(cfg: ExperimentConfig) -> ExperimentResult:
         lam_choice = float(cfg.lam)
         mode = "fixed"
     outcomes = _run_seeds(problem, cfg, lam_choice, alpha)
-    mean_err, std_err = _aggregate(outcomes)
+    ordered = sorted(outcomes, key=lambda o: o.seed)
+    mean_err, std_err = _aggregate([o.fit_err for o in ordered])
     # One weight serves every seed unless each seed found its own; the mean
     # of equal floats can be an ulp off the weight itself.
     if mode == "self-consistent":
-        lambda_used = float(np.mean([o.lam for o in sorted(outcomes, key=lambda o: o.seed)]))
+        lambda_used = float(np.mean([o.lam for o in ordered]))
     else:
         lambda_used = float(lam_choice)
     report = FitReport(
@@ -668,35 +632,38 @@ class SweepReport:
 
 
 def sweep_lambda(cfg: ExperimentConfig) -> tuple[SweepReport, TensorProblem]:
-    """One multi-seed fit batch per grid point, plus the rule-estimate row.
+    """The seeds' fit errors at every grid point, plus the rule-estimate row.
 
     The same seeds (hence the same noise draws) are reused at every grid
-    point, so the error curve varies only through the weight. Each batch is
-    a fixed-weight run of the config; the table reads only fit errors, so
-    the fits sample no trajectory.
+    point, so the error curve varies only through the weight: each seed's
+    randomized weight-to-fit map, with ``A^T q`` and the start formed once,
+    is called at every weight. The table reads only fit errors, so the fits
+    sample no trajectory.
     """
     if not isinstance(cfg.lam, SweepGrid):
         raise InvalidConfig("sweep_lambda needs a sweep grid in the lambda field")
     problem = build_problem(cfg)
     lam_est, info = estimate_lambda(problem, cfg)
-
-    def batch(lam: float) -> list[SeedOutcome]:
-        return _run_seeds(problem, replace(cfg, lam=lam, trajectory_stride=0), lam)
-
-    lambdas = list(cfg.lam.values())
+    fits = [
+        problem.randomized_solver(
+            add_noise(problem.clean, NoiseSpec(cfg.noise_amplitude, seed)), cfg, seed, 0
+        )
+        for seed in sorted(cfg.seeds)
+    ]
+    lambdas = [float(v) for v in cfg.lam.values()]
     means, stds = [], []
     capped = 0
-    for lam in lambdas:
-        outcomes = batch(float(lam))
-        mean_err, std_err = _aggregate(outcomes)
+    for lam in lambdas + [float(lam_est)]:
+        results = [fit(lam)[1] for fit in fits]
+        mean_err, std_err = _aggregate(
+            [_relative_error(problem, result.control_points) for result in results]
+        )
         means.append(mean_err)
         stds.append(std_err)
-        capped += capped_count(outcomes)
-    est_outcomes = batch(float(lam_est))
-    est_mean, est_std = _aggregate(est_outcomes)
+        capped += capped_count(results)
     report = SweepReport(
-        [float(v) for v in lambdas], means, stds, float(lam_est), est_mean, est_std, info,
-        (len(lambdas) + 1) * len(cfg.seeds), capped + capped_count(est_outcomes),
+        lambdas, means[:-1], stds[:-1], float(lam_est), means[-1], stds[-1], info,
+        len(means) * len(fits), capped,
     )
     return report, problem
 

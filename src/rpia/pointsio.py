@@ -3,13 +3,13 @@
 Curve files carry ``x,y`` or ``x,y,z`` columns; surface files use the long
 format ``row,col,x,y,z`` and must cover the full grid. Every table, these
 files and the report bundles' alike, is written by :func:`write_csv` from a
-:class:`Table` of columns. A float column is written as ``'%.17g' % v``, 17
-significant digits, so a save/load round trip is bit-exact; any other
-column as each value's ``str``. numpy formats a chunk of rows at a time:
-the digits of a float are computed exactly when 1e-6 <= |x| < 1e17, and
-every other value (zero, subnormal, non-finite, out of that range) falls
-back to Python's own formatting, so every double is written as ``%`` writes
-it.
+:class:`Table` of float and integer columns. A float column is written as
+``'%.17g' % v``, 17 significant digits, so a save/load round trip is
+bit-exact; an integer column in decimal. numpy formats a chunk of rows at a
+time: the digits of a float are computed exactly when 1e-6 <= |x| < 1e17,
+and every other value (zero, subnormal, non-finite, out of that range)
+falls back to Python's own formatting, so every double is written as ``%``
+writes it.
 """
 
 from __future__ import annotations
@@ -122,15 +122,21 @@ def load_grid(path) -> np.ndarray:
 class Table:
     """The columns of a report table, one value of each per row.
 
-    The columns are arrays of one shape, and row ``i`` holds element ``i`` of
-    each in C order, so ``len`` is the row count. A column is usually 1-D; a
-    grid's long-format table may use its 2-D index arrays and coordinate
-    planes as they are (broadcast or strided views), which the writer
-    flattens one block of grid rows at a time.
+    The columns are float or integer arrays of one shape, and row ``i``
+    holds element ``i`` of each in C order, so ``len`` is the row count. A
+    column is usually 1-D; a grid's long-format table may use its 2-D index
+    arrays and coordinate planes as they are (broadcast or strided views),
+    which the writer flattens one block of grid rows at a time.
     """
 
     def __init__(self, *columns):
         self.columns = [np.asarray(column) for column in columns]
+        for position, column in enumerate(self.columns):
+            if column.dtype.kind not in "fiu":
+                raise ValueError(
+                    f"table column {position} holds {column.dtype}; a table holds "
+                    "float and integer columns only"
+                )
         shapes = {column.shape for column in self.columns}
         if len(shapes) != 1:
             raise ValueError(f"a table needs columns of one shape, not {sorted(shapes)}")
@@ -149,12 +155,12 @@ def write_csv(path, header, table: Table) -> None:
     """Write a report table: the header, then one line per row.
 
     Each column's dtype fixes its format: a float column is written as
-    ``'%.17g' % v``, an integer column in decimal, any other column as each
-    value's ``str``, unquoted; lines end in CR LF as :mod:`csv` writes them.
-    ``len(table)`` is the number of lines after the header. Rows are
-    formatted about :data:`_CHUNK_ROWS` at a time (whole blocks of a 2-D
-    table's first axis), each chunk into one byte buffer written with one
-    call, so the work arrays stay small however long the table is.
+    ``'%.17g' % v``, an integer column in decimal; lines end in CR LF as
+    :mod:`csv` writes them. ``len(table)`` is the number of lines after the
+    header. Rows are formatted about :data:`_CHUNK_ROWS` at a time (whole
+    blocks of a 2-D table's first axis), each chunk into one byte buffer
+    written with one call, so the work arrays stay small however long the
+    table is.
     """
     head = io.StringIO()
     csv.writer(head).writerow(header)
@@ -170,35 +176,29 @@ def write_csv(path, header, table: Table) -> None:
 def _format_rows(columns, buffers: dict) -> np.ndarray:
     """CSV lines of equal-length 1-D columns, as one uint8 array.
 
-    Every field gets a slot of one width in a (rows, fields, width + 2)
-    byte array, followed by its separator (``,`` or CR LF); a boolean array
+    Every field gets a number's slot in a (rows, fields, slot + 2) byte
+    array, followed by its separator (``,`` or CR LF); a boolean array
     of the same shape marks the bytes that are shown, and selecting them in
     C order gives the lines. The two arrays are kept in ``buffers`` for the
     next chunk of the same shape: fresh ones would be mapped and faulted in
     anew for every chunk.
     """
-    kinds = [column.dtype.kind for column in columns]
-    texts = {c: _text_codes(column) for c, column in enumerate(columns) if kinds[c] not in "fiu"}
-    width = max([_NUMBER_WIDTH] + [codes.shape[1] for codes, _ in texts.values()])
-    # A row before its fields are laid out: the constant bytes of number
+    # A row before its fields are laid out: the constant bytes of the
     # slots, hidden, and the separators, shown.
-    line = np.zeros((len(columns), width + 2), np.uint8)
+    line = np.zeros((len(columns), _NUMBER_WIDTH + 2), np.uint8)
     line[:, :_NUMBER_WIDTH] = _NUMBER_CHARS
-    line[:, width] = ord(",")
-    line[-1, width:] = np.frombuffer(b"\r\n", np.uint8)
+    line[:, _NUMBER_WIDTH] = ord(",")
+    line[-1, _NUMBER_WIDTH:] = np.frombuffer(b"\r\n", np.uint8)
     separators = np.zeros(line.shape, bool)
-    separators[:, width] = True
-    separators[-1, width + 1] = True
+    separators[:, _NUMBER_WIDTH] = True
+    separators[-1, _NUMBER_WIDTH + 1] = True
     shape = (len(columns[0]),) + line.shape
     if buffers.get("shape") != shape:
         buffers.update(shape=shape, chars=np.empty(shape, np.uint8), shown=np.empty(shape, bool))
     chars, shown = buffers["chars"], buffers["shown"]
     chars[:] = line
     shown[:] = separators
-    for c, (codes, lengths) in texts.items():
-        chars[:, c, : codes.shape[1]] = codes
-        shown[:, c, :width] = np.arange(width) < lengths[:, None]
-    for dtype in {column.dtype for column in columns if column.dtype.kind in "fiu"}:
+    for dtype in {column.dtype for column in columns}:
         fields = [c for c, column in enumerate(columns) if column.dtype == dtype]
         _place_numbers(np.stack([columns[c] for c in fields], axis=1), chars, shown, fields)
     return chars[shown]
@@ -210,13 +210,6 @@ def _codes(texts) -> tuple[np.ndarray, np.ndarray]:
     width = max(map(len, encoded), default=0) or 1
     codes = np.array(encoded, dtype=f"S{width}").view(np.uint8).reshape(len(encoded), width)
     return codes, np.fromiter(map(len, encoded), np.intp, len(encoded))
-
-
-def _text_codes(column: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Each value's ``str`` as codes and lengths, formatted once per distinct value."""
-    distinct, inverse = np.unique(column, return_inverse=True)
-    codes, lengths = _codes(map(str, distinct.tolist()))
-    return codes[inverse], lengths[inverse]
 
 
 # Numbers are formatted without a per-value Python call. A float's ``%.17g``

@@ -18,7 +18,7 @@ from rpia.assembly import (
 )
 from rpia.basis import BasisSpan, build_knots
 from rpia.driver import REFRESH_EVERY, TrajectorySample
-from rpia.experiment import CurveProblem, SurfaceProblem
+from rpia.experiment import CurveProblem, Direction, SurfaceProblem
 
 
 def naive_basis_value(knots, degree, i, x):
@@ -143,19 +143,22 @@ def full_width_span(design):
     return BasisSpan(np.zeros(design.shape[0], dtype=int), design, design.shape[1])
 
 
+def bare_direction(design, penalty_scale):
+    """A direction around a bare design and the scale of its difference
+    penalty: no parameters or knots."""
+    return Direction(None, None, full_width_span(design), penalty_scale)
+
+
 def curve_problem(design, penalty_scale):
-    """A curve problem around a bare design and the scale of its difference
-    penalty: no data, parameters or reference fit."""
-    return CurveProblem(None, None, None, full_width_span(design), penalty_scale)
+    """A curve problem around a bare design: no data or reference fit."""
+    return CurveProblem(None, (bare_direction(design, penalty_scale),))
 
 
 def surface_problem(design_u, design_v, penalty_scale):
-    """A surface problem around bare designs and the scale of both difference
-    penalties: no data, parameters or reference fit."""
-    return SurfaceProblem(
-        None, None, None, None, None, full_width_span(design_u), full_width_span(design_v),
-        penalty_scale,
-    )
+    """A surface problem around bare designs, one penalty scale for both:
+    no data or reference fit."""
+    return SurfaceProblem(None, tuple(bare_direction(design, penalty_scale)
+                                      for design in (design_u, design_v)))
 
 
 def collocation_design(n_points, n_ctrl_minus1):

@@ -233,6 +233,58 @@ class TestFit:
         assert "line 4: non-finite value" in result.output
 
 
+SMALL_SURFACE = ["--generator", "boy", "--m", "20", "--p", "20", "--n-ctrl", "6",
+                 "--n-ctrl-v", "6", "--lambda", "1e-4", "--max-iter", "20"]
+
+
+class TestConfigMerge:
+    """The flags go over the config file's keys before the config is built,
+    so the default seed list follows the problem kind the flags set."""
+
+    def fitted_seeds(self, runner, tmp_path, args):
+        out_dir = tmp_path / "out"
+        result = runner.invoke(main, ["fit", *args, "--out", str(out_dir)])
+        assert result.exit_code == 0, result.output
+        return json.loads((out_dir / "report.json").read_text())["seeds"]
+
+    def test_surface_from_flags_fits_the_surface_default_seeds(self, runner, tmp_path):
+        args = ["--problem", "surface", *SMALL_SURFACE]
+        assert self.fitted_seeds(runner, tmp_path, args) == [0, 1, 2]
+
+    def test_curve_config_made_a_surface_fits_the_surface_default_seeds(self, runner, tmp_path):
+        cfg = tmp_path / "cfg.yaml"
+        cfg.write_text("problem: curve\ngenerator: rose\nm: 120\nn_ctrl: 20\nlambda: 1.0e-6\n")
+        args = ["--config", str(cfg), "--problem", "surface", *SMALL_SURFACE]
+        assert self.fitted_seeds(runner, tmp_path, args) == [0, 1, 2]
+
+    @pytest.mark.parametrize("config_seeds, flag, want", [
+        (None, "4,5", [4, 5]),
+        ("[5]", None, [5]),
+        ("[5]", "4,5", [4, 5]),
+    ])
+    def test_given_seeds_win(self, runner, tmp_path, config_seeds, flag, want):
+        cfg = tmp_path / "cfg.yaml"
+        cfg.write_text("problem: curve\ngenerator: rose\n"
+                       + (f"seeds: {config_seeds}\n" if config_seeds else ""))
+        args = ["--config", str(cfg), "--problem", "surface", *SMALL_SURFACE]
+        if flag:
+            args += ["--seeds", flag]
+        assert self.fitted_seeds(runner, tmp_path, args) == want
+
+    def test_input_and_lambda_flags_override_the_config_file(self, runner, tmp_path):
+        # the file's input names no file and its lambda is a number
+        data = tmp_path / "rose.csv"
+        save_points(data, rose_curve(60).points)
+        cfg = write_desk_config(tmp_path / "cfg.yaml", input="missing.csv")
+        cfg.write_text(cfg.read_text().replace("generator: rose", "generator: file"))
+        args = ["--config", str(cfg), "--input", str(data), "--lambda", "estimate",
+                "--seeds", "0"]
+        out_dir = tmp_path / "out"
+        result = runner.invoke(main, ["fit", *args, "--out", str(out_dir)])
+        assert result.exit_code == 0, result.output
+        assert json.loads((out_dir / "report.json").read_text())["lambda_mode"] == "estimate"
+
+
 class TestOtherCommands:
     def test_estimate_lambda(self, runner, tmp_path):
         cfg = write_desk_config(tmp_path / "cfg.yaml")

@@ -382,6 +382,46 @@ def test_benchmark_sees_every_randomized_fit(monkeypatch, make, kind):
     assert calls["surface" if kind == "curve" else "curve"] == []
 
 
+@pytest.mark.parametrize("lam", [1e-6, "self-consistent"])
+def test_benchmark_sees_one_seed_call_per_seed(monkeypatch, lam):
+    # The benchmark splits set-up from seed time at the first call of
+    # rpia.experiment.run_seed (perfbench/invocation.py), which it wraps as a
+    # module attribute: every seed of a run, fixed or self-consistent, must
+    # reach it there, once.
+    calls = []
+    run_seed = experiment.run_seed
+
+    def recording(problem, cfg, lam_choice, seed, alpha=None):
+        calls.append((seed, lam_choice))
+        return run_seed(problem, cfg, lam_choice, seed, alpha)
+
+    monkeypatch.setattr(experiment, "run_seed", recording)
+    cfg = desk_curve_config(lam=lam, seeds=(2, 0, 1), penalty_scale=20.0)
+    outcomes = run_experiment(cfg).outcomes
+    assert calls == [(seed, lam) for seed in cfg.seeds]
+    assert [o.seed for o in outcomes] == list(cfg.seeds)
+
+
+@pytest.mark.parametrize("seed", [0, 7])
+def test_noise_and_solver_streams(seed):
+    # The noise draw seeds Philox through a SeedSequence, so its key is not
+    # the seed; the solver keys Philox with the seed itself and jumps it once.
+    noise = np.random.Philox(seed).state["state"]
+    npt.assert_array_equal(
+        noise["key"], np.random.Philox(np.random.SeedSequence(seed)).state["state"]["key"]
+    )
+    assert not np.array_equal(noise["key"], [seed, 0])
+    draw = np.random.Generator(np.random.Philox(seed)).standard_normal((6, 2))
+    npt.assert_array_equal(add_noise(np.zeros((6, 2)), NoiseSpec(1.0, seed)),
+                           draw / np.linalg.norm(draw))
+    solver = experiment.solver_rng(seed).bit_generator.state["state"]
+    jumped = np.random.Philox(key=seed).jumped(1).state["state"]
+    npt.assert_array_equal(solver["key"], [seed, 0])
+    npt.assert_array_equal(solver["counter"], jumped["counter"])
+    first_noise = np.random.Generator(np.random.Philox(seed)).random(4)
+    assert not np.array_equal(experiment.solver_rng(seed).random(4), first_noise)
+
+
 def _relative_gap(actual, expected):
     return float(np.linalg.norm(actual - expected) / np.linalg.norm(expected))
 
@@ -746,7 +786,8 @@ class TestSweep:
         assert len(lines) == 5
 
     def test_fits_sample_no_trajectory(self, monkeypatch):
-        # the table reads only fit errors, so no fit pays for trajectory samples
+        # the table reads only fit errors, so no fit pays for trajectory
+        # samples; each seed's one weight-to-fit map serves every weight
         strides = []
         solver = experiment.CurveProblem.randomized_solver
 
@@ -756,7 +797,7 @@ class TestSweep:
 
         monkeypatch.setattr(experiment.CurveProblem, "randomized_solver", recording)
         sweep_lambda(desk_curve_config(lam=SweepGrid(1e-8, 1e-5, 2), seeds=(0, 1)))
-        assert strides == [0] * 6
+        assert strides == [0, 0]
 
 
 class TestOutputs:

@@ -189,15 +189,17 @@ class TestFloatFormat:
 
 
 class TestWriteCsv:
-    def test_non_finite_integer_and_text_columns_match_csv_writer(self, tmp_path):
+    def test_non_finite_and_integer_columns_match_csv_writer(self, tmp_path):
         floats = [math.nan, math.inf, -math.inf, 0.0, -0.0, 5e-324, 1.5, -2.5e-7, 1e300]
         ints = [0, 1, -7, 10**17, -(10**17), 2**63 - 1, 42, 1, 0]
-        flags = [True, False] * 4 + [True]
         path = tmp_path / "table.csv"
-        write_csv(path, ["value", "count", "flag"], Table(floats, ints, flags))
-        assert path.read_bytes() == csv_writer_bytes(
-            ["value", "count", "flag"], list(zip(floats, ints, flags))
-        )
+        write_csv(path, ["value", "count"], Table(floats, ints))
+        assert path.read_bytes() == csv_writer_bytes(["value", "count"], list(zip(floats, ints)))
+
+    @pytest.mark.parametrize("column", [[True, False], ["a", "b"], [1 + 2j, 0j]])
+    def test_non_numeric_columns_are_refused(self, column):
+        with pytest.raises(ValueError, match="table column 1 holds"):
+            Table(np.zeros(2), column)
 
     def test_numeric_columns_of_any_width(self, tmp_path):
         # Each dtype is formatted on its own: a float32 as the double it
