@@ -19,14 +19,16 @@ import click
 import numpy as np
 
 from .config import (
+    FILE_KEYS,
     GENERATORS,
     INNER_SOLVERS,
     PROBLEMS,
     SweepGrid,
     config_from_mapping,
     read_config,
+    require_positive,
 )
-from .datasets import NoiseSpec, add_noise, blob_curve, boy_surface, rose_curve
+from .datasets import SAMPLERS, NoiseSpec, add_noise, generate
 from .errors import FittingError, IncompleteGrid, InvalidConfig, ParseError
 from .experiment import (
     build_problem,
@@ -115,10 +117,6 @@ def _with_shared_options(fn):
     return fn
 
 
-# The config-file key of each option whose parameter name differs from it.
-_CONFIG_KEYS = {"input_path": "input", "lam": "lambda"}
-
-
 def _merged_config(config_path, seeds, **flags):
     """The config file's mapping with the given flags over it, built once, so
     that defaults which follow other fields (the seed list follows the
@@ -126,7 +124,7 @@ def _merged_config(config_path, seeds, **flags):
     mapping = read_config(config_path) if config_path is not None else {}
     if seeds is not None:
         flags["seeds"] = _parse_seed_list(seeds)
-    mapping.update({_CONFIG_KEYS.get(k, k): v for k, v in flags.items() if v is not None})
+    mapping.update({FILE_KEYS.get(k, k): v for k, v in flags.items() if v is not None})
     return config_from_mapping(mapping)
 
 
@@ -259,8 +257,7 @@ def spectrum(config_path, seeds, out_dir, **overrides):
 
 
 @main.command("gen-data")
-@click.option("--generator", type=click.Choice([g for g in GENERATORS if g != "file"]),
-              required=True)
+@click.option("--generator", type=click.Choice(list(SAMPLERS)), required=True)
 @click.option("--m", type=int, required=True)
 @click.option("--p", type=int, default=None, help="Required for surface generators.")
 @click.option("--noise-amplitude", type=float, default=None,
@@ -270,20 +267,17 @@ def spectrum(config_path, seeds, out_dir, **overrides):
 @_guarded
 def gen_data(generator, m, p, noise_amplitude, noise_seed, out_path):
     """Write one of the example datasets as CSV."""
-    if generator == "boy":
-        if p is None:
-            raise InvalidConfig("boy surface needs --p")
-        data = boy_surface(m, p).grid
-    elif generator == "rose":
-        data = rose_curve(m).points
-    else:
-        data = blob_curve(m).points
+    surface = SAMPLERS[generator][0] == "surface"
+    for flag, size in (("--m", m), ("--p", p if surface else 1)):
+        if size is None or size < 1:
+            raise InvalidConfig(f"{flag} must be a positive integer, got {size}")
+    data = generate(generator, m, p)
     if noise_amplitude is not None:
+        require_positive("--noise-amplitude", noise_amplitude)
+        if noise_seed < 0:
+            raise InvalidConfig(f"--noise-seed must be nonnegative, got {noise_seed}")
         data = add_noise(data, NoiseSpec(noise_amplitude, noise_seed))
-    if generator == "boy":
-        save_grid(out_path, data)
-    else:
-        save_points(out_path, data)
+    (save_grid if surface else save_points)(out_path, data)
     click.echo(f"wrote {out_path}")
 
 

@@ -11,13 +11,18 @@ from typing import Optional, Union
 import numpy as np
 import yaml
 
+from .datasets import SAMPLERS
 from .errors import InvalidConfig
 
 
 # The allowed values of the choice fields; the CLI options offer the same.
 PROBLEMS = ("curve", "surface")
-GENERATORS = ("rose", "blob", "boy", "file")
+GENERATORS = (*SAMPLERS, "file")
 INNER_SOLVERS = ("direct", "rpia")
+
+# The config-file key of each field whose name differs from it. A field is
+# read under its file key alone: its name is an unknown key in a file.
+FILE_KEYS = {"lam": "lambda", "input_path": "input"}
 
 # Integer fields; those in the second tuple may also be left unset (None),
 # and are the second direction's sizes, which only a surface may set.
@@ -34,7 +39,7 @@ def _is_real(value) -> bool:
     return isinstance(value, numbers.Real) and not isinstance(value, bool)
 
 
-def _require_positive(name: str, value: float) -> None:
+def require_positive(name: str, value: float) -> None:
     if not _is_real(value):
         raise InvalidConfig(f"{name} must be a real number, got {value!r}")
     # ``not value > 0`` also catches nan, which every ordered comparison fails.
@@ -55,8 +60,8 @@ class SweepGrid:
     points: int
 
     def __post_init__(self):
-        _require_positive("sweep grid lo", self.lo)
-        _require_positive("sweep grid hi", self.hi)
+        require_positive("sweep grid lo", self.lo)
+        require_positive("sweep grid hi", self.hi)
         if self.hi < self.lo:
             raise InvalidConfig("sweep grid needs 0 < lo <= hi")
         if not _is_integer(self.points):
@@ -110,11 +115,11 @@ class ExperimentConfig:
         if self.input_path is not None and not isinstance(self.input_path, (str, os.PathLike)):
             raise InvalidConfig(f"input must be a file path, got {self.input_path!r}")
         if self.generator == "file" and not self.input_path:
-            raise InvalidConfig("generator 'file' requires input_path")
-        if self.generator in ("rose", "blob") and self.problem != "curve":
-            raise InvalidConfig(f"generator {self.generator!r} produces curve data")
-        if self.generator == "boy" and self.problem != "surface":
-            raise InvalidConfig("generator 'boy' produces surface data")
+            raise InvalidConfig("generator 'file' requires input")
+        if self.generator in SAMPLERS:
+            kind = SAMPLERS[self.generator][0]
+            if self.problem != kind:
+                raise InvalidConfig(f"generator {self.generator!r} produces {kind} data")
         if self.m < 1:
             raise InvalidConfig("m must be positive")
         if self.n_ctrl < 3:
@@ -141,14 +146,14 @@ class ExperimentConfig:
             _is_real(self.lam) and math.isfinite(self.lam) and self.lam >= 0.0
         ):
             raise InvalidConfig(f"lambda must be a finite nonnegative number, got {self.lam!r}")
-        _require_positive("noise_amplitude", self.noise_amplitude)
-        _require_positive("penalty_scale", self.penalty_scale)
-        _require_positive("tolerance", self.tolerance)
+        require_positive("noise_amplitude", self.noise_amplitude)
+        require_positive("penalty_scale", self.penalty_scale)
+        require_positive("tolerance", self.tolerance)
         if self.max_iter < 0:
             raise InvalidConfig("max_iter must be nonnegative")
         if self.head_count < 3:
             raise InvalidConfig("head_count must be at least 3")
-        _require_positive("eps_lambda", self.eps_lambda)
+        require_positive("eps_lambda", self.eps_lambda)
         if self.inner_solver not in INNER_SOLVERS:
             raise InvalidConfig(f"inner_solver must be one of {INNER_SOLVERS}")
         if self.trajectory_stride < 0:
@@ -206,14 +211,12 @@ def config_from_mapping(mapping: dict) -> ExperimentConfig:
     """Build a validated config from a parsed YAML/JSON mapping."""
     if not isinstance(mapping, dict):
         raise InvalidConfig("config root must be a mapping")
-    known = {f.name for f in fields(ExperimentConfig)}
-    aliases = {"lambda": "lam", "input": "input_path"}
+    names = {FILE_KEYS.get(f.name, f.name): f.name for f in fields(ExperimentConfig)}
     kwargs = {}
     for key, value in mapping.items():
-        name = aliases.get(key, key)
-        if name not in known:
+        if key not in names:
             raise InvalidConfig(f"unknown config key {key!r}")
-        kwargs[name] = value
+        kwargs[names[key]] = value
     if "lam" in kwargs:
         kwargs["lam"] = _parse_lambda(kwargs["lam"])
     if "seeds" in kwargs:

@@ -8,7 +8,9 @@ generator, which makes every dataset a pure function of ``(shape, seed)``.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
+from typing import Optional
 
 import numpy as np
 
@@ -44,8 +46,11 @@ class NoiseSpec:
     seed: int
 
     def __post_init__(self):
-        if self.amplitude <= 0.0:
-            raise InvalidConfig("noise amplitude must be positive")
+        # ``not amplitude > 0`` also catches nan, which every ordered comparison fails.
+        if not (self.amplitude > 0.0 and math.isfinite(self.amplitude)):
+            raise InvalidConfig(
+                f"noise amplitude must be positive and finite, got {self.amplitude!r}"
+            )
 
     def per_entry_variance(self, n_entries: int) -> float:
         """Variance each scalar entry receives when the energy is spread out."""
@@ -92,6 +97,24 @@ def boy_surface(m: int, p: int) -> SampledSurface:
     z = _ROOT2 * cos_t * cos_t / denom
     grid = np.stack(np.broadcast_arrays(x, y, z), axis=-1)
     return SampledSurface(grid, "boy", ((-np.pi, np.pi), (-np.pi, np.pi)))
+
+
+# Each generator's problem kind and sampling function. :func:`generate` looks
+# the function up in this module's globals at call time, so a replaced (say,
+# a traced) attribute reaches every call.
+SAMPLERS = {
+    "rose": ("curve", "rose_curve"),
+    "blob": ("curve", "blob_curve"),
+    "boy": ("surface", "boy_surface"),
+}
+
+
+def generate(name: str, m: int, p: Optional[int] = None) -> np.ndarray:
+    """The clean sample of the generator ``name``: a curve's ``(m+1, 2)``
+    points, or a surface's ``(m+1, p+1, 3)`` grid."""
+    kind, function = SAMPLERS[name]
+    sample = globals()[function]
+    return sample(m).points if kind == "curve" else sample(m, p).grid
 
 
 def add_noise(data, spec: NoiseSpec) -> np.ndarray:

@@ -18,7 +18,7 @@ from __future__ import annotations
 import json
 import math
 import time
-from dataclasses import dataclass, fields
+from dataclasses import asdict, dataclass
 from functools import cached_property
 from pathlib import Path
 from typing import Optional
@@ -45,14 +45,7 @@ from .basis import (
     surface_params,
 )
 from .config import ExperimentConfig, SweepGrid
-from .datasets import (
-    NoiseSpec,
-    add_noise,
-    blob_curve,
-    boy_surface,
-    fit_error,
-    rose_curve,
-)
+from .datasets import SAMPLERS, NoiseSpec, add_noise, fit_error, generate
 from .driver import FitResult, StoppingRule
 from .errors import InvalidConfig, OutOfRange, RankDeficient
 from .oracle import COND_LIMIT, GramPencil, solve_curve_direct, solve_tensor_normal
@@ -257,9 +250,11 @@ class TensorProblem:
         return solve
 
     def direct_solver(self, data):
-        """The weight-to-minimizer map for one data set: ``lam`` to the solution
-        of the normal equations at ``lam``, one direction's solve per axis
-        against ``A^T q`` (or ``A^T Q B``), which is formed once.
+        """The weight-to-minimizer map for one data set: ``lam`` to (controls,
+        result), the controls solving the normal equations at ``lam``, one
+        direction's solve per axis against ``A^T q`` (or ``A^T Q B``), which is
+        formed once. A direct solve always meets its equations: its result
+        stops with ``"direct"`` after no iterations.
 
         A normal matrix that fails its condition gate goes to
         :meth:`_ill_conditioned`, with the failing direction's axis and
@@ -268,12 +263,12 @@ class TensorProblem:
         q, rhs = self.right_hand_side(data)
         pencils = [direction.normal for direction in self.directions]
 
-        def solve(lam: float) -> np.ndarray:
+        def solve(lam: float):
             lam = require_weight(lam)
             solution, cond, failed = solve_tensor_normal(pencils, rhs, lam)
             if solution is None:
-                return self._ill_conditioned(q, lam, failed, cond)
-            return solution
+                solution = self._ill_conditioned(q, lam, failed, cond)
+            return solution, FitResult(solution, 0, True, "direct")
         return solve
 
     def _ill_conditioned(self, data: np.ndarray, lam: float, axis: int, cond: float) -> np.ndarray:
@@ -295,7 +290,7 @@ class TensorProblem:
 
     def solve_direct(self, data, lam: float) -> np.ndarray:
         """Penalized minimizer at one weight (see :meth:`direct_solver`)."""
-        return self.direct_solver(data)(lam)
+        return self.direct_solver(data)(lam)[0]
 
     def spectrum(self, head_count: int):
         """Decay fit of the whitened design spectrum, from each direction's
@@ -360,12 +355,8 @@ class SurfaceProblem(TensorProblem):
 
 def load_dataset(cfg: ExperimentConfig) -> np.ndarray:
     """Clean geometry for a config: generated, or loaded from CSV."""
-    if cfg.generator == "rose":
-        return rose_curve(cfg.m).points
-    if cfg.generator == "blob":
-        return blob_curve(cfg.m).points
-    if cfg.generator == "boy":
-        return boy_surface(cfg.m, cfg.p).grid
+    if cfg.generator in SAMPLERS:
+        return generate(cfg.generator, cfg.m, cfg.p)
     if cfg.problem == "surface":
         return load_grid(cfg.input_path)
     return load_points(cfg.input_path)
@@ -460,45 +451,41 @@ def run_seed(problem, cfg: ExperimentConfig, lam_choice, seed: int, alpha=None) 
     """Fit one noisy draw end to end: at the weight ``lam_choice``, or, for
     ``"self-consistent"``, at the weight the loop settles on for this draw.
 
-    Every randomized fit of the draw goes through its one weight-to-fit map.
-    A self-consistent seed reports its outer iterations and how its last
-    inner solve stopped: the randomized solver's stop, or ``"direct"``.
+    Every fit of the draw goes through its one weight-to-fit map, randomized
+    or direct. A self-consistent seed reports its outer iterations and how
+    its last inner solve stopped: the randomized solver's stop, or
+    ``"direct"``.
     """
     noisy = add_noise(problem.clean, NoiseSpec(cfg.noise_amplitude, seed))
     start = time.perf_counter()
     adaptive = lam_choice == "self-consistent"
-    results = []                      # each randomized fit's result, latest last
     if adaptive and cfg.inner_solver == "direct":
-        solve = problem.direct_solver(noisy)
+        fit = problem.direct_solver(noisy)
     else:
         fit = problem.randomized_solver(noisy, cfg, seed, 0 if adaptive else cfg.trajectory_stride)
+    results = []                      # each fit's result, latest last
 
-        def solve(lam: float) -> np.ndarray:
-            controls, result = fit(lam)
-            results.append(result)
-            return controls
+    def solve(lam: float) -> np.ndarray:
+        controls, result = fit(lam)
+        results.append(result)
+        return controls
     if adaptive:
         max_weight = min(direction.normal.all_penalty_weight() for direction in problem.directions)
         sc = self_consistent(
             solve, self_consistent_measure(problem, noisy), problem.n_controls,
             alpha, cfg.eps_lambda, max_weight=max_weight,
         )
-        lam, controls, iterates = sc.lam, sc.control_points, sc.iterates
-        iterations = sc.outer_iterations
+        lam, iterations, iterates = sc.lam, sc.outer_iterations, sc.iterates
     else:
         lam, iterates = float(lam_choice), None
-        controls = solve(lam)
+        solve(lam)
         iterations = results[-1].iterations
-    # how the last solve stopped: a direct solve always meets its equations
-    last = results[-1] if results else FitResult(controls, 0, True, "direct")
+    last = results[-1]                # the seed's fit, in the weight loop too
+    controls = last.control_points
     return SeedOutcome(
         seed, lam, _relative_error(problem, controls), iterations, last.converged,
         last.stop_reason, time.perf_counter() - start, controls, last.trajectory, iterates,
     )
-
-
-def _run_seeds(problem, cfg, lam_choice, alpha=None) -> list[SeedOutcome]:
-    return [run_seed(problem, cfg, lam_choice, seed, alpha) for seed in cfg.seeds]
 
 
 def capped_count(outcomes) -> int:
@@ -529,10 +516,6 @@ class FitReport:
     estimate_info: Optional[dict] = None
     wall_time_total: float = 0.0
 
-    def to_dict(self) -> dict:
-        # shallow: dataclasses.asdict would deep-copy every trajectory sample
-        return {f.name: getattr(self, f.name) for f in fields(self)}
-
 
 @dataclass
 class ExperimentResult:
@@ -543,6 +526,7 @@ class ExperimentResult:
 
 
 def _per_seed_entry(outcome: SeedOutcome) -> dict:
+    """The seed's scalars and weight iterates; its samples go to trajectory.csv."""
     entry = {
         "seed": outcome.seed,
         "lambda": outcome.lam,
@@ -551,9 +535,6 @@ def _per_seed_entry(outcome: SeedOutcome) -> dict:
         "converged": outcome.converged,
         "stop_reason": outcome.stop_reason,
         "wall_time": outcome.wall_time,
-        "trajectory": [
-            [s.iteration, s.rel_change, s.residual_norm] for s in outcome.trajectory
-        ],
     }
     if outcome.lambda_iterates is not None:
         entry["lambda_trajectory"] = [
@@ -569,21 +550,16 @@ def run_experiment(cfg: ExperimentConfig) -> ExperimentResult:
         raise InvalidConfig("run_experiment does not take sweep grids; use sweep_lambda")
     start = time.perf_counter()
     problem = build_problem(cfg)
-    alpha = None
-    estimate_info = None
+    alpha = estimate_info = None
+    lam_choice = mode = cfg.lam
     if cfg.lam == "estimate":
         lam_choice, estimate_info = estimate_lambda(problem, cfg)
-        mode = "estimate"
         alpha = estimate_info["alpha"]
     elif cfg.lam == "self-consistent":
-        decay = problem_spectrum(problem, cfg.head_count)
-        alpha = decay.alpha
-        lam_choice = "self-consistent"
-        mode = "self-consistent"
+        alpha = problem_spectrum(problem, cfg.head_count).alpha
     else:
-        lam_choice = float(cfg.lam)
-        mode = "fixed"
-    outcomes = _run_seeds(problem, cfg, lam_choice, alpha)
+        lam_choice, mode = float(cfg.lam), "fixed"
+    outcomes = [run_seed(problem, cfg, lam_choice, seed, alpha) for seed in cfg.seeds]
     ordered = sorted(outcomes, key=lambda o: o.seed)
     mean_err, std_err = _aggregate([o.fit_err for o in ordered])
     # One weight serves every seed unless each seed found its own; the mean
@@ -729,7 +705,7 @@ def write_outputs(result: ExperimentResult, out_dir) -> list[str]:
     written = []
 
     with open(out / "report.json", "w") as handle:
-        json.dump(result.report.to_dict(), handle, sort_keys=True, indent=2)
+        json.dump(asdict(result.report), handle, sort_keys=True, indent=2)
         handle.write("\n")
     written.append("report.json")
     (out / "summary.txt").write_text(_summary_text(result))

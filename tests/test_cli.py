@@ -67,6 +67,25 @@ class TestGenData:
         result = runner.invoke(main, ["gen-data", "--generator", "boy", "--m", "5", "--out", str(out)])
         assert result.exit_code == 2
 
+    @pytest.mark.parametrize("args, flag", [
+        (["--generator", "rose", "--m", "10", "--noise-amplitude", "nan"], "--noise-amplitude"),
+        (["--generator", "rose", "--m", "10", "--noise-amplitude", "inf"], "--noise-amplitude"),
+        (["--generator", "rose", "--m", "10", "--noise-amplitude", "0"], "--noise-amplitude"),
+        (["--generator", "rose", "--m", "10", "--noise-amplitude", "1",
+          "--noise-seed", "-1"], "--noise-seed"),
+        (["--generator", "rose", "--m", "-1"], "--m"),
+        (["--generator", "blob", "--m", "0"], "--m"),
+        (["--generator", "boy", "--m", "5", "--p", "0"], "--p"),
+        (["--generator", "boy", "--m", "5", "--p", "-1"], "--p"),
+        (["--generator", "boy", "--m", "-1", "--p", "5"], "--m"),
+    ])
+    def test_bad_sizes_and_noise_are_refused(self, runner, tmp_path, args, flag):
+        out = tmp_path / "data.csv"
+        result = runner.invoke(main, ["gen-data", *args, "--out", str(out)])
+        assert result.exit_code == 2, result.output
+        assert result.output.startswith("error: ") and flag in result.output
+        assert not out.exists()
+
     def test_noisy_output(self, runner, tmp_path):
         clean = tmp_path / "clean.csv"
         noisy = tmp_path / "noisy.csv"
@@ -283,6 +302,20 @@ class TestConfigMerge:
         result = runner.invoke(main, ["fit", *args, "--out", str(out_dir)])
         assert result.exit_code == 0, result.output
         assert json.loads((out_dir / "report.json").read_text())["lambda_mode"] == "estimate"
+
+    @pytest.mark.parametrize("key", ["input_path", "lam"])
+    def test_field_names_are_not_file_keys(self, runner, tmp_path, key):
+        # a file key read under two names kept whichever came last, so the
+        # file's input_path beat --input and the run failed on a missing file
+        data = tmp_path / "rose.csv"
+        save_points(data, rose_curve(60).points)
+        value = {"input_path": "missing.csv", "lam": "2.0e-6"}[key]
+        cfg = write_desk_config(tmp_path / "cfg.yaml", **{key: value})
+        cfg.write_text(cfg.read_text().replace("generator: rose", "generator: file"))
+        args = ["--config", str(cfg), "--input", str(data), "--seeds", "0"]
+        result = runner.invoke(main, ["fit", *args, "--out", str(tmp_path / "out")])
+        assert result.exit_code == 2
+        assert f"unknown config key '{key}'" in result.output
 
 
 class TestOtherCommands:

@@ -2,16 +2,20 @@ import numpy as np
 import numpy.testing as npt
 import pytest
 
+from rpia import datasets
 from rpia.assembly import tensor_apply
+from rpia.config import ExperimentConfig
 from rpia.datasets import (
     NoiseSpec,
     add_noise,
     blob_curve,
     boy_surface,
     fit_error,
+    generate,
     rose_curve,
 )
 from rpia.errors import DegenerateData, InvalidConfig, ZeroReference
+from rpia.experiment import load_dataset
 
 
 class TestRoseCurve:
@@ -89,6 +93,12 @@ class TestAddNoise:
         with pytest.raises(InvalidConfig):
             NoiseSpec(-1.0, 1)
 
+    @pytest.mark.parametrize("amplitude", [np.nan, np.inf, -np.inf])
+    def test_non_finite_amplitude_rejected(self, amplitude):
+        # ``nan <= 0`` is False: an ordered check alone lets nan through
+        with pytest.raises(InvalidConfig, match="finite"):
+            NoiseSpec(amplitude, 1)
+
     def test_per_entry_variance(self):
         spec = NoiseSpec(10.0, 0)
         npt.assert_allclose(spec.per_entry_variance(2002), 100.0 / 2002.0)
@@ -128,3 +138,26 @@ class TestFitError:
         npt.assert_allclose(fit_error(shifted, reference), 1.0, rtol=1e-12)
         with pytest.raises(ZeroReference):
             fit_error(reference, np.zeros_like(reference))
+
+
+class TestGenerate:
+    @pytest.mark.parametrize("name, sample", [
+        ("rose", lambda: rose_curve(30).points),
+        ("blob", lambda: blob_curve(30).points),
+        ("boy", lambda: boy_surface(30, 8).grid),
+    ])
+    def test_each_generator_samples_its_function(self, name, sample):
+        np.testing.assert_array_equal(generate(name, 30, 8), sample())
+
+    def test_generators_are_looked_up_at_call_time(self, monkeypatch):
+        # a replaced module attribute (a traced layer, say) sees every call
+        calls = []
+        original = datasets.rose_curve
+
+        def recording(m):
+            calls.append(m)
+            return original(m)
+
+        monkeypatch.setattr(datasets, "rose_curve", recording)
+        load_dataset(ExperimentConfig(m=12, n_ctrl=4))
+        assert calls == [12]

@@ -1,5 +1,6 @@
 import functools
 import json
+from dataclasses import asdict
 import tracemalloc
 from pathlib import Path
 
@@ -402,6 +403,22 @@ def test_benchmark_sees_one_seed_call_per_seed(monkeypatch, lam):
     assert [o.seed for o in outcomes] == list(cfg.seeds)
 
 
+def test_direct_self_consistent_seed_reports_a_direct_stop():
+    # The direct map returns its controls with a FitResult, as the randomized
+    # map does, so run_seed records both alike: no iterations, no samples.
+    cfg = desk_curve_config(lam="self-consistent", seeds=(0,), penalty_scale=20.0)
+    problem = build_problem(cfg)
+    controls, result = problem.direct_solver(problem.clean)(1e-6)
+    assert result.control_points is controls
+    assert (result.iterations, result.converged, result.stop_reason) == (0, True, "direct")
+    alpha = problem.spectrum(cfg.head_count).alpha
+    outcome = experiment.run_seed(problem, cfg, "self-consistent", 0, alpha)
+    assert outcome.stop_reason == "direct"
+    assert outcome.converged is True
+    assert outcome.trajectory == ()
+    assert len(outcome.lambda_iterates) >= 2
+
+
 @pytest.mark.parametrize("seed", [0, 7])
 def test_noise_and_solver_streams(seed):
     # The noise draw seeds Philox through a SeedSequence, so its key is not
@@ -679,8 +696,8 @@ class TestInitialControls:
 class TestRunExperiment:
     def test_report_is_reproducible_apart_from_wall_time(self):
         cfg = desk_curve_config()
-        first = run_experiment(cfg).report.to_dict()
-        second = run_experiment(cfg).report.to_dict()
+        first = asdict(run_experiment(cfg).report)
+        second = asdict(run_experiment(cfg).report)
 
         def strip(d):
             d = json.loads(json.dumps(d))
@@ -740,6 +757,7 @@ class TestRunExperiment:
         write_outputs(result, tmp_path)
         report = json.loads((tmp_path / "report.json").read_text())
         assert report["per_seed"][0]["converged"] is False
+        assert set(report["per_seed"][0]) == SEED_SCALARS | {"lambda_trajectory"}
         seed_line = (tmp_path / "summary.txt").read_text().splitlines()[-1]
         assert seed_line.split()[-1] == "False"
 
@@ -800,6 +818,30 @@ class TestSweep:
         assert strides == [0, 0]
 
 
+# The keys of a per-seed entry in report.json: the seed's scalars only. Its
+# trajectory samples are in trajectory.csv alone.
+SEED_SCALARS = {
+    "seed", "lambda", "fit_error", "iterations", "converged", "stop_reason", "wall_time"
+}
+
+
+def assert_one_copy_of_the_samples(result, out_dir):
+    """Each per-seed entry of report.json holds the seed's scalars, and
+    trajectory.csv every sample of every seed, in seed order."""
+    report = json.loads((out_dir / "report.json").read_text())
+    for entry in report["per_seed"]:
+        assert set(entry) == SEED_SCALARS
+    lines = (out_dir / "trajectory.csv").read_text().splitlines()
+    assert lines[0] == "seed,iteration,rel_change,residual_norm"
+    rows = [line.split(",") for line in lines[1:]]
+    expected = [
+        (outcome.seed, sample.iteration)
+        for outcome in result.outcomes for sample in outcome.trajectory
+    ]
+    assert [(int(seed), int(iteration)) for seed, iteration, *_ in rows] == expected
+    assert {seed for seed, _ in expected} == set(result.config.seeds)
+
+
 class TestOutputs:
     def test_curve_bundle(self, tmp_path):
         result = run_experiment(desk_curve_config(seeds=(0, 1)))
@@ -808,13 +850,11 @@ class TestOutputs:
             "report.json", "summary.txt", "trajectory.csv", "fitted_curve.csv"
         }
         text = (tmp_path / "report.json").read_text()
-        assert text == json.dumps(result.report.to_dict(), sort_keys=True, indent=2) + "\n"
+        assert text == json.dumps(asdict(result.report), sort_keys=True, indent=2) + "\n"
         assert json.loads(text)["lambda_used"] == 1e-6
         fitted = np.loadtxt(tmp_path / "fitted_curve.csv", delimiter=",", skiprows=1)
         assert fitted.shape == (5 * 120 + 1, 3)  # param, x, y
-        trajectory = (tmp_path / "trajectory.csv").read_text().splitlines()
-        assert trajectory[0] == "seed,iteration,rel_change,residual_norm"
-        assert len(trajectory) > 1
+        assert_one_copy_of_the_samples(result, tmp_path)
 
     def test_fitted_curve_sampling_density(self):
         result = run_experiment(desk_curve_config(seeds=(0,)))
@@ -823,11 +863,12 @@ class TestOutputs:
         assert points.shape == (dense.size, 2)
 
     def test_surface_bundle(self, tmp_path):
-        result = run_experiment(desk_surface_config(seeds=(0,)))
+        result = run_experiment(desk_surface_config(seeds=(0, 1)))
         files = write_outputs(result, tmp_path)
         assert "fitted_surface.csv" in files
         grid = load_grid(tmp_path / "fitted_surface.csv")
         assert grid.shape == (5 * 14 + 1, 5 * 12 + 1, 3)
+        assert_one_copy_of_the_samples(result, tmp_path)
 
 
 class TestCsvBytes:

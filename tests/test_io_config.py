@@ -267,8 +267,8 @@ class TestConfig:
             config_from_mapping({"seeds": []})
         with pytest.raises(InvalidConfig):
             config_from_mapping({"problem": "volume"})
-        with pytest.raises(InvalidConfig):
-            config_from_mapping({"generator": "file"})  # needs input_path
+        with pytest.raises(InvalidConfig, match="'file' requires input$"):
+            config_from_mapping({"generator": "file"})
         with pytest.raises(InvalidConfig):
             config_from_mapping({"generator": "boy", "problem": "curve"})
         with pytest.raises(InvalidConfig):
@@ -276,6 +276,16 @@ class TestConfig:
                                  "p": 10, "n_ctrl_v": 4})
         with pytest.raises(InvalidConfig):
             config_from_mapping({"lambda": {"sweep": {"lo": 1e-9, "hi": 1e-3, "points": 1}}})
+
+    @pytest.mark.parametrize("mapping, name", [
+        ({"lambda": 1e-3, "lam": 2e-3}, "lam"),
+        ({"lam": 2e-3, "lambda": 1e-3}, "lam"),
+        ({"generator": "file", "input": "a.csv", "input_path": "b.csv"}, "input_path"),
+        ({"generator": "file", "input_path": "b.csv", "input": "a.csv"}, "input_path"),
+    ])
+    def test_each_field_is_read_under_its_file_key_alone(self, mapping, name):
+        with pytest.raises(InvalidConfig, match=f"unknown config key '{name}'"):
+            config_from_mapping(mapping)
 
     @pytest.mark.parametrize("value", [0, -3])
     def test_rejects_non_positive_block_size_v(self, value):
