@@ -76,8 +76,18 @@ def difference_matrix(size: int, scale: float) -> np.ndarray:
     definite, so its Gram matrix is positive definite and it is invertible.
     """
     _require_difference(size, scale)
-    matrix = -2.0 * np.eye(size) + np.eye(size, k=1) + np.eye(size, k=-1)
-    return scale * matrix
+    matrix = np.zeros((size, size))
+    np.fill_diagonal(matrix, scale * -2.0)
+    matrix.flat[1::size + 1] = scale                 # the superdiagonal
+    matrix.flat[size::size + 1] = scale              # the subdiagonal
+    return matrix
+
+
+def difference_eigenvalues(size: int, scale: float) -> np.ndarray:
+    """The eigenvalues ``mu`` of :func:`difference_matrix`, ascending in
+    magnitude: ``mu_k = -4 s sin^2(k pi / (2(N+1)))`` for ``k = 1..N``."""
+    _require_difference(size, scale)
+    return -4.0 * scale * np.sin(np.arange(1, size + 1) * np.pi / (2 * (size + 1))) ** 2
 
 
 def difference_eigenpairs(size: int, scale: float) -> tuple[np.ndarray, np.ndarray]:
@@ -87,13 +97,18 @@ def difference_eigenpairs(size: int, scale: float) -> tuple[np.ndarray, np.ndarr
     ``mu_k = -4 s sin^2(k pi / (2(N+1)))`` (ascending in magnitude) and
     ``U[j, k] = sqrt(2/(N+1)) sin(j k pi / (N+1))`` for ``j, k = 1..N``, with
     ``j k`` reduced modulo ``2(N+1)`` in integers first, so no sine argument
-    exceeds ``2 pi`` and ``U`` stays orthogonal to a few dozen ulps.
+    exceeds ``2 pi`` and ``U`` stays orthogonal to a few dozen ulps. Each row
+    of ``U`` is gathered from a table of the ``2(N+1)`` scaled sines, so no
+    N x N temporary is formed besides ``U`` itself.
     """
-    _require_difference(size, scale)
+    mu = difference_eigenvalues(size, scale)
+    period = 2 * (size + 1)
+    sines = math.sqrt(2.0 / (size + 1)) * np.sin(np.arange(period) * np.pi / (size + 1))
     k = np.arange(1, size + 1)
-    mu = -4.0 * scale * np.sin(k * np.pi / (2 * (size + 1))) ** 2
-    phase = np.outer(k, k) % (2 * (size + 1))
-    return mu, math.sqrt(2.0 / (size + 1)) * np.sin(phase * np.pi / (size + 1))
+    basis = np.empty((size, size))
+    for j in k:
+        basis[j - 1] = sines[j * k % period]
+    return mu, basis
 
 
 @dataclass(frozen=True)

@@ -268,6 +268,9 @@ def spectrum(config_path, seeds, out_dir, **overrides):
 def gen_data(generator, m, p, noise_amplitude, noise_seed, out_path):
     """Write one of the example datasets as CSV."""
     surface = SAMPLERS[generator][0] == "surface"
+    if not surface and p is not None:
+        raise InvalidConfig(f"--p sizes a surface's second direction; "
+                            f"the curve generator {generator!r} cannot take it")
     for flag, size in (("--m", m), ("--p", p if surface else 1)):
         if size is None or size < 1:
             raise InvalidConfig(f"{flag} must be a positive integer, got {size}")

@@ -51,6 +51,8 @@ class NoiseSpec:
             raise InvalidConfig(
                 f"noise amplitude must be positive and finite, got {self.amplitude!r}"
             )
+        if self.seed < 0:
+            raise InvalidConfig(f"noise seed must be nonnegative, got {self.seed!r}")
 
     def per_entry_variance(self, n_entries: int) -> float:
         """Variance each scalar entry receives when the energy is spread out."""

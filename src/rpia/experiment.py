@@ -48,7 +48,14 @@ from .config import ExperimentConfig, SweepGrid
 from .datasets import SAMPLERS, NoiseSpec, add_noise, fit_error, generate
 from .driver import FitResult, StoppingRule
 from .errors import InvalidConfig, OutOfRange, RankDeficient
-from .oracle import COND_LIMIT, GramPencil, solve_curve_direct, solve_tensor_normal
+from .oracle import (
+    COND_LIMIT,
+    GramPencil,
+    band_eigen_range,
+    difference_gram_range,
+    solve_curve_direct,
+    solve_tensor_normal,
+)
 from .pointsio import Table, load_grid, load_points, save_grid, write_csv
 from .regparam import (
     NoiseModel,
@@ -94,20 +101,11 @@ def initial_controls_curve(data: np.ndarray, n_ctrl: int) -> np.ndarray:
 # sides and the fitted points come from the spans; the spectrum (from the
 # design grams' Cholesky factors), every direct solve (``numpy.linalg``,
 # gated by each direction's ``GramPencil``) and every randomized fit (on a
-# control-space normal system) work on n x n matrices. The dense designs are
-# built on first use, by the curve's ill-conditioned fallback only.
-
-
-def _penalty_gram(penalty: np.ndarray, penalty_scale: float) -> np.ndarray:
-    """``G^T G``, refused when it leaves the floating-point range."""
-    with np.errstate(over="ignore", invalid="ignore"):
-        gram = penalty.T @ penalty
-    if not np.isfinite(gram).all():
-        raise OutOfRange(
-            f"penalty_scale {penalty_scale:g} puts the penalty gram outside the "
-            "floating-point range"
-        )
-    return gram
+# control-space normal system) work on n x n matrices. The gate reads O(n)
+# bounds from the band of ``A^T A`` and the closed-form spectrum of the
+# penalty, so at weight 0 no eigensolver runs and ``G^T G`` is not formed.
+# The dense designs are built on first use, by the curve's ill-conditioned
+# fallback only.
 
 
 def _along(matrix: np.ndarray, x: np.ndarray, axis: int) -> np.ndarray:
@@ -140,8 +138,43 @@ class Direction:
 
     @cached_property
     def normal(self) -> GramPencil:
-        """``A^T A + lam G^T G`` at any weight, with its condition gate."""
-        return GramPencil(self.design_gram, _penalty_gram(self.penalty, self.penalty_scale))
+        """``A^T A + lam G^T G`` at any weight, with its condition gate on
+        cheap eigenvalue ranges (:class:`_DirectionPencil`)."""
+        return _DirectionPencil(self)
+
+
+class _DirectionPencil(GramPencil):
+    """A direction's pencil, gated on bounds that cost O(n): the design
+    gram's from its band (:func:`~rpia.oracle.band_eigen_range`, ``degree``
+    diagonals on either side), the penalty gram's in closed form
+    (:func:`~rpia.oracle.difference_gram_range`). ``G^T G`` is formed when a
+    positive weight first asks for a normal matrix, and the eigensolver runs
+    only where a bound exceeds the limit."""
+
+    def __init__(self, direction: Direction):
+        self.design = direction.design_gram
+        self.direction = direction
+
+    @cached_property
+    def penalty(self) -> np.ndarray:
+        """``G^T G``, refused when it leaves the floating-point range."""
+        penalty = self.direction.penalty
+        with np.errstate(over="ignore", invalid="ignore"):
+            gram = penalty.T @ penalty
+        if not np.isfinite(gram).all():
+            raise OutOfRange(
+                f"penalty_scale {self.direction.penalty_scale:g} puts the penalty gram "
+                "outside the floating-point range"
+            )
+        return gram
+
+    @cached_property
+    def _design_range(self) -> np.ndarray:
+        return band_eigen_range(self.design, self.direction.basis.values.shape[1] - 1)
+
+    @cached_property
+    def _penalty_range(self) -> np.ndarray:
+        return difference_gram_range(self.direction.basis.n_basis, self.direction.penalty_scale)
 
 
 @dataclass(frozen=True)
@@ -299,25 +332,27 @@ class TensorProblem:
         A design gram with no Cholesky factor is refused as singular. One
         that has a factor must still pass the solves' condition gate at
         weight 0, so no spectrum is returned where the reference solve is
-        refused; the eigenvalue range the gate reads is the one the
-        reference solve computes anyway. The gate runs after the SVD: run
-        before it, the eigensolver's workspace stayed in the heap under the
-        SVD's and raised the peak memory of a 401-control estimate by 2.7 MB.
+        refused. The factors go to the spectrum as a generator, each formed
+        when it is taken, so the spectrum can release each once it is used.
+        The gate runs after the SVD, so an eigensolve in its fallback leaves
+        no workspace in the heap under the SVD's.
         """
-        factors = []
-        for axis, direction in enumerate(self.directions):
-            try:
-                factors.append(np.linalg.cholesky(direction.design_gram, upper=True))
-            except np.linalg.LinAlgError:
-                raise RankDeficient(
-                    f"the design gram of {self._where(axis)} is singular: {self._sizes(axis)}"
-                ) from None
+        factors = (self._design_factor(axis) for axis in range(len(self.directions)))
         eigs = whitened_spectrum(factors, [d.penalty_scale for d in self.directions])
         for axis, direction in enumerate(self.directions):
             cond = direction.normal.condition(0)
             if not cond <= COND_LIMIT:
                 raise self._rank_deficient(0.0, axis, cond)
         return spectral_decay_from_eigenvalues(eigs, head_count)
+
+    def _design_factor(self, axis: int) -> np.ndarray:
+        """The upper Cholesky factor of direction ``axis``'s design gram."""
+        try:
+            return np.linalg.cholesky(self.directions[axis].design_gram, upper=True)
+        except np.linalg.LinAlgError:
+            raise RankDeficient(
+                f"the design gram of {self._where(axis)} is singular: {self._sizes(axis)}"
+            ) from None
 
 
 def _direction_attribute(axis: int, name: str) -> property:

@@ -6,7 +6,9 @@ step, and spectral-radius checks. The solvers are tested against these,
 never the other way round. The normal-matrix condition gate (``GramPencil``)
 and the axis-by-axis tensor solve over any number of pencils
 (``solve_tensor_normal``) also serve the experiment's control-space direct
-solves.
+solves, whose grams are banded: for those the gate reads the cheap
+eigenvalue bounds of :func:`band_eigen_range` and
+:func:`difference_gram_range`.
 """
 
 from __future__ import annotations
@@ -21,6 +23,7 @@ from .assembly import (
     AugmentedCurveSystem,
     AugmentedSurfaceSystem,
     BlockPartition,
+    difference_eigenvalues,
     tensor_apply,
 )
 from .errors import RankDeficient, TooLarge
@@ -62,6 +65,91 @@ def eigen_range(gram: np.ndarray) -> np.ndarray:
     return np.array([eigs[0] - slack, eigs[-1] + slack])
 
 
+def band_eigen_range(gram: np.ndarray, width: int) -> np.ndarray:
+    """``[low, high]``: bounds on the eigenvalues of a symmetric positive
+    semidefinite matrix that is zero beyond ``width`` diagonals on either
+    side of its own, in O(n width^2).
+
+    ``high`` is Gershgorin's bound, the largest absolute row sum over the band.
+    ``low`` is ``1 / tr(gram^-1)``: the trace is the sum of the reciprocal
+    eigenvalues, so its reciprocal lies below the smallest one. The inverse's
+    diagonal comes from a band ``L D L^T`` factor and Takahashi's recurrence
+    for the inverse on the factor's pattern (Erisman & Tinney, CACM 18(3),
+    1975). The factor is the exact one of a matrix within about
+    ``(width + 1)^2 eps |gram|_2`` of ``gram``, so the trace is good to about
+    that times the condition number ``cond <= high tr(gram^-1)``: ``low`` is
+    shrunk by ``4 (width + 1)^2 eps cond`` of itself, and ``high`` grown by
+    the row sums' round-off. ``low`` is 0 where that shrinking reaches it or
+    a pivot of the factor is not positive, as for a singular matrix.
+    """
+    n = gram.shape[0]
+    eps = np.finfo(float).eps
+    bands = [np.diagonal(gram, k) for k in range(min(width, n - 1) + 1)]
+    rows = np.abs(bands[0])
+    for k, band in enumerate(bands[1:], start=1):
+        rows[:-k] += np.abs(band)
+        rows[k:] += np.abs(band)
+    high = float(rows.max()) * (1.0 + len(bands) * 2 * eps)
+    trace = _inverse_trace([band.tolist() for band in bands])
+    slack = 4 * len(bands) ** 2 * eps * high * trace
+    return np.array([(1.0 - slack) / trace if slack < 1.0 else 0.0, high])
+
+
+def _inverse_trace(bands: list) -> float:
+    """``tr(M^-1)`` of the symmetric band matrix with ``bands[k][i] = M[i, i + k]``,
+    or inf when a pivot of its ``L D L^T`` factor is not positive."""
+    n, w = len(bands[0]), len(bands) - 1
+    pivots = [0.0] * n
+    factor = [[0.0] * (w + 1) for _ in range(n)]      # factor[j][k] = L[j, j - k]
+    for j in range(n):
+        row = factor[j]
+        for k in range(min(j, w), 0, -1):
+            i = j - k
+            total = bands[k][i]
+            for far in range(k + 1, min(j, w) + 1):
+                total -= row[far] * factor[i][far - k] * pivots[j - far]
+            row[k] = total / pivots[i]
+        pivot = bands[0][j]
+        for k in range(1, min(j, w) + 1):
+            pivot -= row[k] * row[k] * pivots[j - k]
+        if not pivot > 0.0:
+            return np.inf
+        pivots[j] = pivot
+    # Takahashi: Z = D^-1 L^-1 + (I - L^T) Z, solved upward on the band of Z
+    inverse = [[0.0] * (w + 1) for _ in range(n)]     # inverse[i][k] = Z[i, i + k]
+    trace = 0.0
+    for i in range(n - 1, -1, -1):
+        reach = min(w, n - 1 - i)
+        below = [factor[i + t][t] for t in range(reach + 1)]    # L[i + t, i]
+        for k in range(1, reach + 1):
+            inverse[i][k] = -sum(
+                below[t] * inverse[min(t, k) + i][abs(t - k)] for t in range(1, reach + 1)
+            )
+        inverse[i][0] = 1.0 / pivots[i] - sum(
+            below[t] * inverse[i][t] for t in range(1, reach + 1)
+        )
+        trace += inverse[i][0]
+    return trace
+
+
+def difference_gram_range(size: int, scale: float) -> np.ndarray:
+    """``[low, high]``: bounds on the eigenvalues of ``G^T G`` for
+    ``G = difference_matrix(size, scale)``, in closed form.
+
+    The eigenvalues are ``mu_k^2`` (:func:`~rpia.assembly.difference_eigenvalues`).
+    Both ends are widened by ``16 eps mu_max^2``: the closed form's own
+    round-off (about ``10 eps`` of each ``mu_k^2``) plus that of forming
+    ``G^T G``, whose entries are small multiples of ``s^2`` each rounded once
+    or twice, so the computed gram lies within ``eps |G^T G|`` of the exact one
+    entry by entry, and within ``16 eps s^2 <= 1.1 eps mu_max^2`` of it in norm.
+    """
+    mu = difference_eigenvalues(size, scale)
+    with np.errstate(over="ignore"):
+        low, high = mu[0] ** 2, mu[-1] ** 2
+    slack = 16 * np.finfo(float).eps * high
+    return np.array([low - slack, high + slack])
+
+
 def _ratio(eigen_bounds: np.ndarray) -> float:
     low, high = eigen_bounds
     return float(high / low) if low > 0.0 else np.inf
@@ -73,12 +161,16 @@ class GramPencil:
     ``design`` and ``penalty`` are symmetric positive semidefinite grams; with
     no penalty the pencil is the one matrix ``design`` (weight 0 only). The
     condition gate is Weyl's bound: every eigenvalue of the sum lies in
-    ``[a_min + lam g_min, a_max + lam g_max]``. Each gram's eigenvalue range
-    is computed once, the penalty's only when a positive weight asks, so the
-    gate costs O(1) per weight and a solve is one LU solve. Where the two
-    grams' low eigenvectors differ (a design gram that is singular or nearly
-    so) the bound can overstate the condition by orders of magnitude, so a
-    bound beyond the limit is checked against the matrix's own eigenvalues.
+    ``[a_min + lam g_min, a_max + lam g_max]``. It reads one range of bounds
+    per gram, computed once, the penalty's only when a positive weight asks,
+    so the gate costs O(1) per weight and a solve is one LU solve. Here both
+    ranges are the grams' eigenvalues (:func:`eigen_range`); a subclass that
+    knows cheaper bounds overrides ``_design_range`` and ``_penalty_range``,
+    as the experiment's directions do. Where a bound exceeds the limit it is
+    checked against the matrix's own eigenvalues: a loose range can overstate
+    the condition, and where the two grams' low eigenvectors differ (a design
+    gram that is singular or nearly so) so can Weyl's bound, by orders of
+    magnitude.
     """
 
     def __init__(self, design: np.ndarray, penalty: Optional[np.ndarray] = None):
@@ -86,8 +178,12 @@ class GramPencil:
         self.penalty = penalty
 
     @cached_property
-    def _design_range(self) -> np.ndarray:
+    def _design_eigen_range(self) -> np.ndarray:
         return eigen_range(self.design)
+
+    @cached_property
+    def _design_range(self) -> np.ndarray:
+        return self._design_eigen_range
 
     @cached_property
     def _penalty_range(self) -> np.ndarray:
@@ -98,11 +194,12 @@ class GramPencil:
 
     def condition(self, lam: float = 0.0) -> float:
         """Upper bound on the 2-norm condition number at weight ``lam``:
-        Weyl's bound, or the exact eigenvalue ratio (widened by round-off)
-        where Weyl's exceeds the limit; infinite when neither shows the
-        matrix positive definite."""
+        Weyl's bound over the two ranges, or the exact eigenvalue ratio
+        (widened by round-off) where that exceeds the limit; infinite when
+        neither shows the matrix positive definite."""
         if not lam:
-            return _ratio(self._design_range)
+            bound = _ratio(self._design_range)
+            return bound if bound <= COND_LIMIT else _ratio(self._design_eigen_range)
         bound = _ratio(self._design_range + lam * self._penalty_range)
         if bound <= COND_LIMIT:
             return bound
@@ -111,8 +208,9 @@ class GramPencil:
     def all_penalty_weight(self) -> float:
         """The weight past which the matrix is all penalty in floating point:
         beyond it ``lam g_min > a_max / eps``, so adding the design changes no
-        eigenvalue of ``lam * penalty``. Infinite when the penalty's range does
-        not show it positive definite."""
+        eigenvalue of ``lam * penalty``. Read from the two ranges, so it is at
+        least that weight. Infinite when the penalty's range does not show it
+        positive definite."""
         low = self._penalty_range[0]
         if not low > 0.0:
             return np.inf

@@ -90,6 +90,11 @@ def whitened_spectrum(design_factors, penalty_scales) -> np.ndarray:
     ``Uv (x) Uu`` diagonalizes ``I (x) Lu^2 + Lv^2 (x) I``. Singular values of
     a factor keep twice a Gram eigensolve's relative digits in the small head.
 
+    ``design_factors`` may be any iterable, such as a generator: each factor
+    and its sine basis are released once their product is formed, so when
+    the caller keeps no reference to the factors only the whitened matrix
+    (and the SVD's own copy of it) is alive during the SVD.
+
     Raises
     ------
     InsufficientSpectrum
@@ -99,16 +104,19 @@ def whitened_spectrum(design_factors, penalty_scales) -> np.ndarray:
     out_of_range = InsufficientSpectrum(
         f"penalty_scale {scales} puts the whitened spectrum outside the floating-point range"
     )
-    # the empty product: kron with [[1]] and hypot with 0 keep a curve's F U and |mu| exact
-    whitened, weights = np.ones((1, 1)), np.zeros(1)
+    # hypot with 0 keeps a curve's |mu| exact
+    whitened, weights = None, np.zeros(1)
     for factor, scale in zip(design_factors, penalty_scales):
         mu, basis = difference_eigenpairs(factor.shape[1], scale)
         if not (np.isfinite(mu) & (mu != 0.0)).all():
             raise out_of_range
-        whitened = np.kron(np.asarray(factor, dtype=float) @ basis, whitened)
+        product = np.asarray(factor, dtype=float) @ basis
+        del factor, basis
+        whitened = product if whitened is None else np.kron(product, whitened)
+        del product
         weights = np.hypot.outer(np.abs(mu), weights).ravel()
     with np.errstate(over="ignore"):
-        whitened = whitened / weights
+        whitened /= weights
         if not np.isfinite(whitened).all():
             raise out_of_range
         singular = np.linalg.svd(whitened, compute_uv=False)

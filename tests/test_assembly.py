@@ -121,6 +121,18 @@ class TestDifferenceEigenpairs:
         npt.assert_allclose((basis * mu) @ basis.T, difference_matrix(size, scale),
                             rtol=0, atol=32 * eps * scale)
 
+    @pytest.mark.parametrize("size", [2, 3, 21, 101, 401])
+    @pytest.mark.parametrize("scale", [1e-3, 1.0, 91.0, 1600.0])
+    def test_bitwise_equal_to_the_dense_formulas(self, size, scale):
+        # the diagonals are filled and the sines gathered from a table, with
+        # the same arithmetic as the formulas over whole N x N arrays
+        k = np.arange(1, size + 1)
+        phase = np.outer(k, k) % (2 * (size + 1))
+        basis = np.sqrt(2.0 / (size + 1)) * np.sin(phase * np.pi / (size + 1))
+        dense = scale * (-2.0 * np.eye(size) + np.eye(size, k=1) + np.eye(size, k=-1))
+        assert difference_eigenpairs(size, scale)[1].tobytes() == basis.tobytes()
+        assert difference_matrix(size, scale).tobytes() == dense.tobytes()
+
     def test_invalid(self):
         with pytest.raises(InvalidConfig):
             difference_eigenpairs(1, 1.0)

@@ -78,6 +78,7 @@ class TestGenData:
         (["--generator", "boy", "--m", "5", "--p", "0"], "--p"),
         (["--generator", "boy", "--m", "5", "--p", "-1"], "--p"),
         (["--generator", "boy", "--m", "-1", "--p", "5"], "--m"),
+        (["--generator", "rose", "--m", "4", "--p", "7"], "--p"),
     ])
     def test_bad_sizes_and_noise_are_refused(self, runner, tmp_path, args, flag):
         out = tmp_path / "data.csv"

@@ -93,6 +93,11 @@ class TestAddNoise:
         with pytest.raises(InvalidConfig):
             NoiseSpec(-1.0, 1)
 
+    def test_negative_seed_rejected(self):
+        # Philox would refuse it with a bare ValueError
+        with pytest.raises(InvalidConfig, match="noise seed must be nonnegative, got -1"):
+            NoiseSpec(1.0, -1)
+
     @pytest.mark.parametrize("amplitude", [np.nan, np.inf, -np.inf])
     def test_non_finite_amplitude_rejected(self, amplitude):
         # ``nan <= 0`` is False: an ordered check alone lets nan through

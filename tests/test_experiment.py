@@ -1,5 +1,6 @@
 import functools
 import json
+import math
 from dataclasses import asdict
 import tracemalloc
 from pathlib import Path
@@ -34,7 +35,13 @@ from rpia.experiment import (
     write_outputs,
     write_sweep_outputs,
 )
-from rpia.oracle import GramPencil, solve_curve_direct, solve_surface_direct, solve_tensor_normal
+from rpia.oracle import (
+    COND_LIMIT,
+    GramPencil,
+    solve_curve_direct,
+    solve_surface_direct,
+    solve_tensor_normal,
+)
 from rpia.pointsio import load_grid
 
 from conftest import (
@@ -173,10 +180,18 @@ def test_estimate_and_direct_paths_form_no_data_space_matrix(no_data_space_matri
     whitened_spectrum = experiment.whitened_spectrum
 
     def square_factors_only(design_factors, penalty_scales):
-        for factor in design_factors:
-            assert factor.shape[0] == factor.shape[1], "data-space factor"
-        spectrum_calls.append(len(design_factors))
-        return whitened_spectrum(design_factors, penalty_scales)
+        # the factors may come one at a time (a generator), so each is
+        # checked as the spectrum takes it, and counted once it has used all
+        checked = []
+
+        def each_checked():
+            for factor in design_factors:
+                assert factor.shape[0] == factor.shape[1], "data-space factor"
+                checked.append(factor.shape)
+                yield factor
+        eigs = whitened_spectrum(each_checked(), penalty_scales)
+        spectrum_calls.append(len(checked))
+        return eigs
 
     monkeypatch.setattr(experiment, "whitened_spectrum", square_factors_only)
     for name, directions in (("rose", 1), ("boy_a40", 2)):
@@ -309,6 +324,62 @@ def test_sampling_the_fitted_geometry_stays_small(name, bound_mib):
     finally:
         tracemalloc.stop()
     assert peak < bound_mib * 2**20
+
+
+def test_estimating_the_weight_stays_small():
+    # Python-traced peak of spectrum-large's estimate (rose, m = 20000,
+    # n_ctrl = 400): the design gram, the whitened matrix and the SVD's copy
+    # of it are 3.7 MiB. With the Cholesky factor, the sine basis and the
+    # basis's integer phases also alive, and the gate's eigensolve, it read
+    # 6.26 MiB.
+    cfg = load_config(CONFIG_DIR / "rose.yaml").with_overrides(m=20000, n_ctrl=400)
+    problem = build_problem(cfg)
+    tracemalloc.start()
+    try:
+        estimate_lambda(problem, cfg)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 5.5 * 2**20
+
+
+@pytest.mark.parametrize("name", sorted(path.stem for path in CONFIG_DIR.glob("*.yaml")))
+def test_cheap_gate_ranges_bracket_the_eigenvalues(name):
+    # Each direction's gate reads O(n) bounds: they hold the design and
+    # penalty grams' extreme eigenvalues, and the design's low end stays
+    # within 25x of a_min, far inside the condition limit.
+    for direction in build_problem(load_config(CONFIG_DIR / f"{name}.yaml")).directions:
+        pencil = direction.normal
+        for (low, high), gram in ((pencil._design_range, direction.design_gram),
+                                  (pencil._penalty_range, pencil.penalty)):
+            eigs = np.linalg.eigvalsh(gram)
+            assert 0.0 < low <= eigs[0] and eigs[-1] <= high
+        assert pencil._design_range[0] >= np.linalg.eigvalsh(direction.design_gram)[0] / 25
+
+
+def test_the_gate_runs_no_eigensolver(monkeypatch):
+    # The estimate, its reference solve and a direct solve at the estimated
+    # weight pass the condition gate on the cheap ranges alone.
+    def refused(*args, **kwargs):
+        raise AssertionError("an eigensolver ran")
+
+    monkeypatch.setattr(np.linalg, "eigvalsh", refused)
+    for name in ("rose", "boy_a40"):
+        cfg = load_config(CONFIG_DIR / f"{name}.yaml")
+        problem = build_problem(cfg)
+        lam, _ = estimate_lambda(problem, cfg)
+        noisy = add_noise(problem.clean, NoiseSpec(cfg.noise_amplitude, 0))
+        assert np.isfinite(problem.solve_direct(noisy, lam)).all()
+
+
+def test_the_divergence_guard_is_finite_at_two_thousand_controls():
+    # Widened by n eps |G^T G|, the eigensolver's range of the penalty gram
+    # reached below 0 at rose n_ctrl = 2000 (penalty_scale 1600), and the
+    # weight loop's guard read inf; the closed form's low end is 1.54e-5.
+    cfg = load_config(CONFIG_DIR / "rose.yaml").with_overrides(m=20000, n_ctrl=2000)
+    pencil = build_problem(cfg).directions[0].normal
+    assert pencil.condition(0) <= COND_LIMIT
+    assert math.isfinite(pencil.all_penalty_weight())
 
 
 BASELINE = Path(__file__).resolve().parents[1] / "perfbench" / "baseline.json"

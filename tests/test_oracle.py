@@ -13,7 +13,9 @@ from rpia.assembly import (
 from rpia.errors import TooLarge
 from rpia.oracle import (
     GramPencil,
+    band_eigen_range,
     contraction_check,
+    difference_gram_range,
     expectation_map_curve,
     expectation_map_curve_closed,
     expectation_map_curve_enumerated,
@@ -83,6 +85,57 @@ class TestGramPencil:
         design_gram, penalty_gram = design.T @ design, penalty.T @ penalty
         bound = GramPencil(design_gram, penalty_gram).condition(lam)
         assert bound >= np.linalg.cond(design_gram + lam * penalty_gram, 2)
+
+
+@st.composite
+def banded_spd(draw):
+    """``R^T R`` for an upper band ``R`` of ``width`` superdiagonals whose
+    diagonal spans up to eight decades: symmetric positive definite and zero
+    beyond ``width`` diagonals off its own, conditioned up to about 1e16."""
+    n = draw(st.integers(2, 30))
+    width = draw(st.integers(0, 4))
+    decades = draw(st.floats(0.0, 8.0))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    factor = np.triu(np.tril(rng.uniform(-1.0, 1.0, (n, n)), width))
+    factor[np.diag_indices(n)] = np.logspace(0.0, -decades, n)[rng.permutation(n)]
+    return factor.T @ factor, width
+
+
+class TestCheapRanges:
+    @settings(max_examples=300, deadline=None)
+    @given(gram_width=banded_spd())
+    def test_band_range_brackets_the_extreme_eigenvalues(self, gram_width):
+        # up to eigvalsh's own round-off at the low end, n eps |M|_2, which
+        # near the bottom of the drawn conditioning reads a positive definite
+        # matrix's smallest eigenvalue as negative
+        gram, width = gram_width
+        eigs = np.linalg.eigvalsh(gram)
+        low, high = band_eigen_range(gram, width)
+        assert 0.0 <= low <= eigs[0] + gram.shape[0] * np.finfo(float).eps * eigs[-1]
+        assert eigs[-1] <= high
+        if eigs[0] > 1e-10 * eigs[-1]:
+            assert low <= eigs[0]
+
+    def test_band_range_is_close_on_a_well_conditioned_gram(self):
+        # 1 / tr(M^-1) is at least a_min / n; Gershgorin's bound is exact on
+        # a diagonal matrix
+        gram = np.diag([1.0, 2.0, 4.0, 8.0])
+        low, high = band_eigen_range(gram, 3)
+        npt.assert_allclose([low, high], [1.0 / 1.875, 8.0], rtol=1e-12)
+
+    def test_band_range_has_no_low_end_without_a_positive_definite_factor(self):
+        assert band_eigen_range(np.diag([1.0, 0.0, 1.0]), 1)[0] == 0.0
+        assert band_eigen_range(np.ones((3, 3)), 2)[0] == 0.0
+
+    @pytest.mark.parametrize("size", [2, 3, 7, 21, 101, 401])
+    @pytest.mark.parametrize("scale", [1e-3, 1.0, 91.0, 1600.0])
+    def test_penalty_range_brackets_the_extreme_eigenvalues(self, size, scale):
+        penalty = difference_matrix(size, scale)
+        eigs = np.linalg.eigvalsh(penalty.T @ penalty)
+        low, high = difference_gram_range(size, scale)
+        assert 0.0 < low <= eigs[0] and eigs[-1] <= high
+        # widened by 16 eps of the largest eigenvalue, no more
+        assert high - eigs[-1] <= 32 * np.finfo(float).eps * eigs[-1]
 
 
 class TestSolveCurveDirect:
