@@ -26,9 +26,8 @@ from .config import (
     SweepGrid,
     config_from_mapping,
     read_config,
-    require_positive,
 )
-from .datasets import SAMPLERS, NoiseSpec, add_noise, generate
+from .datasets import SAMPLERS, NoiseSpec, add_noise, generate, require_amplitude
 from .errors import FittingError, IncompleteGrid, InvalidConfig, ParseError
 from .experiment import (
     build_problem,
@@ -276,7 +275,7 @@ def gen_data(generator, m, p, noise_amplitude, noise_seed, out_path):
             raise InvalidConfig(f"{flag} must be a positive integer, got {size}")
     data = generate(generator, m, p)
     if noise_amplitude is not None:
-        require_positive("--noise-amplitude", noise_amplitude)
+        require_amplitude("--noise-amplitude", noise_amplitude)
         if noise_seed < 0:
             raise InvalidConfig(f"--noise-seed must be nonnegative, got {noise_seed}")
         data = add_noise(data, NoiseSpec(noise_amplitude, noise_seed))

@@ -11,7 +11,7 @@ from typing import Optional, Union
 import numpy as np
 import yaml
 
-from .datasets import SAMPLERS
+from .datasets import SAMPLERS, require_amplitude
 from .errors import InvalidConfig
 
 
@@ -147,6 +147,7 @@ class ExperimentConfig:
         ):
             raise InvalidConfig(f"lambda must be a finite nonnegative number, got {self.lam!r}")
         require_positive("noise_amplitude", self.noise_amplitude)
+        require_amplitude("noise_amplitude", self.noise_amplitude)
         require_positive("penalty_scale", self.penalty_scale)
         require_positive("tolerance", self.tolerance)
         if self.max_iter < 0:

@@ -19,6 +19,19 @@ from .errors import InvalidConfig, SingularSample, ZeroReference
 
 _ROOT2 = np.sqrt(2.0)
 
+# The largest noise amplitude whose square, the noise energy, is a finite double.
+MAX_NOISE_AMPLITUDE = math.sqrt(np.finfo(float).max)
+
+
+def require_amplitude(name: str, amplitude: float) -> None:
+    """Refuse a noise amplitude that is not positive or whose square overflows."""
+    # ``not 0 < amplitude`` also catches nan, which every ordered comparison fails.
+    if not 0.0 < amplitude <= MAX_NOISE_AMPLITUDE:
+        raise InvalidConfig(
+            f"{name} must be positive and at most {MAX_NOISE_AMPLITUDE:.6g}, "
+            f"so that its square is finite, got {amplitude!r}"
+        )
+
 
 @dataclass(frozen=True)
 class SampledCurve:
@@ -46,11 +59,7 @@ class NoiseSpec:
     seed: int
 
     def __post_init__(self):
-        # ``not amplitude > 0`` also catches nan, which every ordered comparison fails.
-        if not (self.amplitude > 0.0 and math.isfinite(self.amplitude)):
-            raise InvalidConfig(
-                f"noise amplitude must be positive and finite, got {self.amplitude!r}"
-            )
+        require_amplitude("noise amplitude", self.amplitude)
         if self.seed < 0:
             raise InvalidConfig(f"noise seed must be nonnegative, got {self.seed!r}")
 

@@ -28,19 +28,27 @@ point coordinates share the block draws.
 What a step reads of its block is one step-table entry: the views of ``g``,
 ``P`` and ``h`` on the block and of ``[g, h]`` on its coupled window, the
 buffers of the move and of the window's update, the products that fill the
-update, and the block's scale. :func:`run` keeps a :class:`StepTable` of
-these, keyed by the drawn block indices, and builds an entry on its first
-draw from per-factor gram slabs built once, so a run holds at most one entry
-per step it makes, however many block pairs the partitions have (6 561 at
-401 x 401 controls in blocks of 5). :func:`step` builds its entry with the
-same builder, so both apply the one step body.
+update, the function and operands of the step's two dot products, and the
+block's scale. :func:`run` keeps a :class:`StepTable` of these, keyed by the
+drawn block indices, and builds an entry on its first draw from per-factor
+gram slabs built once, so a run holds at most one entry per step it makes,
+however many block pairs the partitions have (6 561 at 401 x 401 controls in
+blocks of 5). Where the arrays are contiguous (a curve's), the entry holds
+1-D views of the dot operands for ``ndarray.dot``, which calls the same BLAS
+``ddot`` as ``np.vdot`` without its argument handling, and the window as its
+two contiguous halves; a surface's strided ones keep ``np.vdot`` and one add
+over the window.
 
-The loop in :func:`run` owns what lies around each step: the block draws,
-the stop rule, trajectory sampling and the periodic refresh. It reads
-``fitted_norm_sq``, ``last_move_norm`` (the norm of the last step's move of
-the fitted points), ``iteration``, ``rng``, and, at sample times, the stacked
-residual's norm from ``residual_norm()``, all kept in control space, so its
-work per step does not depend on the number of data points.
+One loop, :func:`_steps`, holds the only copy of the step arithmetic and of
+the bookkeeping around it: the stop rule and trajectory sampling. It keeps
+``fitted_norm_sq``, ``iteration``, ``last_move_norm`` (the norm of the last
+step's move of the fitted points), the quiet-step count and the next sample
+iteration in locals, and writes them back to the state at samples, stops
+and the end of its entries. :func:`run` feeds it one refresh chunk of drawn
+entries at a time and refreshes between chunks; :func:`step` feeds it one
+entry with the stop rule off. Everything it reads is kept in control space,
+the stacked residual's norm at sample times too (``residual_norm()``), so
+its work per step does not depend on the number of data points.
 
 Randomness comes from the Philox counter-based generator seeded per fit, so
 a fit is a pure function of ``(system, partitions, start, stop, seed)``.
@@ -55,7 +63,7 @@ last chunk has been drawn. No result reads it.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -165,6 +173,10 @@ class FitState:
     iteration: int
     rng: np.random.Generator
     last_move_norm: float = 0.0
+    total: np.ndarray = field(init=False, repr=False)    # buffer of rhs + g
+
+    def __post_init__(self):
+        self.total = np.empty(self.control_points.shape)
 
     @property
     def correlation(self) -> np.ndarray:
@@ -178,7 +190,7 @@ class FitState:
 
     def residual_norm(self) -> float:
         """The stacked residual's norm, from ``|q|^2 - <P, rhs + g>`` in O(n)."""
-        cross = np.vdot(self.control_points, self.rhs + self.images[0])
+        cross = np.vdot(self.control_points, np.add(self.rhs, self.images[0], out=self.total))
         return math.sqrt(max(self.data_norm_sq - cross, 0.0))
 
 
@@ -228,11 +240,13 @@ def _factor_block(state: FitState, axis: int, partition, t: int) -> tuple:
 
 def _entry(state: FitState, blocks, buffers: dict) -> tuple:
     """The step-table entry of the drawn factor blocks (:func:`_factor_block`,
-    one per factor): views of ``g``, ``P`` and ``h`` on the block and of
-    ``[g, h]`` on its coupled window, a ``delta`` buffer, the ``(a, b, out)``
-    products that take ``delta`` to the window's update, the update and its
-    view on the block, and the block's scale. The views stay live: the
-    state's arrays are only ever written in place.
+    one per factor): views of ``g`` and ``P`` on the block, a ``delta``
+    buffer, the ``(a, b, out)`` products that take ``delta`` to the window's
+    update, the ``(window, update)`` patches of ``[g, h]``, the dot function
+    with its operands ``delta``, the update on the block and ``h`` on the
+    block (contiguous ones flat, see the module docstring), and the block's
+    scale. The views stay live: the state's arrays are only ever written in
+    place.
 
     The buffers hold nothing from one step to the next, so entries share
     them through ``buffers``, one per role and shape: a table's memory then
@@ -247,32 +261,70 @@ def _entry(state: FitState, blocks, buffers: dict) -> tuple:
     rest = (slice(None),) * (2 - len(blocks))
     block, window, inner = ((..., *index, *rest) for index in (spans, windows, inners))
     images = state.images
+    patch = images[(slice(None), *window)]
     delta = buffer("delta", state.control_points[block].shape)
-    update = buffer("update", images[(slice(None), *window)].shape)
+    update = buffer("update", patch.shape)
     if len(slabs) == 1:
         products = ((slabs[0], delta, update),)
     else:
         middle = buffer("middle", update.shape[:-1] + delta.shape[-1:])
         products = ((slabs[0], delta, middle), (middle, slabs[1], update))
+    operands = (delta, update[(1, *inner)], images[1][block])
+    if all(array.flags.c_contiguous for array in operands):
+        dot, operands = np.ndarray.dot, tuple(array.reshape(-1) for array in operands)
+    else:
+        dot = np.vdot
+    patches = tuple(zip(patch, update)) if patch[0].flags.c_contiguous else ((patch, update),)
     return (
-        images[0][block], state.control_points[block], images[1][block],
-        images[(slice(None), *window)], delta, products, update, update[(1, *inner)],
-        math.prod(norms),
+        images[0][block], state.control_points[block], delta, products,
+        patches, dot, *operands, math.prod(norms),
     )
 
 
-def _body(state: FitState, entry: tuple) -> None:
-    """One block update from the block's table entry (see :func:`step`)."""
-    correlation, controls, image, window, delta, products, update, inner, scale = entry
-    np.divide(correlation, scale, out=delta)
-    controls += delta
-    for a, b, out in products:
-        np.matmul(a, b, out=out)
-    move_sq = max(float(np.vdot(delta, inner)), 0.0)
-    state.fitted_norm_sq += 2.0 * float(np.vdot(image, delta)) + move_sq
-    window += update
-    state.last_move_norm = math.sqrt(move_sq)
-    state.iteration += 1
+# The stop rule of a single step: never met.
+_NO_STOP = StoppingRule(tol=-math.inf)
+
+
+def _steps(state: FitState, entries, stop: StoppingRule, stride: int, trajectory: list,
+           quiet_steps: int) -> int:
+    """Apply the block update of each entry (see :func:`step`) in turn, with
+    the stop rule and trajectory sampling after each; returns the count of
+    consecutive quiet steps, ``quiet_steps`` on entry.
+
+    The entries stop early once the count reaches ``stop.patience``. A
+    sample is appended to ``trajectory`` every ``stride`` iterations (0
+    disables).
+    """
+    tol, patience = stop.tol, stop.patience
+    add, divide, matmul, sqrt = np.add, np.divide, np.matmul, math.sqrt
+    fitted_norm_sq, iteration = state.fitted_norm_sq, state.iteration
+    move_norm = state.last_move_norm
+    next_sample = iteration + stride - iteration % stride if stride else -1
+    for correlation, controls, delta, products, patches, dot, delta_v, inner, image, \
+            scale in entries:
+        previous_norm = sqrt(max(fitted_norm_sq, 0.0))
+        divide(correlation, scale, delta)
+        add(controls, delta, controls)
+        for a, b, out in products:
+            matmul(a, b, out)
+        move_sq = max(float(dot(delta_v, inner)), 0.0)
+        fitted_norm_sq += 2.0 * float(dot(image, delta_v)) + move_sq
+        for window, update in patches:
+            add(window, update, window)
+        move_norm = sqrt(move_sq)
+        iteration += 1
+        rel = move_norm / previous_norm if previous_norm > 0.0 else move_norm
+        if iteration == next_sample:
+            state.fitted_norm_sq, state.iteration = fitted_norm_sq, iteration
+            state.last_move_norm = move_norm
+            trajectory.append(TrajectorySample(iteration, rel, state.residual_norm()))
+            next_sample += stride
+        quiet_steps = quiet_steps + 1 if rel < tol else 0
+        if quiet_steps >= patience:
+            break
+    state.fitted_norm_sq, state.iteration = fitted_norm_sq, iteration
+    state.last_move_norm = move_norm
+    return quiet_steps
 
 
 def step(state: FitState, partitions) -> None:
@@ -290,10 +342,11 @@ def step(state: FitState, partitions) -> None:
     ``2 <h[block], delta> + |A delta|^2``.
     """
     [drawn] = draw_blocks(state.rng, partitions, 1)
-    _body(state, _entry(state, [
+    entry = _entry(state, [
         _factor_block(state, axis, partition, t)
         for axis, (partition, t) in enumerate(zip(partitions, drawn))
-    ], {}))
+    ], {})
+    _steps(state, (entry,), _NO_STOP, 0, [], 0)
 
 
 def run(system, partitions, state: FitState, stop: StoppingRule,
@@ -323,26 +376,15 @@ def run(system, partitions, state: FitState, stop: StoppingRule,
         lambda *drawn: _entry(state, [f[t] for f, t in zip(factors, drawn)], buffers)
     )
     trajectory: list[TrajectorySample] = []
-    tol, patience = stop.tol, stop.patience
     quiet_steps = 0
     left = stop.max_iter
     while left > 0:
         n = min(REFRESH_EVERY - state.iteration % REFRESH_EVERY, left)
         left -= n
-        for drawn in draw_blocks(state.rng, partitions, n):
-            previous_norm = math.sqrt(max(state.fitted_norm_sq, 0.0))
-            _body(state, table[drawn])
-            if previous_norm > 0.0:
-                rel = state.last_move_norm / previous_norm
-            else:
-                rel = state.last_move_norm
-            if trajectory_stride and state.iteration % trajectory_stride == 0:
-                trajectory.append(TrajectorySample(state.iteration, rel, state.residual_norm()))
-            quiet_steps = quiet_steps + 1 if rel < tol else 0
-            if quiet_steps >= patience:
-                return FitResult(
-                    state.control_points, state.iteration, True, "tol", tuple(trajectory)
-                )
+        entries = map(table.__getitem__, draw_blocks(state.rng, partitions, n))
+        quiet_steps = _steps(state, entries, stop, trajectory_stride, trajectory, quiet_steps)
+        if quiet_steps >= stop.patience:
+            return FitResult(state.control_points, state.iteration, True, "tol", tuple(trajectory))
         if state.iteration % REFRESH_EVERY == 0:
             _refresh(state)
     return FitResult(state.control_points, state.iteration, False, "max_iter", tuple(trajectory))

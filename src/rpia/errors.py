@@ -35,7 +35,8 @@ class RankDeficient(FittingError):
 
 
 class OutOfRange(FittingError):
-    """A weight or penalty scale takes a normal matrix outside the floating-point range."""
+    """A value leaves the floating-point range: a weight or penalty scale
+    takes a normal matrix outside it, or a report value is not finite."""
 
 
 class InsufficientSpectrum(FittingError):

@@ -733,15 +733,52 @@ def _summary_text(result: ExperimentResult) -> str:
     return "\n".join(lines)
 
 
+def _non_finite_path(value, path: str):
+    """The path below ``path`` of the first non-finite float in ``value``, a
+    report's JSON tree, or None."""
+    if isinstance(value, float):
+        return None if math.isfinite(value) else f"{path} is {value!r}"
+    if isinstance(value, dict):
+        items = ((f"{path}.{key}" if path else key, item) for key, item in value.items())
+    elif isinstance(value, (list, tuple)):
+        items = ((f"{path}[{k}]", item) for k, item in enumerate(value))
+    else:
+        return None
+    return next(filter(None, (_non_finite_path(item, where) for where, item in items)), None)
+
+
+def _non_finite_field(report: dict):
+    """Where a report's first non-finite value sits: a seed's field if any
+    seed has one, else the report's field; None if every value is finite."""
+    for entry in report["per_seed"]:
+        found = _non_finite_path(entry, "")
+        if found:
+            return f"seed {entry['seed']}'s {found}"
+    return _non_finite_path(report, "")
+
+
 def write_outputs(result: ExperimentResult, out_dir) -> list[str]:
-    """Write the report bundle; returns the file names written."""
+    """Write the report bundle; returns the file names written.
+
+    Raises
+    ------
+    OutOfRange
+        If a report value is not finite, which JSON cannot hold; nothing is
+        written then.
+    """
+    report = asdict(result.report)
+    where = _non_finite_field(report)
+    if where:
+        raise OutOfRange(f"the report holds a non-finite value: {where}")
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     written = []
 
+    # streamed: json.dumps would hold every chunk of the indented text at once
     with open(out / "report.json", "w") as handle:
-        json.dump(asdict(result.report), handle, sort_keys=True, indent=2)
+        json.dump(report, handle, sort_keys=True, indent=2, allow_nan=False)
         handle.write("\n")
+    del report                        # not held through the larger writes below
     written.append("report.json")
     (out / "summary.txt").write_text(_summary_text(result))
     written.append("summary.txt")

@@ -1,4 +1,5 @@
 import json
+import math
 import os
 import re
 import subprocess
@@ -14,7 +15,7 @@ from rpia import cli, errors, pointsio
 from rpia.cli import main
 from rpia.config import load_config
 from rpia.datasets import boy_surface, rose_curve
-from rpia.experiment import build_problem, problem_spectrum
+from rpia.experiment import ExperimentResult, FitReport, build_problem, problem_spectrum
 from rpia.pointsio import load_points, save_grid, save_points
 
 from conftest import csv_writer_bytes
@@ -79,6 +80,7 @@ class TestGenData:
         (["--generator", "boy", "--m", "5", "--p", "-1"], "--p"),
         (["--generator", "boy", "--m", "-1", "--p", "5"], "--m"),
         (["--generator", "rose", "--m", "4", "--p", "7"], "--p"),
+        (["--generator", "rose", "--m", "10", "--noise-amplitude", "1e155"], "--noise-amplitude"),
     ])
     def test_bad_sizes_and_noise_are_refused(self, runner, tmp_path, args, flag):
         out = tmp_path / "data.csv"
@@ -480,6 +482,41 @@ class TestNumericalFailuresSayWhere:
         assert proc.returncode == 3, proc.stderr
         assert f"error: {named}" in proc.stderr
         assert "RuntimeWarning" not in proc.stdout + proc.stderr
+
+    @pytest.mark.parametrize("command, config, amplitude", [
+        ("fit", "rose.yaml", "1e155"),
+        ("estimate-lambda", "rose.yaml", "1e300"),
+        ("self-consistent", "rose_adaptive.yaml", "1e200"),
+    ])
+    def test_noise_amplitude_whose_square_overflows(self, runner, tmp_path, command, config,
+                                                    amplitude):
+        # past sqrt(max double) the noise energy overflows: fit wrote Infinity
+        # into report.json, estimate-lambda raised OverflowError squaring the
+        # amplitude, and self-consistent blamed a NaN weight
+        args = [command, "--config", str(CONFIG_DIR / config), "--noise-amplitude", amplitude]
+        if command != "estimate-lambda":
+            args += ["--seeds", "0", "--out", str(tmp_path / "out")]
+        result = runner.invoke(main, args)
+        assert result.exit_code == 2, result.output
+        assert result.output.startswith("error: noise_amplitude must be positive and at most ")
+        assert not (tmp_path / "out").exists()
+
+    def test_non_finite_report_value(self, runner, tmp_path, monkeypatch):
+        # JSON has no Infinity: the seed and field are named, nothing is written
+        def stubbed(cfg):
+            entry = {"seed": 7, "lambda": 1e-6, "fit_error": math.inf, "iterations": 1,
+                     "converged": True, "stop_reason": "tol", "wall_time": 0.1}
+            report = FitReport("curve", "rose", "fixed", 1e-6, math.inf, math.nan, [7], [entry])
+            return ExperimentResult(cfg, None, [], report)
+
+        monkeypatch.setattr(cli, "run_experiment", stubbed)
+        out_dir = tmp_path / "out"
+        cfg = write_desk_config(tmp_path / "cfg.yaml")
+        result = runner.invoke(main, ["fit", "--config", str(cfg), "--out", str(out_dir)])
+        assert result.exit_code == 3, result.output
+        assert result.output.startswith("error: the report holds a non-finite value: "
+                                        "seed 7's fit_error is inf")
+        assert not (out_dir / "report.json").exists()
 
     @pytest.mark.parametrize("command, sizes, counts", [
         ("spectrum", ["--m", "100", "--n-ctrl", "100"], "101 data points for 101 controls"),

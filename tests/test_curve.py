@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import numpy.testing as npt
 import pytest
@@ -14,6 +16,7 @@ from rpia.assembly import (
     make_partition,
 )
 from rpia.basis import build_knots, chord_length_params
+from rpia import driver
 from rpia.curve import StoppingRule, init_state, run, step
 from rpia.datasets import rose_curve
 from rpia.driver import REFRESH_EVERY, _refresh, draw_blocks
@@ -414,6 +417,13 @@ class TestRunReplaysSteps:
         )
         npt.assert_array_equal(result.control_points, state.control_points)
         assert result.trajectory == trajectory
+        # the loop's locals reach the run's state: after a stop, at the cap and
+        # at a refresh edge alike
+        kept = init_state(system, p0, seed)
+        driver.run(system, (partition,), kept, stop, stride)
+        assert (kept.iteration, kept.fitted_norm_sq, kept.last_move_norm) == (
+            state.iteration, state.fitted_norm_sq, state.last_move_norm
+        )
         return result
 
     @settings(max_examples=25, deadline=None)
@@ -447,6 +457,39 @@ class TestRunReplaysSteps:
             assert result.iterations % REFRESH_EVERY != 0
         else:
             assert (result.iterations, result.stop_reason) == (iterations, "max_iter")
+
+    def test_run_and_step_go_through_the_one_loop(self, rng, monkeypatch):
+        calls = []
+
+        def counted(state, entries, *rest):
+            calls.append(1)
+            return steps(state, entries, *rest)
+
+        steps = driver._steps
+        monkeypatch.setattr(driver, "_steps", counted)
+        system = random_curve_system(rng, m_rows=16, n_cols=7, lam=0.25)
+        partition = make_partition(system.stacked, 3)
+        state = init_state(system, rng.standard_normal((7, 2)), 8)
+        for n_steps in range(1, 4):
+            step(state, partition)
+            assert (len(calls), state.iteration) == (n_steps, n_steps)
+        calls.clear()
+        # one call per refresh chunk
+        result = run(system, partition, np.zeros((7, 2)),
+                     StoppingRule(0.0, 2 * REFRESH_EVERY + 1), 8)
+        assert (len(calls), result.iterations) == (3, 2 * REFRESH_EVERY + 1)
+
+    def test_buffered_residual_norm_equals_the_allocating_form(self, rng):
+        system = random_curve_system(rng, m_rows=16, n_cols=7, lam=0.25)
+        partition = make_partition(system.stacked, 3)
+        state = init_state(system, rng.standard_normal((7, 2)), 8)
+        for _ in range(30):
+            step(state, partition)
+            cross = np.vdot(state.control_points, state.rhs + state.correlation)
+            expected = math.sqrt(max(state.data_norm_sq - cross, 0.0))
+            # twice: the buffer carries nothing from one call to the next
+            assert state.residual_norm() == expected
+            assert state.residual_norm() == expected
 
     def test_step_on_a_dense_system_makes_one_draw(self, rng):
         system = random_curve_system(rng, m_rows=16, n_cols=7, lam=0.25)

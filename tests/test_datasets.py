@@ -104,6 +104,12 @@ class TestAddNoise:
         with pytest.raises(InvalidConfig, match="finite"):
             NoiseSpec(amplitude, 1)
 
+    def test_amplitude_whose_square_overflows_rejected(self):
+        at_limit = NoiseSpec(datasets.MAX_NOISE_AMPLITUDE, 0)
+        assert at_limit.per_entry_variance(1) == datasets.MAX_NOISE_AMPLITUDE**2 < np.inf
+        with pytest.raises(InvalidConfig, match="noise amplitude must be positive and at most"):
+            NoiseSpec(np.nextafter(datasets.MAX_NOISE_AMPLITUDE, np.inf), 0)
+
     def test_per_entry_variance(self):
         spec = NoiseSpec(10.0, 0)
         npt.assert_allclose(spec.per_entry_variance(2002), 100.0 / 2002.0)

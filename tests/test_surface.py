@@ -592,6 +592,13 @@ class TestRunReplaysSteps:
         )
         npt.assert_array_equal(result.control_points, np.moveaxis(state.control_points, 0, -1))
         assert result.trajectory == trajectory
+        # the loop's locals reach the run's state: after a stop, at the cap and
+        # at a refresh edge alike
+        kept = init_state(normal, grid0, seed)
+        driver.run(normal, (part_u, part_v), kept, stop, stride)
+        assert (kept.iteration, kept.fitted_norm_sq, kept.last_move_norm) == (
+            state.iteration, state.fitted_norm_sq, state.last_move_norm
+        )
         return result
 
     @settings(max_examples=20, deadline=None)
@@ -632,6 +639,29 @@ class TestRunReplaysSteps:
             assert result.iterations % REFRESH_EVERY != 0
         else:
             assert (result.iterations, result.stop_reason) == (iterations, "max_iter")
+
+    def test_run_and_step_go_through_the_one_loop(self, rng, monkeypatch):
+        calls = []
+
+        def counted(state, entries, *rest):
+            calls.append(1)
+            return steps(state, entries, *rest)
+
+        steps = driver._steps
+        monkeypatch.setattr(driver, "_steps", counted)
+        system = random_surface_system(rng, rows=(5, 4), cols=(4, 3), lam=0.2)
+        part_u = make_partition(system.row_stacked, 2)
+        part_v = make_partition(system.col_stacked, 2)
+        normal = surface_normal_system(system)
+        state = init_state(normal, rng.standard_normal((4, 3, 3)), 5)
+        for n_steps in range(1, 4):
+            step(state, part_u, part_v)
+            assert (len(calls), state.iteration) == (n_steps, n_steps)
+        calls.clear()
+        # one call per refresh chunk
+        result = run(normal, part_u, part_v, np.zeros((4, 3, 3)),
+                     StoppingRule(0.0, 2 * REFRESH_EVERY + 1), 5)
+        assert (len(calls), result.iterations) == (3, 2 * REFRESH_EVERY + 1)
 
     def test_step_makes_two_draws(self, rng):
         system = random_surface_system(rng, rows=(5, 4), cols=(4, 3), lam=0.2)
