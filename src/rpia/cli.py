@@ -159,8 +159,8 @@ def fit(config_path, seeds, lam, out_dir, **overrides):
     _warn_capped(capped_count(result.outcomes), len(result.outcomes), cfg.max_iter)
     report = result.report
     click.echo(
-        f"lambda={report.lambda_used:.6e} mean_error={report.mean_fit_error:.6f} "
-        f"std={report.std_fit_error:.6f} seeds={len(report.seeds)}"
+        f"lambda={report.lambda_used:.6e} mean_error={report.mean_fit_error:.6g} "
+        f"std={report.std_fit_error:.6g} seeds={len(report.seeds)}"
     )
     click.echo(f"wrote {', '.join(files)} to {out_dir}")
 
@@ -193,9 +193,9 @@ def sweep(config_path, seeds, lo, hi, points, out_dir, **overrides):
     best = int(np.argmin(report.mean_errors))
     click.echo(
         f"estimate lambda={report.lambda_estimate:.6e} "
-        f"(mean_error={report.estimate_mean_error:.6f}); "
+        f"(mean_error={report.estimate_mean_error:.6g}); "
         f"grid minimum at lambda={report.lambdas[best]:.6e} "
-        f"(mean_error={report.mean_errors[best]:.6f})"
+        f"(mean_error={report.mean_errors[best]:.6g})"
     )
     click.echo(f"wrote {name} to {out_dir}")
 
@@ -227,7 +227,7 @@ def self_consistent_cmd(config_path, seeds, out_dir, **overrides):
     _warn_capped(capped_count(result.outcomes), len(result.outcomes), cfg.max_iter)
     report = result.report
     click.echo(
-        f"lambda={report.lambda_used:.6e} mean_error={report.mean_fit_error:.6f} "
+        f"lambda={report.lambda_used:.6e} mean_error={report.mean_fit_error:.6g} "
         f"(alpha={report.spectral_alpha:.4f})"
     )
     click.echo(f"wrote {', '.join(files)} to {out_dir}")

@@ -29,7 +29,8 @@ What a step reads of its block is one step-table entry: the views of ``g``,
 ``P`` and ``h`` on the block and of ``[g, h]`` on its coupled window, the
 buffers of the move and of the window's update, the products that fill the
 update, the function and operands of the step's two dot products, and the
-block's scale. :func:`run` keeps a :class:`StepTable` of these, keyed by the
+block's scale as a 0-d array (``np.divide`` by a Python float costs more
+per call). :func:`run` keeps a :class:`StepTable` of these, keyed by the
 drawn block indices, and builds an entry on its first draw from per-factor
 gram slabs built once, so a run holds at most one entry per step it makes,
 however many block pairs the partitions have (6 561 at 401 x 401 controls in
@@ -38,6 +39,18 @@ blocks of 5). Where the arrays are contiguous (a curve's), the entry holds
 ``ddot`` as ``np.vdot`` without its argument handling, and the window as its
 two contiguous halves; a surface's strided ones keep ``np.vdot`` and one add
 over the window.
+
+Each product is a ``(function, a, b, out)`` quad. A curve's one product is
+a single 2-D ``np.dot``, one BLAS call, of its slab viewed as a (2 window,
+block) matrix and ``delta``, into the (2 window, ncoord) view of the update. A
+surface's left factor stays one batched ``np.matmul`` into a middle buffer,
+and its right factor is one 2-D ``np.dot`` per image: ``middle[i]`` viewed
+as a (ncoord window, block) matrix times the factor's slab. A 2-D call skips
+the batched matmul's gufunc dispatch, and each element still goes through
+the routine it went through before, a gemm wherever there was one, so every
+number is the same bit for bit. The left product stays batched because at a
+one-column block numpy's matmul takes gemv, as the refresh's chain does,
+and a 2-D gemm there rounds differently.
 
 One loop, :func:`_steps`, holds the only copy of the step arithmetic and of
 the bookkeeping around it: the stop rule and trajectory sampling. It keeps
@@ -241,12 +254,13 @@ def _factor_block(state: FitState, axis: int, partition, t: int) -> tuple:
 def _entry(state: FitState, blocks, buffers: dict) -> tuple:
     """The step-table entry of the drawn factor blocks (:func:`_factor_block`,
     one per factor): views of ``g`` and ``P`` on the block, a ``delta``
-    buffer, the ``(a, b, out)`` products that take ``delta`` to the window's
-    update, the ``(window, update)`` patches of ``[g, h]``, the dot function
-    with its operands ``delta``, the update on the block and ``h`` on the
-    block (contiguous ones flat, see the module docstring), and the block's
-    scale. The views stay live: the state's arrays are only ever written in
-    place.
+    buffer, the ``(function, a, b, out)`` products that take ``delta`` to
+    the window's update (a 2-D ``np.dot`` wherever numpy's batched matmul
+    would call gemm, see the module docstring), the ``(window, update)``
+    patches of ``[g, h]``, the dot function with its operands ``delta``, the
+    update on the block and ``h`` on the block (contiguous ones flat), and
+    the block's scale as a 0-d array. The views stay live: the state's
+    arrays are only ever written in place.
 
     The buffers hold nothing from one step to the next, so entries share
     them through ``buffers``, one per role and shape: a table's memory then
@@ -265,10 +279,18 @@ def _entry(state: FitState, blocks, buffers: dict) -> tuple:
     delta = buffer("delta", state.control_points[block].shape)
     update = buffer("update", patch.shape)
     if len(slabs) == 1:
-        products = ((slabs[0], delta, update),)
+        # a curve's slab, [2, window, block], as one (2 window, block) matrix
+        flat = (2 * update.shape[1], -1)
+        products = ((np.dot, slabs[0].reshape(flat), delta, update.reshape(flat)),)
     else:
+        # batched on the left, where a one-column block takes gemv as the
+        # refresh's chain does; one 2-D gemm per image on the right
         middle = buffer("middle", update.shape[:-1] + delta.shape[-1:])
-        products = ((slabs[0], delta, middle), (middle, slabs[1], update))
+        products = ((np.matmul, slabs[0], delta, middle), *(
+            (np.dot, middle[i].reshape(-1, middle.shape[-1]), slabs[1][i, 0],
+             update[i].reshape(-1, update.shape[-1]))
+            for i in range(2)
+        ))
     operands = (delta, update[(1, *inner)], images[1][block])
     if all(array.flags.c_contiguous for array in operands):
         dot, operands = np.ndarray.dot, tuple(array.reshape(-1) for array in operands)
@@ -277,7 +299,7 @@ def _entry(state: FitState, blocks, buffers: dict) -> tuple:
     patches = tuple(zip(patch, update)) if patch[0].flags.c_contiguous else ((patch, update),)
     return (
         images[0][block], state.control_points[block], delta, products,
-        patches, dot, *operands, math.prod(norms),
+        patches, dot, *operands, np.array(math.prod(norms)),
     )
 
 
@@ -296,7 +318,7 @@ def _steps(state: FitState, entries, stop: StoppingRule, stride: int, trajectory
     disables).
     """
     tol, patience = stop.tol, stop.patience
-    add, divide, matmul, sqrt = np.add, np.divide, np.matmul, math.sqrt
+    add, divide, sqrt = np.add, np.divide, math.sqrt
     fitted_norm_sq, iteration = state.fitted_norm_sq, state.iteration
     move_norm = state.last_move_norm
     next_sample = iteration + stride - iteration % stride if stride else -1
@@ -305,8 +327,8 @@ def _steps(state: FitState, entries, stop: StoppingRule, stride: int, trajectory
         previous_norm = sqrt(max(fitted_norm_sq, 0.0))
         divide(correlation, scale, delta)
         add(controls, delta, controls)
-        for a, b, out in products:
-            matmul(a, b, out)
+        for product, a, b, out in products:
+            product(a, b, out)
         move_sq = max(float(dot(delta_v, inner)), 0.0)
         fitted_norm_sq += 2.0 * float(dot(image, delta_v)) + move_sq
         for window, update in patches:

@@ -501,6 +501,18 @@ class TestNumericalFailuresSayWhere:
         assert result.output.startswith("error: noise_amplitude must be positive and at most ")
         assert not (tmp_path / "out").exists()
 
+    def test_large_finite_error_prints_in_short_form(self, tmp_path):
+        # just under the amplitude limit the fit error is about 1e152: the
+        # fixed-point format printed it with 150 digits
+        proc = run_cli_process(
+            ["fit", "--config", str(CONFIG_DIR / "rose.yaml"), "--seeds", "0",
+             "--noise-amplitude", "1.3e154", "--out", str(tmp_path / "out")]
+        )
+        assert proc.returncode == 0, proc.stderr
+        [token] = re.findall(r"mean_error=(\S+)", proc.stdout)
+        assert math.isfinite(float(token))
+        assert len(token) <= 12
+
     def test_non_finite_report_value(self, runner, tmp_path, monkeypatch):
         # JSON has no Infinity: the seed and field are named, nothing is written
         def stubbed(cfg):

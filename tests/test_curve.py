@@ -26,6 +26,7 @@ from rpia.oracle import solve_curve_direct
 
 from conftest import (
     assert_close_to_scale,
+    collocation_design,
     curve_problem,
     curve_systems,
     designs,
@@ -330,6 +331,38 @@ def two_product_steps(system, partition, p0, seed, n_steps):
         yield controls, correlation, image, norm_sq, np.sqrt(move_sq)
 
 
+def banded_curve_system(n, ncoord, seed, lam=1e-3):
+    """The normal system of a fit of 3 n + 3 random points by n + 1 cubic
+    B-spline controls: banded grams, as a fit's are."""
+    design = collocation_design(3 * n + 3, n)
+    penalty = difference_matrix(n + 1, 2.0)
+    q = np.random.default_rng(seed).standard_normal((design.shape[0], ncoord))
+    design_gram = design.T @ design
+    return NormalSystem(
+        (design_gram + lam * penalty.T @ penalty,), (design_gram,), design.T @ q,
+        float(np.vdot(q, q)),
+    )
+
+
+def assert_equals_two_product_steps(system, partition, seed, n_steps):
+    """``step`` calls, refreshed at the solver's period, against
+    :func:`two_product_steps`, bit for bit after every step."""
+    p0 = np.random.default_rng(seed).standard_normal(system.rhs.shape)
+    state = init_state(system, p0, seed)
+    for controls, correlation, image, norm_sq, move in two_product_steps(
+        system, partition, p0, seed, n_steps
+    ):
+        step(state, partition)
+        if state.iteration % REFRESH_EVERY == 0:
+            _refresh(state)
+        npt.assert_array_equal(state.control_points, controls)
+        npt.assert_array_equal(state.correlation, correlation)
+        npt.assert_array_equal(state.design_image, image)
+        assert state.fitted_norm_sq == norm_sq
+        assert state.last_move_norm == move
+    assert state.iteration == n_steps
+
+
 @st.composite
 def normal_systems_with_partitions(draw):
     """A dense stacked system or the span-built normal system of a drawn
@@ -374,6 +407,21 @@ class TestFusedStep:
             assert state.fitted_norm_sq == norm_sq
             assert state.last_move_norm == move
         assert state.iteration == n_steps
+
+    # Where a block or the coordinate axis is one wide, numpy picks another
+    # BLAS routine (gemv for a one-column operand); each case runs past two
+    # refreshes.
+
+    def test_one_coordinate_equals_two_product_steps_bitwise(self):
+        system = banded_curve_system(20, 1, seed=3)
+        assert_equals_two_product_steps(system, gram_partition(system.grams[0], 5), 11, 1050)
+
+    def test_width_one_tail_block_equals_two_product_steps_bitwise(self):
+        # 101 controls in blocks of 5: the last block is one column
+        system = banded_curve_system(100, 2, seed=4)
+        partition = gram_partition(system.grams[0], 5)
+        assert partition.spans[-1] == slice(100, 101)
+        assert_equals_two_product_steps(system, partition, 12, 1050)
 
     def test_correlation_and_design_image_stay_views_after_refresh(self, rng):
         system = random_curve_system(rng, m_rows=16, n_cols=7, lam=0.25)

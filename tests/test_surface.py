@@ -396,6 +396,21 @@ def two_product_steps(system, part_u, part_v, grid0, seed, n_steps):
         yield grid, correlation, image, norm_sq, np.sqrt(move_sq), residual
 
 
+def banded_surface_system(n, seed, lam=1e-3):
+    """The normal system of a fit of a (2 n + 2) x (2 n + 2) grid of random
+    3-D points by (n + 1) x (n + 1) bicubic controls: banded grams, as a
+    fit's are."""
+    design = collocation_design(2 * n + 2, n)
+    penalty = difference_matrix(n + 1, 2.0)
+    q = np.random.default_rng(seed).standard_normal((design.shape[0], design.shape[0], 3))
+    design_gram = design.T @ design
+    gram = design_gram + lam * penalty.T @ penalty
+    return NormalSystem(
+        (gram, gram), (design_gram, design_gram),
+        np.einsum("ia,ijf,jb->abf", design, q, design), float(np.vdot(q, q)),
+    )
+
+
 class TestFusedStep:
     @settings(max_examples=15, deadline=None)
     @given(system=surface_systems(), seed=st.integers(0, 2**32 - 1),
@@ -424,6 +439,29 @@ class TestFusedStep:
             assert state.last_move_norm == move
             assert state.residual_norm() == residual
         assert state.iteration == n_steps
+
+    def test_width_one_tail_blocks_equal_two_product_steps_bitwise(self):
+        # 21 x 21 controls in blocks of 5: the last block of each factor is
+        # one column, where numpy's batched product takes gemv as the
+        # refresh's chain does, and a 2-D gemm would round differently
+        system = banded_surface_system(20, seed=5)
+        part_u, part_v = (gram_partition(gram, 5) for gram in system.grams)
+        assert part_u.spans[-1] == part_v.spans[-1] == slice(20, 21)
+        grid0 = np.random.default_rng(13).standard_normal(system.rhs.shape)
+        state = init_state(system, grid0, 13)
+        for grid, correlation, image, norm_sq, move, residual in two_product_steps(
+            system, part_u, part_v, grid0, 13, 1050
+        ):
+            step(state, part_u, part_v)
+            if state.iteration % REFRESH_EVERY == 0:
+                _refresh(state)
+            npt.assert_array_equal(state.control_points, grid)
+            npt.assert_array_equal(state.correlation, correlation)
+            npt.assert_array_equal(state.design_image, image)
+            assert state.fitted_norm_sq == norm_sq
+            assert state.last_move_norm == move
+            assert state.residual_norm() == residual
+        assert state.iteration == 1050
 
     def test_correlation_and_design_image_stay_views_after_refresh(self, rng):
         system = random_surface_system(rng, rows=(5, 4), cols=(4, 3), lam=0.2)
