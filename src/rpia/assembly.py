@@ -21,7 +21,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .basis import KnotVector, eval_basis
+from .basis import BasisSpan, KnotVector, eval_basis
 from .errors import DegenerateData, DimensionMismatch, InvalidConfig, ZeroColumnBlock
 
 
@@ -69,18 +69,25 @@ def _require_difference(size: int, scale: float) -> None:
         )
 
 
+def difference_span(size: int, scale: float) -> BasisSpan:
+    """The rows of :func:`difference_matrix` as a :class:`BasisSpan`: three
+    entries per row (two at size 2), each end row padded with a zero."""
+    _require_difference(size, scale)
+    width = min(size, 3)
+    start = np.clip(np.arange(-1, size - 1), 0, size - width)
+    offset = start[:, None] + np.arange(width) - np.arange(size)[:, None]   # column - row
+    values = np.where(offset == 0, scale * -2.0, scale * (np.abs(offset) == 1))
+    return BasisSpan(start, values, size)
+
+
 def difference_matrix(size: int, scale: float) -> np.ndarray:
     """Scaled second-order difference matrix with Dirichlet boundaries.
 
     ``scale * tridiag(1, -2, 1)`` of the given size; symmetric and negative
     definite, so its Gram matrix is positive definite and it is invertible.
+    The dense form of :func:`difference_span`.
     """
-    _require_difference(size, scale)
-    matrix = np.zeros((size, size))
-    np.fill_diagonal(matrix, scale * -2.0)
-    matrix.flat[1::size + 1] = scale                 # the superdiagonal
-    matrix.flat[size::size + 1] = scale              # the subdiagonal
-    return matrix
+    return difference_span(size, scale).dense()
 
 
 def difference_eigenvalues(size: int, scale: float) -> np.ndarray:

@@ -30,7 +30,7 @@ from . import surface as surface_solver
 from .assembly import (
     NormalSystem,
     augment_curve,
-    difference_matrix,
+    difference_span,
     gram_partition,
     require_finite,
     require_weight,
@@ -96,21 +96,16 @@ def initial_controls_curve(data: np.ndarray, n_ctrl: int) -> np.ndarray:
 # time, so replacing a module attribute (to trace or to stub a layer) reaches
 # every call.
 #
-# Each direction keeps its collocation matrix as the spans ``eval_basis``
-# returns, and its penalty as its scale. The design grams, the right-hand
-# sides and the fitted points come from the spans; the spectrum (from the
-# design grams' Cholesky factors), every direct solve (``numpy.linalg``,
-# gated by each direction's ``GramPencil``) and every randomized fit (on a
-# control-space normal system) work on n x n matrices. The gate reads O(n)
-# bounds from the band of ``A^T A`` and the closed-form spectrum of the
-# penalty, so at weight 0 no eigensolver runs and ``G^T G`` is not formed.
-# The dense designs are built on first use, by the curve's ill-conditioned
-# fallback only.
-
-
-def _along(matrix: np.ndarray, x: np.ndarray, axis: int) -> np.ndarray:
-    """``matrix`` applied along ``axis`` of ``x``; ``matrix @ x`` at axis 0."""
-    return np.moveaxis(np.tensordot(matrix, x, axes=(1, axis)), 0, axis)
+# Each direction keeps its collocation ``A`` and its penalty ``G`` as spans
+# (``eval_basis``, ``difference_span``), and one set of span products gives
+# the grams, the right-hand sides, the fitted points and the penalty norms.
+# The spectrum (from the design grams' Cholesky factors), every direct solve
+# (``numpy.linalg``, gated by each direction's ``GramPencil``) and every
+# randomized fit (on a control-space normal system) work on n x n matrices.
+# The gate reads O(n) bounds from the band of ``A^T A`` and the closed-form
+# spectrum of the penalty, so at weight 0 no eigensolver runs and ``G^T G``
+# is not formed. No dense ``A`` or ``G`` is kept; the problems' ``design*``
+# and ``penalty*`` attributes write them on each read.
 
 
 @dataclass(frozen=True)
@@ -123,13 +118,8 @@ class Direction:
     penalty_scale: float                     # s in G = s tridiag(1, -2, 1)
 
     @cached_property
-    def penalty(self) -> np.ndarray:         # G
-        return difference_matrix(self.basis.n_basis, self.penalty_scale)
-
-    @cached_property
-    def design(self) -> np.ndarray:
-        """``A`` as a dense matrix."""
-        return self.basis.dense()
+    def penalty_span(self) -> BasisSpan:     # G
+        return difference_span(self.basis.n_basis, self.penalty_scale)
 
     @cached_property
     def design_gram(self) -> np.ndarray:
@@ -158,9 +148,8 @@ class _DirectionPencil(GramPencil):
     @cached_property
     def penalty(self) -> np.ndarray:
         """``G^T G``, refused when it leaves the floating-point range."""
-        penalty = self.direction.penalty
         with np.errstate(over="ignore", invalid="ignore"):
-            gram = penalty.T @ penalty
+            gram = self.direction.penalty_span.gram()
         if not np.isfinite(gram).all():
             raise OutOfRange(
                 f"penalty_scale {self.direction.penalty_scale:g} puts the penalty gram "
@@ -233,7 +222,7 @@ class TensorProblem:
         """
         total = 0.0
         for axis, direction in enumerate(self.directions):
-            term = _along(direction.penalty, controls, axis)
+            term = direction.penalty_span.apply(controls, axis=axis)
             for other, design in enumerate(self.directions):
                 if other != axis:
                     term = design.basis.apply(term, axis=other)
@@ -355,14 +344,14 @@ class TensorProblem:
             ) from None
 
 
-def _direction_attribute(axis: int, name: str) -> property:
-    """Direction ``axis``'s attribute ``name``, read through the problem."""
-    return property(lambda problem: getattr(problem.directions[axis], name))
+def _dense_attribute(axis: int, span: str) -> property:
+    """The dense form of direction ``axis``'s span ``span``, written on each read."""
+    return property(lambda problem: getattr(problem.directions[axis], span).dense())
 
 
 class CurveProblem(TensorProblem):
-    design = _direction_attribute(0, "design")      # A
-    penalty = _direction_attribute(0, "penalty")    # G
+    design = _dense_attribute(0, "basis")           # A
+    penalty = _dense_attribute(0, "penalty_span")   # G
 
     def _ill_conditioned(self, data: np.ndarray, lam: float, axis: int, cond: float) -> np.ndarray:
         """The minimizer by the stacked least-squares route of :func:`solve_curve_direct`."""
@@ -377,10 +366,10 @@ class CurveProblem(TensorProblem):
 
 
 class SurfaceProblem(TensorProblem):
-    design_u = _direction_attribute(0, "design")    # A
-    design_v = _direction_attribute(1, "design")    # B
-    penalty_u = _direction_attribute(0, "penalty")  # Lu
-    penalty_v = _direction_attribute(1, "penalty")  # Lv
+    design_u = _dense_attribute(0, "basis")             # A
+    design_v = _dense_attribute(1, "basis")             # B
+    penalty_u = _dense_attribute(0, "penalty_span")     # Lu
+    penalty_v = _dense_attribute(1, "penalty_span")     # Lv
 
     def write_fitted(self, out: Path, controls) -> str:
         _, sampled = sample_fitted(self, controls)

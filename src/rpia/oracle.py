@@ -139,9 +139,14 @@ def difference_gram_range(size: int, scale: float) -> np.ndarray:
     The eigenvalues are ``mu_k^2`` (:func:`~rpia.assembly.difference_eigenvalues`).
     Both ends are widened by ``16 eps mu_max^2``: the closed form's own
     round-off (about ``10 eps`` of each ``mu_k^2``) plus that of forming
-    ``G^T G``, whose entries are small multiples of ``s^2`` each rounded once
-    or twice, so the computed gram lies within ``eps |G^T G|`` of the exact one
-    entry by entry, and within ``16 eps s^2 <= 1.1 eps mu_max^2`` of it in norm.
+    ``G^T G`` as the penalty span's ``gram()``. Each of its entries sums, per
+    diagonal, at most three nonzero products of one sign, each ``1``, ``2`` or
+    ``4`` times the rounded ``s^2``, so it is rounded at most three times and
+    lies within ``1.5 eps`` (to first order) of the exact entry, relative to
+    that entry. As ``|G^T G| = |G|^T |G|`` entry by entry and
+    ``|G| = s tridiag(1, 2, 1)`` has 2-norm ``|mu_max|``, the computed gram
+    lies within ``1.5 eps mu_max^2`` of the exact one in norm: with the closed
+    form's, under ``12 eps mu_max^2``.
     """
     mu = difference_eigenvalues(size, scale)
     with np.errstate(over="ignore"):

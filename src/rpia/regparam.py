@@ -28,7 +28,7 @@ from typing import Callable, Optional
 import numpy as np
 
 from .assembly import difference_eigenpairs
-from .errors import InsufficientSpectrum, InvalidConfig, NonConvergence, ZeroPenalty
+from .errors import InsufficientSpectrum, InvalidConfig, NonConvergence, OutOfRange, ZeroPenalty
 
 # Relative eigenvalue floor: anything below this multiple of the largest
 # eigenvalue is numerical zero and would corrupt the log-log regression.
@@ -149,13 +149,9 @@ def spectral_decay_from_eigenvalues(eigenvalues, head_count: int) -> SpectralDec
     coeffs, residuals, *_ = np.linalg.lstsq(
         np.column_stack([log_k, np.ones(head_count)]), log_rho, rcond=None
     )
-    alpha = -float(coeffs[0])
-    if residuals.size:
-        rms = float(np.sqrt(residuals[0] / head_count))
-    else:
-        fitted = coeffs[0] * log_k + coeffs[1]
-        rms = float(np.sqrt(np.mean((log_rho - fitted) ** 2)))
-    return SpectralDecayFit(eigs, alpha, head_count, rms)
+    # head_count >= 3 points against the rank-2 design: lstsq returns the residual
+    rms = float(np.sqrt(residuals[0] / head_count))
+    return SpectralDecayFit(eigs, -float(coeffs[0]), head_count, rms)
 
 
 def optimal_lambda(
@@ -207,6 +203,10 @@ def self_consistent(
 
     Raises
     ------
+    OutOfRange
+        If a fit's misfit or penalty is not finite (overflowed data), before
+        any weight is formed from them; the message names the outer
+        iteration, its weight and both measures.
     ZeroPenalty
         If a fit's penalty vanishes (the update is undefined); the message
         names the outer iteration, its weight and the starting weight.
@@ -224,6 +224,11 @@ def self_consistent(
     iterates = [LambdaIterate(1, lam)]
     for k in range(2, max_outer + 1):
         misfit, pen = measure(controls)
+        if not (math.isfinite(misfit) and math.isfinite(pen)):
+            raise OutOfRange(
+                f"the fit at outer iteration {k - 1}, weight {lam:.6e}, has misfit "
+                f"{misfit:g} and penalty {pen:g}: the next weight needs both finite"
+            )
         if pen <= 0.0:
             raise ZeroPenalty(
                 f"penalty norm of the fit vanished at outer iteration {k - 1}, "

@@ -10,6 +10,7 @@ from rpia.assembly import (
     augment_surface,
     difference_eigenpairs,
     difference_matrix,
+    difference_span,
     gram_partition,
     make_partition,
     tensor_apply,
@@ -105,6 +106,44 @@ class TestDifferenceMatrix:
         for scale in (0.0, np.nan, np.inf):
             with pytest.raises(InvalidConfig):
                 difference_matrix(5, scale)
+
+
+class TestDifferenceSpan:
+    """The penalty's rows as a span, against the literal dense matrix."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(size=st.integers(2, 60),
+           scale=st.one_of(st.sampled_from([1600.0, 91.0, 1.5]), st.floats(1e-150, 1e150)),
+           trailing=st.sampled_from([(), (1,), (3,), (2, 3)]), axis=st.integers(0, 2),
+           seed=st.integers(0, 2**32 - 1))
+    def test_products_match_the_literal_matrix(self, size, scale, trailing, axis, seed):
+        eps = np.finfo(float).eps
+        literal = scale * (np.diag(np.full(size, -2.0)) + np.diag(np.ones(size - 1), 1)
+                           + np.diag(np.ones(size - 1), -1))
+        assert difference_matrix(size, scale).tobytes() == literal.tobytes()
+        span = difference_span(size, scale)
+        assert span.values.shape == (size, min(size, 3))
+        # apply: run-order sums against the dense product, to the bound of
+        # tests/test_basis.py
+        axis = min(axis, len(trailing))
+        x = np.moveaxis(np.random.default_rng(seed).standard_normal((size,) + trailing), 0, axis)
+        want = np.moveaxis(np.tensordot(literal, x, axes=(1, axis)), 0, axis)
+        got = span.apply(x, axis=axis)
+        assert got.shape == want.shape
+        bound = 2 * span.values.shape[1] * eps * np.abs(span.values).sum(axis=1)
+        error = np.moveaxis(np.abs(got - want), axis, 0).reshape(size, -1)
+        assert np.all(error <= bound[:, None] * np.max(np.abs(x)))
+        # gram: each entry sums at most three products of the same sign
+        gram, dense = span.gram(), literal.T @ literal
+        if scale in (1600.0, 91.0, 1.5):                # s * s is exact
+            assert gram.tobytes() == dense.tobytes()
+        else:
+            assert np.all(np.abs(gram - dense) <= 4 * eps * np.abs(dense))
+
+    def test_two_entries_per_row_at_size_two(self):
+        span = difference_span(2, 3.0)
+        npt.assert_array_equal(span.start, [0, 0])
+        npt.assert_array_equal(span.values, [[-6.0, 3.0], [3.0, -6.0]])
 
 
 class TestDifferenceEigenpairs:

@@ -513,6 +513,21 @@ class TestNumericalFailuresSayWhere:
         assert math.isfinite(float(token))
         assert len(token) <= 12
 
+    def test_weight_loop_refuses_an_overflowed_measure(self, tmp_path):
+        # just under the amplitude limit a randomized fit's misfit and
+        # penalty both overflow: inf / inf gave the loop a NaN weight, which
+        # exited 2 as a configuration error
+        proc = run_cli_process(
+            ["self-consistent", "--config", str(CONFIG_DIR / "rose_adaptive.yaml"),
+             "--seeds", "0", "--inner-solver", "rpia", "--noise-amplitude", "1.3e154",
+             "--out", str(tmp_path / "out")]
+        )
+        assert proc.returncode == 3, proc.stderr
+        assert "Traceback" not in proc.stderr
+        assert "error: the fit at outer iteration 1, weight " in proc.stderr
+        assert "has misfit inf and penalty inf" in proc.stderr
+        assert not (tmp_path / "out").exists()
+
     def test_non_finite_report_value(self, runner, tmp_path, monkeypatch):
         # JSON has no Infinity: the seed and field are named, nothing is written
         def stubbed(cfg):

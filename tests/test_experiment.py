@@ -156,14 +156,16 @@ def test_pinned_weight_loop(name):
 
 @pytest.fixture
 def no_data_space_matrix(monkeypatch):
-    """Make every builder of a dense collocation matrix or a stacked (m+n) x n
-    system raise, wherever the experiment could reach it."""
+    """Make every builder of a dense collocation or penalty matrix or a stacked
+    (m+n) x n system raise, wherever the experiment could reach it. Both
+    factors of a direction are spans, and ``difference_matrix`` writes its
+    span's dense form, so refusing ``BasisSpan.dense`` refuses both."""
     def refuse(what):
         def refused(*args, **kwargs):
             raise AssertionError(f"{what} was built")
         return refused
 
-    monkeypatch.setattr(BasisSpan, "dense", refuse("a dense collocation matrix"))
+    monkeypatch.setattr(BasisSpan, "dense", refuse("a dense collocation or penalty matrix"))
     for module in (assembly, experiment):
         monkeypatch.setattr(module, "assemble_collocation",
                             refuse("a dense collocation matrix"), raising=False)
@@ -341,6 +343,23 @@ def test_estimating_the_weight_stays_small():
     finally:
         tracemalloc.stop()
     assert peak < 5.5 * 2**20
+
+
+def test_the_penalty_norm_stays_small_at_two_thousand_controls():
+    # Python-traced peak of the first penalty norm at rose m = 20000,
+    # n_ctrl = 2000, the penalty's span included: the dense 2001 x 2001
+    # difference matrix and its tensordot read 30.6 MiB.
+    problem = build_problem(
+        load_config(CONFIG_DIR / "rose.yaml").with_overrides(m=20000, n_ctrl=2000)
+    )
+    controls = np.random.default_rng(0).standard_normal((problem.n_controls, 2))
+    tracemalloc.start()
+    try:
+        problem.penalty_norm2(controls)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20
 
 
 @pytest.mark.parametrize("name", sorted(path.stem for path in CONFIG_DIR.glob("*.yaml")))

@@ -16,7 +16,9 @@ from rpia.assembly import (
 )
 from rpia.basis import build_knots, chord_length_params
 from rpia.datasets import NoiseSpec, add_noise, rose_curve
-from rpia.errors import InsufficientSpectrum, InvalidConfig, NonConvergence, ZeroPenalty
+from rpia.errors import (
+    InsufficientSpectrum, InvalidConfig, NonConvergence, OutOfRange, ZeroPenalty,
+)
 from rpia.experiment import self_consistent_measure
 from rpia.oracle import solve_curve_direct, solve_surface_direct
 
@@ -272,6 +274,25 @@ class TestSelfConsistentCurve:
                             2.0, max_weight=1e6)
         weight = float(re.search(r"weight (\S+) passed", str(refused.value))[1])
         assert weight > 1e6 >= max(solved)
+
+    @pytest.mark.parametrize("measures", [(np.inf, np.inf), (1.0, np.inf)])
+    def test_non_finite_measure_is_refused_before_a_weight_is_formed(self, measures):
+        # Overflowed data gave inf / inf, a NaN weight that passed the
+        # divergence guard, or a weight of 0 from a finite misfit over an
+        # infinite penalty; either went on to the next solve.
+        start = 4.0 ** (-2.0 / 3.0)
+        solved = []
+
+        def solve(lam):
+            solved.append(lam)
+            return np.zeros((2, 1))
+
+        with pytest.raises(OutOfRange, match=(
+            rf"the fit at outer iteration 1, weight {start:.6e}, has misfit "
+            rf"{measures[0]:g} and penalty inf"
+        )):
+            self_consistent(solve, lambda controls: measures, 4, 2.0)
+        assert solved == [start]
 
     def test_non_positive_eps_lambda(self):
         with pytest.raises(InvalidConfig, match="eps_lambda"):
