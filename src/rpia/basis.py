@@ -2,10 +2,11 @@
 
 The basis is clamped on [0, 1]: the first and last ``degree + 1`` knots are
 pinned to 0 and 1, interior knots are placed by floor-interpolation into the
-data parameter sequence. Evaluation is vectorized over an array of
-parameters: one ``searchsorted`` finds every knot span, and the standard
-triangular recurrence (de Boor / Cox) runs on columns, returning for each
-parameter only the ``degree + 1`` basis values that can be nonzero there.
+data parameter sequence, or by averaging it below two parameters per knot
+span. Evaluation is vectorized over an array of parameters: one
+``searchsorted`` finds every knot span, and the standard triangular
+recurrence (de Boor / Cox) runs on columns, returning for each parameter
+only the ``degree + 1`` basis values that can be nonzero there.
 That ``BasisSpan`` is the collocation matrix of a fit: its products and its
 gram come from the runs, without the dense matrix.
 
@@ -263,10 +264,14 @@ def _strictify(params: np.ndarray) -> np.ndarray:
 def build_knots(params, n_ctrl_minus1: int, degree: int = DEGREE) -> KnotVector:
     """Clamped knot vector whose interior knots track the data parameters.
 
-    With ``n1 = n_ctrl_minus1`` and ``m + 1`` parameters, interior knot ``j``
-    (for ``j = 1 .. n1 - 3``) interpolates between neighbouring parameters:
-    ``i = floor(j * d)``, ``frac = j * d - i``, ``d = (m + 1) / (n1 - 2)``,
-    giving knot ``(1 - frac) * params[i - 1] + frac * params[i]``.
+    With ``n1 = n_ctrl_minus1`` and ``m + 1`` parameters, ``d = (m + 1) /
+    (n1 - 2)`` parameters fall in each knot span. At ``d >= 2`` interior knot
+    ``j`` (for ``j = 1 .. n1 - 3``) interpolates between neighbouring
+    parameters (*The NURBS Book* eq. 9.68-9.69): ``i = floor(j * d)``,
+    ``frac = j * d - i``, knot ``(1 - frac) * params[i - 1] + frac * params[i]``.
+    Below that such knots crowd into too few parameter gaps for a conditioned
+    design, so at ``d < 2`` knot ``j`` averages ``t[j : j + 3]``, the
+    parameters resampled by index to ``n1 + 1`` values (de Boor, eq. 9.8).
 
     Raises
     ------
@@ -286,10 +291,14 @@ def build_knots(params, n_ctrl_minus1: int, degree: int = DEGREE) -> KnotVector:
         )
     knots = np.zeros(n1 + degree + 2)
     knots[-(degree + 1):] = 1.0
-    for j in range(1, n1 - 2):
-        i = int(np.floor(j * d))
-        frac = j * d - i
-        knots[degree + j] = (1.0 - frac) * x[i - 1] + frac * x[i]
+    if d < 2.0:
+        t = np.interp(np.linspace(0, m, n1 + 1), np.arange(m + 1), x)
+        knots[degree + 1: degree + n1 - 2] = [t[j: j + 3].sum() / 3 for j in range(1, n1 - 2)]
+    else:
+        for j in range(1, n1 - 2):
+            i = int(np.floor(j * d))
+            frac = j * d - i
+            knots[degree + j] = (1.0 - frac) * x[i - 1] + frac * x[i]
     return KnotVector(knots, degree)
 
 

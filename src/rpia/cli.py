@@ -98,7 +98,6 @@ _SHARED_OPTIONS = [
     click.option("--n-ctrl", type=int, default=None, help="Control index bound (n1)."),
     click.option("--n-ctrl-v", type=int, default=None, help="Second-direction control bound (n2)."),
     click.option("--block-size", type=int, default=None),
-    click.option("--block-size-v", type=int, default=None),
     click.option("--noise-amplitude", type=float, default=None),
     click.option("--penalty-scale", type=float, default=None),
     click.option("--tolerance", type=float, default=None),

@@ -27,7 +27,7 @@ FILE_KEYS = {"lam": "lambda", "input_path": "input"}
 # Integer fields; those in the second tuple may also be left unset (None),
 # and are the second direction's sizes, which only a surface may set.
 _INTEGER_FIELDS = ("m", "n_ctrl", "block_size", "max_iter", "head_count", "trajectory_stride")
-_OPTIONAL_INTEGER_FIELDS = ("p", "n_ctrl_v", "block_size_v")
+_OPTIONAL_INTEGER_FIELDS = ("p", "n_ctrl_v")
 
 
 # bool is an int subclass, but ``true`` is neither a count nor a weight.
@@ -90,7 +90,6 @@ class ExperimentConfig:
     n_ctrl: int = 100                        # control index bound in u (n1)
     n_ctrl_v: Optional[int] = None           # control index bound in v (n2)
     block_size: int = 5
-    block_size_v: Optional[int] = None
     lam: LambdaChoice = 0.0
     noise_amplitude: float = 10.0
     penalty_scale: float = 1600.0
@@ -126,8 +125,6 @@ class ExperimentConfig:
             raise InvalidConfig("n_ctrl must be at least 3")
         if self.block_size < 1:
             raise InvalidConfig("block_size must be positive")
-        if self.block_size_v is not None and self.block_size_v < 1:
-            raise InvalidConfig("block_size_v must be positive")
         if self.problem == "surface":
             if (self.p or 0) < 1 or (self.n_ctrl_v or 0) < 3:
                 raise InvalidConfig("surface runs need positive p and n_ctrl_v >= 3")

@@ -126,9 +126,13 @@ class FitResult:
 
     control_points: np.ndarray
     iterations: int
-    converged: bool
-    stop_reason: str
+    stop_reason: str                  # "tol" | "max_iter" | "direct"
     trajectory: tuple[TrajectorySample, ...] = ()
+
+    @property
+    def converged(self) -> bool:
+        """Whether the fit met its stop rule before ``max_iter``."""
+        return self.stop_reason != "max_iter"
 
 
 def make_rng(seed) -> np.random.Generator:
@@ -406,7 +410,7 @@ def run(system, partitions, state: FitState, stop: StoppingRule,
         entries = map(table.__getitem__, draw_blocks(state.rng, partitions, n))
         quiet_steps = _steps(state, entries, stop, trajectory_stride, trajectory, quiet_steps)
         if quiet_steps >= stop.patience:
-            return FitResult(state.control_points, state.iteration, True, "tol", tuple(trajectory))
+            return FitResult(state.control_points, state.iteration, "tol", tuple(trajectory))
         if state.iteration % REFRESH_EVERY == 0:
             _refresh(state)
-    return FitResult(state.control_points, state.iteration, False, "max_iter", tuple(trajectory))
+    return FitResult(state.control_points, state.iteration, "max_iter", tuple(trajectory))

@@ -29,7 +29,6 @@ from . import curve as curve_solver
 from . import surface as surface_solver
 from .assembly import (
     NormalSystem,
-    augment_curve,
     difference_span,
     gram_partition,
     require_finite,
@@ -53,7 +52,6 @@ from .oracle import (
     GramPencil,
     band_eigen_range,
     difference_gram_range,
-    solve_curve_direct,
     solve_tensor_normal,
 )
 from .pointsio import Table, load_grid, load_points, save_grid, write_csv
@@ -170,8 +168,8 @@ class _DirectionPencil(GramPencil):
 class TensorProblem:
     """A penalized tensor-product fit over one direction (a curve) or two (a surface).
 
-    The subclasses add the curve's fallback for an ill-conditioned normal
-    matrix and the fitted-geometry file.
+    The subclasses add the fitted-geometry file and the dense attributes
+    that outside readers take.
     """
 
     clean: np.ndarray
@@ -179,7 +177,7 @@ class TensorProblem:
 
     @cached_property
     def reference_controls(self) -> np.ndarray:
-        """The unpenalized least-squares fit of the clean data."""
+        """The unpenalized least-squares fit of the clean data (or ``RankDeficient``)."""
         return self.solve_direct(self.clean, 0.0)
 
     @cached_property
@@ -254,12 +252,11 @@ class TensorProblem:
         q, rhs = self.right_hand_side(data)
         norm_sq = float(np.vdot(q, q))
         start = initial_controls(q, [d.basis.n_basis - 1 for d in self.directions])
-        block_sizes = (cfg.block_size, cfg.block_size_v or cfg.block_size)
         stop = StoppingRule(cfg.tolerance, cfg.max_iter)
 
         def solve(lam: float):
             grams = self._normal_matrices(require_weight(lam))
-            partitions = [gram_partition(g, size) for g, size in zip(grams, block_sizes)]
+            partitions = [gram_partition(g, cfg.block_size) for g in grams]
             design_grams = tuple(direction.design_gram for direction in self.directions)
             system = NormalSystem(tuple(grams), design_grams, rhs, norm_sq)
             # looked up at call time, so a wrapped ``run`` sees every fit
@@ -278,30 +275,24 @@ class TensorProblem:
         formed once. A direct solve always meets its equations: its result
         stops with ``"direct"`` after no iterations.
 
-        A normal matrix that fails its condition gate goes to
-        :meth:`_ill_conditioned`, with the failing direction's axis and
-        condition bound.
+        A normal matrix that fails its condition gate is refused
+        (``RankDeficient``), naming the failing direction, its condition
+        bound and its sizes, a curve's as a surface's.
         """
-        q, rhs = self.right_hand_side(data)
+        _, rhs = self.right_hand_side(data)
         pencils = [direction.normal for direction in self.directions]
 
         def solve(lam: float):
             lam = require_weight(lam)
-            solution, cond, failed = solve_tensor_normal(pencils, rhs, lam)
+            solution, cond, axis = solve_tensor_normal(pencils, rhs, lam)
             if solution is None:
-                solution = self._ill_conditioned(q, lam, failed, cond)
-            return solution, FitResult(solution, 0, True, "direct")
+                raise RankDeficient(
+                    f"the normal matrix of {self._where(axis)} is numerically rank deficient "
+                    f"at weight {lam:g}: condition bound {cond:.3g} exceeds {COND_LIMIT:g}, "
+                    f"{self._sizes(axis)}"
+                )
+            return solution, FitResult(solution, 0, "direct")
         return solve
-
-    def _ill_conditioned(self, data: np.ndarray, lam: float, axis: int, cond: float) -> np.ndarray:
-        raise self._rank_deficient(lam, axis, cond)
-
-    def _rank_deficient(self, lam: float, axis: int, cond: float) -> RankDeficient:
-        return RankDeficient(
-            f"the normal matrix of {self._where(axis)} is numerically rank deficient at "
-            f"weight {lam:g}: condition bound {cond:.3g} exceeds {COND_LIMIT:g}, "
-            f"{self._sizes(axis)}"
-        )
 
     def _where(self, axis: int) -> str:
         return "the curve" if len(self.directions) == 1 else f"direction {'uv'[axis]}"
@@ -319,19 +310,16 @@ class TensorProblem:
         Cholesky factor of ``A^T A``.
 
         A design gram with no Cholesky factor is refused as singular. One
-        that has a factor must still pass the solves' condition gate at
-        weight 0, so no spectrum is returned where the reference solve is
-        refused. The factors go to the spectrum as a generator, each formed
-        when it is taken, so the spectrum can release each once it is used.
-        The gate runs after the SVD, so an eigensolve in its fallback leaves
-        no workspace in the heap under the SVD's.
+        that has a factor must still give the reference solve, so no
+        spectrum is returned where that solve is refused. The factors go to
+        the spectrum as a generator, each formed when it is taken, so the
+        spectrum can release each once it is used. The reference solve runs
+        after the SVD, so an eigensolve in its gate leaves no workspace in
+        the heap under the SVD's.
         """
         factors = (self._design_factor(axis) for axis in range(len(self.directions)))
         eigs = whitened_spectrum(factors, [d.penalty_scale for d in self.directions])
-        for axis, direction in enumerate(self.directions):
-            cond = direction.normal.condition(0)
-            if not cond <= COND_LIMIT:
-                raise self._rank_deficient(0.0, axis, cond)
+        self.reference_controls       # refused where a direction fails the gate
         return spectral_decay_from_eigenvalues(eigs, head_count)
 
     def _design_factor(self, axis: int) -> np.ndarray:
@@ -352,11 +340,6 @@ def _dense_attribute(axis: int, span: str) -> property:
 class CurveProblem(TensorProblem):
     design = _dense_attribute(0, "basis")           # A
     penalty = _dense_attribute(0, "penalty_span")   # G
-
-    def _ill_conditioned(self, data: np.ndarray, lam: float, axis: int, cond: float) -> np.ndarray:
-        """The minimizer by the stacked least-squares route of :func:`solve_curve_direct`."""
-        system = augment_curve(self.design, self.penalty, data, lam)
-        return solve_curve_direct(system).control_points
 
     def write_fitted(self, out: Path, controls) -> str:
         [dense], points = sample_fitted(self, controls)
@@ -443,12 +426,12 @@ class SeedOutcome:
     lam: float
     fit_err: float
     iterations: int
-    converged: bool
     stop_reason: str                  # "tol" | "max_iter" | "direct"
     wall_time: float
     control_points: np.ndarray
     trajectory: tuple = ()
     lambda_iterates: Optional[tuple] = None
+    converged = FitResult.converged   # read from stop_reason, as a fit's
 
 
 def _relative_error(problem, controls) -> float:
@@ -507,8 +490,8 @@ def run_seed(problem, cfg: ExperimentConfig, lam_choice, seed: int, alpha=None) 
     last = results[-1]                # the seed's fit, in the weight loop too
     controls = last.control_points
     return SeedOutcome(
-        seed, lam, _relative_error(problem, controls), iterations, last.converged,
-        last.stop_reason, time.perf_counter() - start, controls, last.trajectory, iterates,
+        seed, lam, _relative_error(problem, controls), iterations, last.stop_reason,
+        time.perf_counter() - start, controls, last.trajectory, iterates,
     )
 
 
@@ -668,9 +651,12 @@ def sweep_lambda(cfg: ExperimentConfig) -> tuple[SweepReport, TensorProblem]:
     return report, problem
 
 
-def sample_fitted(problem: TensorProblem, controls: np.ndarray, density: int = 5):
-    """Fitted geometry sampled at ``density`` times the data density per
-    direction: the sample parameters of each direction, and the points.
+SAMPLE_DENSITY = 5                    # fitted-geometry samples per data interval
+
+
+def sample_fitted(problem: TensorProblem, controls: np.ndarray):
+    """Fitted geometry sampled at ``SAMPLE_DENSITY`` times the data density
+    per direction: the sample parameters of each direction, and the points.
 
     Each direction's basis is evaluated as spans at its sample parameters and
     applied along its axis, as :meth:`TensorProblem.fitted` applies the
@@ -682,7 +668,7 @@ def sample_fitted(problem: TensorProblem, controls: np.ndarray, density: int = 5
     blocks of the first direction's samples, each under ``APPLY_CHUNK_BYTES``
     in extended precision, so only the double output is held whole.
     """
-    params = [np.linspace(0.0, 1.0, density * (size - 1) + 1)
+    params = [np.linspace(0.0, 1.0, SAMPLE_DENSITY * (size - 1) + 1)
               for size in problem.clean.shape[: len(problem.directions)]]
     first, *rest = [eval_basis(direction.knots, grid)
                     for direction, grid in zip(problem.directions, params)]

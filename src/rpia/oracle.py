@@ -28,9 +28,9 @@ from .assembly import (
 )
 from .errors import RankDeficient, TooLarge
 
-# Beyond this bound on the 2-norm condition number of a normal matrix the
-# direct route is abandoned: for a rank-revealing least-squares solve
-# (curves) or a RankDeficient error (surfaces).
+# Beyond this bound on the 2-norm condition number of a normal matrix a
+# direct solve raises RankDeficient, a curve's as a surface's; only the
+# stacked curve oracle (``_solve_normal``) falls back to least squares.
 COND_LIMIT = 1e12
 
 # Size caps for the exhaustive reference computations.
@@ -175,7 +175,7 @@ class GramPencil:
     checked against the matrix's own eigenvalues: a loose range can overstate
     the condition, and where the two grams' low eigenvectors differ (a design
     gram that is singular or nearly so) so can Weyl's bound, by orders of
-    magnitude.
+    magnitude. A failed gate refuses the solve, for a curve as for a surface.
     """
 
     def __init__(self, design: np.ndarray, penalty: Optional[np.ndarray] = None):

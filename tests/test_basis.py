@@ -129,6 +129,29 @@ class TestBuildKnots:
         assert kv.knots.size == 10
         npt.assert_allclose(kv.knots[4:6], [7.0 / 27.0, 17.0 / 27.0], atol=1e-15)
 
+    def test_hand_computed_averaged_interior(self):
+        # m=9, n1=9: d = 10/7 < 2, and n1 + 1 = m + 1 resamples the uniform
+        # params to themselves, x_k = k/9; knot j averages x_j, x_j+1, x_j+2
+        kv = build_knots(np.linspace(0, 1, 10), 9)
+        npt.assert_allclose(kv.knots[4:-4], np.arange(2, 8) / 9.0, atol=1e-15)
+
+    @settings(max_examples=200, deadline=None)
+    @given(chords=st.lists(st.floats(1e-3, 1e3), min_size=2, max_size=400), data=st.data())
+    def test_interpolated_rule_at_two_or_more_parameters_per_span(self, chords, data):
+        # d >= 2 keeps the interpolation rule (The NURBS Book eq. 9.68-9.69)
+        # bit for bit, and with it the knots of every shipped config
+        params = chord_length_params(np.cumsum([0.0] + chords))
+        n1 = data.draw(st.integers(3, params.size // 2 + 2))
+        d = params.size / (n1 - 2)
+        assert d >= 2.0
+        want = np.zeros(n1 + 5)
+        want[-4:] = 1.0
+        for j in range(1, n1 - 2):
+            i = int(np.floor(j * d))
+            frac = j * d - i
+            want[3 + j] = (1.0 - frac) * params[i - 1] + frac * params[i]
+        assert build_knots(params, n1).knots.tobytes() == want.tobytes()
+
     def test_count_property(self):
         for m, n1 in [(30, 8), (51, 17), (100, 30), (12, 5)]:
             kv = build_knots(np.linspace(0, 1, m + 1), n1)

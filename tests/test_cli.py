@@ -194,27 +194,16 @@ class TestFit:
         result = runner.invoke(main, ["fit", "--config", str(cfg)])
         assert result.exit_code == 4
 
-    def test_zero_block_size_v_exit_code(self, runner, tmp_path):
-        result = runner.invoke(main, [
-            "fit", "--problem", "surface", "--generator", "boy", "--m", "6", "--p", "5",
-            "--n-ctrl", "3", "--n-ctrl-v", "3", "--block-size-v", "0",
-            "--out", str(tmp_path / "out"),
-        ])
-        assert result.exit_code == 2
-        assert "block_size_v" in result.output
-
     def test_surface_keys_in_a_curve_config_exit_code(self, runner, tmp_path):
-        # p, n_ctrl_v and block_size_v size a surface's second direction; a
-        # curve fit would drop them, so the config is refused
-        cfg = write_desk_config(tmp_path / "cfg.yaml", p=5, n_ctrl_v=9, block_size_v=7)
+        # p and n_ctrl_v size a surface's second direction; a curve fit would
+        # drop them, so the config is refused
+        cfg = write_desk_config(tmp_path / "cfg.yaml", p=5, n_ctrl_v=9)
         result = runner.invoke(main, ["fit", "--config", str(cfg), "--out", str(tmp_path / "out")])
         assert result.exit_code == 2
         assert "error: p " in result.output
         assert not (tmp_path / "out").exists()
 
-    @pytest.mark.parametrize("option, key", [
-        ("--p", "p"), ("--n-ctrl-v", "n_ctrl_v"), ("--block-size-v", "block_size_v"),
-    ])
+    @pytest.mark.parametrize("option, key", [("--p", "p"), ("--n-ctrl-v", "n_ctrl_v")])
     def test_surface_option_on_a_curve_config_exit_code(self, runner, tmp_path, option, key):
         result = runner.invoke(main, [
             "fit", "--config", str(CONFIG_DIR / "rose.yaml"), option, "10",
@@ -546,11 +535,13 @@ class TestNumericalFailuresSayWhere:
         assert not (out_dir / "report.json").exists()
 
     @pytest.mark.parametrize("command, sizes, counts", [
-        ("spectrum", ["--m", "100", "--n-ctrl", "100"], "101 data points for 101 controls"),
-        ("estimate-lambda", ["--m", "99", "--n-ctrl", "100"], "100 data points for 101 controls"),
+        ("spectrum", ["--m", "100", "--n-ctrl", "102"], "101 data points for 103 controls"),
+        ("estimate-lambda", ["--m", "99", "--n-ctrl", "101"], "100 data points for 102 controls"),
     ])
     def test_singular_design_gram(self, tmp_path, command, sizes, counts):
-        # the spectrum's Cholesky factor of the design gram does not exist
+        # with more controls than data points no knot rule gives the design
+        # full rank: the spectrum's Cholesky factor of the design gram does
+        # not exist
         out = ["--out", str(tmp_path / "out")] if command == "spectrum" else []
         proc = run_cli_process([command, "--config", str(CONFIG_DIR / "rose.yaml"), *sizes, *out])
         assert proc.returncode == 3, proc.stderr
@@ -558,16 +549,17 @@ class TestNumericalFailuresSayWhere:
         assert "Traceback" not in proc.stderr
 
     def test_ill_conditioned_surface_direction(self):
-        # 21 rows for 21 controls along u pass the spectrum's Cholesky, but
-        # the reference solve's condition gate refuses that direction
+        # 11 rows for 12 controls along u pass the spectrum's Cholesky in
+        # round-off, but the reference solve's condition gate refuses that
+        # direction
         proc = run_cli_process([
             "estimate-lambda", "--config", str(CONFIG_DIR / "boy_a40.yaml"),
-            "--m", "20", "--n-ctrl", "20", "--n-ctrl-v", "10",
+            "--m", "10", "--p", "10", "--n-ctrl", "11", "--n-ctrl-v", "5",
         ])
         assert proc.returncode == 3, proc.stderr
         assert re.search(
             r"error: the normal matrix of direction u is numerically rank deficient at "
-            r"weight 0: condition bound \S+ exceeds 1e\+12, 21 data points for 21 controls",
+            r"weight 0: condition bound \S+ exceeds 1e\+12, 11 data points for 12 controls",
             proc.stderr,
         ), proc.stderr
         assert "Traceback" not in proc.stderr
@@ -592,26 +584,44 @@ class TestNumericalFailuresSayWhere:
         assert outer > 1 and weight > level > 1e6 * start > 0.0
         assert level < 1e30
 
-    @pytest.mark.parametrize("n_ctrl, controls", [("99", 100), ("88", 89)])
-    def test_spectrum_refuses_a_design_the_solves_refuse(self, tmp_path, n_ctrl, controls):
-        # the design gram has a Cholesky factor, but the spectrum now passes
-        # it through the solves' condition gate: at n_ctrl 99 it used to
-        # write a spectrum (alpha about 4.1) that estimate-lambda and fit refuse
+    def test_spectrum_refuses_a_design_the_solves_refuse(self, tmp_path):
+        # 101 points for 102 controls: the design gram has a Cholesky factor
+        # in round-off, but the spectrum is refused where the reference
+        # solve's condition gate is; it once wrote spectra that
+        # estimate-lambda and fit refused
         out_dir = tmp_path / "out"
         proc = run_cli_process([
             "spectrum", "--config", str(CONFIG_DIR / "rose.yaml"), "--m", "100",
-            "--n-ctrl", n_ctrl, "--out", str(out_dir),
+            "--n-ctrl", "101", "--out", str(out_dir),
         ])
         assert proc.returncode == 3, proc.stderr
         found = re.search(
             r"error: the normal matrix of the curve is numerically rank deficient at weight 0: "
-            rf"condition bound (\S+) exceeds 1e\+12, 101 data points for {controls} controls",
+            r"condition bound (\S+) exceeds 1e\+12, 101 data points for 102 controls",
             proc.stderr,
         )
         assert found, proc.stderr
         assert float(found[1]) > 1e12
         assert "Traceback" not in proc.stderr
         assert not (out_dir / "spectrum.csv").exists()
+
+
+class TestAveragedKnots:
+    """Below two data points per knot span the knots are averaged, so a curve
+    fits with as many controls as it has data points."""
+
+    @pytest.mark.parametrize("n_ctrl", ["88", "90", "99", "100"])
+    @pytest.mark.parametrize("command", ["spectrum", "fit"])
+    def test_near_square_rose_designs_exit_0(self, runner, tmp_path, command, n_ctrl):
+        # with interpolated knots the spectrum refused all four, and fit
+        # took 88 and 90 only through a stacked least-squares fallback
+        out_dir = tmp_path / "out"
+        args = [command, "--config", str(CONFIG_DIR / "rose.yaml"), "--m", "100",
+                "--n-ctrl", n_ctrl, "--out", str(out_dir)]
+        result = runner.invoke(main, args + (["--seeds", "0"] if command == "fit" else []))
+        assert result.exit_code == 0, result.output
+        written = "spectrum.csv" if command == "spectrum" else "report.json"
+        assert (out_dir / written).exists()
 
 
 CAPPED_WARNING = "fits stopped at max_iter=20 before meeting the tolerance"

@@ -82,7 +82,6 @@ def desk_surface_config(**overrides):
         n_ctrl=5,
         n_ctrl_v=4,
         block_size=2,
-        block_size_v=2,
         lam=1e-6,
         noise_amplitude=2.0,
         penalty_scale=10.0,
@@ -213,10 +212,15 @@ def test_estimate_and_direct_paths_form_no_data_space_matrix(no_data_space_matri
 
 
 def test_randomized_fits_form_no_data_space_matrix(no_data_space_matrix):
-    # Fixed-weight fits and randomized inner solves of the weight loop run on
-    # control-space normal systems built from the spans.
+    # Fixed-weight fits (what `rpia fit` runs) and randomized inner solves of
+    # the weight loop run on control-space normal systems built from the
+    # spans. At rose m = 100, n_ctrl = 88 the reference solve once took the
+    # curve's stacked least-squares fallback.
     configs = [
         load_config(CONFIG_DIR / "rose.yaml").with_overrides(seeds=(0, 1), max_iter=200),
+        load_config(CONFIG_DIR / "rose.yaml").with_overrides(
+            m=100, n_ctrl=88, seeds=(0,), max_iter=200
+        ),
         load_config(CONFIG_DIR / "boy_a40.yaml").with_overrides(seeds=(0,), max_iter=200),
         PINNED_CONFIGS["curve_self_consistent_rpia"]().with_overrides(seeds=(0,)),
         PINNED_CONFIGS["surface_self_consistent_rpia"]().with_overrides(seeds=(0,)),
@@ -231,6 +235,31 @@ def test_bundles_form_no_data_space_matrix(no_data_space_matrix, tmp_path):
                         (desk_surface_config(seeds=(0,)), "fitted_surface.csv")):
         result = run_experiment(cfg)
         assert fitted in write_outputs(result, tmp_path / cfg.problem)
+
+
+@settings(max_examples=40, deadline=None)
+@given(generator=st.sampled_from(["rose", "blob", "boy"]), data=st.data())
+def test_generated_designs_below_two_points_per_span_pass_the_gate(generator, data):
+    # the averaged knots keep every generated direction with fewer than two
+    # data points per knot span, and no more controls than data points,
+    # inside the weight-0 condition gate: its reference solve exists
+    def sizes(most):
+        m = data.draw(st.integers(6, most))
+        return m, data.draw(st.integers((m + 1) // 2 + 3, m))
+    if generator == "boy":
+        (m, n_ctrl), (p, n_ctrl_v) = sizes(40), sizes(40)
+        cfg = ExperimentConfig(problem="surface", generator="boy", m=m, p=p,
+                               n_ctrl=n_ctrl, n_ctrl_v=n_ctrl_v)
+    else:
+        m, n_ctrl = sizes(300)
+        cfg = ExperimentConfig(problem="curve", generator=generator, m=m, n_ctrl=n_ctrl)
+    problem = build_problem(cfg)
+    for direction in problem.directions:
+        assert direction.params.size / (direction.basis.n_basis - 3) < 2.0
+        assert direction.normal.condition(0) <= COND_LIMIT
+    assert problem.reference_controls.shape[:-1] == tuple(
+        direction.basis.n_basis for direction in problem.directions
+    )
 
 
 def test_the_reference_fit_is_computed_once_per_problem(monkeypatch):
@@ -583,27 +612,19 @@ class TestControlSpaceDirect:
         ).control_points
         assert _relative_gap(got, want) <= 1e-10
 
-    def test_ill_conditioned_curve_takes_the_stacked_route(self, rng):
-        # a gram condition near 1e14 fails the Cholesky gate; the stacked
-        # least-squares fallback still solves the well-posed problem
-        u, _ = np.linalg.qr(rng.standard_normal((12, 4)))
-        design = u @ np.diag([1.0, 1e-2, 1e-4, 1e-7])
-        penalty = difference_matrix(4, 1.0)
-        data = rng.standard_normal((12, 2))
-        got = curve_problem(design, 1.0).solve_direct(data, 0.0)
-        want, *_ = np.linalg.lstsq(design, data, rcond=None)
-        assert _relative_gap(got, want) <= 1e-6
-
     def test_ill_conditioned_surface_is_rank_deficient(self, rng):
-        # the refusal names the direction that fails the gate, either one
+        # a gram condition near 1e14 fails the gate; the refusal names the
+        # direction that fails it, either one of a surface's, or the curve
         u, _ = np.linalg.qr(rng.standard_normal((12, 4)))
         ill = u @ np.diag([1.0, 1e-2, 1e-4, 1e-7])
         fine = rng.standard_normal((6, 3))
-        for named, designs in (("u", [ill, fine]), ("v", [fine, ill])):
-            problem = surface_problem(*designs, 1.0)
-            data = rng.standard_normal((len(designs[0]), len(designs[1]), 3))
+        for named, designs in (
+            ("direction u", [ill, fine]), ("direction v", [fine, ill]), ("the curve", [ill]),
+        ):
+            problem = (curve_problem, surface_problem)[len(designs) - 1](*designs, 1.0)
+            data = rng.standard_normal(tuple(len(design) for design in designs) + (3,))
             with pytest.raises(RankDeficient, match=(
-                rf"the normal matrix of direction {named} is numerically rank deficient at "
+                rf"the normal matrix of {named} is numerically rank deficient at "
                 r"weight 0: condition bound \S+ exceeds 1e\+12, 12 data points for 4 controls"
             )):
                 problem.solve_direct(data, 0.0)
@@ -690,9 +711,8 @@ class TestTensorProblem:
             assert failed == min(
                 axis for axis, pencil in enumerate(pencils) if not pencil.condition(lam) <= 1e12
             )
-            # a surface names the direction that failed; a curve's stacked
-            # least-squares fallback finds the rank deficiency itself
-            named = f"direction {'uv'[failed]}" if len(designs) == 2 else "rank"
+            # the refusal names the direction that failed
+            named = f"direction {'uv'[failed]}" if len(designs) == 2 else "the curve"
             with pytest.raises(RankDeficient, match=named):
                 problem.solve_direct(data, lam)
             return

@@ -287,13 +287,7 @@ class TestConfig:
         with pytest.raises(InvalidConfig, match=f"unknown config key '{name}'"):
             config_from_mapping(mapping)
 
-    @pytest.mark.parametrize("value", [0, -3])
-    def test_rejects_non_positive_block_size_v(self, value):
-        with pytest.raises(InvalidConfig, match="block_size_v"):
-            config_from_mapping({"problem": "surface", "generator": "boy", "p": 8,
-                                 "n_ctrl_v": 4, "block_size_v": value})
-
-    @pytest.mark.parametrize("key, value", [("p", 5), ("n_ctrl_v", 9), ("block_size_v", 7)])
+    @pytest.mark.parametrize("key, value", [("p", 5), ("n_ctrl_v", 9)])
     def test_curve_refuses_surface_keys(self, key, value):
         # a curve has one direction: these keys would be dropped without a word
         with pytest.raises(InvalidConfig, match=key):
@@ -311,7 +305,7 @@ class TestConfig:
 
     @pytest.mark.parametrize("field, value", [
         ("m", "abc"), ("m", 100.0), ("m", True), ("p", 8.5), ("n_ctrl", "12"),
-        ("n_ctrl_v", False), ("block_size", 2.0), ("block_size_v", "5"),
+        ("n_ctrl_v", False), ("block_size", 2.0),
         ("max_iter", 100.0), ("head_count", True), ("trajectory_stride", 1.5),
     ])
     def test_integer_fields_reject_other_types(self, field, value):

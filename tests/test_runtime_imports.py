@@ -25,7 +25,7 @@ curve = dict(problem="curve", generator="rose", m=120, n_ctrl=20, block_size=5,
              lam=1e-6, noise_amplitude=2.0, penalty_scale=91.0, max_iter=400,
              seeds=(0, 1), head_count=15)
 surface = dict(problem="surface", generator="boy", m=14, p=12, n_ctrl=5, n_ctrl_v=4,
-               block_size=2, block_size_v=2, lam=1e-6, noise_amplitude=2.0,
+               block_size=2, lam=1e-6, noise_amplitude=2.0,
                penalty_scale=10.0, max_iter=300, seeds=(0,), head_count=10)
 adaptive_curve = dict(curve, m=1000, n_ctrl=100, noise_amplitude=10.0,
                       penalty_scale=1600.0, seeds=(0,), head_count=50)
