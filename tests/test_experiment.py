@@ -612,22 +612,33 @@ class TestControlSpaceDirect:
         ).control_points
         assert _relative_gap(got, want) <= 1e-10
 
-    def test_ill_conditioned_surface_is_rank_deficient(self, rng):
-        # a gram condition near 1e14 fails the gate; the refusal names the
-        # direction that fails it, either one of a surface's, or the curve
+    @staticmethod
+    def _assert_refused(problem, data, named):
+        with pytest.raises(RankDeficient, match=(
+            rf"the normal matrix of {named} is numerically rank deficient at "
+            r"weight 0: condition bound \S+ exceeds 1e\+12, 12 data points for 4 controls"
+        )):
+            problem.solve_direct(data, 0.0)
+
+    @staticmethod
+    def _ill_design(rng):
+        # a gram condition near 1e14 fails the gate
         u, _ = np.linalg.qr(rng.standard_normal((12, 4)))
-        ill = u @ np.diag([1.0, 1e-2, 1e-4, 1e-7])
+        return u @ np.diag([1.0, 1e-2, 1e-4, 1e-7])
+
+    def test_ill_conditioned_surface_is_rank_deficient(self, rng):
+        # the refusal names the direction that fails the gate
+        ill = self._ill_design(rng)
         fine = rng.standard_normal((6, 3))
-        for named, designs in (
-            ("direction u", [ill, fine]), ("direction v", [fine, ill]), ("the curve", [ill]),
-        ):
-            problem = (curve_problem, surface_problem)[len(designs) - 1](*designs, 1.0)
+        for named, designs in (("direction u", [ill, fine]), ("direction v", [fine, ill])):
             data = rng.standard_normal(tuple(len(design) for design in designs) + (3,))
-            with pytest.raises(RankDeficient, match=(
-                rf"the normal matrix of {named} is numerically rank deficient at "
-                r"weight 0: condition bound \S+ exceeds 1e\+12, 12 data points for 4 controls"
-            )):
-                problem.solve_direct(data, 0.0)
+            self._assert_refused(surface_problem(*designs, 1.0), data, named)
+
+    def test_ill_conditioned_curve_is_rank_deficient(self, rng):
+        # a curve has no fallback: it is refused as a surface's direction is
+        ill = self._ill_design(rng)
+        data = rng.standard_normal((12, 3))
+        self._assert_refused(curve_problem(ill, 1.0), data, "the curve")
 
     @pytest.mark.parametrize("lam", [np.nan, np.inf, -1.0])
     @pytest.mark.parametrize("make", [desk_curve_config, desk_surface_config])
