@@ -261,8 +261,8 @@ def _strictify(params: np.ndarray) -> np.ndarray:
     return params
 
 
-def build_knots(params, n_ctrl_minus1: int, degree: int = DEGREE) -> KnotVector:
-    """Clamped knot vector whose interior knots track the data parameters.
+def build_knots(params, n_ctrl_minus1: int) -> KnotVector:
+    """Clamped cubic knot vector whose interior knots track the data parameters.
 
     With ``n1 = n_ctrl_minus1`` and ``m + 1`` parameters, ``d = (m + 1) /
     (n1 - 2)`` parameters fall in each knot span. At ``d >= 2`` interior knot
@@ -289,17 +289,17 @@ def build_knots(params, n_ctrl_minus1: int, degree: int = DEGREE) -> KnotVector:
         raise InvalidConfig(
             f"too few parameters ({m + 1}) for {n1 + 1} control points (need d >= 1)"
         )
-    knots = np.zeros(n1 + degree + 2)
-    knots[-(degree + 1):] = 1.0
+    knots = np.zeros(n1 + DEGREE + 2)
+    knots[-(DEGREE + 1):] = 1.0
     if d < 2.0:
         t = np.interp(np.linspace(0, m, n1 + 1), np.arange(m + 1), x)
-        knots[degree + 1: degree + n1 - 2] = [t[j: j + 3].sum() / 3 for j in range(1, n1 - 2)]
+        knots[DEGREE + 1: DEGREE + n1 - 2] = [t[j: j + 3].sum() / 3 for j in range(1, n1 - 2)]
     else:
         for j in range(1, n1 - 2):
             i = int(np.floor(j * d))
             frac = j * d - i
-            knots[degree + j] = (1.0 - frac) * x[i - 1] + frac * x[i]
-    return KnotVector(knots, degree)
+            knots[DEGREE + j] = (1.0 - frac) * x[i - 1] + frac * x[i]
+    return KnotVector(knots, DEGREE)
 
 
 def eval_basis(knots: KnotVector, params) -> BasisSpan:

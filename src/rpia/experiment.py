@@ -97,18 +97,20 @@ def initial_controls_curve(data: np.ndarray, n_ctrl: int) -> np.ndarray:
 # Each direction keeps its collocation ``A`` and its penalty ``G`` as spans
 # (``eval_basis``, ``difference_span``), and one set of span products gives
 # the grams, the right-hand sides, the fitted points and the penalty norms.
-# The spectrum (from the design grams' Cholesky factors), every direct solve
-# (``numpy.linalg``, gated by each direction's ``GramPencil``) and every
-# randomized fit (on a control-space normal system) work on n x n matrices.
-# The gate reads O(n) bounds from the band of ``A^T A`` and the closed-form
-# spectrum of the penalty, so at weight 0 no eigensolver runs and ``G^T G``
-# is not formed. No dense ``A`` or ``G`` is kept; the problems' ``design*``
-# and ``penalty*`` attributes write them on each read.
+# A direction is itself the pencil ``A^T A + lam G^T G``, whose gate reads
+# O(n) bounds, so at weight 0 no eigensolver runs and ``G^T G`` is not formed.
+# That one gate admits the spectrum (from the design grams' Cholesky factors)
+# and every direct solve (``numpy.linalg``); a randomized fit works on a
+# control-space normal system, so all of it is n x n. No dense ``A`` or ``G``
+# is kept; the problems' ``design*`` and ``penalty*`` attributes write them.
 
 
 @dataclass(frozen=True)
-class Direction:
-    """One parameter direction of a fit: its collocation and difference penalty."""
+class Direction(GramPencil):
+    """One parameter direction of a fit: its collocation ``A``, its difference
+    penalty ``G`` and their pencil ``A^T A + lam G^T G``, gated on O(n) bounds:
+    the band of ``A^T A`` (:func:`~rpia.oracle.band_eigen_range`, ``degree``
+    diagonals each side) and :func:`~rpia.oracle.difference_gram_range`."""
 
     params: np.ndarray
     knots: KnotVector
@@ -125,43 +127,25 @@ class Direction:
         return self.basis.gram()
 
     @cached_property
-    def normal(self) -> GramPencil:
-        """``A^T A + lam G^T G`` at any weight, with its condition gate on
-        cheap eigenvalue ranges (:class:`_DirectionPencil`)."""
-        return _DirectionPencil(self)
-
-
-class _DirectionPencil(GramPencil):
-    """A direction's pencil, gated on bounds that cost O(n): the design
-    gram's from its band (:func:`~rpia.oracle.band_eigen_range`, ``degree``
-    diagonals on either side), the penalty gram's in closed form
-    (:func:`~rpia.oracle.difference_gram_range`). ``G^T G`` is formed when a
-    positive weight first asks for a normal matrix, and the eigensolver runs
-    only where a bound exceeds the limit."""
-
-    def __init__(self, direction: Direction):
-        self.design = direction.design_gram
-        self.direction = direction
-
-    @cached_property
-    def penalty(self) -> np.ndarray:
-        """``G^T G``, refused when it leaves the floating-point range."""
+    def penalty_gram(self) -> np.ndarray:
+        """``G^T G``, formed when a positive weight first asks for a normal
+        matrix, and refused when it leaves the floating-point range."""
         with np.errstate(over="ignore", invalid="ignore"):
-            gram = self.direction.penalty_span.gram()
+            gram = self.penalty_span.gram()
         if not np.isfinite(gram).all():
             raise OutOfRange(
-                f"penalty_scale {self.direction.penalty_scale:g} puts the penalty gram "
+                f"penalty_scale {self.penalty_scale:g} puts the penalty gram "
                 "outside the floating-point range"
             )
         return gram
 
     @cached_property
     def _design_range(self) -> np.ndarray:
-        return band_eigen_range(self.design, self.direction.basis.values.shape[1] - 1)
+        return band_eigen_range(self.design_gram, self.basis.values.shape[1] - 1)
 
     @cached_property
     def _penalty_range(self) -> np.ndarray:
-        return difference_gram_range(self.direction.basis.n_basis, self.direction.penalty_scale)
+        return difference_gram_range(self.basis.n_basis, self.penalty_scale)
 
 
 @dataclass(frozen=True)
@@ -235,7 +219,7 @@ class TensorProblem:
         and a bound on every entry of a positive semidefinite matrix.
         """
         with np.errstate(over="ignore", invalid="ignore"):
-            matrices = [direction.normal.matrix(lam) for direction in self.directions]
+            matrices = [direction.matrix(lam) for direction in self.directions]
             trace = math.prod(float(np.trace(matrix)) for matrix in matrices)
         if not math.isfinite(trace):
             scale = max(direction.penalty_scale for direction in self.directions)
@@ -280,26 +264,25 @@ class TensorProblem:
         bound and its sizes, a curve's as a surface's.
         """
         _, rhs = self.right_hand_side(data)
-        pencils = [direction.normal for direction in self.directions]
 
         def solve(lam: float):
             lam = require_weight(lam)
-            solution, cond, axis = solve_tensor_normal(pencils, rhs, lam)
+            solution, cond, axis = solve_tensor_normal(self.directions, rhs, lam)
             if solution is None:
-                raise RankDeficient(
-                    f"the normal matrix of {self._where(axis)} is numerically rank deficient "
-                    f"at weight {lam:g}: condition bound {cond:.3g} exceeds {COND_LIMIT:g}, "
-                    f"{self._sizes(axis)}"
-                )
+                raise self._refused(axis, cond, lam)
             return solution, FitResult(solution, 0, "direct")
         return solve
 
-    def _where(self, axis: int) -> str:
-        return "the curve" if len(self.directions) == 1 else f"direction {'uv'[axis]}"
-
-    def _sizes(self, axis: int) -> str:
+    def _refused(self, axis: int, cond: float, lam: float) -> RankDeficient:
+        """The refusal of direction ``axis``, whose normal matrix at weight
+        ``lam`` failed the condition gate with the bound ``cond``."""
+        where = "the curve" if len(self.directions) == 1 else f"direction {'uv'[axis]}"
         basis = self.directions[axis].basis
-        return f"{basis.start.size} data points for {basis.n_basis} controls"
+        return RankDeficient(
+            f"the normal matrix of {where} is numerically rank deficient at weight "
+            f"{lam:g}: condition bound {cond:.3g} exceeds {COND_LIMIT:g}, "
+            f"{basis.start.size} data points for {basis.n_basis} controls"
+        )
 
     def solve_direct(self, data, lam: float) -> np.ndarray:
         """Penalized minimizer at one weight (see :meth:`direct_solver`)."""
@@ -309,27 +292,20 @@ class TensorProblem:
         """Decay fit of the whitened design spectrum, from each direction's
         Cholesky factor of ``A^T A``.
 
-        A design gram with no Cholesky factor is refused as singular. One
-        that has a factor must still give the reference solve, so no
-        spectrum is returned where that solve is refused. The factors go to
-        the spectrum as a generator, each formed when it is taken, so the
-        spectrum can release each once it is used. The reference solve runs
-        after the SVD, so an eigensolve in its gate leaves no workspace in
-        the heap under the SVD's.
+        Every direction must first pass the weight-0 condition gate, the one
+        every direct solve reads: a design the solves refuse is refused here
+        with the same message, before any factor is formed, and a design gram
+        that passes has a Cholesky factor. The factors go to the spectrum as
+        a generator, each formed when it is taken, so the spectrum can
+        release each once it is used.
         """
-        factors = (self._design_factor(axis) for axis in range(len(self.directions)))
+        for axis, direction in enumerate(self.directions):
+            cond = direction.condition(0.0)
+            if not cond <= COND_LIMIT:
+                raise self._refused(axis, cond, 0.0)
+        factors = (np.linalg.cholesky(d.design_gram, upper=True) for d in self.directions)
         eigs = whitened_spectrum(factors, [d.penalty_scale for d in self.directions])
-        self.reference_controls       # refused where a direction fails the gate
         return spectral_decay_from_eigenvalues(eigs, head_count)
-
-    def _design_factor(self, axis: int) -> np.ndarray:
-        """The upper Cholesky factor of direction ``axis``'s design gram."""
-        try:
-            return np.linalg.cholesky(self.directions[axis].design_gram, upper=True)
-        except np.linalg.LinAlgError:
-            raise RankDeficient(
-                f"the design gram of {self._where(axis)} is singular: {self._sizes(axis)}"
-            ) from None
 
 
 def _dense_attribute(axis: int, span: str) -> property:
@@ -399,14 +375,21 @@ def problem_spectrum(problem, head_count: int):
 
 
 def estimate_lambda(problem, cfg: ExperimentConfig) -> tuple[float, dict]:
-    """Rule-estimated weight from the clean problem plus its ingredients."""
-    decay = problem_spectrum(problem, cfg.head_count)
+    """Rule-estimated weight from the clean problem plus its ingredients.
+
+    A noise amplitude that takes ``sigma2``, or the rule's base ``sigma2 /
+    (n_controls * penalty_norm2)``, below the normal doubles is refused
+    (``OutOfRange``), ``sigma2`` before the spectrum is computed."""
     clean = problem.clean
     sigma2 = NoiseSpec(cfg.noise_amplitude, 0).per_entry_variance(clean.size)
+    _require_normal(sigma2, "the noise variance sigma2", cfg.noise_amplitude)
+    decay = problem_spectrum(problem, cfg.head_count)
     residual = problem.reference_fitted - clean
     n_count = problem.n_controls
     noise = NoiseModel(sigma2, float(np.sum(residual**2)))
     pen_n = problem.penalty_norm2(problem.reference_controls)
+    _require_normal(sigma2 / (n_count * pen_n), "sigma2 / (n_controls * penalty_norm2)",
+                    cfg.noise_amplitude)
     lam = optimal_lambda(decay, noise, n_count, pen_n)
     info = {
         "alpha": decay.alpha,
@@ -418,6 +401,15 @@ def estimate_lambda(problem, cfg: ExperimentConfig) -> tuple[float, dict]:
         "n_controls": n_count,
     }
     return lam, info
+
+
+def _require_normal(value: float, name: str, amplitude: float) -> None:
+    """Refuse a noise amplitude that takes ``value`` below the normal doubles."""
+    if not value >= np.finfo(float).tiny:
+        raise OutOfRange(
+            f"noise_amplitude {amplitude:g} makes {name} = {value:g}, "
+            "below the normal floating-point range"
+        )
 
 
 @dataclass
@@ -477,7 +469,7 @@ def run_seed(problem, cfg: ExperimentConfig, lam_choice, seed: int, alpha=None) 
         results.append(result)
         return controls
     if adaptive:
-        max_weight = min(direction.normal.all_penalty_weight() for direction in problem.directions)
+        max_weight = min(direction.all_penalty_weight() for direction in problem.directions)
         sc = self_consistent(
             solve, self_consistent_measure(problem, noisy), problem.n_controls,
             alpha, cfg.eps_lambda, max_weight=max_weight,

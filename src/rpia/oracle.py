@@ -5,10 +5,11 @@ solves of the stacked systems, exhaustive expectations of one randomized
 step, and spectral-radius checks. The solvers are tested against these,
 never the other way round. The normal-matrix condition gate (``GramPencil``)
 and the axis-by-axis tensor solve over any number of pencils
-(``solve_tensor_normal``) also serve the experiment's control-space direct
-solves, whose grams are banded: for those the gate reads the cheap
-eigenvalue bounds of :func:`band_eigen_range` and
-:func:`difference_gram_range`.
+(``solve_tensor_normal``) also serve the experiment, whose parameter
+directions are pencils themselves. Their grams are banded, so their gate
+reads the cheap eigenvalue bounds of :func:`band_eigen_range` and
+:func:`difference_gram_range`; at weight 0 it decides both the direct
+solves and the whitened spectrum.
 """
 
 from __future__ import annotations
@@ -161,11 +162,11 @@ def _ratio(eigen_bounds: np.ndarray) -> float:
 
 
 class GramPencil:
-    """The normal matrices ``design + lam * penalty`` of one penalized fit.
+    """The normal matrices ``design_gram + lam * penalty_gram`` of one penalized fit.
 
-    ``design`` and ``penalty`` are symmetric positive semidefinite grams; with
-    no penalty the pencil is the one matrix ``design`` (weight 0 only). The
-    condition gate is Weyl's bound: every eigenvalue of the sum lies in
+    Both grams are symmetric positive semidefinite; with no penalty the
+    pencil is the one matrix ``design_gram`` (weight 0 only). The condition
+    gate is Weyl's bound: every eigenvalue of the sum lies in
     ``[a_min + lam g_min, a_max + lam g_max]``. It reads one range of bounds
     per gram, computed once, the penalty's only when a positive weight asks,
     so the gate costs O(1) per weight and a solve is one LU solve. Here both
@@ -175,16 +176,19 @@ class GramPencil:
     checked against the matrix's own eigenvalues: a loose range can overstate
     the condition, and where the two grams' low eigenvectors differ (a design
     gram that is singular or nearly so) so can Weyl's bound, by orders of
-    magnitude. A failed gate refuses the solve, for a curve as for a surface.
+    magnitude. The design gram's eigenvalues are computed once
+    (``_design_eigen_range``), so every weight-0 gate of one pencil shares
+    one eigensolve. A failed gate refuses the solve, for a curve as for a
+    surface.
     """
 
-    def __init__(self, design: np.ndarray, penalty: Optional[np.ndarray] = None):
-        self.design = design
-        self.penalty = penalty
+    def __init__(self, design_gram: np.ndarray, penalty_gram: Optional[np.ndarray] = None):
+        self.design_gram = design_gram
+        self.penalty_gram = penalty_gram
 
     @cached_property
     def _design_eigen_range(self) -> np.ndarray:
-        return eigen_range(self.design)
+        return eigen_range(self.design_gram)
 
     @cached_property
     def _design_range(self) -> np.ndarray:
@@ -192,10 +196,10 @@ class GramPencil:
 
     @cached_property
     def _penalty_range(self) -> np.ndarray:
-        return eigen_range(self.penalty)
+        return eigen_range(self.penalty_gram)
 
     def matrix(self, lam: float = 0.0) -> np.ndarray:
-        return self.design + lam * self.penalty if lam else self.design
+        return self.design_gram + lam * self.penalty_gram if lam else self.design_gram
 
     def condition(self, lam: float = 0.0) -> float:
         """Upper bound on the 2-norm condition number at weight ``lam``:
@@ -222,7 +226,7 @@ class GramPencil:
         return float(self._design_range[1] / (np.finfo(float).eps * low))
 
     def solve(self, rhs: np.ndarray, lam: float = 0.0):
-        """``(solution, cond)`` for ``(design + lam penalty) X = rhs``; the
+        """``(solution, cond)`` for ``(design_gram + lam penalty_gram) X = rhs``; the
         solution is None when the condition bound ``cond`` exceeds the limit."""
         cond = self.condition(lam)
         if not cond <= COND_LIMIT:

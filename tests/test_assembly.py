@@ -406,7 +406,7 @@ class TestGramPartition:
         penalty = difference_matrix(design.shape[1], 2.0)
         stacked = augment_curve(design, penalty, np.zeros((design.shape[0], 1)), lam).stacked
         dense = make_partition(stacked, block_size)
-        gram = curve_problem(design, 2.0).directions[0].normal.matrix(lam)
+        gram = curve_problem(design, 2.0).directions[0].matrix(lam)
         spans = gram_partition(gram, block_size)
         assert spans.spans == dense.spans and spans.coupled == dense.coupled
         npt.assert_allclose(spans.norms_sq, dense.norms_sq, rtol=1e-14)

@@ -490,6 +490,26 @@ class TestNumericalFailuresSayWhere:
         assert result.output.startswith("error: noise_amplitude must be positive and at most ")
         assert not (tmp_path / "out").exists()
 
+    @pytest.mark.parametrize("command, amplitude, named", [
+        ("estimate-lambda", "1e-300", "the noise variance sigma2 = 0,"),
+        ("estimate-lambda", "1e-160", "the noise variance sigma2 = 4.94066e-324,"),
+        ("estimate-lambda", "1e-150", "sigma2 / (n_controls * penalty_norm2) = "),
+        ("fit", "1e-160", "the noise variance sigma2 = 4.94066e-324,"),
+    ])
+    def test_noise_amplitude_too_small_for_the_weight_rule(self, runner, tmp_path, command,
+                                                           amplitude, named):
+        # the rule needs a normal variance and base: at 1e-300 the variance
+        # underflowed to 0 and exited 2 as a configuration error, and at
+        # 1e-160 it was subnormal, the estimate read 0 and fit used weight 0
+        args = [command, "--config", str(CONFIG_DIR / "rose.yaml"), "--noise-amplitude", amplitude]
+        if command == "fit":
+            args += ["--lambda", "estimate", "--seeds", "0", "--out", str(tmp_path / "out")]
+        result = runner.invoke(main, args)
+        assert result.exit_code == 3, result.output
+        assert result.output.startswith(f"error: noise_amplitude {amplitude} makes {named}")
+        assert "below the normal floating-point range" in result.output
+        assert not (tmp_path / "out").exists()
+
     def test_large_finite_error_prints_in_short_form(self, tmp_path):
         # just under the amplitude limit the fit error is about 1e152: the
         # fixed-point format printed it with 150 digits
@@ -540,18 +560,21 @@ class TestNumericalFailuresSayWhere:
     ])
     def test_singular_design_gram(self, tmp_path, command, sizes, counts):
         # with more controls than data points no knot rule gives the design
-        # full rank: the spectrum's Cholesky factor of the design gram does
-        # not exist
+        # full rank: the weight-0 condition gate refuses the design gram
+        # before the spectrum asks for its Cholesky factor
         out = ["--out", str(tmp_path / "out")] if command == "spectrum" else []
         proc = run_cli_process([command, "--config", str(CONFIG_DIR / "rose.yaml"), *sizes, *out])
         assert proc.returncode == 3, proc.stderr
-        assert f"error: the design gram of the curve is singular: {counts}" in proc.stderr
+        assert re.search(
+            r"error: the normal matrix of the curve is numerically rank deficient at weight 0: "
+            rf"condition bound \S+ exceeds 1e\+12, {counts}",
+            proc.stderr,
+        ), proc.stderr
         assert "Traceback" not in proc.stderr
 
     def test_ill_conditioned_surface_direction(self):
-        # 11 rows for 12 controls along u pass the spectrum's Cholesky in
-        # round-off, but the reference solve's condition gate refuses that
-        # direction
+        # 11 rows for 12 controls along u: the weight-0 condition gate
+        # refuses that direction before the spectrum forms any factor
         proc = run_cli_process([
             "estimate-lambda", "--config", str(CONFIG_DIR / "boy_a40.yaml"),
             "--m", "10", "--p", "10", "--n-ctrl", "11", "--n-ctrl-v", "5",
@@ -586,9 +609,9 @@ class TestNumericalFailuresSayWhere:
 
     def test_spectrum_refuses_a_design_the_solves_refuse(self, tmp_path):
         # 101 points for 102 controls: the design gram has a Cholesky factor
-        # in round-off, but the spectrum is refused where the reference
-        # solve's condition gate is; it once wrote spectra that
-        # estimate-lambda and fit refused
+        # in round-off, but the spectrum is refused at the solves' condition
+        # gate, before any factor; it once wrote spectra that estimate-lambda
+        # and fit refused
         out_dir = tmp_path / "out"
         proc = run_cli_process([
             "spectrum", "--config", str(CONFIG_DIR / "rose.yaml"), "--m", "100",

@@ -293,7 +293,7 @@ class TestGramStep:
         q, rhs = problem.right_hand_side(points)
         [direction] = problem.directions
         spans = NormalSystem(
-            (direction.normal.matrix(lam),), (direction.design_gram,), rhs, float(np.vdot(q, q))
+            (direction.matrix(lam),), (direction.design_gram,), rhs, float(np.vdot(q, q))
         )
         dense = augment_curve(design, difference_matrix(design.shape[1], 2.0), points, lam)
         p0 = initial_controls_curve(points, design.shape[1] - 1)
@@ -380,7 +380,7 @@ def normal_systems_with_partitions(draw):
     q, rhs = problem.right_hand_side(points)
     [direction] = problem.directions
     system = NormalSystem(
-        (direction.normal.matrix(lam),), (direction.design_gram,), rhs, float(np.vdot(q, q))
+        (direction.matrix(lam),), (direction.design_gram,), rhs, float(np.vdot(q, q))
     )
     return system, gram_partition(system.grams[0], block_size)
 

@@ -23,7 +23,7 @@ from rpia.assembly import (
 from rpia.basis import BasisSpan
 from rpia.config import ExperimentConfig, SweepGrid, load_config
 from rpia.datasets import NoiseSpec, add_noise, fit_error
-from rpia.errors import InvalidConfig, RankDeficient
+from rpia.errors import InvalidConfig, OutOfRange, RankDeficient
 from rpia.experiment import (
     build_problem,
     estimate_lambda,
@@ -256,7 +256,7 @@ def test_generated_designs_below_two_points_per_span_pass_the_gate(generator, da
     problem = build_problem(cfg)
     for direction in problem.directions:
         assert direction.params.size / (direction.basis.n_basis - 3) < 2.0
-        assert direction.normal.condition(0) <= COND_LIMIT
+        assert direction.condition(0) <= COND_LIMIT
     assert problem.reference_controls.shape[:-1] == tuple(
         direction.basis.n_basis for direction in problem.directions
     )
@@ -397,12 +397,11 @@ def test_cheap_gate_ranges_bracket_the_eigenvalues(name):
     # penalty grams' extreme eigenvalues, and the design's low end stays
     # within 25x of a_min, far inside the condition limit.
     for direction in build_problem(load_config(CONFIG_DIR / f"{name}.yaml")).directions:
-        pencil = direction.normal
-        for (low, high), gram in ((pencil._design_range, direction.design_gram),
-                                  (pencil._penalty_range, pencil.penalty)):
+        for (low, high), gram in ((direction._design_range, direction.design_gram),
+                                  (direction._penalty_range, direction.penalty_gram)):
             eigs = np.linalg.eigvalsh(gram)
             assert 0.0 < low <= eigs[0] and eigs[-1] <= high
-        assert pencil._design_range[0] >= np.linalg.eigvalsh(direction.design_gram)[0] / 25
+        assert direction._design_range[0] >= np.linalg.eigvalsh(direction.design_gram)[0] / 25
 
 
 def test_the_gate_runs_no_eigensolver(monkeypatch):
@@ -420,14 +419,55 @@ def test_the_gate_runs_no_eigensolver(monkeypatch):
         assert np.isfinite(problem.solve_direct(noisy, lam)).all()
 
 
+def test_the_spectrum_makes_no_direct_solve(monkeypatch):
+    # Each direction's weight-0 gate is the spectrum's only check on the
+    # design: no reference solve runs to reach it.
+    solves = []
+
+    def counted(*args, **kwargs):
+        solves.append(args)
+        return solve_tensor_normal(*args, **kwargs)
+
+    monkeypatch.setattr(experiment, "solve_tensor_normal", counted)
+    for name in ("rose", "boy_a40"):
+        cfg = load_config(CONFIG_DIR / f"{name}.yaml")
+        assert experiment.problem_spectrum(build_problem(cfg), cfg.head_count).alpha > 0.0
+    assert solves == []
+
+
+def test_the_spectrum_refuses_at_the_gate_before_any_factor(monkeypatch):
+    # 101 data points for 103 controls: the gate refuses the design with the
+    # direct solves' message before a Cholesky factor is asked for.
+    def refused(*args, **kwargs):
+        raise AssertionError("a Cholesky factor was asked for")
+
+    monkeypatch.setattr(np.linalg, "cholesky", refused)
+    cfg = load_config(CONFIG_DIR / "rose.yaml").with_overrides(m=100, n_ctrl=102)
+    with pytest.raises(RankDeficient, match=(
+        r"the normal matrix of the curve is numerically rank deficient at weight 0: "
+        r"condition bound \S+ exceeds 1e\+12, 101 data points for 103 controls"
+    )):
+        experiment.problem_spectrum(build_problem(cfg), cfg.head_count)
+
+
+def test_a_subnormal_noise_variance_is_refused_before_the_spectrum(monkeypatch):
+    def refused(*args, **kwargs):
+        raise AssertionError("the spectrum was computed")
+
+    monkeypatch.setattr(experiment, "whitened_spectrum", refused)
+    cfg = desk_curve_config(noise_amplitude=1e-160)
+    with pytest.raises(OutOfRange, match="noise_amplitude 1e-160 makes the noise variance sigma2"):
+        estimate_lambda(build_problem(cfg), cfg)
+
+
 def test_the_divergence_guard_is_finite_at_two_thousand_controls():
     # Widened by n eps |G^T G|, the eigensolver's range of the penalty gram
     # reached below 0 at rose n_ctrl = 2000 (penalty_scale 1600), and the
     # weight loop's guard read inf; the closed form's low end is 1.54e-5.
     cfg = load_config(CONFIG_DIR / "rose.yaml").with_overrides(m=20000, n_ctrl=2000)
-    pencil = build_problem(cfg).directions[0].normal
-    assert pencil.condition(0) <= COND_LIMIT
-    assert math.isfinite(pencil.all_penalty_weight())
+    [direction] = build_problem(cfg).directions
+    assert direction.condition(0) <= COND_LIMIT
+    assert math.isfinite(direction.all_penalty_weight())
 
 
 BASELINE = Path(__file__).resolve().parents[1] / "perfbench" / "baseline.json"
@@ -599,7 +639,7 @@ class TestControlSpaceDirect:
         penalty = difference_matrix(11, 1.0)
         lam = 5e-10
         curve = curve_problem(design, 1.0)
-        assert curve.directions[0].normal.condition(lam) <= 1e10
+        assert curve.directions[0].condition(lam) <= 1e10
         data = rng.standard_normal((40, 2))
         want = solve_curve_direct(augment_curve(design, penalty, data, lam)).control_points
         assert _relative_gap(curve.solve_direct(data, lam), want) <= 1e-10
@@ -741,7 +781,8 @@ class TestTensorProblem:
         designs[axis][:, 2] = 0.0
         rows, cols = designs[axis].shape
         with pytest.raises(RankDeficient, match=(
-            f"design gram of {named} is singular: {rows} data points for {cols} controls"
+            rf"the normal matrix of {named} is numerically rank deficient at weight 0: "
+            rf"condition bound \S+ exceeds 1e\+12, {rows} data points for {cols} controls"
         )):
             surface_problem(*designs, 1.0).spectrum(3)
 
