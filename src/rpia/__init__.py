@@ -43,7 +43,6 @@ from .datasets import (
 )
 from .driver import FitResult, StoppingRule
 from .oracle import (
-    DirectSolution,
     contraction_check,
     expectation_map_curve,
     expectation_map_surface,
@@ -68,7 +67,6 @@ __all__ = [
     "AugmentedSurfaceSystem",
     "BasisSpan",
     "BlockPartition",
-    "DirectSolution",
     "FitResult",
     "KnotVector",
     "LambdaIterate",

@@ -38,17 +38,16 @@ EVAL_CHUNK = 1024
 class KnotVector:
     """Clamped, nondecreasing knot sequence on [0, 1].
 
-    For ``n + 1`` basis functions of degree ``d`` the sequence has
+    For ``n + 1`` basis functions of degree ``d = DEGREE`` the sequence has
     ``n + d + 2`` entries, the first and last ``d + 1`` of which are 0 and 1.
     """
 
     knots: np.ndarray
-    degree: int = DEGREE
 
     def __post_init__(self):
         knots = np.ascontiguousarray(self.knots, dtype=float)
         object.__setattr__(self, "knots", knots)
-        d = self.degree
+        d = DEGREE
         if knots.ndim != 1 or knots.size < 2 * (d + 1):
             raise InvalidConfig(f"knot vector needs at least {2 * (d + 1)} entries")
         if not np.isfinite(knots).all():
@@ -77,7 +76,7 @@ class KnotVector:
     @property
     def n_basis(self) -> int:
         """Number of basis functions supported by this sequence."""
-        return self.knots.size - self.degree - 1
+        return self.knots.size - DEGREE - 1
 
 
 @dataclass(frozen=True)
@@ -299,7 +298,7 @@ def build_knots(params, n_ctrl_minus1: int) -> KnotVector:
             i = int(np.floor(j * d))
             frac = j * d - i
             knots[DEGREE + j] = (1.0 - frac) * x[i - 1] + frac * x[i]
-    return KnotVector(knots, DEGREE)
+    return KnotVector(knots)
 
 
 def eval_basis(knots: KnotVector, params) -> BasisSpan:
@@ -333,7 +332,7 @@ def eval_basis(knots: KnotVector, params) -> BasisSpan:
     if not inside.all():
         bad = float(x[np.flatnonzero(~inside)[0]])
         raise OutOfDomain(f"parameter {bad!r} outside [0, 1]")
-    t, d = knots.knots, knots.degree
+    t, d = knots.knots, DEGREE
     span = np.clip(np.searchsorted(t, x, side="right") - 1, d, t.size - d - 2)
     values = np.empty((x.size, d + 1))
     for lo in range(0, x.size, EVAL_CHUNK):

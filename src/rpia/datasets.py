@@ -39,7 +39,6 @@ class SampledCurve:
 
     points: np.ndarray
     generator_tag: str
-    parameter_range: tuple[float, float]
 
 
 @dataclass(frozen=True)
@@ -48,7 +47,6 @@ class SampledSurface:
 
     grid: np.ndarray
     generator_tag: str
-    parameter_ranges: tuple[tuple[float, float], tuple[float, float]]
 
 
 @dataclass(frozen=True)
@@ -77,7 +75,7 @@ def rose_curve(m: int) -> SampledCurve:
     theta = np.linspace(0.0, 8.0 * np.pi, m + 1)
     r = np.sin(theta / 4.0)
     points = np.column_stack([r * np.cos(theta), r * np.sin(theta)])
-    return SampledCurve(points, "rose", (0.0, 8.0 * np.pi))
+    return SampledCurve(points, "rose")
 
 
 def blob_curve(m: int) -> SampledCurve:
@@ -85,7 +83,7 @@ def blob_curve(m: int) -> SampledCurve:
     theta = np.linspace(0.0, 2.0 * np.pi, m + 1)
     r = 1.0 + 2.0 * np.cos(2.0 * theta + 0.5) + 2.0 * np.cos(3.0 * theta + 0.5)
     points = np.column_stack([r * np.cos(theta), r * np.sin(theta)])
-    return SampledCurve(points, "blob", (0.0, 2.0 * np.pi))
+    return SampledCurve(points, "blob")
 
 
 def boy_surface(m: int, p: int) -> SampledSurface:
@@ -107,7 +105,7 @@ def boy_surface(m: int, p: int) -> SampledSurface:
     y = (2.0 / 3.0) * (cos_t * np.sin(2.0 * t) - _ROOT2 * np.sin(t) * np.sin(s)) * cos_t / denom
     z = _ROOT2 * cos_t * cos_t / denom
     grid = np.stack(np.broadcast_arrays(x, y, z), axis=-1)
-    return SampledSurface(grid, "boy", ((-np.pi, np.pi), (-np.pi, np.pi)))
+    return SampledSurface(grid, "boy")
 
 
 # Each generator's problem kind and sampling function. :func:`generate` looks

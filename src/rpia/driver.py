@@ -118,7 +118,9 @@ class TrajectorySample:
 
 @dataclass(frozen=True)
 class FitResult:
-    """A randomized fit's controls and how it stopped.
+    """A fit's controls and how it stopped: a randomized fit's, or a direct
+    solve's (the experiment's or a stacked oracle's), which stops with
+    ``"direct"`` after no iterations.
 
     ``control_points`` has the shape of the fit's start: (n + 1, ncoord)
     for a curve, (n1 + 1, n2 + 1, ncoord) for a surface.

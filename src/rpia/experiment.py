@@ -259,14 +259,17 @@ class TensorProblem:
         formed once. A direct solve always meets its equations: its result
         stops with ``"direct"`` after no iterations.
 
-        A normal matrix that fails its condition gate is refused
-        (``RankDeficient``), naming the failing direction, its condition
-        bound and its sizes, a curve's as a surface's.
+        A weight that puts a normal matrix outside the floating-point range
+        is refused first (``OutOfRange``), as the randomized map refuses it
+        (:meth:`_normal_matrices`). A normal matrix that fails its condition
+        gate is refused (``RankDeficient``), naming the failing direction,
+        its condition bound and its sizes, a curve's as a surface's.
         """
         _, rhs = self.right_hand_side(data)
 
         def solve(lam: float):
             lam = require_weight(lam)
+            self._normal_matrices(lam)
             solution, cond, axis = solve_tensor_normal(self.directions, rhs, lam)
             if solution is None:
                 raise self._refused(axis, cond, lam)

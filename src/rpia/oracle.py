@@ -5,16 +5,17 @@ solves of the stacked systems, exhaustive expectations of one randomized
 step, and spectral-radius checks. The solvers are tested against these,
 never the other way round. The normal-matrix condition gate (``GramPencil``)
 and the axis-by-axis tensor solve over any number of pencils
-(``solve_tensor_normal``) also serve the experiment, whose parameter
-directions are pencils themselves. Their grams are banded, so their gate
-reads the cheap eigenvalue bounds of :func:`band_eigen_range` and
-:func:`difference_gram_range`; at weight 0 it decides both the direct
+(``solve_tensor_normal``) serve both stacked solves, one pencil per stacked
+factor: a failed gate raises ``RankDeficient``, and a solve returns a direct
+fit's ``FitResult``, as the experiment's direct solves do. The experiment's
+parameter directions are pencils themselves. Their grams are banded, so
+their gate reads the cheap eigenvalue bounds of :func:`band_eigen_range`
+and :func:`difference_gram_range`; at weight 0 it decides both the direct
 solves and the whitened spectrum.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import cached_property
 from typing import Optional
 
@@ -27,31 +28,17 @@ from .assembly import (
     difference_eigenvalues,
     tensor_apply,
 )
+from .driver import FitResult
 from .errors import RankDeficient, TooLarge
 
 # Beyond this bound on the 2-norm condition number of a normal matrix a
-# direct solve raises RankDeficient, a curve's as a surface's; only the
-# stacked curve oracle (``_solve_normal``) falls back to least squares.
+# direct solve raises RankDeficient: a curve's as a surface's, the stacked
+# oracles' as the experiment's.
 COND_LIMIT = 1e12
 
 # Size caps for the exhaustive reference computations.
 _EXPECTATION_CAP = 10_000
 _KRONECKER_CAP = 400
-
-
-@dataclass(frozen=True)
-class DirectSolution:
-    """Minimizer of a penalized least-squares objective plus diagnostics.
-
-    ``condition_estimate`` is an upper bound on the 2-norm condition number
-    of the normal matrix (the larger of the two factors' for surfaces): the
-    ratio of its extreme eigenvalues, widened by the eigensolver's round-off
-    (:func:`eigen_range`).
-    """
-
-    control_points: np.ndarray
-    objective: float
-    condition_estimate: float
 
 
 def eigen_range(gram: np.ndarray) -> np.ndarray:
@@ -234,24 +221,6 @@ class GramPencil:
         return np.linalg.solve(self.matrix(lam), rhs), cond
 
 
-def _solve_normal(stacked: np.ndarray, rhs_matrix: np.ndarray) -> tuple[np.ndarray, float]:
-    """Solve ``stacked^T stacked X = stacked^T rhs`` stably.
-
-    Solves the normal equations while their matrix is comfortably positive
-    definite, otherwise falls back to a rank-revealing least-squares
-    factorization of the stacked matrix itself.
-    """
-    solution, cond = GramPencil(stacked.T @ stacked).solve(stacked.T @ rhs_matrix)
-    if solution is not None:
-        return solution, cond
-    solution, _, rank, _ = np.linalg.lstsq(stacked, rhs_matrix, rcond=None)
-    if rank < stacked.shape[1]:
-        raise RankDeficient(
-            f"stacked matrix has rank {rank} < {stacked.shape[1]} columns"
-        )
-    return solution, cond
-
-
 def solve_tensor_normal(pencils, rhs: np.ndarray, lam: float = 0.0):
     """Solve for ``P`` whose product with ``K_i`` along every axis ``i`` is ``rhs``.
 
@@ -275,14 +244,34 @@ def solve_tensor_normal(pencils, rhs: np.ndarray, lam: float = 0.0):
     return np.ascontiguousarray(solution), max(conds), None
 
 
-def solve_curve_direct(system: AugmentedCurveSystem) -> DirectSolution:
-    """Exact minimizer of the stacked curve system via the normal equations."""
-    solution, cond = _solve_normal(system.stacked, system.targets)
-    residual = system.stacked @ solution - system.targets
-    return DirectSolution(solution, float(np.sum(residual**2)), cond)
+def _solve_stacked(factors, rhs: np.ndarray, names) -> FitResult:
+    """The direct fit whose controls times ``S_i^T S_i`` along every axis ``i``
+    are ``rhs``: one :class:`GramPencil` per stacked factor ``S_i``, solved by
+    :func:`solve_tensor_normal`. ``RankDeficient`` names (from ``names``) the
+    first factor whose gram fails the condition gate."""
+    solution, cond, axis = solve_tensor_normal([GramPencil(s.T @ s) for s in factors], rhs)
+    if solution is None:
+        raise RankDeficient(
+            f"{names[axis]} is numerically rank deficient: "
+            f"condition bound {cond:.3g} exceeds {COND_LIMIT:g}"
+        )
+    return FitResult(solution, 0, "direct")
 
 
-def solve_surface_direct(system: AugmentedSurfaceSystem) -> DirectSolution:
+def solve_curve_direct(system: AugmentedCurveSystem) -> FitResult:
+    """Exact minimizer of the stacked curve system via the normal equations
+    ``S^T S P = S^T targets``.
+
+    Raises
+    ------
+    RankDeficient
+        If ``S^T S`` fails the condition gate.
+    """
+    stacked = system.stacked
+    return _solve_stacked([stacked], stacked.T @ system.targets, ["the stacked curve matrix"])
+
+
+def solve_surface_direct(system: AugmentedSurfaceSystem) -> FitResult:
     """Exact minimizer of the stacked tensor system, one coordinate at a time.
 
     Each coordinate slice solves
@@ -294,19 +283,9 @@ def solve_surface_direct(system: AugmentedSurfaceSystem) -> DirectSolution:
     RankDeficient
         If either gram fails the condition gate.
     """
-    a_hat = system.row_stacked
-    b_hat = system.col_stacked
+    a_hat, b_hat = system.row_stacked, system.col_stacked
     rhs = tensor_apply(a_hat.T, system.targets, b_hat.T)
-    solution, cond, failed = solve_tensor_normal(
-        [GramPencil(a_hat.T @ a_hat), GramPencil(b_hat.T @ b_hat)], rhs
-    )
-    if solution is None:
-        raise RankDeficient(
-            f"stacked factor {'uv'[failed]} is numerically rank deficient: "
-            f"condition bound {cond:.3g} exceeds {COND_LIMIT:g}"
-        )
-    residual = tensor_apply(a_hat, solution, b_hat) - system.targets
-    return DirectSolution(solution, float(np.sum(residual**2)), cond)
+    return _solve_stacked([a_hat, b_hat], rhs, ["stacked factor u", "stacked factor v"])
 
 
 def _check_expectation_cap(n_blocks: int, dimension: int) -> None:

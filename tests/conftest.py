@@ -16,7 +16,7 @@ from rpia.assembly import (
     augment_surface,
     difference_matrix,
 )
-from rpia.basis import BasisSpan, build_knots
+from rpia.basis import DEGREE, BasisSpan, build_knots
 from rpia.driver import REFRESH_EVERY, TrajectorySample
 from rpia.experiment import CurveProblem, Direction, SurfaceProblem
 
@@ -91,7 +91,7 @@ def pointwise_basis(knots, params):
     Returns the first nonzero basis index of each parameter, shape (k,), and
     its ``degree + 1`` values, shape (k, degree + 1).
     """
-    t, d = knots.knots, knots.degree
+    t, d = knots.knots, DEGREE
     xs = [float(x) for x in np.asarray(params, dtype=float)]
     spans = [_find_span(t, d, x) for x in xs]
     values = [_basis_values(t, d, s, x) for s, x in zip(spans, xs)]

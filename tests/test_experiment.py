@@ -1,6 +1,8 @@
 import functools
 import json
 import math
+import re
+import warnings
 from dataclasses import asdict
 import tracemalloc
 from pathlib import Path
@@ -679,6 +681,23 @@ class TestControlSpaceDirect:
         ill = self._ill_design(rng)
         data = rng.standard_normal((12, 3))
         self._assert_refused(curve_problem(ill, 1.0), data, "the curve")
+
+    @pytest.mark.parametrize("name", ["rose", "boy_a40"])
+    def test_refuses_the_weights_the_randomized_map_refuses(self, name):
+        # A weight that puts a normal matrix outside the floating-point range
+        # is refused by both maps alike, before the gate can overflow.
+        cfg = load_config(CONFIG_DIR / f"{name}.yaml")
+        problem = build_problem(cfg)
+        noisy = add_noise(problem.clean, NoiseSpec(cfg.noise_amplitude, 0))
+        direct = problem.direct_solver(noisy)
+        randomized = problem.randomized_solver(noisy, cfg, 0, 0)
+        for lam in (1e300, 1e301, 1e302, 1e308):
+            with pytest.raises(OutOfRange) as refused:
+                randomized(lam)
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                with pytest.raises(OutOfRange, match=re.escape(str(refused.value))):
+                    direct(lam)
 
     @pytest.mark.parametrize("lam", [np.nan, np.inf, -1.0])
     @pytest.mark.parametrize("make", [desk_curve_config, desk_surface_config])

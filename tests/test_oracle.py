@@ -10,7 +10,8 @@ from rpia.assembly import (
     difference_matrix,
     make_partition,
 )
-from rpia.errors import TooLarge
+from rpia.driver import FitResult
+from rpia.errors import RankDeficient, TooLarge
 from rpia.oracle import (
     GramPencil,
     band_eigen_range,
@@ -234,6 +235,48 @@ class TestSolveSurfaceDirect:
             lhs = a_hat.T @ a_hat @ solution.control_points[:, :, f] @ b_hat.T @ b_hat
             rhs = a_hat.T @ system.targets[:, :, f] @ b_hat
             npt.assert_allclose(lhs, rhs, rtol=1e-9, atol=1e-10)
+
+
+class TestStackedOraclesShareTheGate:
+    """Both stacked oracles solve through ``solve_tensor_normal``, one gated
+    pencil per stacked factor, and return a direct fit's ``FitResult``."""
+
+    def test_ill_conditioned_full_rank_curve_is_refused(self, rng):
+        # full rank, but cond(S^T S) is about 1e14: the gate refuses it
+        design, _ = np.linalg.qr(rng.standard_normal((20, 5)))
+        design[:, -1] *= 1e-7
+        data = rng.standard_normal((20, 2))
+        system = augment_curve(design, difference_matrix(5, 1.0), data, 0.0)
+        assert np.linalg.matrix_rank(system.stacked) == 5
+        with pytest.raises(RankDeficient, match=(
+            r"the stacked curve matrix is numerically rank deficient: "
+            r"condition bound \S+ exceeds 1e\+12"
+        )):
+            solve_curve_direct(system)
+
+    def test_ill_conditioned_surface_factor_is_named(self, rng):
+        ill, _ = np.linalg.qr(rng.standard_normal((8, 4)))
+        ill[:, -1] *= 1e-7
+        fine = rng.standard_normal((6, 3))
+        for named, (a, b) in (("u", (ill, fine)), ("v", (fine, ill))):
+            grid = rng.standard_normal((a.shape[0], b.shape[0], 3))
+            system = augment_surface(
+                a, b, difference_matrix(a.shape[1], 1.0), difference_matrix(b.shape[1], 1.0),
+                grid, 0.0,
+            )
+            with pytest.raises(RankDeficient, match=(
+                rf"stacked factor {named} is numerically rank deficient: "
+                r"condition bound \S+ exceeds 1e\+12"
+            )):
+                solve_surface_direct(system)
+
+    def test_both_oracles_return_a_direct_fit(self, rng):
+        curve = solve_curve_direct(random_curve_system(rng))
+        surface = solve_surface_direct(random_surface_system(rng))
+        for result in (curve, surface):
+            assert isinstance(result, FitResult)
+            assert (result.iterations, result.stop_reason, result.converged) == (0, "direct", True)
+            assert result.trajectory == ()
 
 
 class TestExpectationMapCurve:
