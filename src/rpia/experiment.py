@@ -116,6 +116,7 @@ class Direction(GramPencil):
     knots: KnotVector
     basis: BasisSpan                         # A, the collocation at params
     penalty_scale: float                     # s in G = s tridiag(1, -2, 1)
+    name: str                                # "the curve", "direction u" or "direction v"
 
     @cached_property
     def penalty_span(self) -> BasisSpan:     # G
@@ -128,16 +129,9 @@ class Direction(GramPencil):
 
     @cached_property
     def penalty_gram(self) -> np.ndarray:
-        """``G^T G``, formed when a positive weight first asks for a normal
-        matrix, and refused when it leaves the floating-point range."""
-        with np.errstate(over="ignore", invalid="ignore"):
-            gram = self.penalty_span.gram()
-        if not np.isfinite(gram).all():
-            raise OutOfRange(
-                f"penalty_scale {self.penalty_scale:g} puts the penalty gram "
-                "outside the floating-point range"
-            )
-        return gram
+        """``G^T G``, formed when a positive weight first asks for the trace."""
+        with np.errstate(over="ignore", invalid="ignore"):  # refused past the range
+            return self.penalty_span.gram()
 
     @cached_property
     def _design_range(self) -> np.ndarray:
@@ -146,6 +140,19 @@ class Direction(GramPencil):
     @cached_property
     def _penalty_range(self) -> np.ndarray:
         return difference_gram_range(self.basis.n_basis, self.penalty_scale)
+
+    def out_of_range(self, lam: float) -> OutOfRange:
+        if not np.isfinite(self.penalty_gram).all():
+            return OutOfRange(f"penalty_scale {self.penalty_scale:g} puts the penalty gram "
+                              "outside the floating-point range")
+        return OutOfRange(f"weight {lam:g} with penalty_scale {self.penalty_scale:g} puts "
+                          "the normal matrix outside the floating-point range")
+
+    def rank_deficient(self, lam: float, cond: float) -> RankDeficient:
+        return RankDeficient(f"the normal matrix of {self.name} is numerically rank deficient "
+                             f"at weight {lam:g}: condition bound {cond:.3g} exceeds "
+                             f"{COND_LIMIT:g}, {self.basis.start.size} data points for "
+                             f"{self.basis.n_basis} controls")
 
 
 @dataclass(frozen=True)
@@ -211,85 +218,57 @@ class TensorProblem:
             total += float(np.sum(term**2))
         return total / self.n_controls
 
-    def _normal_matrices(self, lam: float) -> list:
-        """Each direction's normal matrix at weight ``lam``, ``[K]`` or ``[Ku, Kv]``.
-
-        Refused unless the fit's normal matrix, ``K`` or ``kron(Kv, Ku)``, has a
-        finite trace (``tr Ku tr Kv``): the sum of the solver's selection weights,
-        and a bound on every entry of a positive semidefinite matrix.
-        """
-        with np.errstate(over="ignore", invalid="ignore"):
-            matrices = [direction.matrix(lam) for direction in self.directions]
-            trace = math.prod(float(np.trace(matrix)) for matrix in matrices)
-        if not math.isfinite(trace):
-            scale = max(direction.penalty_scale for direction in self.directions)
-            raise OutOfRange(
-                f"weight {lam:g} with penalty_scale {scale:g} puts the normal "
-                "matrix outside the floating-point range"
-            )
-        return matrices
+    def _checked_weight(self, lam) -> float:
+        """``lam`` as a weight, refused (``OutOfRange``) unless the fit's normal
+        matrix, ``K`` or ``kron(Kv, Ku)``, has a finite trace ``tr Ku tr Kv``: the
+        sum of the solver's selection weights, and a bound on every entry."""
+        lam = require_weight(lam)
+        if not math.isfinite(math.prod(d.trace(lam) for d in self.directions)):
+            raise self.directions[0].out_of_range(lam)
+        return lam
 
     def randomized_solver(self, data, cfg: ExperimentConfig, seed: int, stride: int):
         """The randomized solver's weight-to-fit map for one data set: ``lam`` to
-        (controls, result) on the normal system at ``lam``, starting from
-        controls seeded by the data. ``A^T q`` and ``|q|^2`` are formed once."""
+        the ``FitResult`` on the normal system at ``lam``, starting from controls
+        seeded by the data. ``A^T q`` and ``|q|^2`` are formed once."""
         q, rhs = self.right_hand_side(data)
         norm_sq = float(np.vdot(q, q))
         start = initial_controls(q, [d.basis.n_basis - 1 for d in self.directions])
         stop = StoppingRule(cfg.tolerance, cfg.max_iter)
 
-        def solve(lam: float):
-            grams = self._normal_matrices(require_weight(lam))
+        def solve(lam: float) -> FitResult:
+            lam = self._checked_weight(lam)
+            grams = tuple(direction.matrix(lam) for direction in self.directions)
             partitions = [gram_partition(g, cfg.block_size) for g in grams]
             design_grams = tuple(direction.design_gram for direction in self.directions)
-            system = NormalSystem(tuple(grams), design_grams, rhs, norm_sq)
+            system = NormalSystem(grams, design_grams, rhs, norm_sq)
             # looked up at call time, so a wrapped ``run`` sees every fit
             solver = (curve_solver, surface_solver)[len(self.directions) - 1]
-            result = solver.run(
+            return solver.run(
                 system, *partitions, start, stop, solver_rng(seed),
                 trajectory_stride=stride,
             )
-            return result.control_points, result
         return solve
 
     def direct_solver(self, data):
-        """The weight-to-minimizer map for one data set: ``lam`` to (controls,
-        result), the controls solving the normal equations at ``lam``, one
+        """The weight-to-minimizer map for one data set: ``lam`` to the
+        ``FitResult`` whose controls solve the normal equations at ``lam``, one
         direction's solve per axis against ``A^T q`` (or ``A^T Q B``), which is
         formed once. A direct solve always meets its equations: its result
-        stops with ``"direct"`` after no iterations.
-
-        A weight that puts a normal matrix outside the floating-point range
-        is refused first (``OutOfRange``), as the randomized map refuses it
-        (:meth:`_normal_matrices`). A normal matrix that fails its condition
-        gate is refused (``RankDeficient``), naming the failing direction,
-        its condition bound and its sizes, a curve's as a surface's.
+        stops with ``"direct"`` after no iterations. A weight is refused first as
+        the randomized map refuses it (:meth:`_checked_weight`), then by each
+        direction's gate, a curve's as a surface's.
         """
         _, rhs = self.right_hand_side(data)
 
-        def solve(lam: float):
-            lam = require_weight(lam)
-            self._normal_matrices(lam)
-            solution, cond, axis = solve_tensor_normal(self.directions, rhs, lam)
-            if solution is None:
-                raise self._refused(axis, cond, lam)
-            return solution, FitResult(solution, 0, "direct")
+        def solve(lam: float) -> FitResult:
+            lam = self._checked_weight(lam)
+            return FitResult(solve_tensor_normal(self.directions, rhs, lam), 0, "direct")
         return solve
-
-    def _refused(self, axis: int, cond: float, lam: float) -> RankDeficient:
-        """The refusal of direction ``axis``, whose normal matrix at weight
-        ``lam`` failed the condition gate with the bound ``cond``."""
-        where = "the curve" if len(self.directions) == 1 else f"direction {'uv'[axis]}"
-        basis = self.directions[axis].basis
-        return RankDeficient(
-            f"the normal matrix of {where} is numerically rank deficient at weight "
-            f"{lam:g}: condition bound {cond:.3g} exceeds {COND_LIMIT:g}, "
-            f"{basis.start.size} data points for {basis.n_basis} controls"
-        )
 
     def solve_direct(self, data, lam: float) -> np.ndarray:
         """Penalized minimizer at one weight (see :meth:`direct_solver`)."""
-        return self.direct_solver(data)(lam)[0]
+        return self.direct_solver(data)(lam).control_points
 
     def spectrum(self, head_count: int):
         """Decay fit of the whitened design spectrum, from each direction's
@@ -302,10 +281,8 @@ class TensorProblem:
         a generator, each formed when it is taken, so the spectrum can
         release each once it is used.
         """
-        for axis, direction in enumerate(self.directions):
-            cond = direction.condition(0.0)
-            if not cond <= COND_LIMIT:
-                raise self._refused(axis, cond, 0.0)
+        for direction in self.directions:
+            direction.gate(0.0)
         factors = (np.linalg.cholesky(d.design_gram, upper=True) for d in self.directions)
         eigs = whitened_spectrum(factors, [d.penalty_scale for d in self.directions])
         return spectral_decay_from_eigenvalues(eigs, head_count)
@@ -361,10 +338,11 @@ def build_problem(cfg: ExperimentConfig) -> TensorProblem:
         kind, params, sizes = CurveProblem, [chord_length_params(clean)], [cfg.n_ctrl]
     else:
         kind, params, sizes = SurfaceProblem, surface_params(clean), [cfg.n_ctrl, cfg.n_ctrl_v]
+    names = ["the curve"] if cfg.problem == "curve" else ["direction u", "direction v"]
     directions = []
-    for grid, n_ctrl in zip(params, sizes):
+    for grid, n_ctrl, name in zip(params, sizes, names):
         knots = build_knots(grid, n_ctrl)
-        directions.append(Direction(grid, knots, eval_basis(knots, grid), cfg.penalty_scale))
+        directions.append(Direction(grid, knots, eval_basis(knots, grid), cfg.penalty_scale, name))
     return kind(clean, tuple(directions))
 
 
@@ -468,9 +446,8 @@ def run_seed(problem, cfg: ExperimentConfig, lam_choice, seed: int, alpha=None) 
     results = []                      # each fit's result, latest last
 
     def solve(lam: float) -> np.ndarray:
-        controls, result = fit(lam)
-        results.append(result)
-        return controls
+        results.append(fit(lam))
+        return results[-1].control_points
     if adaptive:
         max_weight = min(direction.all_penalty_weight() for direction in problem.directions)
         sc = self_consistent(
@@ -632,7 +609,7 @@ def sweep_lambda(cfg: ExperimentConfig) -> tuple[SweepReport, TensorProblem]:
     means, stds = [], []
     capped = 0
     for lam in lambdas + [float(lam_est)]:
-        results = [fit(lam)[1] for fit in fits]
+        results = [fit(lam) for fit in fits]
         mean_err, std_err = _aggregate(
             [_relative_error(problem, result.control_points) for result in results]
         )

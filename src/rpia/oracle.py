@@ -3,15 +3,15 @@
 Everything here is a slow-but-sure alternative path: dense normal-equation
 solves of the stacked systems, exhaustive expectations of one randomized
 step, and spectral-radius checks. The solvers are tested against these,
-never the other way round. The normal-matrix condition gate (``GramPencil``)
-and the axis-by-axis tensor solve over any number of pencils
-(``solve_tensor_normal``) serve both stacked solves, one pencil per stacked
-factor: a failed gate raises ``RankDeficient``, and a solve returns a direct
-fit's ``FitResult``, as the experiment's direct solves do. The experiment's
-parameter directions are pencils themselves. Their grams are banded, so
-their gate reads the cheap eigenvalue bounds of :func:`band_eigen_range`
-and :func:`difference_gram_range`; at weight 0 it decides both the direct
-solves and the whitened spectrum.
+never the other way round. The normal-matrix pencil (``GramPencil``) rules
+on every direct solve: it refuses a weight past the floating-point range or
+a failed condition gate, in its own words. The axis-by-axis tensor solve
+over pencils (``solve_tensor_normal``) serves both stacked solves, one pencil
+per stacked factor, which return a direct fit's ``FitResult``, as the
+experiment's direct solves do. The experiment's parameter directions are
+pencils themselves, gated on the cheap eigenvalue bounds of their banded
+grams (:func:`band_eigen_range`, :func:`difference_gram_range`); at weight 0
+the gate decides both the direct solves and the whitened spectrum.
 """
 
 from __future__ import annotations
@@ -29,7 +29,7 @@ from .assembly import (
     tensor_apply,
 )
 from .driver import FitResult
-from .errors import RankDeficient, TooLarge
+from .errors import OutOfRange, RankDeficient, TooLarge
 
 # Beyond this bound on the 2-norm condition number of a normal matrix a
 # direct solve raises RankDeficient: a curve's as a surface's, the stacked
@@ -149,11 +149,15 @@ def _ratio(eigen_bounds: np.ndarray) -> float:
 
 
 class GramPencil:
-    """The normal matrices ``design_gram + lam * penalty_gram`` of one penalized fit.
+    """The normal matrices ``design_gram + lam * penalty_gram`` of one penalized
+    fit, and the one ruling on a direct solve of them.
 
     Both grams are symmetric positive semidefinite; with no penalty the
-    pencil is the one matrix ``design_gram`` (weight 0 only). The condition
-    gate is Weyl's bound: every eigenvalue of the sum lies in
+    pencil is the one matrix ``design_gram`` (weight 0 only). A weight is
+    refused first (``OutOfRange``) where the trace, a bound on every entry,
+    leaves the floating-point range; it is read from the grams' cached traces,
+    so no matrix is formed for it. The condition gate is Weyl's bound: every
+    eigenvalue of the sum lies in
     ``[a_min + lam g_min, a_max + lam g_max]``. It reads one range of bounds
     per gram, computed once, the penalty's only when a positive weight asks,
     so the gate costs O(1) per weight and a solve is one LU solve. Here both
@@ -165,13 +169,15 @@ class GramPencil:
     gram that is singular or nearly so) so can Weyl's bound, by orders of
     magnitude. The design gram's eigenvalues are computed once
     (``_design_eigen_range``), so every weight-0 gate of one pencil shares
-    one eigensolve. A failed gate refuses the solve, for a curve as for a
-    surface.
+    one eigensolve. A failed gate refuses the solve (``RankDeficient``), for
+    a curve as for a surface; the pencil words both refusals (``name``).
     """
 
-    def __init__(self, design_gram: np.ndarray, penalty_gram: Optional[np.ndarray] = None):
+    def __init__(self, design_gram: np.ndarray, penalty_gram: Optional[np.ndarray] = None,
+                 name: str = "the normal matrix"):
         self.design_gram = design_gram
         self.penalty_gram = penalty_gram
+        self.name = name
 
     @cached_property
     def _design_eigen_range(self) -> np.ndarray:
@@ -185,14 +191,37 @@ class GramPencil:
     def _penalty_range(self) -> np.ndarray:
         return eigen_range(self.penalty_gram)
 
+    @cached_property
+    def _design_trace(self) -> float:
+        with np.errstate(over="ignore"):         # inf past the range, refused unwarned
+            return float(np.trace(self.design_gram))
+
+    @cached_property
+    def _penalty_trace(self) -> float:
+        with np.errstate(over="ignore"):
+            return float(np.trace(self.penalty_gram))
+
     def matrix(self, lam: float = 0.0) -> np.ndarray:
         return self.design_gram + lam * self.penalty_gram if lam else self.design_gram
+
+    def trace(self, lam: float = 0.0) -> float:
+        """``tr(design_gram + lam penalty_gram)``, from the grams' cached traces."""
+        return self._design_trace + lam * self._penalty_trace if lam else self._design_trace
+
+    def out_of_range(self, lam: float) -> OutOfRange:
+        return OutOfRange(f"{self.name} has a normal matrix outside the floating-point range")
+
+    def rank_deficient(self, lam: float, cond: float) -> RankDeficient:
+        return RankDeficient(f"{self.name} is numerically rank deficient: condition "
+                             f"bound {cond:.3g} exceeds {COND_LIMIT:g}")
 
     def condition(self, lam: float = 0.0) -> float:
         """Upper bound on the 2-norm condition number at weight ``lam``:
         Weyl's bound over the two ranges, or the exact eigenvalue ratio
         (widened by round-off) where that exceeds the limit; infinite when
         neither shows the matrix positive definite."""
+        if not np.isfinite(self.trace(lam)):
+            raise self.out_of_range(lam)
         if not lam:
             bound = _ratio(self._design_range)
             return bound if bound <= COND_LIMIT else _ratio(self._design_eigen_range)
@@ -200,6 +229,12 @@ class GramPencil:
         if bound <= COND_LIMIT:
             return bound
         return _ratio(eigen_range(self.matrix(lam)))
+
+    def gate(self, lam: float = 0.0) -> None:
+        """Refuse weight ``lam`` unless a direct solve of its matrix may run."""
+        cond = self.condition(lam)
+        if not cond <= COND_LIMIT:
+            raise self.rank_deficient(lam, cond)
 
     def all_penalty_weight(self) -> float:
         """The weight past which the matrix is all penalty in floating point:
@@ -212,50 +247,35 @@ class GramPencil:
             return np.inf
         return float(self._design_range[1] / (np.finfo(float).eps * low))
 
-    def solve(self, rhs: np.ndarray, lam: float = 0.0):
-        """``(solution, cond)`` for ``(design_gram + lam penalty_gram) X = rhs``; the
-        solution is None when the condition bound ``cond`` exceeds the limit."""
-        cond = self.condition(lam)
-        if not cond <= COND_LIMIT:
-            return None, cond
-        return np.linalg.solve(self.matrix(lam), rhs), cond
+    def solve(self, rhs: np.ndarray, lam: float = 0.0) -> np.ndarray:
+        """``X`` with ``(design_gram + lam penalty_gram) X = rhs``, past the :meth:`gate`."""
+        self.gate(lam)
+        return np.linalg.solve(self.matrix(lam), rhs)
 
 
-def solve_tensor_normal(pencils, rhs: np.ndarray, lam: float = 0.0):
+def solve_tensor_normal(pencils, rhs: np.ndarray, lam: float = 0.0) -> np.ndarray:
     """Solve for ``P`` whose product with ``K_i`` along every axis ``i`` is ``rhs``.
 
     ``K_i`` is pencil ``i`` at weight ``lam``: ``K P = rhs`` for one pencil,
     ``Ku P Kv = rhs`` (the system ``kron(Kv, Ku) vec P = vec rhs``) for two.
     Axes past the pencils (the point coordinates) ride along. One LU solve
     per pencil covers every coordinate, and no Kronecker product is ever
-    formed. Returns ``(solution, cond, None)`` with the largest condition
-    bound, or ``(None, cond, axis)`` with the bound and the axis of the first
-    pencil that fails the condition gate.
+    formed. The first pencil whose gate fails raises its refusal.
     """
     solution = rhs
-    conds = []
     for axis, pencil in enumerate(pencils):
         moved = np.moveaxis(solution, axis, 0)
-        flat, cond = pencil.solve(moved.reshape(moved.shape[0], -1), lam)
-        if flat is None:
-            return None, cond, axis
-        conds.append(cond)
+        flat = pencil.solve(moved.reshape(moved.shape[0], -1), lam)
         solution = np.moveaxis(flat.reshape(moved.shape), 0, axis)
-    return np.ascontiguousarray(solution), max(conds), None
+    return np.ascontiguousarray(solution)
 
 
 def _solve_stacked(factors, rhs: np.ndarray, names) -> FitResult:
     """The direct fit whose controls times ``S_i^T S_i`` along every axis ``i``
-    are ``rhs``: one :class:`GramPencil` per stacked factor ``S_i``, solved by
-    :func:`solve_tensor_normal`. ``RankDeficient`` names (from ``names``) the
-    first factor whose gram fails the condition gate."""
-    solution, cond, axis = solve_tensor_normal([GramPencil(s.T @ s) for s in factors], rhs)
-    if solution is None:
-        raise RankDeficient(
-            f"{names[axis]} is numerically rank deficient: "
-            f"condition bound {cond:.3g} exceeds {COND_LIMIT:g}"
-        )
-    return FitResult(solution, 0, "direct")
+    are ``rhs``: one :class:`GramPencil` per stacked factor ``S_i``, named ``names``."""
+    with np.errstate(over="ignore", invalid="ignore"):    # the pencil refuses such a gram
+        pencils = [GramPencil(s.T @ s, name=name) for s, name in zip(factors, names)]
+    return FitResult(solve_tensor_normal(pencils, rhs), 0, "direct")
 
 
 def solve_curve_direct(system: AugmentedCurveSystem) -> FitResult:
@@ -264,8 +284,8 @@ def solve_curve_direct(system: AugmentedCurveSystem) -> FitResult:
 
     Raises
     ------
-    RankDeficient
-        If ``S^T S`` fails the condition gate.
+    OutOfRange, RankDeficient
+        If ``S^T S`` leaves the floating-point range, or fails the condition gate.
     """
     stacked = system.stacked
     return _solve_stacked([stacked], stacked.T @ system.targets, ["the stacked curve matrix"])
@@ -280,8 +300,8 @@ def solve_surface_direct(system: AugmentedSurfaceSystem) -> FitResult:
 
     Raises
     ------
-    RankDeficient
-        If either gram fails the condition gate.
+    OutOfRange, RankDeficient
+        If either gram leaves the floating-point range, or fails the condition gate.
     """
     a_hat, b_hat = system.row_stacked, system.col_stacked
     rhs = tensor_apply(a_hat.T, system.targets, b_hat.T)

@@ -143,22 +143,22 @@ def full_width_span(design):
     return BasisSpan(np.zeros(design.shape[0], dtype=int), design, design.shape[1])
 
 
-def bare_direction(design, penalty_scale):
-    """A direction around a bare design and the scale of its difference
-    penalty: no parameters or knots."""
-    return Direction(None, None, full_width_span(design), penalty_scale)
+def bare_direction(design, penalty_scale, name):
+    """A direction named ``name`` around a bare design and the scale of its
+    difference penalty: no parameters or knots."""
+    return Direction(None, None, full_width_span(design), penalty_scale, name)
 
 
 def curve_problem(design, penalty_scale):
     """A curve problem around a bare design: no data or reference fit."""
-    return CurveProblem(None, (bare_direction(design, penalty_scale),))
+    return CurveProblem(None, (bare_direction(design, penalty_scale, "the curve"),))
 
 
 def surface_problem(design_u, design_v, penalty_scale):
     """A surface problem around bare designs, one penalty scale for both:
     no data or reference fit."""
-    return SurfaceProblem(None, tuple(bare_direction(design, penalty_scale)
-                                      for design in (design_u, design_v)))
+    return SurfaceProblem(None, (bare_direction(design_u, penalty_scale, "direction u"),
+                                 bare_direction(design_v, penalty_scale, "direction v")))
 
 
 def collocation_design(n_points, n_ctrl_minus1):

@@ -565,12 +565,11 @@ def test_benchmark_sees_one_seed_call_per_seed(monkeypatch, lam):
 
 
 def test_direct_self_consistent_seed_reports_a_direct_stop():
-    # The direct map returns its controls with a FitResult, as the randomized
-    # map does, so run_seed records both alike: no iterations, no samples.
+    # The direct map returns a FitResult, as the randomized map does, so
+    # run_seed records both alike: no iterations, no samples.
     cfg = desk_curve_config(lam="self-consistent", seeds=(0,), penalty_scale=20.0)
     problem = build_problem(cfg)
-    controls, result = problem.direct_solver(problem.clean)(1e-6)
-    assert result.control_points is controls
+    result = problem.direct_solver(problem.clean)(1e-6)
     assert (result.iterations, result.converged, result.stop_reason) == (0, True, "direct")
     alpha = problem.spectrum(cfg.head_count).alpha
     outcome = experiment.run_seed(problem, cfg, "self-consistent", 0, alpha)
@@ -682,22 +681,81 @@ class TestControlSpaceDirect:
         data = rng.standard_normal((12, 3))
         self._assert_refused(curve_problem(ill, 1.0), data, "the curve")
 
-    @pytest.mark.parametrize("name", ["rose", "boy_a40"])
+    @pytest.mark.parametrize("name", ["rose", "blob", "boy_a40"])
     def test_refuses_the_weights_the_randomized_map_refuses(self, name):
         # A weight that puts a normal matrix outside the floating-point range
-        # is refused by both maps alike, before the gate can overflow.
+        # is refused by both maps alike, with one message and no warning,
+        # before the gate can overflow; a weight either map takes, both take.
+        # Rose and blob are refused from about 1.1e299, boy_a40 below 1e295.
         cfg = load_config(CONFIG_DIR / f"{name}.yaml")
         problem = build_problem(cfg)
         noisy = add_noise(problem.clean, NoiseSpec(cfg.noise_amplitude, 0))
         direct = problem.direct_solver(noisy)
         randomized = problem.randomized_solver(noisy, cfg, 0, 0)
-        for lam in (1e300, 1e301, 1e302, 1e308):
-            with pytest.raises(OutOfRange) as refused:
-                randomized(lam)
+        scan = [float(lam) for lam in np.logspace(295.0, 308.2, 60)]
+        for lam in [1e300, 1e301, 1e302, 1e308] + scan:
             with warnings.catch_warnings():
                 warnings.simplefilter("error")
-                with pytest.raises(OutOfRange, match=re.escape(str(refused.value))):
-                    direct(lam)
+                try:
+                    randomized(lam)
+                except OutOfRange as refused:
+                    with pytest.raises(OutOfRange, match=f"^{re.escape(str(refused))}$"):
+                        direct(lam)
+                else:
+                    assert np.isfinite(direct(lam).control_points).all()
+                    assert lam < 1e300 and name != "boy_a40"
+
+    def test_a_direction_refuses_a_weight_past_the_range_in_its_gate(self):
+        # the pencil's own trace refuses the weight before any arithmetic
+        # on a bound or a matrix can overflow
+        direction = build_problem(load_config(CONFIG_DIR / "rose.yaml")).directions[0]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(OutOfRange, match=(
+                r"^weight 1e\+308 with penalty_scale 1600 puts the normal matrix "
+                r"outside the floating-point range$"
+            )):
+                direction.condition(1e308)
+
+    @pytest.mark.parametrize("name", ["rose", "boy_a40"])
+    def test_stacked_oracles_refuse_a_gram_past_the_range(self, name):
+        # stacked at 1e306, S^T S overflows: the oracle's pencil refuses it
+        # (OutOfRange, exit 3 through the CLI) before numpy's eigensolver sees it
+        cfg = load_config(CONFIG_DIR / f"{name}.yaml")
+        problem = build_problem(cfg)
+        noisy = add_noise(problem.clean, NoiseSpec(cfg.noise_amplitude, 0))
+        if name == "rose":
+            system = augment_curve(problem.design, problem.penalty, noisy, 1e306)
+            solve, named = solve_curve_direct, "the stacked curve matrix"
+        else:
+            system = augment_surface(problem.design_u, problem.design_v, problem.penalty_u,
+                                     problem.penalty_v, noisy, 1e306)
+            solve, named = solve_surface_direct, "stacked factor u"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(OutOfRange, match=(
+                rf"^{named} has a normal matrix outside the floating-point range$"
+            )):
+                solve(system)
+
+    @pytest.mark.parametrize("name", ["rose", "boy_a40"])
+    def test_a_direct_solve_forms_each_normal_matrix_once(self, name, monkeypatch):
+        # the range check reads the pencils' cached traces, so the solve's
+        # own LU factor is each direction's one formation
+        formed = []
+        matrix = GramPencil.matrix
+
+        def counted(pencil, lam=0.0):
+            formed.append(pencil.name)
+            return matrix(pencil, lam)
+
+        cfg = load_config(CONFIG_DIR / f"{name}.yaml")
+        problem = build_problem(cfg)
+        noisy = add_noise(problem.clean, NoiseSpec(cfg.noise_amplitude, 0))
+        solve = problem.direct_solver(noisy)
+        monkeypatch.setattr(GramPencil, "matrix", counted)
+        solve(1e-6)
+        assert formed == [direction.name for direction in problem.directions]
 
     @pytest.mark.parametrize("lam", [np.nan, np.inf, -1.0])
     @pytest.mark.parametrize("make", [desk_curve_config, desk_surface_config])
@@ -771,23 +829,24 @@ class TestTensorProblem:
         want = sum(np.sum((term @ vec(controls)) ** 2) for term in terms) / problem.n_controls
         npt.assert_allclose(problem.penalty_norm2(controls), want, rtol=1e-12)
 
-        pencils = [GramPencil(d.T @ d, g.T @ g) for d, g in zip(designs, penalties)]
+        pencils = [GramPencil(d.T @ d, g.T @ g, name=f"pencil {axis}")
+                   for axis, (d, g) in enumerate(zip(designs, penalties))]
         # the Kronecker products in extended precision, so the reference
         # system is the one the axis-by-axis solves hold
         normal = kron_all([pencil.matrix(lam).astype(np.longdouble) for pencil in pencils])
-        solution, cond, failed = solve_tensor_normal(pencils, rhs, lam)
         if blank:
-            assert solution is None and not cond <= 1e12
-            assert failed == min(
+            failed = min(
                 axis for axis, pencil in enumerate(pencils) if not pencil.condition(lam) <= 1e12
             )
-            # the refusal names the direction that failed
+            # the first pencil that fails the gate refuses, and so does the
+            # direction that failed
+            with pytest.raises(RankDeficient, match=f"^pencil {failed} is numerically rank"):
+                solve_tensor_normal(pencils, rhs, lam)
             named = f"direction {'uv'[failed]}" if len(designs) == 2 else "the curve"
             with pytest.raises(RankDeficient, match=named):
                 problem.solve_direct(data, lam)
             return
-        assert failed is None
-        assert cond == max(pencil.condition(lam) for pencil in pencils)
+        solution = solve_tensor_normal(pencils, rhs, lam)
         want = refined_solve(normal, vec(rhs))
         assert _relative_gap(vec(solution), want) <= 1e-10
         wide_design = kron_all([d.astype(np.longdouble) for d in designs])

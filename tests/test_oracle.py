@@ -34,16 +34,24 @@ class TestGramPencil:
     def test_condition_bound_tracks_two_norm_condition(self, rng):
         u, _ = np.linalg.qr(rng.standard_normal((8, 8)))
         gram = u @ np.diag(np.logspace(0, 6, 8)) @ u.T
-        solution, cond = GramPencil(gram).solve(gram)
+        pencil = GramPencil(gram)
+        cond = pencil.condition()
         exact = np.linalg.cond(gram, 2)
         assert exact <= cond <= exact * (1.0 + 1e-8)
-        npt.assert_allclose(solution, np.eye(8), atol=1e-8)
+        npt.assert_allclose(pencil.solve(gram), np.eye(8), atol=1e-8)
 
     def test_refuses_singular_and_ill_conditioned(self, rng):
-        assert GramPencil(np.ones((4, 4))).solve(np.ones(4))[0] is None
+        # the pencil words its own refusal
+        with pytest.raises(RankDeficient, match=(
+            r"^the normal matrix is numerically rank deficient: "
+            r"condition bound inf exceeds 1e\+12$"
+        )):
+            GramPencil(np.ones((4, 4))).solve(np.ones(4))
         u, _ = np.linalg.qr(rng.standard_normal((6, 6)))
-        solution, cond = GramPencil(u @ np.diag(np.logspace(0, 13, 6)) @ u.T).solve(np.ones(6))
-        assert solution is None and cond > 1e12
+        pencil = GramPencil(u @ np.diag(np.logspace(0, 13, 6)) @ u.T, name="the ill pencil")
+        assert pencil.condition() > 1e12
+        with pytest.raises(RankDeficient, match=r"^the ill pencil is numerically rank deficient"):
+            pencil.solve(np.ones(6))
 
     def test_overstated_weyl_bound_falls_back_to_the_exact_condition(self, rng):
         # a singular design gram whose null vector the penalty barely weights:
@@ -56,7 +64,8 @@ class TestGramPencil:
         low, high = pencil._design_range + lam * pencil._penalty_range
         assert high / low > 1e12
         exact = np.linalg.cond(design + lam * penalty, 2)
-        solution, cond = pencil.solve(np.eye(6), lam)
+        cond = pencil.condition(lam)
+        solution = pencil.solve(np.eye(6), lam)
         # the round-off widening of the lowest eigenvalue (~5e-15) is a
         # relative ~1e-6 of it here
         assert exact <= cond <= exact * (1.0 + 1e-5)
